@@ -3,30 +3,53 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
 #include <utility>
 
+#include "dist/payload_digest.hpp"
+
 namespace wa::dist {
+namespace detail {
 namespace {
 
-/// FNV-1a over the payload's byte representation: the end-to-end
-/// integrity check every delivery must pass.  Each double's bytes are
-/// fetched with memcpy (alias-safe, no reinterpret_cast) in memory
-/// order, so the digest is unchanged from the byte-pointer original.
-std::uint64_t fnv1a(const double* data, std::size_t words) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < words; ++i) {
-    unsigned char bytes[sizeof(double)];
-    std::memcpy(bytes, &data[i], sizeof(double));
-    for (const unsigned char b : bytes) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
+/// One digest step: bijective in @p h for fixed @p w and in @p w for
+/// fixed @p h (xor, odd multiply and xorshift are each invertible).
+inline std::uint64_t digest_step(std::uint64_t h, std::uint64_t w) {
+  h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+  return h ^ (h >> 29);
+}
+
+/// A double's bit pattern (memcpy: alias-safe, no reinterpret_cast).
+inline std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
 }
 
 }  // namespace
+
+std::uint64_t payload_digest(const double* data, std::size_t words) {
+  // Distinct lane seeds, so lanes holding equal words stay distinct.
+  std::uint64_t l0 = 0x243F6A8885A308D3ull, l1 = 0x13198A2E03707344ull,
+                l2 = 0xA4093822299F31D0ull, l3 = 0x082EFA98EC4E6C89ull;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    l0 = digest_step(l0, bits(data[i]));
+    l1 = digest_step(l1, bits(data[i + 1]));
+    l2 = digest_step(l2, bits(data[i + 2]));
+    l3 = digest_step(l3, bits(data[i + 3]));
+  }
+  for (; i < words; ++i) l0 = digest_step(l0, bits(data[i]));
+  // Each lane enters the fold as a w, never as the h: step(l0, l1)
+  // xors equal differences in l0 and l1 away, and a flip of any word's
+  // top bit leaves the same difference in whichever lane it feeds.
+  std::uint64_t h = 0x452821E638D01377ull;
+  for (const std::uint64_t lane : {l0, l1, l2, l3}) h = digest_step(h, lane);
+  return digest_step(h, words);
+}
+
+}  // namespace detail
 
 /// Accumulates elapsed wall-clock into stats_.seconds on destruction.
 class ShmTransport::OpTimer {
@@ -116,18 +139,30 @@ ShmTransport::Msg ShmTransport::pop(std::size_t dst) {
   return msg;
 }
 
-void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
-                       bool combine) {
-  // Sender side: the rank-private source bytes leave src's arena
-  // through a heap message (one real copy)...
+namespace {
+
+[[noreturn]] void throw_corrupted() {
+  throw std::runtime_error(
+      "ShmTransport: delivery checksum mismatch (transport corrupted "
+      "a transfer the model charged)");
+}
+
+}  // namespace
+
+ShmTransport::Msg ShmTransport::package(std::size_t src,
+                                        std::size_t words) const {
   Msg msg;
   msg.data.assign(arenas_[src].data(), arenas_[src].data() + words);
-  msg.checksum = fnv1a(msg.data.data(), words);
-  push(dst, std::move(msg));
+  msg.digest = detail::payload_digest(msg.data.data(), words);
+  return msg;
+}
 
-  // ...receiver side: dequeue and land them in dst's arena (a second
-  // real copy), then verify the bytes survived end-to-end.
-  Msg got = pop(dst);
+bool ShmTransport::land(std::size_t dst, const Msg& got, std::size_t words,
+                        bool combine) {
+  // Verify first: a corrupted delivery must leave the arena untouched.
+  if (detail::payload_digest(got.data.data(), words) != got.digest) {
+    return false;
+  }
   std::vector<double>& a = arenas_[dst];
   if (a.size() < words) a.resize(words);
   if (combine) {
@@ -135,16 +170,20 @@ void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
   } else {
     std::memcpy(a.data(), got.data.data(), words * sizeof(double));
   }
-  const bool ok = fnv1a(got.data.data(), words) == got.checksum;
-  if (!ok) {
-    throw std::runtime_error(
-        "ShmTransport: delivery checksum mismatch (transport corrupted "
-        "a transfer the model charged)");
-  }
   const MutexLock lock(stats_mu_);
   stats_.messages += 1;
   stats_.words += words;
   stats_.verified += words;
+  return true;
+}
+
+void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
+                       bool combine) {
+  // Sender side: the rank-private source bytes leave src's arena
+  // through a heap message (one real copy); receiver side: dequeue,
+  // verify, and land them in dst's arena (a second real copy).
+  push(dst, package(src, words));
+  if (!land(dst, pop(dst), words, combine)) throw_corrupted();
 }
 
 void ShmTransport::run_round(
@@ -161,37 +200,15 @@ void ShmTransport::run_round(
     for (const auto& [src, dst] : hops) {
       const std::size_t s = src, d = dst;
       workers.emplace_back([this, d, words, combine, &corrupted] {
-        Msg got = pop(d);
-        std::vector<double>& a = arenas_[d];
-        if (combine) {
-          for (std::size_t i = 0; i < words; ++i) a[i] += got.data[i];
-        } else {
-          std::memcpy(a.data(), got.data.data(), words * sizeof(double));
-        }
-        if (fnv1a(got.data.data(), words) != got.checksum) {
-          // Throwing on a worker would terminate; flag it and let the
-          // joining thread raise the error.
-          corrupted.store(true);
-          return;
-        }
-        const MutexLock lock(stats_mu_);
-        stats_.messages += 1;
-        stats_.words += words;
-        stats_.verified += words;
+        // Throwing on a worker would terminate; flag a corrupted
+        // delivery and let the joining thread raise the error.
+        if (!land(d, pop(d), words, combine)) corrupted.store(true);
       });
-      workers.emplace_back([this, s, d, words] {
-        Msg msg;
-        msg.data.assign(arenas_[s].data(), arenas_[s].data() + words);
-        msg.checksum = fnv1a(msg.data.data(), words);
-        push(d, std::move(msg));
-      });
+      workers.emplace_back(
+          [this, s, d, words] { push(d, package(s, words)); });
     }
     for (auto& w : workers) w.join();
-    if (corrupted.load()) {
-      throw std::runtime_error(
-          "ShmTransport: delivery checksum mismatch (transport corrupted "
-          "a transfer the model charged)");
-    }
+    if (corrupted.load()) throw_corrupted();
     return;
   }
   for (const auto& [src, dst] : hops) hop(src, dst, words, combine);
