@@ -13,8 +13,7 @@
 // closed forms -- the bandwidth-halo blow-up and its fix.
 // WA_BACKEND/WA_THREADS select the execution backend exactly as in
 // bench_lu; a final section pins serial-vs-threaded counter identity
-// and prints the wall-clock comparison, plus the wall-clock delta of
-// reusing the per-rank basis scratch across outer iterations.
+// and prints the wall-clock comparison.
 // --json PATH dumps every counter for CI's baseline drift check.
 
 #include <chrono>
@@ -496,49 +495,6 @@ int main(int argc, char** argv) {
       }
     }
     tt.print();
-  }
-
-  // ---- scratch hoisting: the per-outer basis buffers are reused ---------
-  // Same solve twice: the PR 4 behavior (fresh 2s+1 columns per outer
-  // iteration and per streaming block) vs reused per-rank scratch;
-  // counters and iterates are invariant, only wall-clock moves.
-  {
-    std::printf("\nBasis-scratch reuse, streaming CA-CG s=4 (n=%zu, P=%zu):\n",
-                n, P);
-    bench::Table st({"scratch", "wall (s)", "speedup", "counters"});
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.mode = CaCgMode::kStreaming;
-    opt.tol = 1e-9;
-    opt.max_outer = 250;
-    const auto part = make_partition(P, A);
-
-    Machine m_fresh(P, kM1, kM2, kM3, HwParams{}, bench::env_backend());
-    std::vector<double> x_fresh(n, 0.0);
-    dist::ca_cg(m_fresh, *part, A, b, x_fresh, opt,
-                KrylovExec{.reuse_scratch = false});
-
-    Machine m_reuse(P, kM1, kM2, kM3, HwParams{}, bench::env_backend());
-    std::vector<double> x_reuse(n, 0.0);
-    dist::ca_cg(m_reuse, *part, A, b, x_reuse, opt,
-                KrylovExec{.reuse_scratch = true});
-
-    const double wf = m_fresh.local_wall_seconds();
-    const double wr = m_reuse.local_wall_seconds();
-    const bool same =
-        bench::same_counters(m_fresh, m_reuse) &&
-        std::memcmp(x_fresh.data(), x_reuse.data(), n * sizeof(double)) == 0;
-    st.row({"fresh/outer", bench::fmt_d(wf, 4), "1.00", "-"});
-    st.row({"reused", bench::fmt_d(wr, 4),
-            bench::fmt_d(wr > 0 ? wf / wr : 0.0),
-            same ? "identical" : "MISMATCH"});
-    st.print();
-    json.add("scratch_reuse", "counters_identical",
-             std::uint64_t(same ? 1 : 0));
-    if (!same) {
-      std::fprintf(stderr, "scratch reuse changed counters or iterates\n");
-      return 1;
-    }
   }
 
   // Execution-backend comparison: the per-rank basis/recovery phases

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -64,19 +66,6 @@ void for_each_run_local(const Partition& part, const NodeBox& b,
       fn(base + b.x0, base + b.x1, lbase);
     }
   }
-}
-
-/// True when walking box @p b in (z, y, x) order visits consecutive
-/// global rows, i.e. local index == global index - origin.  Then the
-/// basis recurrence can read neighbours through a constant offset
-/// (kd::row_dot), which keeps the 1-D path bitwise-identical to the
-/// shared-memory solvers and fast.
-bool box_is_linear(const Partition& part, const NodeBox& b) {
-  const bool full_x = b.x0 == 0 && b.x1 == part.nx();
-  const bool full_y = b.y0 == 0 && b.y1 == part.ny();
-  if (b.dz() > 1 && !(full_x && full_y)) return false;
-  if (b.dy() > 1 && !full_x) return false;
-  return true;
 }
 
 /// The extent of one streaming chunk: the chunk box dilated by the
@@ -218,36 +207,47 @@ struct PartRun {
 /// every computed row) the caller charges as slow reads.  One
 /// definition serves the stored phase and both streaming passes, so
 /// their arithmetic -- and the bitwise pins built on it -- cannot
-/// drift apart.  With @p reuse the caller's buffers are recycled
-/// (never read before being written: heads cover the whole extent,
-/// and Gram/recovery only read owned nodes, valid in every column).
+/// drift apart.  The caller's buffers are recycled (never read before
+/// being written: heads cover the whole extent, and Gram/recovery only
+/// read owned nodes, valid in every column).
+///
+/// Neighbours are gathered through an extent-local slot map: loc[j] is
+/// the slot of global row j in the extent, filled with the heads, so
+/// one loop serves 1-D, 2-D and 3-D boxes with no coordinate decode.
+/// Each row accumulates in A's stored column order, exactly the
+/// kd::row_dot / spmv sum.  Only extent rows' slots are read: a
+/// computable row's columns lie within the partition radius
+/// (check_mesh_geometry), which the validity windows shrink by per
+/// level.  The map is per-worker scratch; slots left by earlier calls
+/// are never read.
 std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
                               const kd::BasisCoeffs& bc, std::size_t s,
                               const std::vector<double>& p,
                               const std::vector<double>& r,
                               const NodeBox& ebox,
-                              std::vector<std::vector<double>>& W,
-                              bool reuse) {
+                              std::vector<std::vector<double>>& W) {
+  if (A.n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "dist::ca_cg: box partitions need n < 2^32 (32-bit extent slots)");
+  }
   const std::size_t mm = 2 * s + 1;
   const std::size_t len = ebox.volume();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
-  }
+  W.resize(mm);
+  for (auto& col : W) col.resize(len);
+  thread_local std::vector<std::uint32_t> loc;
+  if (loc.size() < A.n) loc.resize(A.n);
   for_each_run_local(part, ebox, ebox,
                      [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
                        for (std::size_t i = glo; i < ghi; ++i) {
-                         W[0][lb + i - glo] = p[i];
-                         W[s + 1][lb + i - glo] = r[i];
+                         const std::size_t li = lb + i - glo;
+                         W[0][li] = p[i];
+                         W[s + 1][li] = r[i];
+                         loc[i] = std::uint32_t(li);
                        }
                      });
 
-  const bool linear = box_is_linear(part, ebox);
   const std::size_t nx = part.nx(), ny = part.ny(), nz = part.nz();
   const std::size_t rad = part.radius();
-  const std::size_t plane = nx * ny;
   std::uint64_t a_words = 0;
   const auto advance = [&](std::size_t from, std::size_t to,
                            std::size_t level, double theta) {
@@ -262,31 +262,12 @@ std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
     for_each_run_local(
         part, v, ebox,
         [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-          if (linear) {
-            // local == global - origin over the whole box: the PR 4
-            // constant-offset row dot, bitwise-identical to spmv.
-            const std::ptrdiff_t off =
-                std::ptrdiff_t(lb) - std::ptrdiff_t(glo);
-            for (std::size_t i = glo; i < ghi; ++i) {
-              tc[lb + i - glo] =
-                  (kd::row_dot(A, i, fc, off) - theta * fc[lb + i - glo]) /
-                  bc.sigma;
+          for (std::size_t i = glo; i < ghi; ++i) {
+            double t = 0;
+            for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
+              t += A.values[q] * fc[loc[A.col_idx[q]]];
             }
-          } else {
-            for (std::size_t i = glo; i < ghi; ++i) {
-              double t = 0;
-              for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-                const std::size_t j = A.col_idx[q];
-                const std::size_t jz = j / plane, rem = j - jz * plane;
-                const std::size_t jy = rem / nx, jx = rem - jy * nx;
-                t += A.values[q] *
-                     fc[((jz - ebox.z0) * ebox.dy() + (jy - ebox.y0)) *
-                            ebox.dx() +
-                        (jx - ebox.x0)];
-              }
-              tc[lb + i - glo] =
-                  (t - theta * fc[lb + i - glo]) / bc.sigma;
-            }
+            tc[lb + i - glo] = (t - theta * fc[lb + i - glo]) / bc.sigma;
           }
           a_words += 2 * rows_nnz(A, glo, ghi);  // A values + cols
         });
@@ -465,16 +446,11 @@ std::uint64_t build_basis_graph(const GraphChunk& ck,
                                 const kd::BasisCoeffs& bc, std::size_t s,
                                 const std::vector<double>& p,
                                 const std::vector<double>& r,
-                                std::vector<std::vector<double>>& W,
-                                bool reuse) {
+                                std::vector<std::vector<double>>& W) {
   const std::size_t mm = 2 * s + 1;
   const std::size_t len = ck.ext.size();
-  if (reuse) {
-    W.resize(mm);
-    for (auto& col : W) col.resize(len);
-  } else {
-    W.assign(mm, std::vector<double>(len, 0.0));
-  }
+  W.resize(mm);
+  for (auto& col : W) col.resize(len);
   for (std::size_t li = 0; li < len; ++li) {
     W[0][li] = p[ck.ext[li]];
     W[s + 1][li] = r[ck.ext[li]];
@@ -720,7 +696,7 @@ KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
 
 KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt, const KrylovExec& exec) {
+                   const CaCgOptions& opt) {
   const std::size_t n = A.n;
   const std::size_t s = opt.s;
   if (s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
@@ -757,8 +733,8 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
   std::vector<double> pn(n), rn(n);  // streaming recovery targets
 
   // Per-rank scratch living across the basis and recovery phases of
-  // one outer iteration (and, with exec.reuse_scratch, across outer
-  // iterations and streaming blocks): the rank's extended basis and
+  // one outer iteration, recycled across outer iterations and
+  // streaming blocks: the rank's extended basis and
   // its Gram partial.  Indexed by rank, so concurrent phases touch
   // disjoint slots.
   std::vector<std::vector<std::vector<double>>> Vloc(P);
@@ -805,7 +781,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
           const std::size_t osz = rp.own_sz[rank];
           const GraphChunk& ck = gplan[rank][0];
           const std::uint64_t a_words =
-              build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
+              build_basis_graph(ck, bc, s, p, r, W);
           detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
           detail::charge_l3_read(h, 2 * osz, m.M2());
           detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
@@ -819,8 +795,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
         const std::size_t osz = rp.own_sz[rank];
         const NodeBox ebox = part.extended(rank, ext);
         const std::uint64_t a_words =
-            build_basis_box(A, part, bc, s, p, r, ebox, W,
-                            exec.reuse_scratch);
+            build_basis_box(A, part, bc, s, p, r, ebox, W);
         detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
         detail::charge_l3_read(h, 2 * osz, m.M2());
         detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
@@ -852,7 +827,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
         if (rp.gp != nullptr) {
           for (const GraphChunk& ck : gplan[rank]) {
             const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
+                build_basis_graph(ck, bc, s, p, r, W);
             detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
             detail::charge_l3_read(h, a_words, m.M2());
             graph_gram(ck, gp, mm, W);
@@ -863,8 +838,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
         for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
           const NodeBox ebox = dilate_clipped(part, c, ext);
           const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
+              build_basis_box(A, part, bc, s, p, r, ebox, W);
           // Slow-memory reads: the extent's overlap with the rank's
           // own nodes (adjacent own blocks re-read the overlap -- the
           // <= 2x read amplification); ghost nodes arrived by network.
@@ -949,7 +923,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
         if (rp.gp != nullptr) {
           for (const GraphChunk& ck : gplan[rank]) {
             const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W, exec.reuse_scratch);
+                build_basis_graph(ck, bc, s, p, r, W);
             detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
             detail::charge_l3_read(h, a_words, m.M2());
             graph_recover(ck, mm, W, ph, rh, xh, x, pn, rn);
@@ -962,8 +936,7 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
         for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
           const NodeBox ebox = dilate_clipped(part, c, ext);
           const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W,
-                              exec.reuse_scratch);
+              build_basis_box(A, part, bc, s, p, r, ebox, W);
           detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
           detail::charge_l3_read(h, a_words, m.M2());
 
@@ -1311,8 +1284,7 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
 KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
-                              std::size_t nrhs, const CaCgOptions& opt,
-                              const KrylovExec& exec) {
+                              std::size_t nrhs, const CaCgOptions& opt) {
   const std::size_t n = A.n;
   const std::size_t s = opt.s;
   if (s == 0) throw std::invalid_argument("dist::ca_cg_batch: s >= 1");
@@ -1419,7 +1391,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           std::uint64_t a_words = 0;
           for (const std::size_t j : act) {
             a_words = build_basis_graph(ck, bc, s, p[j], r[j],
-                                        Vloc[rank][j], exec.reuse_scratch);
+                                        Vloc[rank][j]);
             graph_gram(ck, gpart[rank][j], mm, Vloc[rank][j]);
           }
           detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
@@ -1437,8 +1409,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           auto& W = Vloc[rank][j];
           // Identical geometry for every RHS, so a_words is the same
           // each time; it is charged once for the whole batch below.
-          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                    exec.reuse_scratch);
+          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
           kd::Small& gp = gpart[rank][j];
           std::vector<const double*> wp(mm);
           for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
@@ -1465,8 +1436,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           for (const GraphChunk& ck : gplan[rank]) {
             std::uint64_t a_words = 0;
             for (const std::size_t j : act) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
+              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
               graph_gram(ck, gpart[rank][j], mm, W);
             }
             detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
@@ -1479,8 +1449,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           const NodeBox ebox = dilate_clipped(part, c, ext);
           std::uint64_t a_words = 0;
           for (const std::size_t j : act) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
+            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
             kd::Small& gp = gpart[rank][j];
             std::vector<const double*> wp(mm);
             for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
@@ -1582,8 +1551,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           for (const GraphChunk& ck : gplan[rank]) {
             std::uint64_t a_words = 0;
             for (const std::size_t j : act2) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W,
-                                          exec.reuse_scratch);
+              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
               const auto xj = X.subspan(j * n, n);
               graph_recover(ck, mm, W, ph[j], rh[j], xh[j], xj, pn[j],
                             rn[j]);
@@ -1600,8 +1568,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           const NodeBox ebox = dilate_clipped(part, c, ext);
           std::uint64_t a_words = 0;
           for (const std::size_t j : act2) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W,
-                                      exec.reuse_scratch);
+            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
             const auto xj = X.subspan(j * n, n);
             for_each_run_local(
                 part, c, ebox,

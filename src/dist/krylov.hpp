@@ -75,15 +75,6 @@ struct KrylovBatchResult {
   std::vector<KrylovResult> rhs;
 };
 
-/// Execution tuning of the distributed solvers (numerics and counters
-/// are invariant under every setting).
-struct KrylovExec {
-  /// Reuse each rank's basis scratch across outer iterations and
-  /// streaming blocks instead of reallocating 2s+1 columns per block
-  /// (the PR 4 behavior, kept for the bench's wall-clock comparison).
-  bool reuse_scratch = true;
-};
-
 /// Distributed classical CG (Algorithm 6) on an explicit partition:
 /// partitioned spmv with radius-deep ghost exchanges, allreduce dots.
 KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
@@ -95,8 +86,7 @@ KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
 /// semantics of the options match the shared-memory krylov::ca_cg.
 KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
-                   const krylov::CaCgOptions& opt,
-                   const KrylovExec& exec = {});
+                   const krylov::CaCgOptions& opt);
 
 /// Convenience front doors: partition chosen from the matrix geometry
 /// (make_partition kAuto -- 2-D blocks for mesh-generated matrices,
@@ -126,8 +116,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
                               const sparse::Csr& A,
                               std::span<const double> B, std::span<double> X,
                               std::size_t nrhs,
-                              const krylov::CaCgOptions& opt,
-                              const KrylovExec& exec = {});
+                              const krylov::CaCgOptions& opt);
 KrylovBatchResult cg_batch(Machine& m, const sparse::Csr& A,
                            std::span<const double> B, std::span<double> X,
                            std::size_t nrhs, std::size_t max_iters,
