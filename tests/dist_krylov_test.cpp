@@ -3,7 +3,9 @@
 // bitwise equality with the shared-memory solvers on P = 1, residual
 // parity on ragged rank counts, serial-vs-threaded counter identity,
 // the exact Theta(s) write reduction of the streaming matrix-powers
-// variant, and the bandwidth-halo blow-up the 2-D partition fixes.
+// variant, the bandwidth-halo blow-up the 2-D partition fixes, known
+// answers over every channel and partition kind, and how the
+// shared-memory Traffic tally compares with the counters at P = 1.
 
 #include <gtest/gtest.h>
 
@@ -895,6 +897,186 @@ TEST(DistCaCg, GhostWordsScaleWithSNotN) {
   // Doubling n must not change the ghost volume; only the (fixed
   // size) allreduces and the s*bw zones appear on the wire.
   EXPECT_EQ(count_nw(256), count_nw(512));
+}
+
+// ---- known answers: every channel, every partition kind -----------------
+
+/// Digest of the iterate bits and every rank's words and messages on
+/// all five channels.
+std::uint64_t channel_digest(const Machine& m, std::span<const double> x) {
+  Fnv64 f;
+  f.add(x);
+  for (std::size_t p = 0; p < m.nprocs(); ++p) {
+    const ProcTraffic& t = m.proc(p);
+    for (const ChanCount* c :
+         {&t.nw, &t.l3_read, &t.l3_write, &t.l2_read, &t.l2_write}) {
+      f.add(c->words);
+      f.add(c->messages);
+    }
+  }
+  return f.h;
+}
+
+TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
+  // Classical CG and both CA-CG modes on the 1-D row, 2-D box and
+  // graph partitions, then the batched solvers on the graph partition
+  // with an all-zero RHS that converges before its first step.  The
+  // other pins compare solver paths with each other; these constants
+  // pin x bits and all five per-rank channels (words and messages)
+  // against fixed values, so a refactor that moves one charge between
+  // calls, or one bit, shows here even when every path moves alike.
+  // The small streaming block makes every rank stream several chunks.
+  // The values assume IEEE doubles with no FMA contraction (the x86-64
+  // baseline codegen).
+  struct Case {
+    sparse::Csr A;
+    std::size_t P;
+    unsigned seed;
+  };
+  const Case cases[] = {
+      {sparse::stencil_1d(130, 2), 4, 101},
+      {sparse::stencil_2d(20, 13, 1), 6, 103},
+      {sparse::small_world_graph(150, 2, 8, 5), 6, 107},
+  };
+  CaCgOptions opt;
+  opt.s = 4;
+  opt.tol = 1e-9;
+  opt.block_rows = 24;
+  const double tol = 1e-9;
+  const std::size_t max_iters = 500;
+
+  std::vector<std::uint64_t> got;
+  for (const Case& c : cases) {
+    const auto prob = make_problem_2d(c.A, c.seed);
+    const auto part = make_partition(c.P, prob.A);
+    {
+      Machine m = make_machine(c.P);
+      std::vector<double> x(prob.A.n, 0.0);
+      EXPECT_TRUE(
+          dist::cg(m, *part, prob.A, prob.b, x, max_iters, tol).converged);
+      got.push_back(channel_digest(m, x));
+    }
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      opt.mode = mode;
+      Machine m = make_machine(c.P);
+      std::vector<double> x(prob.A.n, 0.0);
+      EXPECT_TRUE(dist::ca_cg(m, *part, prob.A, prob.b, x, opt).converged);
+      got.push_back(channel_digest(m, x));
+    }
+  }
+  // Partition kinds as named: rows, then tiles, then the graph.
+  EXPECT_EQ(make_partition(4, cases[0].A)->ny(), 1u);
+  EXPECT_EQ(make_partition(4, cases[0].A)->graph(), nullptr);
+  EXPECT_EQ(make_partition(6, cases[1].A)->ny(), 13u);
+  const auto gpart = make_partition(6, cases[2].A);
+  ASSERT_NE(gpart->graph(), nullptr);
+
+  {
+    const sparse::Csr& A = cases[2].A;
+    const std::size_t n = A.n, nrhs = 3;
+    std::vector<double> B(n * nrhs, 0.0);  // RHS 1 stays all-zero
+    for (const std::size_t j : {0u, 2u}) {
+      const auto prob = make_problem_2d(A, 109 + unsigned(j));
+      std::copy(prob.b.begin(), prob.b.end(), B.begin() + j * n);
+    }
+    const auto check = [&](const KrylovBatchResult& r) {
+      ASSERT_EQ(r.rhs.size(), nrhs);
+      for (const KrylovResult& k : r.rhs) EXPECT_TRUE(k.converged);
+      EXPECT_EQ(r.rhs[1].iterations, 0u);
+    };
+    {
+      Machine m = make_machine(6);
+      std::vector<double> X(n * nrhs, 0.0);
+      check(dist::cg_batch(m, *gpart, A, B, X, nrhs, max_iters, tol));
+      got.push_back(channel_digest(m, X));
+    }
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      opt.mode = mode;
+      Machine m = make_machine(6);
+      std::vector<double> X(n * nrhs, 0.0);
+      check(dist::ca_cg_batch(m, *gpart, A, B, X, nrhs, opt));
+      got.push_back(channel_digest(m, X));
+    }
+  }
+
+  const std::vector<std::uint64_t> want = {
+      0x11febc8abc197bdcull, 0xcdb43e71229a45a2ull, 0xc2fdecb2b10d16aaull,
+      0x21fbe0e6bb08ec60ull, 0x90117d6fb9a2ce13ull, 0x631acd1c1ea3b86full,
+      0x23d09b180096d8a1ull, 0xf4c22267772d3bb8ull, 0xdd74591e15ce2925ull,
+      0xd28e0a318207c959ull, 0x2a7f6e3b823d009eull, 0xa9c761cb33a7d27dull};
+  ASSERT_EQ(got.size(), want.size());
+#if defined(__x86_64__)
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << "case " << k << std::hex << " got 0x"
+                               << got[k];
+  }
+#endif
+}
+
+// ---- shared-memory Traffic vs. the Machine counters at P = 1 ------------
+
+TEST(KrylovTrafficVsCounters, P1SlowChannelsMatchUpToTheStoredAWords) {
+  // The shared-memory solvers tally slow-memory words in Traffic; the
+  // distributed ones charge rank 0's l3_read/l3_write.  At P = 1:
+  //  * writes agree for CG and both CA-CG modes;
+  //  * reads agree for CG, and for streaming CA-CG on the 1-D
+  //    partition, whose chunks are the shared solver's row blocks;
+  //  * stored CA-CG: the distributed side charges A as values plus
+  //    column indices (2 nnz per basis level) where the shared side
+  //    charges nnz + n, so it reads (2s-1)(nnz-n) more words per outer
+  //    iteration;
+  //  * streaming on 2-D and graph matrices differs by chunk geometry
+  //    (box or closure extents vs. the shared solver's s*bandwidth
+  //    row zones), so those reads are not compared.
+  // tol = 0 runs a fixed number of steps; the iteration count rules
+  // out a restart, whose fallback steps charge differently.
+  constexpr std::size_t s = 4, outers = 5, cg_steps = 20;
+  struct Case {
+    sparse::Csr A;
+    bool rows_1d;
+  };
+  const Case cases[] = {
+      {sparse::stencil_1d(384, 1), true},
+      {sparse::stencil_2d(24, 24, 1), false},
+      {sparse::small_world_graph(300, 2, 6, 3), false},
+  };
+  for (const Case& c : cases) {
+    const sparse::Csr& A = c.A;
+    const auto prob = make_problem_2d(A, 127);
+    const std::uint64_t n = A.n, nnz = A.nnz();
+    {
+      std::vector<double> xs(n, 0.0), xd(n, 0.0);
+      const auto ref = krylov::cg(A, prob.b, xs, cg_steps, 0.0);
+      Machine m = make_machine(1);
+      const auto got = dist::cg(m, A, prob.b, xd, cg_steps, 0.0);
+      ASSERT_EQ(ref.iterations, cg_steps);
+      ASSERT_EQ(got.iterations, cg_steps);
+      EXPECT_EQ(ref.traffic.slow_writes, m.proc(0).l3_write.words) << n;
+      EXPECT_EQ(ref.traffic.slow_reads, m.proc(0).l3_read.words) << n;
+    }
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      CaCgOptions opt;
+      opt.s = s;
+      opt.tol = 0.0;
+      opt.max_outer = outers;
+      opt.mode = mode;
+      std::vector<double> xs(n, 0.0), xd(n, 0.0);
+      const auto ref = krylov::ca_cg(A, prob.b, xs, opt);
+      Machine m = make_machine(1);
+      const auto got = dist::ca_cg(m, A, prob.b, xd, opt);
+      ASSERT_EQ(ref.iterations, outers * s);
+      ASSERT_EQ(got.iterations, outers * s);
+      const std::uint64_t reads = m.proc(0).l3_read.words;
+      EXPECT_EQ(ref.traffic.slow_writes, m.proc(0).l3_write.words) << n;
+      if (mode == CaCgMode::kStored) {
+        EXPECT_EQ(reads - ref.traffic.slow_reads,
+                  outers * (2 * s - 1) * (nnz - n))
+            << n;
+      } else if (c.rows_1d) {
+        EXPECT_EQ(ref.traffic.slow_reads, reads) << n;
+      }
+    }
+  }
 }
 
 }  // namespace
