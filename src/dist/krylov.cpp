@@ -5,7 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dist/detail.hpp"
@@ -68,14 +70,6 @@ void for_each_run_local(const Partition& part, const NodeBox& b,
   }
 }
 
-/// The extent of one streaming chunk: the chunk box dilated by the
-/// basis depth, exactly as Partition::extended dilates whole owned
-/// boxes (same dilate_box).
-NodeBox dilate_clipped(const Partition& part, const NodeBox& b,
-                       std::size_t depth) {
-  return dilate_box(b, depth, part.nx(), part.ny(), part.nz());
-}
-
 /// Owned box @p o split into streaming chunks of ~@p block_rows owned
 /// words: along x for linear boxes (exactly the PR 4 row blocks),
 /// along y otherwise (whole tile lines with their nz pencils).
@@ -114,8 +108,8 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 /// partitions (identical to walking the box with for_each_run) or
 /// from GraphPartition's owned runs -- so the O(n) vector phases
 /// (setup, classical CG steps, delta recomputes) iterate one shape
-/// whatever the partition.  Only the matrix-powers basis phases still
-/// dispatch on geometry (box extents vs. sparsity-derived plans).
+/// whatever the partition.  The CA-CG basis phases see the partition
+/// kind only through make_plan and build_basis below.
 struct PartRun {
   Machine& m;
   const sparse::Csr& A;
@@ -127,12 +121,10 @@ struct PartRun {
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
   std::vector<std::size_t> own_sz;
   std::vector<std::size_t> own_nnz;  // A-words of the owned rows
-  std::vector<double> partial;
 
   PartRun(Machine& mm, const sparse::Csr& a, const Partition& pt)
       : m(mm), A(a), part(pt), gp(pt.graph()), P(pt.ranks()),
-        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P),
-        partial(P, 0.0) {
+        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P) {
     if (pt.ranks() != mm.nprocs()) {
       throw std::invalid_argument(
           "dist: partition rank count differs from the machine's P");
@@ -180,22 +172,14 @@ struct PartRun {
     }
   }
 
-  /// Charge a binomial-tree allreduce of @p words among all ranks
-  /// (reduce with per-round combines, then broadcast of the result).
-  /// Under a data-moving transport @p payload (the combined value,
-  /// when it is available at charge time) really travels both trees.
-  void allreduce_charge(std::size_t words, const double* payload = nullptr) {
-    m.reduce(group, words, payload);
-    m.bcast(group, words, payload);
-  }
-
-  /// Combine the per-rank partials and charge a one-word allreduce
-  /// that carries the combined scalar.
-  double allreduce(const std::vector<double>& part_sums) {
-    double sum = 0.0;
-    for (std::size_t p = 0; p < P; ++p) sum += part_sums[p];
-    allreduce_charge(1, &sum);
-    return sum;
+  /// Charge a binomial-tree allreduce of @p vals among all ranks
+  /// (reduce with per-round combines, then broadcast of the result),
+  /// one word per value.  The caller combines the partials first, so
+  /// under a data-moving transport the values charged are the values
+  /// that travel both trees.
+  void allreduce_charge(std::span<const double> vals) {
+    m.reduce(group, vals.size(), vals.data());
+    m.bcast(group, vals.size(), vals.data());
   }
 };
 
@@ -281,39 +265,47 @@ std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
   return a_words;
 }
 
-// ---- graph-partition matrix-powers plans --------------------------------
+// ---- per-solve basis-chunk plans ----------------------------------------
 //
-// The box solvers derive every extent, validity window, and charge
-// from NodeBox geometry.  On a GraphPartition the owned sets are
-// general index sets, so each rank's basis work is precomputed once
-// per solve as GraphChunks: the exact s-hop closure of the chunk's
-// target rows (the extent the ghost exchange fills), a local CSR
-// over the extent, and the per-level computable row sets read off
-// the sparsity -- level l keeps the rows whose every column lies in
-// level l-1's set, the graph form of basis_valid_window's per-axis
-// shrink (owned rows survive to level s because the extent is their
-// s-hop closure).  The per-row arithmetic is the same shifted
-// recurrence as build_basis_box, accumulated in A's stored column
+// Every CA-CG basis build covers one chunk: its target rows (the
+// rank's owned rows in stored mode, a ~block_rows slice of them when
+// streaming) and the extent their 2s+1 basis columns are computed
+// over.  The plan is built once per solve for both partition kinds;
+// after that only the basis build looks at the kind, and Gram
+// accumulation and recovery walk every chunk the same way.
+//
+// On a box partition the extent is the chunk box dilated by s*radius
+// (for a whole owned box exactly Partition::extended), and the target
+// runs are the chunk's mesh lines inside it.  On a GraphPartition the
+// owned sets are general index sets, so the extent is the exact s-hop
+// closure of the target rows, with a local CSR over it and the
+// per-level computable row sets read off the sparsity -- level l keeps
+// the rows whose every column lies in level l-1's set, the graph form
+// of basis_valid_window's per-axis shrink (target rows survive to
+// level s because the extent is their s-hop closure).  Both builders
+// run the same shifted recurrence accumulated in A's stored column
 // order, so at P = 1 (extent = every row, all levels full) the
 // iterates stay bitwise-identical to the shared-memory solver.
 
-struct GraphChunk {
-  std::vector<std::size_t> ext;  // sorted global rows of the extent
-  // Extent-local CSR: full rows for level-1 rows (all columns inside
-  // the extent), empty rows otherwise -- rows outside level 1 are
-  // never advanced, so their columns are never read.
+struct BasisChunk {
+  NodeBox ebox;  // the extent, box partitions
+  // The extent, graph partitions: its sorted global rows; a local CSR
+  // over it with full rows for level-1 rows and empty rows otherwise
+  // (rows outside level 1 are never advanced, so their columns are
+  // never read); the extent-local runs of the level-l computable set
+  // (lvl[l - 1], l = 1..s); and the A words one build reads.
+  std::vector<std::size_t> ext;
   std::vector<std::size_t> lrp, lcols;
   std::vector<double> lvals;
-  // Extent-local [lo, hi) runs of the level-l computable set
-  // (lvl[l - 1], l = 1..s) and the A-words each level reads.
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> lvl;
-  std::vector<std::uint64_t> lvl_nnz;
-  // Extent-local runs of the rows this chunk Grams and recovers: the
-  // rank's owned rows (stored mode) or its streaming slice.
+  std::uint64_t a_words = 0;
+  // Both kinds: the extent-local [lo, hi) runs of the target rows, the
+  // global row of each target row in run order, and the extent's
+  // overlap with the rank's owned rows (the p and r words read from
+  // slow memory; ghosts arrive by network).
   std::vector<std::pair<std::size_t, std::size_t>> target;
-  std::size_t tsz = 0;        // rows in target
-  std::size_t overlap = 0;    // |extent ∩ owned(p)|: slow-read words
-  std::uint64_t a_words = 0;  // A words one basis build reads
+  std::vector<std::size_t> rows;
+  std::size_t overlap = 0;
 };
 
 /// Maximal contiguous [lo, hi) runs of a sorted index list.
@@ -329,14 +321,29 @@ std::vector<std::pair<std::size_t, std::size_t>> index_runs(
   return rn;
 }
 
-GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
-                            std::size_t rank,
-                            const std::vector<std::size_t>& seed,
-                            std::size_t s) {
-  GraphChunk ck;
+/// Chunk box @p c of owned box @p o, dilated by @p depth.
+BasisChunk box_chunk(const Partition& part, const NodeBox& o,
+                     const NodeBox& c, std::size_t depth) {
+  BasisChunk ck;
+  ck.ebox = dilate_box(c, depth, part.nx(), part.ny(), part.nz());
+  for_each_run_local(part, c, ck.ebox,
+                     [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
+                       ck.target.emplace_back(lb, lb + (ghi - glo));
+                       for (std::size_t i = glo; i < ghi; ++i) {
+                         ck.rows.push_back(i);
+                       }
+                     });
+  ck.overlap = box_overlap(ck.ebox, o);
+  return ck;
+}
+
+/// Chunk of rank @p rank targeting the sorted rows @p seed.
+BasisChunk graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
+                       std::size_t rank, std::vector<std::size_t> seed,
+                       std::size_t s) {
+  BasisChunk ck;
   ck.ext = gp.closure(seed, s);
   const std::size_t len = ck.ext.size();
-  ck.tsz = seed.size();
 
   std::vector<std::size_t> loc(A.n, std::size_t(-1));
   for (std::size_t li = 0; li < len; ++li) loc[ck.ext[li]] = li;
@@ -367,7 +374,7 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
   }
 
   ck.lvl.reserve(s);
-  ck.lvl_nnz.reserve(s);
+  std::vector<std::uint64_t> lvl_nnz;
   std::vector<char> mem(len, 0);
   std::vector<std::size_t> next;
   for (std::size_t l = 1; l <= s; ++l) {
@@ -393,19 +400,20 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
     std::uint64_t nz = 0;
     for (const std::size_t li : cur) nz += ck.lrp[li + 1] - ck.lrp[li];
     ck.lvl.push_back(index_runs(cur));
-    ck.lvl_nnz.push_back(nz);
+    lvl_nnz.push_back(nz);
   }
 
   // A values + cols per advance: p-chain levels 1..s, r-chain 1..s-1
   // (the same accounting build_basis_box's advance makes per run).
-  for (std::size_t l = 1; l <= s; ++l) ck.a_words += 2 * ck.lvl_nnz[l - 1];
+  for (std::size_t l = 1; l <= s; ++l) ck.a_words += 2 * lvl_nnz[l - 1];
   for (std::size_t l = 1; l + 1 <= s; ++l) {
-    ck.a_words += 2 * ck.lvl_nnz[l - 1];
+    ck.a_words += 2 * lvl_nnz[l - 1];
   }
 
   std::vector<std::size_t> tloc(seed.size());
   for (std::size_t k = 0; k < seed.size(); ++k) tloc[k] = loc[seed[k]];
   ck.target = index_runs(tloc);  // seed and ext sorted => tloc ascending
+  ck.rows = std::move(seed);
 
   for (const std::size_t i : ck.ext) {
     if (gp.owner_of(i) == rank) ++ck.overlap;
@@ -413,28 +421,35 @@ GraphChunk make_graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
   return ck;
 }
 
-/// Per-rank basis plans for one solve, loop-invariant across outer
-/// iterations: one whole-owned-set chunk per rank when stored,
-/// ~block_rows-row slices of the owned list when streaming (the
-/// graph analogue of stream_chunks, including the <= 2x extent
-/// re-read amplification between adjacent chunks).
-std::vector<std::vector<GraphChunk>> make_graph_plan(
-    const sparse::Csr& A, const GraphPartition& gp, std::size_t s,
-    CaCgMode mode, std::size_t block_rows) {
-  const std::size_t P = gp.ranks();
-  std::vector<std::vector<GraphChunk>> plan(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    const auto& own = gp.owned_rows(p);
-    if (own.empty()) continue;
-    if (mode == CaCgMode::kStored) {
-      plan[p].push_back(make_graph_chunk(A, gp, p, own, s));
+/// Per-rank basis chunks of one solve, loop-invariant across outer
+/// iterations and shared by every RHS: the whole owned set when
+/// stored; when streaming, ~block_rows owned rows per chunk (along x
+/// on linear boxes, whole tile lines with their nz pencils along y on
+/// other boxes, slices of the owned list on graphs), so adjacent
+/// chunks re-read their extents' overlap -- the <= 2x read
+/// amplification.
+std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
+                                               std::size_t s, CaCgMode mode,
+                                               std::size_t block_rows) {
+  const bool stored = mode == CaCgMode::kStored;
+  std::vector<std::vector<BasisChunk>> plan(rp.P);
+  for (std::size_t p = 0; p < rp.P; ++p) {
+    if (rp.own_sz[p] == 0) continue;
+    if (rp.gp != nullptr) {
+      const auto& own = rp.gp->owned_rows(p);
+      const std::size_t step = stored ? own.size() : block_rows;
+      for (std::size_t lo = 0; lo < own.size(); lo += step) {
+        const std::size_t hi = std::min(own.size(), lo + step);
+        plan[p].push_back(graph_chunk(
+            rp.A, *rp.gp, p, {own.begin() + lo, own.begin() + hi}, s));
+      }
       continue;
     }
-    for (std::size_t lo = 0; lo < own.size(); lo += block_rows) {
-      const std::size_t hi = std::min(own.size(), lo + block_rows);
-      const std::vector<std::size_t> slice(own.begin() + lo,
-                                           own.begin() + hi);
-      plan[p].push_back(make_graph_chunk(A, gp, p, slice, s));
+    const NodeBox& o = rp.own[p];
+    const std::vector<NodeBox> chunks =
+        stored ? std::vector<NodeBox>{o} : stream_chunks(rp.part, o, block_rows);
+    for (const NodeBox& c : chunks) {
+      plan[p].push_back(box_chunk(rp.part, o, c, s * rp.part.radius()));
     }
   }
   return plan;
@@ -442,7 +457,7 @@ std::vector<std::vector<GraphChunk>> make_graph_plan(
 
 /// build_basis_box's graph twin: heads gathered from p and r over the
 /// extent, then the shifted recurrence over the shrinking level runs.
-std::uint64_t build_basis_graph(const GraphChunk& ck,
+std::uint64_t build_basis_graph(const BasisChunk& ck,
                                 const kd::BasisCoeffs& bc, std::size_t s,
                                 const std::vector<double>& p,
                                 const std::vector<double>& r,
@@ -478,12 +493,23 @@ std::uint64_t build_basis_graph(const GraphChunk& ck,
   return ck.a_words;
 }
 
+/// The basis build of one chunk into @p W; returns the A words read.
+/// With make_plan, the only code that looks at the partition kind.
+std::uint64_t build_basis(const PartRun& rp, const BasisChunk& ck,
+                          const kd::BasisCoeffs& bc, std::size_t s,
+                          const std::vector<double>& p,
+                          const std::vector<double>& r,
+                          std::vector<std::vector<double>>& W) {
+  if (rp.gp != nullptr) return build_basis_graph(ck, bc, s, p, r, W);
+  return build_basis_box(rp.A, rp.part, bc, s, p, r, ck.ebox, W);
+}
+
 /// Gram partial over the chunk's target runs (one gram_upper_acc call
 /// per run: the whole-vs-split bitwise invariance of the kernel keeps
 /// P = 1, with its single [0, n) run, equal to the shared-memory
 /// solver's one call).
-void graph_gram(const GraphChunk& ck, kd::Small& gacc, std::size_t mm,
-                const std::vector<std::vector<double>>& W) {
+void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
+                  const std::vector<std::vector<double>>& W) {
   std::vector<const double*> wp(mm);
   for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
   for (const auto& [llo, lhi] : ck.target) {
@@ -493,17 +519,17 @@ void graph_gram(const GraphChunk& ck, kd::Small& gacc, std::size_t mm,
 }
 
 /// Recovery over the chunk's target rows:
-/// [pout, rout, x] = [W] [ph, rh, xh] + [0, 0, x], scattered back to
-/// global indices through ext.
-void graph_recover(const GraphChunk& ck, std::size_t mm,
-                   const std::vector<std::vector<double>>& W,
-                   const std::vector<double>& ph,
-                   const std::vector<double>& rh,
-                   const std::vector<double>& xh, std::span<double> x,
-                   std::vector<double>& pout, std::vector<double>& rout) {
+/// [pout, rout, x] = [W] [ph, rh, xh] + [0, 0, x], scattered to the
+/// target rows' global indices.
+void recover(const BasisChunk& ck, std::size_t mm,
+             const std::vector<std::vector<double>>& W,
+             const std::vector<double>& ph, const std::vector<double>& rh,
+             const std::vector<double>& xh, std::span<double> x,
+             std::vector<double>& pout, std::vector<double>& rout) {
+  std::size_t t = 0;
   for (const auto& [llo, lhi] : ck.target) {
-    for (std::size_t li = llo; li < lhi; ++li) {
-      const std::size_t i = ck.ext[li];
+    for (std::size_t li = llo; li < lhi; ++li, ++t) {
+      const std::size_t i = ck.rows[t];
       double np = 0, nr = 0, nx2 = x[i];
       for (std::size_t a = 0; a < mm; ++a) {
         np += W[a][li] * ph[a];
@@ -515,131 +541,6 @@ void graph_recover(const GraphChunk& ck, std::size_t mm,
       x[i] = nx2;
     }
   }
-}
-
-/// Shared solve setup: ghost exchange of x, per-rank r = b - A x and
-/// p = r (charged at the shared-memory rates), delta = <r, r> via
-/// allreduce, and <b, b> for the stopping threshold (rank-ordered but
-/// uncharged reads, matching the shared-memory solvers).
-struct SetupResult {
-  double delta;
-  double bb;
-};
-
-SetupResult residual_setup(PartRun& rp,
-                           const std::vector<HaloTransfer>& halo1,
-                           const std::vector<std::size_t>& recv1,
-                           std::span<const double> b, std::span<double> x,
-                           std::vector<double>& r, std::vector<double>& p,
-                           std::vector<double>& w) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, x.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        r[i] = b[i] - w[i];
-        p[i] = r[i];
-      }
-    });
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());
-  });
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-  });
-  const double delta = rp.allreduce(rp.partial);
-
-  double bb = 0.0;
-  for (std::size_t q = 0; q < rp.P; ++q) {
-    double sum = 0.0;
-    rp.for_runs(q, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += b[i] * b[i];
-    });
-    bb += sum;
-  }
-  rp.allreduce_charge(1, &bb);
-  return {delta, bb};
-}
-
-/// One classical CG step on the partition, charged at the classical
-/// per-step rates (reads A + O(n)/P, writes 4n/P per rank).
-/// @p check_den mirrors the caller: krylov::cg runs the division
-/// unconditionally, the CA-CG restart fallback bails on breakdown.
-struct StepResult {
-  double delta;
-  bool breakdown;
-};
-
-StepResult cg_step(PartRun& rp, const std::vector<HaloTransfer>& halo1,
-                   const std::vector<std::size_t>& recv1,
-                   std::span<double> x, std::vector<double>& r,
-                   std::vector<double>& p, std::vector<double>& w,
-                   double delta, bool check_den) {
-  Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-
-  rp.exchange(halo1, 1);  // p ghosts for the spmv
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        w[i] = kd::row_dot(A, i, p.data(), 0);
-      }
-    });
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) sum += p[i] * w[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l2_transit(h, recv1[rank], m.M2(), 0);
-    detail::charge_l3_read(h, rp.own_nnz[rank] + 3 * rp.own_sz[rank],
-                           m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // w
-  });
-  const double den = rp.allreduce(rp.partial);
-  if (check_den && (den <= 0 || !std::isfinite(den))) {
-    return {delta, true};
-  }
-  const double alpha = delta / den;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    double sum = 0.0;
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) x[i] += alpha * p[i];
-      for (std::size_t i = lo; i < hi; ++i) r[i] -= alpha * w[i];
-      for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-    });
-    rp.partial[rank] = sum;
-    detail::charge_l3_read(h, 6 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, 2 * rp.own_sz[rank], m.M2());  // x, r
-  });
-  const double delta_new = rp.allreduce(rp.partial);
-  const double beta = delta_new / delta;
-
-  m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-    rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        p[i] = r[i] + beta * p[i];
-      }
-    });
-    detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, rp.own_sz[rank], m.M2());  // p
-  });
-  return {delta_new, false};
 }
 
 /// Uncharged diagnostic shared with the shared-memory solvers: the
@@ -656,385 +557,19 @@ double true_residual(const sparse::Csr& A, std::span<const double> b,
   return std::sqrt(rn);
 }
 
-}  // namespace
-
-KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                std::span<const double> b, std::span<double> x,
-                std::size_t max_iters, double tol) {
-  const std::size_t n = A.n;
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::cg: size mismatch");
-  }
-  PartRun rp(m, A, part);
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, rp.P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = tol * tol * init.bb;
-
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
-    }
-    delta = cg_step(rp, halo1, recv1, x, r, p, w, delta,
-                    /*check_den=*/false)
-                .delta;
-    ++out.iterations;
-  }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= tol * sparse::norm2(b);
-  }
-  return out;
-}
-
-KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt) {
-  const std::size_t n = A.n;
-  const std::size_t s = opt.s;
-  if (s == 0) throw std::invalid_argument("dist::ca_cg: s >= 1");
-  if (b.size() != n || x.size() != n) {
-    throw std::invalid_argument("dist::ca_cg: size mismatch");
-  }
-  const std::size_t mm = 2 * s + 1;
-  const kd::BasisCoeffs bc =
-      kd::make_basis(A, s, opt.basis == CaCgBasis::kNewton);
-
-  PartRun rp(m, A, part);
-  const std::size_t P = rp.P;
-  const std::size_t ext = s * part.radius();
-  std::size_t block_rows = opt.block_rows;
-  if (block_rows == 0) {
-    block_rows = std::max<std::size_t>(4 * s * part.radius(), 256);
-  }
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, P);
-  const auto halo_s = part.halo(ext);
-  const auto recv_s = recv_rows(halo_s, P);
-
-  KrylovResult out;
-  std::vector<double> r(n), p(n), w(n);
-
-  const SetupResult init = residual_setup(rp, halo1, recv1, b, x, r, p, w);
-  double delta = init.delta;
-  const double stop = opt.tol * opt.tol * init.bb;
-
-  std::size_t restarts = 0;
-  constexpr std::size_t kMaxRestarts = 25;
-
-  std::vector<double> x_snap(n), p_snap(n), r_snap(n);
-  std::vector<double> pn(n), rn(n);  // streaming recovery targets
-
-  // Per-rank scratch living across the basis and recovery phases of
-  // one outer iteration, recycled across outer iterations and
-  // streaming blocks: the rank's extended basis and
-  // its Gram partial.  Indexed by rank, so concurrent phases touch
-  // disjoint slots.
-  std::vector<std::vector<std::vector<double>>> Vloc(P);
-  std::vector<kd::Small> gpart(P, kd::Small(mm));
-
-  // Sparsity-derived basis plans, built once per solve (the closure
-  // and level sets depend only on the pattern and s).
-  std::vector<std::vector<GraphChunk>> gplan;
-  if (rp.gp != nullptr) {
-    gplan = make_graph_plan(A, *rp.gp, s, opt.mode, block_rows);
-  }
-
-  for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
-    if (delta <= stop) {
-      out.converged = true;
-      break;
-    }
-    const double delta_enter = delta;
-    x_snap.assign(x.begin(), x.end());
-    p_snap = p;
-    r_snap = r;
-
-    kd::Small G(mm);
-    for (kd::Small& gp : gpart) std::fill(gp.a.begin(), gp.a.end(), 0.0);
-
-    // One ghost exchange of depth s*radius covers every basis column
-    // of the outer iteration (the matrix-powers optimization).
-    rp.exchange(halo_s, 2);  // p and r travel together
-
-    if (opt.mode == CaCgMode::kStored) {
-      // ---- basis + Gram phase: each rank materializes all 2s+1
-      // columns of its own nodes (redundantly extending into the
-      // ghost region), writing each finished own-node column to slow
-      // memory once, then accumulates its Gram partial.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        auto& W = Vloc[rank];
-        if (rp.own_sz[rank] == 0) {
-          W.clear();
-          return;
-        }
-        if (rp.gp != nullptr) {
-          // Same charge shapes as the box body below; only the basis
-          // extent and Gram ranges come from the sparsity plan.
-          const std::size_t osz = rp.own_sz[rank];
-          const GraphChunk& ck = gplan[rank][0];
-          const std::uint64_t a_words =
-              build_basis_graph(ck, bc, s, p, r, W);
-          detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-          detail::charge_l3_read(h, 2 * osz, m.M2());
-          detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-          detail::charge_l3_read(h, a_words, m.M2());
-          detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-          graph_gram(ck, gpart[rank], mm, W);
-          detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const std::size_t osz = rp.own_sz[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const std::uint64_t a_words =
-            build_basis_box(A, part, bc, s, p, r, ebox, W);
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        detail::charge_l3_read(h, 2 * osz, m.M2());
-        detail::charge_l3_write(h, 2 * osz, m.M2());  // basis heads
-        detail::charge_l3_read(h, a_words, m.M2());
-        // Every non-head column of the rank's own nodes hits slow
-        // memory once -- the Theta(n) stored-basis write stream.
-        detail::charge_l3_write(h, (2 * s - 1) * osz, m.M2());
-
-        kd::Small& gp = gpart[rank];
-        std::vector<const double*> wp(mm);
-        for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              linalg::active_kernels().gram_upper_acc(
-                  gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-            });
-        detail::charge_l3_read(h, mm * osz, m.M2());  // basis re-read
-      });
-    } else {
-      // ---- streaming pass 1: blockwise basis + Gram accumulation;
-      // basis blocks live in fast buffers and are discarded, so this
-      // pass writes nothing to slow memory.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        detail::charge_l2_transit(h, 2 * recv_s[rank], m.M2(), 0);
-        kd::Small& gp = gpart[rank];
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_gram(ck, gp, mm, W);
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W);
-          // Slow-memory reads: the extent's overlap with the rank's
-          // own nodes (adjacent own blocks re-read the overlap -- the
-          // <= 2x read amplification); ghost nodes arrived by network.
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          std::vector<const double*> wp(mm);
-          for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                linalg::active_kernels().gram_upper_acc(
-                    gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-              });
-        }
-      });
-    }
-
-    // Allreduce of the Gram partials: combined in rank order, charged
-    // as reduce + bcast of the upper triangle.
-    for (std::size_t q = 0; q < P; ++q) {
-      for (std::size_t a = 0; a < mm; ++a) {
-        for (std::size_t c = a; c < mm; ++c) G(a, c) += gpart[q](a, c);
-      }
-    }
-    linalg::gram_mirror(G.a.data(), mm);
-    // The combined Gram matrix is in hand; its packed triangle rides
-    // the charged allreduce as the real payload.
-    rp.allreduce_charge(mm * (mm + 1) / 2, G.a.data());
-
-    // ---- inner s steps in coordinates: O(s^2) data, replicated on
-    // every rank (fast memory only, so nothing is charged).
-    std::vector<double> xh(mm, 0.0), ph(mm, 0.0), rh(mm, 0.0);
-    ph[0] = 1.0;
-    rh[s + 1] = 1.0;
-    krylov::Traffic fast;  // inner-step flops; no slow channel to charge
-    const auto inner = kd::inner_steps(s, bc, G, xh, ph, rh, delta, fast);
-    if (inner.breakdown) break;
-    out.iterations += s;
-
-    // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          graph_recover(gplan[rank][0], mm, Vloc[rank], ph, rh, xh, x, p,
-                        r);
-          detail::charge_l3_read(h, mm * osz + osz, m.M2());
-          detail::charge_l3_write(h, 3 * osz, m.M2());
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        const auto& W = Vloc[rank];
-        for_each_run_local(
-            part, o, ebox,
-            [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-              for (std::size_t i = glo; i < ghi; ++i) {
-                const std::size_t li = lb + i - glo;
-                double np = 0, nr = 0, nx2 = x[i];
-                for (std::size_t a = 0; a < mm; ++a) {
-                  np += W[a][li] * ph[a];
-                  nr += W[a][li] * rh[a];
-                  nx2 += W[a][li] * xh[a];
-                }
-                p[i] = np;
-                r[i] = nr;
-                x[i] = nx2;
-              }
-            });
-        detail::charge_l3_read(h, mm * osz + osz, m.M2());
-        detail::charge_l3_write(h, 3 * osz, m.M2());
-      });
-    } else {
-      // ---- streaming pass 2: recompute the basis blockwise and fuse
-      // the recovery (the <= 2x flop doubling the paper trades for
-      // the Theta(s) write reduction); only x, p, r are written.
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        auto& W = Vloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            const std::uint64_t a_words =
-                build_basis_graph(ck, bc, s, p, r, W);
-            detail::charge_l3_read(h, 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());
-            graph_recover(ck, mm, W, ph, rh, xh, x, pn, rn);
-            detail::charge_l3_read(h, ck.tsz, m.M2());       // x
-            detail::charge_l3_write(h, 3 * ck.tsz, m.M2());  // x, p, r
-          }
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          const std::uint64_t a_words =
-              build_basis_box(A, part, bc, s, p, r, ebox, W);
-          detail::charge_l3_read(h, 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());
-
-          for_each_run_local(
-              part, c, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                for (std::size_t i = glo; i < ghi; ++i) {
-                  const std::size_t li = lb + i - glo;
-                  double np = 0, nr = 0, nx2 = x[i];
-                  for (std::size_t a = 0; a < mm; ++a) {
-                    np += W[a][li] * ph[a];
-                    nr += W[a][li] * rh[a];
-                    nx2 += W[a][li] * xh[a];
-                  }
-                  pn[i] = np;
-                  rn[i] = nr;
-                  x[i] = nx2;
-                }
-              });
-          const std::size_t csz = c.volume();
-          detail::charge_l3_read(h, csz, m.M2());       // x
-          detail::charge_l3_write(h, 3 * csz, m.M2());  // x, p, r
-        }
-      });
-      p.swap(pn);
-      r.swap(rn);
-    }
-
-    // Recompute delta from the *recovered* residual; a large
-    // disagreement with the coordinate-space value flags breakdown.
-    m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-      double sum = 0.0;
-      rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) sum += r[i] * r[i];
-      });
-      rp.partial[rank] = sum;
-      detail::charge_l3_read(h, 2 * rp.own_sz[rank], m.M2());
-    });
-    const double delta_true = rp.allreduce(rp.partial);
-
-    if (!std::isfinite(delta_true) || delta_true > 16.0 * delta_enter) {
-      // Basis breakdown: roll back this outer iteration (simulation
-      // bookkeeping, uncharged -- as in the shared-memory solver) and
-      // take the same s steps with distributed classical CG instead.
-      if (++restarts > kMaxRestarts) break;
-      out.iterations -= s;
-      std::copy(x_snap.begin(), x_snap.end(), x.begin());
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = p_snap[i];
-        r[i] = r_snap[i];
-      }
-      delta = delta_enter;
-      for (std::size_t j = 0; j < s && delta > stop; ++j) {
-        const StepResult step = cg_step(rp, halo1, recv1, x, r, p, w,
-                                        delta, /*check_den=*/true);
-        if (step.breakdown) break;
-        delta = step.delta;
-        ++out.iterations;
-      }
-      continue;
-    }
-    delta = delta_true;
-  }
-
-  out.residual_norm = true_residual(A, b, x);
-  if (!out.converged) {
-    out.converged = out.residual_norm <= opt.tol * sparse::norm2(b) * 10.0;
-  }
-  return out;
-}
-
-KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
-                std::span<double> x, std::size_t max_iters, double tol) {
-  const auto part = make_partition(m.nprocs(), A);
-  return cg(m, *part, A, b, x, max_iters, tol);
-}
-
-KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
-                   std::span<const double> b, std::span<double> x,
-                   const CaCgOptions& opt) {
-  const auto part = make_partition(m.nprocs(), A);
-  return ca_cg(m, *part, A, b, x, opt);
-}
-
-// ---- batched multi-RHS solvers ------------------------------------------
+// ---- the solvers ----------------------------------------------------------
 //
-// The batch keeps nrhs fully independent per-RHS recurrences: every
-// floating-point operation an RHS sees is the one the single-RHS
-// solver would execute, in the same order, so iterates are bitwise-
-// identical for any batch composition and finished/broken-down RHS
-// drop out without perturbing the others.  Sharing happens in the
-// *charging*: words of A are read once per traversal, each halo
-// exchange is one event shipping all active panels, and each
-// allreduce is one event combining all active scalars/Grams.  Per-RHS
-// vector words carry an active-count multiplier, so at nrhs == 1
-// every counter is identical to the single-RHS solver's.
-
-namespace {
+// One body per method: the batched solvers below.  The batch keeps
+// nrhs fully independent per-RHS recurrences: every floating-point
+// operation an RHS sees is the same whatever else is in the batch, in
+// the same order, so iterates are bitwise-identical for any batch
+// composition and finished/broken-down RHS drop out without perturbing
+// the others.  Sharing happens in the *charging*: words of A are read
+// once per traversal, each halo exchange is one event shipping all
+// active panels, and each allreduce is one event combining all active
+// scalars/Grams.  Per-RHS vector words carry an active-count
+// multiplier.  The single-RHS entry points are these bodies at
+// nrhs = 1.
 
 void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
                         std::size_t xsz, const char* who) {
@@ -1044,14 +579,34 @@ void check_batch_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
   }
 }
 
+void check_single(std::size_t n, std::size_t bsz, std::size_t xsz,
+                  const char* who) {
+  if (bsz != n || xsz != n) {
+    throw std::invalid_argument(std::string(who) + ": size mismatch");
+  }
+}
+
+/// Sum of each RHS's per-rank partials, combined in rank order.
+std::vector<double> combine(const std::vector<std::vector<double>>& partj,
+                            const std::vector<std::size_t>& which) {
+  std::vector<double> sums(which.size(), 0.0);
+  for (std::size_t k = 0; k < which.size(); ++k) {
+    for (const double v : partj[which[k]]) sums[k] += v;
+  }
+  return sums;
+}
+
 struct BatchSetupResult {
   std::vector<double> delta;
   std::vector<double> bb;
 };
 
-/// Batched residual_setup: one exchange event ships all nrhs x
-/// panels, one A traversal serves every initial residual, and the
-/// nrhs deltas travel in one allreduce event.
+/// Shared solve setup: one exchange event ships all nrhs x panels, one
+/// A traversal serves every r = b - A x and p = r (charged at the
+/// shared-memory rates), the nrhs deltas = <r, r> travel in one
+/// allreduce event, and <b, b> for the stopping thresholds (rank-
+/// ordered but uncharged reads, matching the shared-memory solvers)
+/// in another.
 BatchSetupResult residual_setup_batch(
     PartRun& rp, const std::vector<HaloTransfer>& halo1,
     const std::vector<std::size_t>& recv1, std::span<const double> B,
@@ -1063,10 +618,11 @@ BatchSetupResult residual_setup_batch(
   const std::size_t n = A.n;
 
   BatchSetupResult out;
-  out.delta.assign(nrhs, 0.0);
   out.bb.assign(nrhs, 0.0);
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(rp.P, 0.0));
+  std::vector<std::size_t> all(nrhs);
+  std::iota(all.begin(), all.end(), std::size_t(0));
 
   rp.exchange(halo1, nrhs);
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
@@ -1103,12 +659,8 @@ BatchSetupResult residual_setup_batch(
     }
     detail::charge_l3_read(h, nrhs * 2 * rp.own_sz[rank], m.M2());
   });
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    double sum = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) sum += partj[j][q];
-    out.delta[j] = sum;
-  }
-  rp.allreduce_charge(nrhs, out.delta.data());
+  out.delta = combine(partj, all);
+  rp.allreduce_charge(out.delta);
 
   for (std::size_t j = 0; j < nrhs; ++j) {
     const auto bj = B.subspan(j * n, n);
@@ -1122,17 +674,17 @@ BatchSetupResult residual_setup_batch(
     }
     out.bb[j] = bb;
   }
-  rp.allreduce_charge(nrhs, out.bb.data());
+  rp.allreduce_charge(out.bb);
   return out;
 }
 
-/// One batched classical CG step over the RHS set @p act: the phases
-/// and per-RHS charges of cg_step with an active-count multiplier on
-/// the vector words, one exchange event, one A traversal, and one
-/// allreduce event per scalar round.  With @p check_den a non-positive
-/// or non-finite den retires that RHS after phase 1 (marked in
-/// @p broke, no phase 2/3 work or charges, no delta update), exactly
-/// mirroring the single solver's early return.
+/// One classical CG step over the RHS set @p act, charged at the
+/// classical per-step rates (reads A + O(n)/P, writes 4n/P per rank
+/// per RHS) with one exchange event, one A traversal, and one
+/// allreduce event per scalar round.  With @p check_den (the CA-CG
+/// restart fallback) a non-positive or non-finite den retires that
+/// RHS after phase 1 (marked in @p broke, no phase 2/3 work or
+/// charges, no delta update); classical CG divides unconditionally.
 void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
                    const std::vector<std::size_t>& recv1,
                    std::span<double> X, std::vector<std::vector<double>>& r,
@@ -1147,6 +699,8 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
   const std::uint64_t na = act.size();
   std::vector<std::vector<double>> partj(act.size(),
                                          std::vector<double>(rp.P, 0.0));
+  std::vector<std::size_t> all(act.size());
+  std::iota(all.begin(), all.end(), std::size_t(0));
 
   rp.exchange(halo1, na);  // all active p panels travel together
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
@@ -1168,19 +722,18 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
         h, rp.own_nnz[rank] + na * 3 * rp.own_sz[rank], m.M2());
     detail::charge_l3_write(h, na * rp.own_sz[rank], m.M2());  // w
   });
-  rp.allreduce_charge(na);
+  const std::vector<double> den = combine(partj, all);
+  rp.allreduce_charge(den);
 
   std::vector<std::size_t> live;
   std::vector<double> alpha(act.size(), 0.0);
   for (std::size_t idx = 0; idx < act.size(); ++idx) {
     const std::size_t j = act[idx];
-    double den = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) den += partj[idx][q];
-    if (check_den && (den <= 0 || !std::isfinite(den))) {
+    if (check_den && (den[idx] <= 0 || !std::isfinite(den[idx]))) {
       if (broke != nullptr) (*broke)[j] = 1;
       continue;
     }
-    alpha[idx] = delta[j] / den;
+    alpha[idx] = delta[j] / den[idx];
     live.push_back(idx);
   }
   if (live.empty()) return;
@@ -1201,14 +754,13 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
     detail::charge_l3_read(h, nl * 6 * rp.own_sz[rank], m.M2());
     detail::charge_l3_write(h, nl * 2 * rp.own_sz[rank], m.M2());  // x, r
   });
-  rp.allreduce_charge(nl);
+  const std::vector<double> delta_new = combine(partj, live);
+  rp.allreduce_charge(delta_new);
   std::vector<double> beta(act.size(), 0.0);
-  for (const std::size_t idx : live) {
-    const std::size_t j = act[idx];
-    double delta_new = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) delta_new += partj[idx][q];
-    beta[idx] = delta_new / delta[j];
-    delta[j] = delta_new;
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const std::size_t j = act[live[k]];
+    beta[live[k]] = delta_new[k] / delta[j];
+    delta[j] = delta_new[k];
   }
 
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
@@ -1290,19 +842,19 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   if (s == 0) throw std::invalid_argument("dist::ca_cg_batch: s >= 1");
   check_batch_panels(n, nrhs, B.size(), X.size(), "dist::ca_cg_batch");
   const std::size_t mm = 2 * s + 1;
+  const bool stored = opt.mode == CaCgMode::kStored;
   const kd::BasisCoeffs bc =
       kd::make_basis(A, s, opt.basis == CaCgBasis::kNewton);
 
   PartRun rp(m, A, part);
   const std::size_t P = rp.P;
-  const std::size_t ext = s * part.radius();
   std::size_t block_rows = opt.block_rows;
   if (block_rows == 0) {
     block_rows = std::max<std::size_t>(4 * s * part.radius(), 256);
   }
   const auto halo1 = part.halo(part.radius());
   const auto recv1 = recv_rows(halo1, P);
-  const auto halo_s = part.halo(ext);
+  const auto halo_s = part.halo(s * part.radius());
   const auto recv_s = recv_rows(halo_s, P);
 
   KrylovBatchResult out;
@@ -1329,7 +881,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
 
   // Per-rank scratch: the stored mode keeps every RHS's extended
   // basis alive until recovery (rank x RHS slots); the streaming mode
-  // rebuilds blockwise, so one basis block per rank is recycled
+  // rebuilds chunkwise, so one basis block per rank is recycled
   // across chunks and RHS.  Gram partials are per rank per RHS.
   std::vector<std::vector<std::vector<std::vector<double>>>> Vloc(
       P, std::vector<std::vector<std::vector<double>>>(nrhs));
@@ -1338,13 +890,13 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       P, std::vector<kd::Small>(nrhs, kd::Small(mm)));
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(P, 0.0));
+  const auto basis_of = [&](std::size_t rank,
+                            std::size_t j) -> std::vector<std::vector<double>>& {
+    return stored ? Vloc[rank][j] : Wloc[rank];
+  };
 
-  // Sparsity-derived basis plans, shared by every RHS (the closure
-  // and level sets depend only on the pattern and s).
-  std::vector<std::vector<GraphChunk>> gplan;
-  if (rp.gp != nullptr) {
-    gplan = make_graph_plan(A, *rp.gp, s, opt.mode, block_rows);
-  }
+  const std::vector<std::vector<BasisChunk>> plan =
+      make_plan(rp, s, opt.mode, block_rows);
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
     std::vector<std::size_t> act;
@@ -1375,109 +927,60 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
     }
 
-    // One ghost exchange event per outer iteration ships the p and r
-    // panels of every active RHS together.
+    // One ghost exchange of depth s*radius covers every basis column
+    // of the outer iteration (the matrix-powers optimization); one
+    // event ships the p and r panels of every active RHS together.
     rp.exchange(halo_s, 2 * na);
 
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) {
-          for (const std::size_t j : act) Vloc[rank][j].clear();
-          return;
-        }
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          const GraphChunk& ck = gplan[rank][0];
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act) {
-            a_words = build_basis_graph(ck, bc, s, p[j], r[j],
-                                        Vloc[rank][j]);
-            graph_gram(ck, gpart[rank][j], mm, Vloc[rank][j]);
-          }
-          detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-          detail::charge_l3_read(h, na * 2 * osz, m.M2());
-          detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
-          detail::charge_l3_read(h, a_words, m.M2());        // A, shared
-          detail::charge_l3_write(h, na * (2 * s - 1) * osz, m.M2());
-          detail::charge_l3_read(h, na * mm * osz, m.M2());  // Gram re-read
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        std::uint64_t a_words = 0;
+    // ---- basis + Gram: per chunk, one traversal of A advances every
+    // active RHS's basis, then its Gram partial accumulates.  Stored
+    // mode keeps the basis and writes each finished own-node column
+    // to slow memory once (the Theta(n) stored-basis write stream);
+    // streaming discards its fast block chunk by chunk and writes
+    // nothing.
+    m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+      if (rp.own_sz[rank] == 0) return;
+      detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
+      for (const BasisChunk& ck : plan[rank]) {
+        const std::size_t tsz = ck.rows.size();
+        std::uint64_t a_words = 0;  // same for every RHS: charged once
         for (const std::size_t j : act) {
-          auto& W = Vloc[rank][j];
-          // Identical geometry for every RHS, so a_words is the same
-          // each time; it is charged once for the whole batch below.
-          a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
-          kd::Small& gp = gpart[rank][j];
-          std::vector<const double*> wp(mm);
-          for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-          for_each_run_local(
-              part, o, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                linalg::active_kernels().gram_upper_acc(
-                    gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-              });
+          auto& W = basis_of(rank, j);
+          a_words = build_basis(rp, ck, bc, s, p[j], r[j], W);
+          gram_partial(ck, gpart[rank][j], mm, W);
         }
-        detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-        detail::charge_l3_read(h, na * 2 * osz, m.M2());
-        detail::charge_l3_write(h, na * 2 * osz, m.M2());  // basis heads
-        detail::charge_l3_read(h, a_words, m.M2());        // A, shared
-        detail::charge_l3_write(h, na * (2 * s - 1) * osz, m.M2());
-        detail::charge_l3_read(h, na * mm * osz, m.M2());  // Gram re-read
-      });
-    } else {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
-        auto& W = Wloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            std::uint64_t a_words = 0;
-            for (const std::size_t j : act) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
-              graph_gram(ck, gpart[rank][j], mm, W);
-            }
-            detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());  // A, shared
-          }
-          return;
+        detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
+        if (stored) {
+          detail::charge_l3_write(h, na * 2 * tsz, m.M2());  // basis heads
         }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
-            kd::Small& gp = gpart[rank][j];
-            std::vector<const double*> wp(mm);
-            for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-            for_each_run_local(
-                part, c, ebox,
-                [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                  linalg::active_kernels().gram_upper_acc(
-                      gp.a.data(), mm, wp.data(), lb, lb + (ghi - glo));
-                });
-          }
-          detail::charge_l3_read(h, na * 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());  // A, shared
+        detail::charge_l3_read(h, a_words, m.M2());  // A, shared
+        if (stored) {
+          detail::charge_l3_write(h, na * (2 * s - 1) * tsz, m.M2());
+          detail::charge_l3_read(h, na * mm * tsz, m.M2());  // Gram re-read
         }
-      });
-    }
+      }
+    });
 
-    // Gram combine per RHS, one allreduce event for all active
-    // triangles.
+    // Gram combine per RHS, in rank order; the packed upper triangles
+    // of every active RHS travel in one allreduce event.
+    std::vector<double> tri;
+    tri.reserve(na * (mm * (mm + 1) / 2));
     for (const std::size_t j : act) {
       for (std::size_t q = 0; q < P; ++q) {
         for (std::size_t a = 0; a < mm; ++a) {
           for (std::size_t c = a; c < mm; ++c) G[j](a, c) += gpart[q][j](a, c);
         }
       }
+      for (std::size_t a = 0; a < mm; ++a) {
+        for (std::size_t c = a; c < mm; ++c) tri.push_back(G[j](a, c));
+      }
       linalg::gram_mirror(G[j].a.data(), mm);
     }
-    rp.allreduce_charge(na * (mm * (mm + 1) / 2));
+    rp.allreduce_charge(tri);
 
+    // ---- inner s steps in coordinates: O(s^2) data, replicated on
+    // every rank (fast memory only, so nothing is charged).  A
+    // breakdown retires that RHS with its entry iterates.
     std::vector<std::vector<double>> xh(nrhs), ph(nrhs), rh(nrhs);
     std::vector<std::size_t> act2;
     for (const std::size_t j : act) {
@@ -1499,107 +1002,47 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     if (act2.empty()) continue;
     const std::uint64_t na2 = act2.size();
 
-    if (opt.mode == CaCgMode::kStored) {
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        const std::size_t osz = rp.own_sz[rank];
-        if (rp.gp != nullptr) {
-          const GraphChunk& ck = gplan[rank][0];
-          for (const std::size_t j : act2) {
-            const auto xj = X.subspan(j * n, n);
-            graph_recover(ck, mm, Vloc[rank][j], ph[j], rh[j], xh[j], xj,
-                          p[j], r[j]);
-          }
-          detail::charge_l3_read(h, na2 * (mm * osz + osz), m.M2());
-          detail::charge_l3_write(h, na2 * 3 * osz, m.M2());
-          return;
-        }
-        const NodeBox& o = rp.own[rank];
-        const NodeBox ebox = part.extended(rank, ext);
-        for (const std::size_t j : act2) {
-          const auto xj = X.subspan(j * n, n);
-          const auto& W = Vloc[rank][j];
-          for_each_run_local(
-              part, o, ebox,
-              [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                for (std::size_t i = glo; i < ghi; ++i) {
-                  const std::size_t li = lb + i - glo;
-                  double np = 0, nr = 0, nx2 = xj[i];
-                  for (std::size_t a = 0; a < mm; ++a) {
-                    np += W[a][li] * ph[j][a];
-                    nr += W[a][li] * rh[j][a];
-                    nx2 += W[a][li] * xh[j][a];
-                  }
-                  p[j][i] = np;
-                  r[j][i] = nr;
-                  xj[i] = nx2;
-                }
-              });
-        }
-        detail::charge_l3_read(h, na2 * (mm * osz + osz), m.M2());
-        detail::charge_l3_write(h, na2 * 3 * osz, m.M2());
-      });
-    } else {
+    // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
+    // Stored mode reads its kept basis; streaming recomputes the basis
+    // chunkwise and fuses the recovery (the <= 2x flop doubling the
+    // paper trades for the Theta(s) write reduction), writing the new
+    // p and r aside because later chunks still read the old ones.
+    if (!stored) {
       for (const std::size_t j : act2) {
         pn[j].resize(n);
         rn[j].resize(n);
       }
-      m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-        if (rp.own_sz[rank] == 0) return;
-        auto& W = Wloc[rank];
-        if (rp.gp != nullptr) {
-          for (const GraphChunk& ck : gplan[rank]) {
-            std::uint64_t a_words = 0;
-            for (const std::size_t j : act2) {
-              a_words = build_basis_graph(ck, bc, s, p[j], r[j], W);
-              const auto xj = X.subspan(j * n, n);
-              graph_recover(ck, mm, W, ph[j], rh[j], xh[j], xj, pn[j],
-                            rn[j]);
-            }
-            detail::charge_l3_read(h, na2 * 2 * ck.overlap, m.M2());
-            detail::charge_l3_read(h, a_words, m.M2());  // A, shared
-            detail::charge_l3_read(h, na2 * ck.tsz, m.M2());       // x
-            detail::charge_l3_write(h, na2 * 3 * ck.tsz, m.M2());  // x, p, r
-          }
-          return;
+    }
+    m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+      if (rp.own_sz[rank] == 0) return;
+      for (const BasisChunk& ck : plan[rank]) {
+        const std::size_t tsz = ck.rows.size();
+        std::uint64_t a_words = 0;
+        for (const std::size_t j : act2) {
+          auto& W = basis_of(rank, j);
+          if (!stored) a_words = build_basis(rp, ck, bc, s, p[j], r[j], W);
+          recover(ck, mm, W, ph[j], rh[j], xh[j], X.subspan(j * n, n),
+                  stored ? p[j] : pn[j], stored ? r[j] : rn[j]);
         }
-        const NodeBox& o = rp.own[rank];
-        for (const NodeBox& c : stream_chunks(part, o, block_rows)) {
-          const NodeBox ebox = dilate_clipped(part, c, ext);
-          std::uint64_t a_words = 0;
-          for (const std::size_t j : act2) {
-            a_words = build_basis_box(A, part, bc, s, p[j], r[j], ebox, W);
-            const auto xj = X.subspan(j * n, n);
-            for_each_run_local(
-                part, c, ebox,
-                [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                  for (std::size_t i = glo; i < ghi; ++i) {
-                    const std::size_t li = lb + i - glo;
-                    double np = 0, nr = 0, nx2 = xj[i];
-                    for (std::size_t a = 0; a < mm; ++a) {
-                      np += W[a][li] * ph[j][a];
-                      nr += W[a][li] * rh[j][a];
-                      nx2 += W[a][li] * xh[j][a];
-                    }
-                    pn[j][i] = np;
-                    rn[j][i] = nr;
-                    xj[i] = nx2;
-                  }
-                });
-          }
-          const std::size_t csz = c.volume();
-          detail::charge_l3_read(h, na2 * 2 * box_overlap(ebox, o), m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());      // A, shared
-          detail::charge_l3_read(h, na2 * csz, m.M2());    // x
-          detail::charge_l3_write(h, na2 * 3 * csz, m.M2());  // x, p, r
+        if (stored) {
+          detail::charge_l3_read(h, na2 * (mm * tsz + tsz), m.M2());
+        } else {
+          detail::charge_l3_read(h, na2 * 2 * ck.overlap, m.M2());
+          detail::charge_l3_read(h, a_words, m.M2());    // A, shared
+          detail::charge_l3_read(h, na2 * tsz, m.M2());  // x
         }
-      });
+        detail::charge_l3_write(h, na2 * 3 * tsz, m.M2());  // x, p, r
+      }
+    });
+    if (!stored) {
       for (const std::size_t j : act2) {
         p[j].swap(pn[j]);
         r[j].swap(rn[j]);
       }
     }
 
+    // Recompute delta from the *recovered* residual; a large
+    // disagreement with the coordinate-space value flags breakdown.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       for (const std::size_t j : act2) {
         double sum = 0.0;
@@ -1610,14 +1053,16 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
       detail::charge_l3_read(h, na2 * 2 * rp.own_sz[rank], m.M2());
     });
-    rp.allreduce_charge(na2);
+    const std::vector<double> delta_true = combine(partj, act2);
+    rp.allreduce_charge(delta_true);
 
     std::vector<std::size_t> restart_set;
-    for (const std::size_t j : act2) {
-      double delta_true = 0.0;
-      for (std::size_t q = 0; q < P; ++q) delta_true += partj[j][q];
-      if (!std::isfinite(delta_true) ||
-          delta_true > 16.0 * delta_enter[j]) {
+    for (std::size_t k = 0; k < act2.size(); ++k) {
+      const std::size_t j = act2[k];
+      if (!std::isfinite(delta_true[k]) ||
+          delta_true[k] > 16.0 * delta_enter[j]) {
+        // Basis breakdown: roll back this outer iteration (simulation
+        // bookkeeping, uncharged -- as in the shared-memory solver).
         if (++restarts[j] > kMaxRestarts) {
           finished[j] = 1;
           continue;
@@ -1632,12 +1077,12 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
         delta[j] = delta_enter[j];
         restart_set.push_back(j);
       } else {
-        delta[j] = delta_true;
+        delta[j] = delta_true[k];
       }
     }
 
-    // Batched classical-CG fallback for the rolled-back RHS: each of
-    // the s steps is one shared traversal/exchange over the RHS still
+    // Classical-CG fallback for the rolled-back RHS: each of the s
+    // steps is one shared traversal/exchange over the RHS still
     // falling back; a den breakdown retires its RHS from the fallback
     // only (it rejoins the next outer iteration).
     if (!restart_set.empty()) {
@@ -1666,6 +1111,33 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     }
   }
   return out;
+}
+
+KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                std::span<const double> b, std::span<double> x,
+                std::size_t max_iters, double tol) {
+  check_single(A.n, b.size(), x.size(), "dist::cg");
+  return cg_batch(m, part, A, b, x, 1, max_iters, tol).rhs[0];
+}
+
+KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  check_single(A.n, b.size(), x.size(), "dist::ca_cg");
+  return ca_cg_batch(m, part, A, b, x, 1, opt).rhs[0];
+}
+
+KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
+                std::span<double> x, std::size_t max_iters, double tol) {
+  const auto part = make_partition(m.nprocs(), A);
+  return cg(m, *part, A, b, x, max_iters, tol);
+}
+
+KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
+                   std::span<const double> b, std::span<double> x,
+                   const CaCgOptions& opt) {
+  const auto part = make_partition(m.nprocs(), A);
+  return ca_cg(m, *part, A, b, x, opt);
 }
 
 KrylovBatchResult cg_batch(Machine& m, const sparse::Csr& A,

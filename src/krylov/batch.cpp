@@ -14,13 +14,13 @@ using detail::BasisCoeffs;
 using detail::Small;
 
 // Both batched solvers keep b fully independent per-RHS recurrences:
-// every floating-point operation an RHS sees is the one the
-// single-RHS solver would have executed, in the same order, so the
-// iterates are bitwise-identical for any batch composition.  Sharing
-// happens only in the *charging*: words of A (values + column
-// indices) are read once per traversal and serve every active RHS,
-// while per-RHS vector words are charged per RHS.  At nrhs == 1 every
-// charge reduces exactly to the single-RHS solver's.
+// every floating-point operation an RHS sees is the same whatever
+// else is in the batch, in the same order, so the iterates are
+// bitwise-identical for any batch composition.  Sharing happens only
+// in the *charging*: words of A (values + column indices) are read
+// once per traversal and serve every active RHS, while per-RHS vector
+// words are charged per RHS.  krylov::cg and krylov::ca_cg are these
+// bodies at nrhs == 1.
 
 namespace {
 
@@ -30,6 +30,57 @@ void check_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
     throw std::invalid_argument(std::string(who) +
                                 ": panel spans must hold n*nrhs words");
   }
+}
+
+/// One streaming chunk's basis block, shared by both streaming passes:
+/// rows [elo, ehi) of the 2s+1 columns for target rows [lo, hi), where
+/// the extent adds s*bw ghost rows per side (clipped at the matrix
+/// edges).  Heads are gathered from p and r, then the shifted
+/// recurrence fills the rows computable inside the block, shrinking
+/// by bw per level except at the edges.  Charges the ghosted p and r
+/// reads and the flops; the A words only when @p charge_a (the first
+/// RHS of a chunk: one traversal serves the batch).  Returns elo.
+std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
+                        std::size_t s, std::size_t bw,
+                        const std::vector<double>& p,
+                        const std::vector<double>& r, std::size_t lo,
+                        std::size_t hi, bool charge_a, Traffic& t,
+                        std::vector<std::vector<double>>& W) {
+  const std::size_t n = A.n;
+  const std::size_t ext = s * bw;
+  const std::size_t elo = lo >= ext ? lo - ext : 0;
+  const std::size_t ehi = std::min(n, hi + ext);
+  const std::size_t len = ehi - elo;
+
+  W.assign(2 * s + 1, std::vector<double>(len, 0.0));
+  for (std::size_t i = 0; i < len; ++i) {
+    W[0][i] = p[elo + i];
+    W[s + 1][i] = r[elo + i];
+  }
+  t.slow_reads += 2 * len;  // ghosted p and r reads
+
+  const auto advance = [&](std::size_t col_from, std::size_t col_to,
+                           std::size_t level, double theta) {
+    const std::size_t vlo = elo == 0 ? 0 : elo + level * bw;
+    const std::size_t vhi = ehi == n ? n : ehi - level * bw;
+    for (std::size_t i = vlo; i < vhi; ++i) {
+      W[col_to][i - elo] =
+          (detail::row_dot(A, i, W[col_from].data(), -std::ptrdiff_t(elo)) -
+           theta * W[col_from][i - elo]) /
+          bc.sigma;
+      if (charge_a) {
+        t.slow_reads += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);  // values+cols
+      }
+      t.flops += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);
+    }
+  };
+  for (std::size_t lev = 0; lev < s; ++lev) {
+    advance(lev, lev + 1, lev + 1, bc.theta[lev]);
+  }
+  for (std::size_t lev = 0; lev + 1 < s; ++lev) {
+    advance(s + 1 + lev, s + 1 + lev + 1, lev + 1, bc.theta[lev]);
+  }
+  return elo;
 }
 
 }  // namespace
@@ -242,47 +293,13 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     } else {
       // ---- Streaming pass 1, chunk-outer / RHS-inner: the A rows of
       // a chunk are read once and advance every RHS's basis block.
+      std::vector<std::vector<double>> W;
       for (std::size_t lo = 0; lo < n; lo += block_rows) {
         const std::size_t hi = std::min(n, lo + block_rows);
-        const std::size_t ext = s * bw;
-        const std::size_t elo = lo >= ext ? lo - ext : 0;
-        const std::size_t ehi = std::min(n, hi + ext);
-        const std::size_t len = ehi - elo;
-
         bool first = true;
         for (const std::size_t j : act) {
-          std::vector<std::vector<double>> W(m,
-                                             std::vector<double>(len, 0.0));
-          for (std::size_t i = 0; i < len; ++i) {
-            W[0][i] = p[j][elo + i];
-            W[s + 1][i] = r[j][elo + i];
-          }
-          out.traffic.slow_reads += 2 * len;  // ghosted p and r reads
-
-          auto advance = [&](std::size_t col_from, std::size_t col_to,
-                             std::size_t level, double theta) {
-            const std::size_t vlo = elo == 0 ? 0 : elo + level * bw;
-            const std::size_t vhi = ehi == n ? n : ehi - level * bw;
-            for (std::size_t i = vlo; i < vhi; ++i) {
-              W[col_to][i - elo] =
-                  (detail::row_dot(A, i, W[col_from].data(),
-                                   -std::ptrdiff_t(elo)) -
-                   theta * W[col_from][i - elo]) /
-                  bc.sigma;
-              if (first) {
-                out.traffic.slow_reads +=
-                    2 * (A.row_ptr[i + 1] - A.row_ptr[i]);  // A values+cols
-              }
-              out.traffic.flops += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);
-            }
-          };
-          for (std::size_t lev = 0; lev < s; ++lev) {
-            advance(lev, lev + 1, lev + 1, bc.theta[lev]);
-          }
-          for (std::size_t lev = 0; lev + 1 < s; ++lev) {
-            advance(s + 1 + lev, s + 1 + lev + 1, lev + 1, bc.theta[lev]);
-          }
-
+          const std::size_t elo = build_block(A, bc, s, bw, p[j], r[j], lo,
+                                              hi, first, out.traffic, W);
           std::vector<const double*> wp(m);
           for (std::size_t a = 0; a < m; ++a) wp[a] = W[a].data();
           linalg::active_kernels().gram_upper_acc(G[j].a.data(), m,
@@ -296,8 +313,7 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     }
 
     // ---- Inner s steps in coordinates, per RHS.  A breakdown only
-    // retires that RHS: its iterates keep their entry values, exactly
-    // as the single-RHS solver's `break` leaves them.
+    // retires that RHS: its iterates keep their entry values.
     std::vector<std::vector<double>> xh(nrhs), ph(nrhs), rh(nrhs);
     std::vector<std::size_t> act2;
     for (const std::size_t j : act) {
@@ -345,47 +361,13 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
         pn[j].resize(n);
         rn[j].resize(n);
       }
+      std::vector<std::vector<double>> W;
       for (std::size_t lo = 0; lo < n; lo += block_rows) {
         const std::size_t hi = std::min(n, lo + block_rows);
-        const std::size_t ext = s * bw;
-        const std::size_t elo = lo >= ext ? lo - ext : 0;
-        const std::size_t ehi = std::min(n, hi + ext);
-        const std::size_t len = ehi - elo;
-
         bool first = true;
         for (const std::size_t j : act2) {
-          std::vector<std::vector<double>> W(m,
-                                             std::vector<double>(len, 0.0));
-          for (std::size_t i = 0; i < len; ++i) {
-            W[0][i] = p[j][elo + i];
-            W[s + 1][i] = r[j][elo + i];
-          }
-          out.traffic.slow_reads += 2 * len;
-
-          auto advance = [&](std::size_t col_from, std::size_t col_to,
-                             std::size_t level, double theta) {
-            const std::size_t vlo = elo == 0 ? 0 : elo + level * bw;
-            const std::size_t vhi = ehi == n ? n : ehi - level * bw;
-            for (std::size_t i = vlo; i < vhi; ++i) {
-              W[col_to][i - elo] =
-                  (detail::row_dot(A, i, W[col_from].data(),
-                                   -std::ptrdiff_t(elo)) -
-                   theta * W[col_from][i - elo]) /
-                  bc.sigma;
-              if (first) {
-                out.traffic.slow_reads +=
-                    2 * (A.row_ptr[i + 1] - A.row_ptr[i]);
-              }
-              out.traffic.flops += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);
-            }
-          };
-          for (std::size_t lev = 0; lev < s; ++lev) {
-            advance(lev, lev + 1, lev + 1, bc.theta[lev]);
-          }
-          for (std::size_t lev = 0; lev + 1 < s; ++lev) {
-            advance(s + 1 + lev, s + 1 + lev + 1, lev + 1, bc.theta[lev]);
-          }
-
+          const std::size_t elo = build_block(A, bc, s, bw, p[j], r[j], lo,
+                                              hi, first, out.traffic, W);
           const auto xj = X.subspan(j * n, n);
           for (std::size_t i = lo; i < hi; ++i) {
             const std::size_t li = i - elo;
@@ -440,8 +422,7 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     // Classical-CG fallback for the rolled-back RHS, batched the same
     // way: each of the s steps reads A once for every RHS still in
     // the fallback.  A non-positive or non-finite den retires that
-    // RHS from the fallback only (it rejoins the outer loop), exactly
-    // like the single-RHS solver's `break`.
+    // RHS from the fallback only (it rejoins the outer loop).
     if (!restart_set.empty()) {
       std::vector<std::vector<double>> w(nrhs);
       std::vector<char> fb_done(nrhs, 0);

@@ -1,19 +1,21 @@
 #pragma once
 // wa::krylov -- batched multi-RHS variants of CG and s-step CA-CG.
 //
-// Production traffic is many concurrent solves of the *same* operator
-// (ROADMAP item 4).  The batched solvers run b independent per-RHS
-// recurrences but share every read of A: one matrix traversal per
-// basis level (or SpMV) serves all b right-hand sides, so the A-word
-// stream per solve drops toward 1/b of the single-RHS cost while each
-// RHS's arithmetic stays bitwise-identical to the single-RHS solver.
-// Per-RHS convergence, breakdown, and restart are tracked so finished
-// systems drop out of the batch without perturbing the others' bits.
+// Production traffic is many concurrent solves of the *same* operator.
+// The batched solvers run b independent per-RHS recurrences but share
+// every read of A: one matrix traversal per basis level (or SpMV)
+// serves all b right-hand sides, so the A-word stream per solve drops
+// toward 1/b of the one-RHS cost while each RHS's arithmetic stays
+// bitwise-identical whatever else is in the batch.  Per-RHS
+// convergence, breakdown, and restart are tracked so finished systems
+// drop out of the batch without perturbing the others' bits.
+//
+// These are the only CG and CA-CG bodies: krylov::cg and krylov::ca_cg
+// run them at nrhs == 1 (size-checked), so the single-RHS solvers
+// match the batch at b = 1 -- iterates AND traffic -- by construction.
 //
 // Panels are column-major: RHS j occupies [j*n, (j+1)*n) of the B and
-// X spans.  At nrhs == 1 both entry points reduce exactly -- bitwise
-// on the iterates AND on the traffic counters -- to krylov::cg /
-// krylov::ca_cg.
+// X spans.
 
 #include <span>
 #include <vector>

@@ -48,6 +48,8 @@ struct CaCgOptions {
 };
 
 /// Solve A x = b by CA-CG.  In exact arithmetic the iterates match CG.
+/// Runs ca_cg_batch (krylov/batch.hpp) at nrhs = 1; throws
+/// std::invalid_argument unless b and x hold A.n words, or if s == 0.
 SolveResult ca_cg(const sparse::Csr& A, std::span<const double> b,
                   std::span<double> x, const CaCgOptions& opt);
 

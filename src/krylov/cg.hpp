@@ -19,7 +19,9 @@ struct SolveResult {
 };
 
 /// Solve A x = b by CG; x holds the initial guess on entry and the
-/// approximate solution on exit.
+/// approximate solution on exit.  Runs cg_batch (krylov/batch.hpp) at
+/// nrhs = 1; throws std::invalid_argument unless b and x hold A.n
+/// words.
 SolveResult cg(const sparse::Csr& A, std::span<const double> b,
                std::span<double> x, std::size_t max_iters, double tol);
 

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -55,6 +57,60 @@ std::vector<double> panel_for(const sparse::Csr& A, std::size_t nrhs,
 bool bits_equal(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// ---- span sizes: a typed error from every entry point -----------------
+
+TEST(KrylovSpans, ShortBOrXThrowsFromEveryEntryPoint) {
+  // Shared and distributed, CG and CA-CG, single and batched: a b or x
+  // one word short of n (n*nrhs for a panel) is refused up front
+  // instead of being read past its end or solved on a truncated system.
+  const auto A = sparse::stencil_1d(40, 1);
+  const std::size_t n = A.n, nrhs = 2;
+  CaCgOptions opt;
+  opt.s = 4;
+  const std::vector<double> full(n * nrhs, 1.0), shrt(n * nrhs - 1, 1.0);
+  std::vector<double> xfull(n * nrhs, 0.0), xshrt(n * nrhs - 1, 0.0);
+  const std::span<const double> b1(full.data(), n), bs1(shrt.data(), n - 1);
+  const std::span<double> x1(xfull.data(), n), xs1(xshrt.data(), n - 1);
+  dist::Machine m = make_machine(2);
+  const auto part = dist::make_partition(2, A);
+
+  for (int k = 0; k < 2; ++k) {
+    // k = 0: short b, full x; k = 1: full b, short x.
+    const auto b = k == 0 ? bs1 : b1;
+    const auto x = k == 0 ? x1 : xs1;
+    const std::span<const double> B =
+        k == 0 ? std::span<const double>(shrt) : std::span<const double>(full);
+    const std::span<double> X =
+        k == 0 ? std::span<double>(xfull) : std::span<double>(xshrt);
+    EXPECT_THROW(krylov::cg(A, b, x, 10, 1e-9), std::invalid_argument) << k;
+    EXPECT_THROW(krylov::ca_cg(A, b, x, opt), std::invalid_argument) << k;
+    EXPECT_THROW(krylov::cg_batch(A, B, X, nrhs, 10, 1e-9),
+                 std::invalid_argument)
+        << k;
+    EXPECT_THROW(krylov::ca_cg_batch(A, B, X, nrhs, opt),
+                 std::invalid_argument)
+        << k;
+    EXPECT_THROW(dist::cg(m, *part, A, b, x, 10, 1e-9), std::invalid_argument)
+        << k;
+    EXPECT_THROW(dist::ca_cg(m, *part, A, b, x, opt), std::invalid_argument)
+        << k;
+    EXPECT_THROW(dist::cg_batch(m, *part, A, B, X, nrhs, 10, 1e-9),
+                 std::invalid_argument)
+        << k;
+    EXPECT_THROW(dist::ca_cg_batch(m, *part, A, B, X, nrhs, opt),
+                 std::invalid_argument)
+        << k;
+  }
+  // The refusals happen before any work: x is untouched, nothing is
+  // charged.
+  for (const double v : xfull) EXPECT_EQ(v, 0.0);
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(m.proc(p).nw.words, 0u);
+    EXPECT_EQ(m.proc(p).l3_read.words, 0u);
+    EXPECT_EQ(m.proc(p).l3_write.words, 0u);
+  }
 }
 
 // ---- shared-memory batch: b = 1 reduces exactly -------------------------

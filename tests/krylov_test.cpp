@@ -70,6 +70,7 @@ TEST_P(CaCgSweep, SolvesToSameAccuracyAsCg) {
   opt.tol = 1e-10;
   opt.max_outer = 400;
   const auto res = ca_cg(a, b, x, opt);
+  EXPECT_TRUE(res.converged) << "s=" << s << " mode=" << int(mode);
   EXPECT_LT(rel_residual(a, b, x), 1e-7)
       << "s=" << s << " mode=" << int(mode);
 }
