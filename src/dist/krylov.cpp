@@ -117,14 +117,13 @@ struct PartRun {
   const GraphPartition* gp;  // non-null on sparsity-driven partitions
   std::size_t P;
   std::vector<std::size_t> group;
-  std::vector<NodeBox> own;  // box partitions only (empty boxes on graphs)
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
   std::vector<std::size_t> own_sz;
   std::vector<std::size_t> own_nnz;  // A-words of the owned rows
 
   PartRun(Machine& mm, const sparse::Csr& a, const Partition& pt)
       : m(mm), A(a), part(pt), gp(pt.graph()), P(pt.ranks()),
-        group(pt.group()), own(P), runs(P), own_sz(P), own_nnz(P) {
+        group(pt.group()), runs(P), own_sz(P), own_nnz(P) {
     if (pt.ranks() != mm.nprocs()) {
       throw std::invalid_argument(
           "dist: partition rank count differs from the machine's P");
@@ -137,9 +136,9 @@ struct PartRun {
         runs[p] = gp->owned_runs(p);
         own_sz[p] = gp->owned_count(p);
       } else {
-        own[p] = pt.owned(p);
-        own_sz[p] = own[p].volume();
-        for_each_run(pt, own[p], [&](std::size_t lo, std::size_t hi) {
+        const NodeBox o = pt.owned(p);
+        own_sz[p] = o.volume();
+        for_each_run(pt, o, [&](std::size_t lo, std::size_t hi) {
           runs[p].emplace_back(lo, hi);
         });
       }
@@ -445,9 +444,10 @@ std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
       }
       continue;
     }
-    const NodeBox& o = rp.own[p];
+    const NodeBox o = rp.part.owned(p);
     const std::vector<NodeBox> chunks =
-        stored ? std::vector<NodeBox>{o} : stream_chunks(rp.part, o, block_rows);
+        stored ? std::vector<NodeBox>{o}
+               : stream_chunks(rp.part, o, block_rows);
     for (const NodeBox& c : chunks) {
       plan[p].push_back(box_chunk(rp.part, o, c, s * rp.part.radius()));
     }
@@ -884,15 +884,14 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   // rebuilds chunkwise, so one basis block per rank is recycled
   // across chunks and RHS.  Gram partials are per rank per RHS.
   std::vector<std::vector<std::vector<std::vector<double>>>> Vloc(
-      P, std::vector<std::vector<std::vector<double>>>(nrhs));
-  std::vector<std::vector<std::vector<double>>> Wloc(P);
+      P, std::vector<std::vector<std::vector<double>>>(stored ? nrhs : 1));
   std::vector<std::vector<kd::Small>> gpart(
       P, std::vector<kd::Small>(nrhs, kd::Small(mm)));
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(P, 0.0));
-  const auto basis_of = [&](std::size_t rank,
-                            std::size_t j) -> std::vector<std::vector<double>>& {
-    return stored ? Vloc[rank][j] : Wloc[rank];
+  const auto basis_of = [&](std::size_t rank, std::size_t j)
+      -> std::vector<std::vector<double>>& {
+    return Vloc[rank][stored ? j : 0];
   };
 
   const std::vector<std::vector<BasisChunk>> plan =

@@ -30,6 +30,18 @@
 // per-rank counters while the threaded backend parallelizes the
 // per-rank blocks for wall-clock speedup.
 //
+// Each method has one body, the batched solver: cg and ca_cg are
+// cg_batch and ca_cg_batch at nrhs = 1, so they agree with the batch
+// at b = 1 -- iterates and every counter -- by construction.  CA-CG's
+// matrix-powers work goes through a per-solve plan of basis chunks
+// (the owned rows when stored, ~block_rows slices of them when
+// streaming, each with its extent, target runs and owned overlap),
+// built the same way for box and graph partitions; only the plan and
+// the basis build itself look at the partition kind, so one
+// basis+Gram phase and one recovery phase serve both storage modes on
+// every partition.  Every allreduce carries the values it charges
+// (dot products, packed Gram triangles) as its payload.
+//
 // The paper's W12 (words written to slow memory per CG step) maps to
 // the per-rank l3_write channel here and is partition-independent
 // (every rank owns n/P nodes either way): per rank per CG step,
@@ -77,6 +89,8 @@ struct KrylovBatchResult {
 
 /// Distributed classical CG (Algorithm 6) on an explicit partition:
 /// partitioned spmv with radius-deep ghost exchanges, allreduce dots.
+/// cg_batch at nrhs = 1; b and x must hold A.n words
+/// (std::invalid_argument otherwise).
 KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
                 std::span<const double> b, std::span<double> x,
                 std::size_t max_iters, double tol);
@@ -84,6 +98,7 @@ KrylovResult cg(Machine& m, const Partition& part, const sparse::Csr& A,
 /// Distributed s-step CA-CG (Algorithm 7 / §8) on an explicit
 /// partition, kStored or kStreaming, monomial or Newton basis --
 /// semantics of the options match the shared-memory krylov::ca_cg.
+/// ca_cg_batch at nrhs = 1, with the same size check as cg.
 KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
                    const krylov::CaCgOptions& opt);
@@ -100,14 +115,15 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
 /// Batched multi-RHS distributed solvers on column-major n x nrhs
 /// panels (RHS j occupies [j*n, (j+1)*n) of B and X).  The b per-RHS
 /// recurrences are fully independent -- every RHS's arithmetic is
-/// bitwise-identical to the single-RHS solver's, and finished systems
-/// drop out without perturbing the others' bits -- but the *shared*
-/// costs are paid once per batch: one traversal of A per basis level
-/// (or SpMV), one ghost-exchange event per outer iteration shipping
-/// all active panels together, and one allreduce event combining all
-/// active Gram matrices / dot products.  Per-RHS vector words are
-/// charged per RHS, so at nrhs == 1 every counter reduces exactly to
-/// the single-RHS solver's.
+/// bitwise-identical whatever else is in the batch, and finished
+/// systems drop out without perturbing the others' bits -- but the
+/// *shared* costs are paid once per batch: one traversal of A per
+/// basis level (or SpMV), one ghost-exchange event per outer iteration
+/// shipping all active panels together, and one allreduce event
+/// combining all active Gram matrices / dot products.  Per-RHS vector
+/// words are charged per RHS.  These are the solver bodies: cg and
+/// ca_cg above run them at nrhs == 1.  The panels must hold at least
+/// n*nrhs words (std::invalid_argument otherwise).
 KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            const sparse::Csr& A, std::span<const double> B,
                            std::span<double> X, std::size_t nrhs,
