@@ -1,15 +1,25 @@
 #include "dist/backend.hpp"
 
-#include "dist/grid.hpp"
+#include <utility>
 
 namespace wa::dist {
 namespace {
 
-/// Set for the lifetime of every pool worker: a nested run() issued
-/// from inside a local phase must execute inline (serially) instead of
-/// enqueueing on the pool it is already running on, which would
-/// deadlock the done-barrier.
+/// Set on every thread while it may run ranks of a job: pool workers
+/// for their lifetime, the calling thread while it claims.  A nested
+/// run() issued from inside a local phase must execute inline
+/// (serially) instead of enqueueing on the pool it is already running
+/// on, which would deadlock the check-in barrier.
 thread_local bool t_in_pool_worker = false;
+
+/// Marks the calling thread as a rank runner for one claim loop.
+class ClaimScope {
+ public:
+  ClaimScope() { t_in_pool_worker = true; }
+  ~ClaimScope() { t_in_pool_worker = false; }
+  ClaimScope(const ClaimScope&) = delete;
+  ClaimScope& operator=(const ClaimScope&) = delete;
+};
 
 }  // namespace
 
@@ -25,11 +35,28 @@ ThreadedBackend::~ThreadedBackend() {
 void ThreadedBackend::start_pool() {
   pool_.reserve(threads_);
   for (std::size_t t = 0; t < threads_; ++t) {
-    pool_.emplace_back([this, t] { worker_loop(t); });
+    pool_.emplace_back([this] { worker_loop(); });
   }
 }
 
-void ThreadedBackend::worker_loop(std::size_t t) {
+void ThreadedBackend::claim(const Job& job) {
+  // Each claimed rank runs alone on this thread against its own
+  // hierarchy and slot; only the position counter is shared, so local
+  // phases may freely run numerics on disjoint matrix blocks.
+  const std::size_t n = job.ranks->size();
+  for (std::size_t i = (*job.next)++; i < n; i = (*job.next)++) {
+    Slot& slot = (*job.slots)[i];
+    try {
+      memsim::Hierarchy h(*job.capacities);
+      (*job.fn)((*job.ranks)[i], h);
+      slot.done.emplace(std::move(h));
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+  }
+}
+
+void ThreadedBackend::worker_loop() {
   t_in_pool_worker = true;
   std::uint64_t seen = 0;
   for (;;) {
@@ -45,26 +72,7 @@ void ThreadedBackend::worker_loop(std::size_t t) {
       job = job_;
     }
 
-    // Each participating worker owns a contiguous slice of ranks and
-    // charges into its own shard; no job state is shared until the
-    // merge in run(), so local phases may freely run numerics on
-    // disjoint matrix blocks.  Workers beyond job.workers (more pool
-    // threads than ranks) skip straight to the check-in.
-    if (t < job.workers) {
-      Shard& shard = (*job.shards)[t];
-      try {
-        const BlockRange slice =
-            balanced_block(job.ranks->size(), job.workers, t);
-        shard.done.reserve(slice.sz);
-        for (std::size_t idx = slice.off; idx < slice.off + slice.sz; ++idx) {
-          memsim::Hierarchy h(*job.capacities);
-          (*job.fn)((*job.ranks)[idx], h);
-          shard.done.emplace_back((*job.ranks)[idx], std::move(h));
-        }
-      } catch (...) {
-        shard.error = std::current_exception();
-      }
-    }
+    claim(job);
 
     bool last = false;
     {
@@ -78,21 +86,26 @@ void ThreadedBackend::worker_loop(std::size_t t) {
 void ThreadedBackend::run(const std::vector<std::size_t>& ranks,
                           const std::vector<std::size_t>& capacities,
                           const LocalFn& fn, const Sink& sink) {
-  const std::size_t T = std::min(threads_, ranks.size());
-  if (T <= 1 || t_in_pool_worker) {
+  if (ranks.size() <= 1 || t_in_pool_worker) {
     run_serially(ranks, capacities, fn, sink);
     return;
   }
 
-  std::vector<Shard> shards(T);
+  std::vector<Slot> slots(ranks.size());
+  std::atomic<std::size_t> next{0};
+  const Job job{&ranks, &capacities, &fn, &slots, &next};
   {
     const MutexLock lock(mu_);
     if (pool_.empty()) start_pool();
-    job_ = Job{&ranks, &capacities, &fn, &shards, T};
+    job_ = job;
     unfinished_ = pool_.size();
     ++epoch_;
   }
   work_cv_.notify_all();
+  {
+    const ClaimScope claiming;
+    claim(job);
+  }
   {
     const MutexLock lock(mu_);
     done_cv_.wait(mu_, [this] {
@@ -101,18 +114,16 @@ void ThreadedBackend::run(const std::vector<std::size_t>& ranks,
     });
   }
 
-  // Merge shards in worker order (= rank order): every rank's
-  // hierarchy lands in its own counter slot, so the result is
-  // byte-identical to a serial run regardless of scheduling.  On
-  // error, merging up to the first failed shard and rethrowing there
-  // reproduces serial semantics exactly: every worker before the
-  // first error completed its whole (lower-ranked) slice, so the
-  // merged prefix is precisely the ranks a serial run would have
-  // charged before throwing; later workers' results are discarded just
-  // as a serial run would never have reached them.
-  for (const Shard& shard : shards) {
-    for (const auto& [rank, h] : shard.done) sink(rank, h);
-    if (shard.error) std::rethrow_exception(shard.error);
+  // Sink in list order: every rank's hierarchy lands in its own
+  // counter slot, so the result is byte-identical to a serial run
+  // regardless of which thread ran which rank.  Sinking up to the
+  // first failed position and rethrowing there charges exactly the
+  // ranks a serial run would have charged before throwing; later
+  // results are discarded, just as a serial run would never have
+  // reached them.
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    if (slots[i].error) std::rethrow_exception(slots[i].error);
+    sink(ranks[i], *slots[i].done);
   }
 }
 

@@ -11,10 +11,14 @@
 //                     and their counters copied).
 //   ThreadedBackend   runs the per-rank local phases -- numerics and
 //                     charging -- on a persistent std::thread pool
-//                     (workers park on a condvar between jobs).  Each
-//                     worker charges fresh per-rank hierarchies into a
-//                     per-thread shard; shards are merged on the
-//                     calling thread after the job's done-barrier, so
+//                     (workers park on a condvar between jobs) plus
+//                     the calling thread.  Every thread claims the
+//                     next position of the job's rank list from one
+//                     shared counter until the list runs out, so a
+//                     slow rank never holds up the ranks behind it.
+//                     Each finished hierarchy lands in the slot of its
+//                     list position and the caller sinks the slots in
+//                     list order after the job's check-in barrier, so
 //                     channel counters are byte-identical to the
 //                     serial backend while the numerics get real
 //                     wall-clock parallelism.
@@ -23,16 +27,18 @@
 // L1/L2 capacities exactly as before; the finished hierarchy is
 // delivered to a sink that absorbs it into the rank's counters.
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "dist/annotations.hpp"
@@ -75,7 +81,8 @@ class Backend {
 
  protected:
   /// The one serial execution loop, shared by SerialSimBackend and
-  /// ThreadedBackend's single-worker fallback so they cannot diverge.
+  /// ThreadedBackend's single-rank and nested-run fallback so they
+  /// cannot diverge.
   static void run_serially(const std::vector<std::size_t>& ranks,
                            const std::vector<std::size_t>& capacities,
                            const LocalFn& fn, const Sink& sink) {
@@ -102,19 +109,22 @@ class SerialSimBackend final : public Backend {
 /// Persistent-pool threaded backend (see file comment).  Worker
 /// threads are spawned once, on the first parallel run, and parked on
 /// a condition variable between jobs -- LU's many small per-step
-/// phases no longer pay a thread spawn+join per phase.  Each job
-/// statically slices the rank list exactly like the original
-/// fork-join implementation (balanced_block over min(threads, ranks)
-/// workers), each worker charges into its own shard, and shards merge
-/// on the calling thread in rank order, so the counters stay
-/// byte-identical to SerialSimBackend regardless of scheduling.  The
-/// pool's job state is mutex-guarded with compile-time-checked lock
-/// discipline (dist/annotations.hpp); a run() issued from inside a
-/// worker (a nested local phase) executes serially inline instead of
-/// deadlocking the pool.
+/// phases do not pay a thread spawn+join per phase.  A job runs on up
+/// to threads() + 1 threads: the pool workers and the calling thread
+/// claim list positions dynamically, one rank at a time, so each rank
+/// still runs alone on one thread in a fresh hierarchy.  The caller
+/// sinks the finished hierarchies in list order and stops at the first
+/// failed position, rethrowing its error, so counters and error
+/// semantics are exactly SerialSimBackend's regardless of scheduling.
+/// The pool's job state is mutex-guarded with compile-time-checked
+/// lock discipline (dist/annotations.hpp); a run() issued from inside
+/// a rank's local phase (a nested phase), on a worker or on the
+/// claiming caller, executes serially inline instead of deadlocking
+/// the pool.
 class ThreadedBackend final : public Backend {
  public:
-  /// @param threads  pool size; 0 means hardware_concurrency.
+  /// @param threads  pool size (the caller also runs ranks); 0 means
+  ///                 default_threads().
   explicit ThreadedBackend(std::size_t threads = 0)
       : threads_(threads != 0 ? threads : default_threads()) {}
   ~ThreadedBackend() override;
@@ -129,17 +139,20 @@ class ThreadedBackend final : public Backend {
            const std::vector<std::size_t>& capacities, const LocalFn& fn,
            const Sink& sink) override;
 
+  /// One worker per core but the caller's: a job then keeps every
+  /// core busy with one thread.
   static std::size_t default_threads() {
     const unsigned hc = std::thread::hardware_concurrency();
-    return hc != 0 ? hc : 4;
+    return std::max<std::size_t>(1, (hc != 0 ? hc : 4) - 1);
   }
 
  private:
-  /// One worker's completed (rank, hierarchy) results plus its first
-  /// error; written by exactly one worker, read by the caller after
-  /// the job's done-barrier.
-  struct Shard {
-    std::vector<std::pair<std::size_t, memsim::Hierarchy>> done;
+  /// One list position's outcome: its finished hierarchy, or the
+  /// error its local phase threw.  Written by the one thread that
+  /// claimed the position, read by the caller after the job's
+  /// check-in barrier.
+  struct Slot {
+    std::optional<memsim::Hierarchy> done;
     std::exception_ptr error;
   };
 
@@ -150,11 +163,12 @@ class ThreadedBackend final : public Backend {
     const std::vector<std::size_t>* ranks = nullptr;
     const std::vector<std::size_t>* capacities = nullptr;
     const LocalFn* fn = nullptr;
-    std::vector<Shard>* shards = nullptr;
-    std::size_t workers = 0;  ///< shards in use; workers beyond skip
+    std::vector<Slot>* slots = nullptr;
+    std::atomic<std::size_t>* next = nullptr;  ///< next unclaimed position
   };
 
-  void worker_loop(std::size_t t);
+  static void claim(const Job& job);
+  void worker_loop();
   void start_pool() WA_REQUIRES(mu_);
 
   Mutex mu_;
@@ -171,7 +185,7 @@ class ThreadedBackend final : public Backend {
 };
 
 /// Backend by name, for tools and benches: "serial" or "threaded"
-/// (with an optional thread count, 0 = hardware_concurrency).
+/// (with an optional pool size, 0 = ThreadedBackend::default_threads()).
 inline std::unique_ptr<Backend> make_backend(const std::string& name,
                                              std::size_t threads = 0) {
   if (name.empty() || name == "serial") {

@@ -931,12 +931,13 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // event ships the p and r panels of every active RHS together.
     rp.exchange(halo_s, 2 * na);
 
-    // ---- basis + Gram: per chunk, one traversal of A advances every
-    // active RHS's basis, then its Gram partial accumulates.  Stored
-    // mode keeps the basis and writes each finished own-node column
-    // to slow memory once (the Theta(n) stored-basis write stream);
-    // streaming discards its fast block chunk by chunk and writes
-    // nothing.
+    // ---- basis + Gram: per chunk, each active RHS builds its basis
+    // (one build_basis traversal of A per RHS) and accumulates its
+    // Gram partial; only the charge for A's words is shared, once per
+    // chunk for the whole batch.  Stored mode keeps the basis and
+    // writes each finished own-node column to slow memory once (the
+    // Theta(n) stored-basis write stream); streaming discards its fast
+    // block chunk by chunk and writes nothing.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       if (rp.own_sz[rank] == 0) return;
       detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -279,8 +282,8 @@ TEST(Backends, FactoryKnowsBothNamesAndRejectsOthers) {
 
 // Every channel counter of every processor, and the numerical result,
 // must be byte-identical between the serial simulator and the thread
-// pool: the threaded backend shards work but never reorders charging
-// within a rank.
+// pool: the threaded backend spreads ranks over threads but never
+// reorders charging within a rank.
 template <class Alg>
 void expect_backend_determinism(std::size_t P, std::size_t n, Alg&& alg) {
   Matrix<double> a(n, n), b(n, n);
@@ -443,10 +446,10 @@ TEST(Backends, ThreadedEnforcesCapacitiesAndPropagatesErrors) {
 // behaviours that a fork-join implementation got for free.
 
 TEST(Backends, PersistentPoolServesManyJobsInRankOrder) {
-  // Varying widths exercise park/wake and the workers-beyond-the-job
-  // path repeatedly on one pool; the sink must still see every job's
-  // ranks in rank order (that ordering is what keeps counters
-  // byte-identical to the serial backend).
+  // Varying widths exercise park/wake and jobs narrower than the pool
+  // repeatedly on one pool; the sink must still see every job's ranks
+  // in rank order (that ordering is what keeps counters byte-identical
+  // to the serial backend).
   ThreadedBackend be(4);
   const std::vector<std::size_t> caps = {192, 4096, std::size_t(1) << 22};
   for (std::size_t round = 0; round < 40; ++round) {
@@ -506,6 +509,107 @@ TEST(Backends, PoolOutlivesAThrowingJobAndServesTheNext) {
     // rank got the second job's.
     EXPECT_EQ(m.proc(p).l2_read.words, (p < 3 ? 2u : 0u) + 5u) << p;
   }
+}
+
+TEST(Backends, UnsortedRankListsMergeInListOrder) {
+  // LU's group phases pass rank lists that are neither sorted nor
+  // contiguous.  The sink must see them in list order, and a throw at
+  // list position 2 (rank 7) must leave exactly the ranks listed before
+  // it (13 and 2) charged, on both backends.
+  const std::vector<std::size_t> list = {13, 2, 7, 4, 11};
+  const auto machine = [](std::unique_ptr<Backend> be) {
+    return Machine(16, 192, 4096, 1 << 22, HwParams{}, std::move(be));
+  };
+  Machine serial = machine(std::make_unique<SerialSimBackend>());
+  Machine threaded = machine(std::make_unique<ThreadedBackend>(2));
+  for (Machine* m : {&serial, &threaded}) {
+    std::vector<std::size_t> seen;
+    m->backend().run(
+        list, {192, 4096, std::size_t(1) << 22},
+        [](std::size_t p, memsim::Hierarchy& h) { h.load(0, p + 1); },
+        [&](std::size_t p, const memsim::Hierarchy& h) {
+          seen.push_back(p);
+          EXPECT_EQ(h.loads_words(0), p + 1) << m->backend().name();
+        });
+    EXPECT_EQ(seen, list) << m->backend().name();
+
+    EXPECT_THROW(m->run_local_on(list,
+                                 [](std::size_t p, memsim::Hierarchy& h) {
+                                   if (p == 7) {
+                                     throw std::runtime_error("rank 7 fails");
+                                   }
+                                   h.load(0, 3);
+                                 }),
+                 std::runtime_error);
+  }
+  for (std::size_t p = 0; p < 16; ++p) {
+    EXPECT_EQ(serial.proc(p).l2_read.words, p == 13 || p == 2 ? 3u : 0u)
+        << p;
+    EXPECT_EQ(threaded.proc(p).l2_read.words, serial.proc(p).l2_read.words)
+        << p;
+  }
+}
+
+// ---- Dynamic claiming --------------------------------------------------
+// The pool workers and the calling thread claim ranks one at a time.
+// Each rank below blocks until other ranks make progress, with a
+// bounded wait, so a schedule that runs too few ranks at once, or that
+// queues ranks behind a slow one, shows up as a timeout, not a hang.
+
+constexpr auto kRendezvous = std::chrono::seconds(2);
+
+TEST(Backends, CallingThreadClaimsRanks) {
+  // Two pool workers plus the caller: three ranks that each wait for
+  // all three to arrive can only meet if the caller runs one of them.
+  ThreadedBackend be(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  std::size_t timeouts = 0;
+  be.run(
+      {0, 1, 2}, {192, 4096, std::size_t(1) << 22},
+      [&](std::size_t, memsim::Hierarchy&) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        if (!cv.wait_for(lock, kRendezvous, [&] { return arrived == 3; })) {
+          ++timeouts;
+        }
+      },
+      [](std::size_t, const memsim::Hierarchy&) {});
+  EXPECT_EQ(timeouts, 0u);
+}
+
+TEST(Backends, SlowRankDoesNotHoldLaterRanks) {
+  // Rank 0 waits until ranks 1..7 have finished: the other two threads
+  // must claim all of them while rank 0's thread is busy.
+  ThreadedBackend be(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t finished = 0;
+  bool timed_out = false;
+  std::vector<std::size_t> ranks(8);
+  std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+  std::vector<std::size_t> seen;
+  be.run(
+      ranks, {192, 4096, std::size_t(1) << 22},
+      [&](std::size_t p, memsim::Hierarchy& h) {
+        h.load(0, p + 1);
+        std::unique_lock<std::mutex> lock(mu);
+        if (p == 0) {
+          timed_out = !cv.wait_for(lock, kRendezvous,
+                                   [&] { return finished == 7; });
+        } else {
+          ++finished;
+          cv.notify_all();
+        }
+      },
+      [&](std::size_t p, const memsim::Hierarchy& h) {
+        seen.push_back(p);
+        EXPECT_EQ(h.loads_words(0), p + 1);
+      });
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(seen, ranks);
 }
 
 TEST(Backends, WallClockAccumulatesAcrossLocalPhases) {
