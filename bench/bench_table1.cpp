@@ -13,7 +13,8 @@
 // (serial|threaded; WA_THREADS sets the pool size); a final section
 // re-runs 2DMML2 under both backends and reports the wall-clock
 // speedup of the thread pool, whose counters are byte-identical to
-// the serial simulator's.
+// the serial simulator's.  `--json PATH` writes each row's
+// critical-path words and messages on all five channels.
 
 #include <algorithm>
 #include <cstdio>
@@ -54,7 +55,8 @@ void print_rows(const char* name, const MmCostModel& model,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport json(argc, argv);
   const double sc = bench::env_scale();
   const std::size_t P = 64;
   const std::size_t n = std::size_t(128 * sc);
@@ -79,6 +81,7 @@ int main() {
     std::printf("[2DMML2]     numerics max|err| = %.2e\n",
                 max_abs_diff(c, ref));
     print_rows("2DMML2 (c=1, L2 only)", table1_2dmml2(n, P, M1), m, hw);
+    json.add_channels("2DMML2", m.critical_path());
   }
   {
     Machine m(P, M1, M2, M3, hw, bench::env_backend());
@@ -89,6 +92,7 @@ int main() {
                 max_abs_diff(c, ref));
     print_rows("2.5DMML2 (c=c2 replicas in DRAM)",
                table1_25dmml2(n, P, M1, c2), m, hw);
+    json.add_channels("2.5DMML2", m.critical_path());
   }
   {
     Machine m(P, M1, M2, M3, hw, bench::env_backend());
@@ -99,6 +103,7 @@ int main() {
                 max_abs_diff(c, ref));
     print_rows("2.5DMML3 (c=c3 replicas staged via NVM)",
                table1_25dmml3(n, P, M1, M2, c2, c3), m, hw);
+    json.add_channels("2.5DMML3", m.critical_path());
   }
 
   // Execution-backend comparison: same algorithm, same counters,

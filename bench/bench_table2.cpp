@@ -7,7 +7,8 @@
 //
 // Local phases run under the backend selected by WA_BACKEND
 // (serial|threaded); the measured wall-clock is printed next to each
-// counter table.
+// counter table.  `--json PATH` writes each row's critical-path words
+// and messages on all five channels.
 
 #include <cstdio>
 
@@ -44,7 +45,8 @@ void print_rows(const char* name, const MmCostModel& model,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport json(argc, argv);
   const double sc = bench::env_scale();
   const std::size_t P = 64;
   const std::size_t n = std::size_t(128 * sc);
@@ -75,6 +77,7 @@ int main() {
     std::printf("\n[2.5DMML3ooL2] numerics max|err| = %.2e\n",
                 max_abs_diff(c, ref));
     t25 = m.critical_path();
+    json.add_channels("2.5DMML3ooL2", t25);
     print_rows("2.5DMML3ooL2 (attains W2, overshoots W1)",
                table2_25dmml3ool2(n, P, M1, M2, c3), m);
   }
@@ -85,6 +88,7 @@ int main() {
     std::printf("\n[SUMMAL3ooL2]  numerics max|err| = %.2e\n",
                 max_abs_diff(c, ref));
     tsu = m.critical_path();
+    json.add_channels("SUMMAL3ooL2", tsu);
     print_rows("SUMMAL3ooL2 (attains W1, overshoots W2)",
                table2_summal3ool2(n, P, M1, M2), m);
   }

@@ -224,6 +224,22 @@ class JsonReport {
     add(case_name, key, double(v));
   }
 
+  /// Record words and messages on all five channels of @p t, as
+  /// `<channel>_words` and `<channel>_messages`.
+  void add_channels(const std::string& case_name,
+                    const dist::ProcTraffic& t) {
+    const std::pair<const char*, const dist::ChanCount*> chans[] = {
+        {"nw", &t.nw},
+        {"l3_read", &t.l3_read},
+        {"l3_write", &t.l3_write},
+        {"l2_read", &t.l2_read},
+        {"l2_write", &t.l2_write}};
+    for (const auto& [name, ch] : chans) {
+      add(case_name, std::string(name) + "_words", ch->words);
+      add(case_name, std::string(name) + "_messages", ch->messages);
+    }
+  }
+
   /// Writes the report; called from the destructor so a bench only
   /// has to construct the report and feed it.
   void write() {

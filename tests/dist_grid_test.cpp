@@ -9,11 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -23,6 +27,7 @@
 #include "dist/mm25d.hpp"
 #include "dist/summa.hpp"
 #include "linalg/kernels.hpp"
+#include "linalg/local_kernels.hpp"
 
 namespace wa::dist {
 namespace {
@@ -269,6 +274,250 @@ TEST(IrregularGeometry25d, Mm25dWithLayersOnNonSquareLayerGrid) {
     opt.use_l3 = staged;
     mm_25d(m, c.view(), a.view(), b.view(), opt);
     EXPECT_LT(max_abs_diff(c, ref), 1e-11);
+  }
+}
+
+// ---- matmul known answers and counter bounds ---------------------------
+
+enum class Matmul { kSumma2d, kHoarding, kL3OoL2, kMm25d };
+
+/// One call of a matmul entry point; @p opt is read by mm_25d only.
+struct MatmulCase {
+  Matmul alg;
+  std::size_t P, n;
+  Mm25dOptions opt{};
+};
+
+std::string describe(const MatmulCase& tc) {
+  static const char* const kNames[] = {"summa_2d", "summa_2d_hoarding",
+                                       "summa_l3_ool2", "mm_25d"};
+  std::string s = std::string(kNames[int(tc.alg)]) + " P=" +
+                  std::to_string(tc.P) + " n=" + std::to_string(tc.n);
+  if (tc.alg == Matmul::kMm25d) {
+    s += " c=" + std::to_string(tc.opt.c) +
+         (tc.opt.use_l3 ? " use_l3" : "") +
+         (tc.opt.data_in_l3 ? " data_in_l3" : "") +
+         " chunk_c2=" + std::to_string(tc.opt.chunk_c2);
+  }
+  return s;
+}
+
+void run_matmul(const MatmulCase& tc, Machine& m, Matrix<double>& c,
+                const Matrix<double>& a, const Matrix<double>& b) {
+  switch (tc.alg) {
+    case Matmul::kSumma2d:
+      summa_2d(m, c.view(), a.view(), b.view());
+      break;
+    case Matmul::kHoarding:
+      summa_2d_hoarding(m, c.view(), a.view(), b.view());
+      break;
+    case Matmul::kL3OoL2:
+      summa_l3_ool2(m, c.view(), a.view(), b.view());
+      break;
+    case Matmul::kMm25d:
+      mm_25d(m, c.view(), a.view(), b.view(), tc.opt);
+      break;
+  }
+}
+
+/// FNV-1a over C's bits and every rank's words and messages on all
+/// five channels.
+std::uint64_t matmul_digest(const Machine& m, const Matrix<double>& c) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t k = 0; k < c.rows() * c.cols(); ++k) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, c.data() + k, sizeof u);
+    add(u);
+  }
+  for (std::size_t p = 0; p < m.nprocs(); ++p) {
+    const ProcTraffic& t = m.proc(p);
+    for (const ChanCount* ch :
+         {&t.nw, &t.l3_read, &t.l3_write, &t.l2_read, &t.l2_write}) {
+      add(ch->words);
+      add(ch->messages);
+    }
+  }
+  return h;
+}
+
+/// Every rank's counters against the paper's bounds with known
+/// constants, for its own share of the product: an m x n block of C
+/// over k contraction indices (its layer's panel widths; all n for
+/// hoarding, which multiplies once over the full panels).
+///   (a) wherever C lives in L3, the rank writes at least its m*n
+///       owned C words to L3 ("writes to slow memory >= output size");
+///   (b) its L1 traffic l2_read + l2_write is at least
+///       2*m*n*k/sqrt(M1) - 2*M1 (Smith, Lowery, Langou and van de
+///       Geijn, "A tight I/O lower bound for matrix multiplication").
+void expect_counters_meet_bounds(const MatmulCase& tc, const Machine& m) {
+  const ProcessGrid3D g(tc.P, tc.alg == Matmul::kMm25d ? tc.opt.c : 1);
+  const ProcessGrid& lg = g.layer();
+  const std::vector<BlockRange> panels = lg.k_panels(tc.n);
+  const bool c_in_l3 =
+      tc.alg == Matmul::kL3OoL2 ||
+      (tc.alg == Matmul::kMm25d && (tc.opt.use_l3 || tc.opt.data_in_l3));
+  const double M1 = double(m.M1());
+  for (std::size_t p = 0; p < tc.P; ++p) {
+    const std::size_t lr = g.layer_rank_of(p);
+    const double rows = double(lg.row_block(tc.n, lg.row_of(lr)).sz);
+    const double cols = double(lg.col_block(tc.n, lg.col_of(lr)).sz);
+    double k = double(tc.n);
+    if (tc.alg != Matmul::kHoarding) {
+      k = 0;
+      const BlockRange steps = g.layer_steps(panels.size(), g.layer_of(p));
+      for (std::size_t s = steps.off; s < steps.off + steps.sz; ++s) {
+        k += double(panels[s].sz);
+      }
+    }
+    const ProcTraffic& t = m.proc(p);
+    if (c_in_l3) {
+      EXPECT_GE(double(t.l3_write.words), rows * cols)
+          << describe(tc) << " rank " << p;
+    }
+    EXPECT_GE(double(t.l2_read.words + t.l2_write.words),
+              2.0 * rows * cols * k / std::sqrt(M1) - 2.0 * M1)
+        << describe(tc) << " M1=" << m.M1() << " rank " << p;
+  }
+}
+
+/// Pins the naive kernel for the scope (blocked gemm has no bitwise
+/// contract) and restores the previous choice.
+class NaiveKernels {
+ public:
+  NaiveKernels()
+      : prev_(linalg::set_active_kernels(linalg::KernelImpl::kNaive)) {}
+  ~NaiveKernels() { linalg::set_active_kernels(prev_); }
+  NaiveKernels(const NaiveKernels&) = delete;
+  NaiveKernels& operator=(const NaiveKernels&) = delete;
+
+ private:
+  linalg::KernelImpl prev_;
+};
+
+TEST(MatmulKnownAnswers, EveryEntryPointAndResidency) {
+  // Every matmul entry point, and mm_25d's three residency options at
+  // c in {1, 2, 3}.  The other matmul pins compare paths with each
+  // other; these constants pin C's bits and all five per-rank channels
+  // (words and messages) against fixed values, so a change that moves
+  // every path alike still shows here.  Geometry: prime P = 7 (1 x 7
+  // grid) and P = 6 (2 x 3), with n = 13 indivisible by every grid
+  // edge; P = 12 with c = 3 (2 x 2 layers, 3 does not divide 2, so one
+  // layer gets no steps) and chunk_c2 = 2, which does not divide 3.
+  // The values assume IEEE doubles with no FMA contraction (the x86-64
+  // baseline codegen).
+  std::vector<MatmulCase> cases;
+  const bool policies[][2] = {{false, false}, {true, false}, {false, true}};
+  for (const std::size_t P : {7u, 6u}) {
+    for (const Matmul alg :
+         {Matmul::kSumma2d, Matmul::kHoarding, Matmul::kL3OoL2}) {
+      cases.push_back({alg, P, 13});
+    }
+    for (const auto& pol : policies) {
+      cases.push_back({Matmul::kMm25d, P, 13, {1, pol[0], pol[1], 0}});
+    }
+  }
+  for (const std::size_t c : {1u, 2u, 3u}) {
+    for (const auto& pol : policies) {
+      cases.push_back({Matmul::kMm25d, 12, 13, {c, pol[0], pol[1], 2}});
+    }
+  }
+
+  const NaiveKernels naive;
+  std::vector<std::uint64_t> got;
+  for (const MatmulCase& tc : cases) {
+    Matrix<double> a(tc.n, tc.n), b(tc.n, tc.n);
+    linalg::fill_random(a, 91);
+    linalg::fill_random(b, 92);
+    std::vector<std::uint64_t> digests;
+    for (const bool threaded : {false, true}) {
+      Machine m(tc.P, 32, 4096, 1 << 22, HwParams{},
+                threaded ? std::unique_ptr<Backend>(
+                               std::make_unique<ThreadedBackend>(3))
+                         : std::make_unique<SerialSimBackend>());
+      Matrix<double> c(tc.n, tc.n, 0.0);
+      run_matmul(tc, m, c, a, b);
+      expect_counters_meet_bounds(tc, m);
+      digests.push_back(matmul_digest(m, c));
+    }
+    EXPECT_EQ(digests[0], digests[1]) << describe(tc);
+    got.push_back(digests[0]);
+  }
+  // In case order; summa_2d and mm_25d at c = 1 share a value.
+  const std::vector<std::uint64_t> want = {
+      0x379412fc248adf06ull, 0x5d306ad4f757b791ull, 0xad4257c5f027d2f1ull,
+      0x379412fc248adf06ull, 0xec2f532915c15f06ull, 0x6b2590b168830d5full,
+      0xcb1963253a9da24cull, 0x85d6b9cb0a484473ull, 0xf852679fde8b48afull,
+      0xcb1963253a9da24cull, 0x901c71cf3baeb20cull, 0xa20af6fd17a29cc2ull,
+      0xd8aeb708a5c5fd98ull, 0x7c73fd8d8c81f798ull, 0xfab99c66d06ffcc6ull,
+      0x4ee1788adfd8f166ull, 0xfb6e0401170aebe6ull, 0xa01e8b4580b3d81cull,
+      0x3aff395a27bb453bull, 0x16c1dbe8298c25fbull, 0x47703cffef998603ull};
+  ASSERT_EQ(got.size(), want.size());
+#if defined(__x86_64__)
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << describe(cases[k]) << std::hex
+                               << " got 0x" << got[k];
+  }
+#endif
+}
+
+TEST(MatmulBounds, EveryRankMeetsThePaperBounds) {
+  // The bound checks of the known-answer test over a wider sweep: P
+  // including primes, n indivisible by the grid edges, several L1
+  // sizes, and an L2 small enough that summa_2d_hoarding and
+  // summa_l3_ool2 refuse some shapes.  A refusal must come before any
+  // broadcast or charge.
+  const bool policies[][2] = {{false, false}, {true, false}, {false, true}};
+  for (const std::size_t P : {1u, 4u, 5u, 6u, 12u}) {
+    for (const std::size_t n : {7u, 13u, 24u}) {
+      std::vector<MatmulCase> cases;
+      for (const Matmul alg :
+           {Matmul::kSumma2d, Matmul::kHoarding, Matmul::kL3OoL2}) {
+        cases.push_back({alg, P, n});
+      }
+      for (const std::size_t c : {1u, 2u, 3u, 4u}) {
+        if (P % c != 0) continue;
+        for (const auto& pol : policies) {
+          cases.push_back({Matmul::kMm25d, P, n, {c, pol[0], pol[1], 0}});
+        }
+      }
+      Matrix<double> a(n, n), b(n, n);
+      linalg::fill_random(a, 93);
+      linalg::fill_random(b, 94);
+      for (const std::size_t M1 : {8u, 48u, 192u}) {
+        for (const std::size_t M2 : {300u, 4096u}) {
+          for (const MatmulCase& tc : cases) {
+            Machine m(P, M1, M2, 1 << 22);
+            Matrix<double> c(n, n, 0.0);
+            bool refused = false;
+            try {
+              run_matmul(tc, m, c, a, b);
+            } catch (const std::invalid_argument&) {
+              refused = true;
+            }
+            if (!refused) {
+              expect_counters_meet_bounds(tc, m);
+              continue;
+            }
+            EXPECT_TRUE(tc.alg == Matmul::kHoarding ||
+                        tc.alg == Matmul::kL3OoL2)
+                << describe(tc) << " M2=" << M2;
+            for (std::size_t p = 0; p < P; ++p) {
+              const ProcTraffic& t = m.proc(p);
+              EXPECT_EQ(t.nw.words + t.l3_read.words + t.l3_write.words +
+                            t.l2_read.words + t.l2_write.words,
+                        0u)
+                  << describe(tc) << " M2=" << M2 << " rank " << p;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
