@@ -11,25 +11,29 @@
 //   data_in_l3 Model 2.2: inputs/outputs live only in NVM, so every
 //              word received over the network is staged through L3 --
 //              this is the W2-attaining 2.5DMML3ooL2 variant whose NVM
-//              writes must exceed W1 (Theorem 4)
+//              writes must exceed W1 (Theorem 4).  It overrides
+//              use_l3: bench_table2 and Theorem4.TradeoffIsRealized
+//              set both
 //   chunk_c2   granularity of the replication/reduction broadcasts,
 //              in layer units: chunk_c2 = c sends each replica whole;
 //              chunk_c2 = 1 sends c chunks of 1/c size (same words,
 //              more messages).  A value not dividing c rounds to
 //              ceil(c / chunk_c2) pieces.  0 means whole.
 //
-// The geometry is a ProcessGrid3D (dist/grid.hpp): c must divide P,
-// but P/c no longer has to be a perfect square (it is factored into
+// The geometry is ProcessGrid3D(P, c) (dist/grid.hpp): c must divide
+// P, but P/c no longer has to be a perfect square (it is factored into
 // the nearest pr x pc rectangle), c no longer has to divide the grid
 // edge (layers take balanced shares of the SUMMA steps), and the grid
 // no longer has to divide n (padded edge blocks).  Throws
-// std::invalid_argument only when c does not divide P, the matrices
-// are not square/equal/nonempty, or an explicit grid mismatches the
-// machine's P.
+// std::invalid_argument only when c does not divide P or the matrices
+// are not square/equal/nonempty.
+//
+// The step loop behind mm_25d also runs the three SUMMA variants of
+// dist/summa.hpp, at c = 1, each as one more choice of where a rank
+// keeps C and the received panels.
 
 #include <cstddef>
 
-#include "dist/grid.hpp"
 #include "dist/machine.hpp"
 #include "linalg/matrix.hpp"
 
@@ -42,14 +46,6 @@ struct Mm25dOptions {
   std::size_t chunk_c2 = 0;
 };
 
-/// Run on an explicit topology; @p opt.c is ignored in favour of
-/// @p g.layers().
-void mm_25d(Machine& m, const ProcessGrid3D& g, linalg::MatrixView<double> C,
-            linalg::ConstMatrixView<double> A,
-            linalg::ConstMatrixView<double> B,
-            const Mm25dOptions& opt = Mm25dOptions{});
-
-/// Convenience overload: topology = ProcessGrid3D(m.nprocs(), opt.c).
 void mm_25d(Machine& m, linalg::MatrixView<double> C,
             linalg::ConstMatrixView<double> A,
             linalg::ConstMatrixView<double> B,

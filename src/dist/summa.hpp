@@ -16,37 +16,23 @@
 //                   the price of Theta(n^3/(P sqrt(M2))) network words
 //                   (the WA side of the Theorem 4 trade-off).
 //
-// All variants run on a ProcessGrid (dist/grid.hpp): any processor
-// count P is factored into a pr x pc grid and any matrix edge n is
-// split with padded edge blocks, so neither perfect-square P nor
-// sqrt(P) | n is required any more.  Per-rank local phases (the
-// owned-block numerics plus the counter charging) execute through the
-// Machine's Backend, so a ThreadedBackend runs them in parallel.
-// Matrices must still be square and non-empty, and an explicit grid
-// must match the machine's processor count (std::invalid_argument
-// otherwise).
+// The three variants are residency policies of mm_25d's step loop at
+// c = 1 (dist/mm25d.hpp): the same panel broadcasts and per-rank
+// multiplies, differing only in where each rank keeps C and the
+// received panels.  Any processor count P is factored into a pr x pc
+// ProcessGrid (dist/grid.hpp) and any matrix edge n is split with
+// padded edge blocks, so neither perfect-square P nor sqrt(P) | n is
+// required.  Per-rank local phases (the owned-block numerics plus the
+// counter charging) execute through the Machine's Backend, so a
+// ThreadedBackend runs them in parallel.  Matrices must be square and
+// non-empty (std::invalid_argument otherwise, naming the entry point);
+// summa_2d_hoarding and summa_l3_ool2 also refuse, before anything is
+// broadcast or charged, shapes whose resident data overflow L2.
 
-#include "dist/grid.hpp"
 #include "dist/machine.hpp"
 #include "linalg/matrix.hpp"
 
 namespace wa::dist {
-
-void summa_2d(Machine& m, const ProcessGrid& g, linalg::MatrixView<double> C,
-              linalg::ConstMatrixView<double> A,
-              linalg::ConstMatrixView<double> B);
-
-void summa_2d_hoarding(Machine& m, const ProcessGrid& g,
-                       linalg::MatrixView<double> C,
-                       linalg::ConstMatrixView<double> A,
-                       linalg::ConstMatrixView<double> B);
-
-void summa_l3_ool2(Machine& m, const ProcessGrid& g,
-                   linalg::MatrixView<double> C,
-                   linalg::ConstMatrixView<double> A,
-                   linalg::ConstMatrixView<double> B);
-
-// Convenience overloads: grid = ProcessGrid(m.nprocs()).
 
 void summa_2d(Machine& m, linalg::MatrixView<double> C,
               linalg::ConstMatrixView<double> A,

@@ -134,13 +134,6 @@ TEST(SummaGeometry, IndivisibleMatrixRunsWithPaddedEdgeBlocks) {
             1e-11);
 }
 
-TEST(SummaGeometry, RejectsGridMismatchingMachine) {
-  Machine m(12, 192, 4096, 1 << 22);
-  Matrix<double> a(24, 24), b(24, 24), c(24, 24, 0.0);
-  EXPECT_THROW(summa_2d(m, ProcessGrid(4, 4), c.view(), a.view(), b.view()),
-               std::invalid_argument);
-}
-
 TEST(SummaGeometry, HoardingRejectsPanelsThatOverflowL2) {
   Machine m(16, 192, 4096, 1 << 22);
   const std::size_t n = 256;  // hoard = 2*64*256 = 32768 words >> M2
