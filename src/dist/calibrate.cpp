@@ -29,6 +29,17 @@ AlphaBeta fit_alpha_beta(const std::vector<CommSample>& samples) {
   } else {
     out.alpha = (ms * ww - ws * mw) / det;
     out.beta = (ws * mm - ms * mw) / det;
+    // A negative coefficient is measurement noise, not physics.  Clamp
+    // it to zero and refit the other one alone: that is the
+    // least-squares optimum under the constraint (at most one of the
+    // two can come out negative for non-negative samples).
+    if (out.alpha < 0) {
+      out.alpha = 0.0;
+      out.beta = ws / ww;
+    } else if (out.beta < 0) {
+      out.beta = 0.0;
+      out.alpha = ms / mm;
+    }
   }
   out.alpha = std::max(0.0, out.alpha);
   out.beta = std::max(0.0, out.beta);

@@ -37,11 +37,14 @@ struct AlphaBeta {
 };
 
 /// Least-squares fit of seconds ~ alpha * messages + beta * words
-/// over @p samples via the 2x2 normal equations.  Degenerate systems
+/// over @p samples via the 2x2 normal equations, constrained to
+/// alpha, beta >= 0 (a latency or bandwidth below zero is measurement
+/// noise, not physics).  When the unconstrained solution has one
+/// negative coefficient, that one is clamped to zero and the other is
+/// refit alone (beta = sum(w*s)/sum(w*w), or alpha = sum(m*s)/sum(m*m)),
+/// which is the constrained least-squares optimum.  Degenerate systems
 /// (fewer than two samples, or all samples proportional) fall back to
-/// a pure-bandwidth fit (alpha = 0).  Negative coefficients are
-/// clamped to zero: a latency or bandwidth below zero is measurement
-/// noise, not physics.
+/// a pure-bandwidth fit (alpha = 0).
 AlphaBeta fit_alpha_beta(const std::vector<CommSample>& samples);
 
 /// HwParams with the network channel replaced by measured

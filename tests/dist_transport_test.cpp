@@ -318,6 +318,34 @@ TEST(CalibrateTest, DegenerateFitFallsBackToBandwidth) {
   EXPECT_TRUE(fit_alpha_beta({}).alpha == 0.0 && fit_alpha_beta({}).beta == 0.0);
 }
 
+TEST(CalibrateTest, ClampedCoefficientRefitsTheOther) {
+  // seconds = 4e-9 * w - 2e-6 * m: the unconstrained alpha is negative.
+  // Clamping it to zero while keeping the unconstrained beta = 4e-9
+  // leaves an RMS residual of 6.6e-5 s; refitting beta alone under
+  // alpha = 0 gives the constrained optimum, beta = 3.60e-9 at 4.1e-6 s.
+  std::vector<CommSample> samples;
+  double ws = 0, ww = 0;
+  for (double msgs : {1.0, 4.0, 16.0, 64.0}) {
+    const double words = 5000.0 * msgs + 20000.0 / msgs;
+    const double secs = 4e-9 * words - 2e-6 * msgs;
+    samples.push_back({msgs, words, secs});
+    ws += words * secs;
+    ww += words * words;
+  }
+  const AlphaBeta fit = fit_alpha_beta(samples);
+  EXPECT_EQ(fit.alpha, 0.0);
+  EXPECT_NEAR(fit.beta, ws / ww, 1e-12 * (ws / ww));
+  EXPECT_NEAR(fit.beta, 3.603e-9, 1e-12);
+  EXPECT_NEAR(fit.residual, 4.101e-6, 1e-9);
+
+  // The mirror case: a negative beta clamps to zero, alpha is refit.
+  for (CommSample& c : samples) std::swap(c.messages, c.words);
+  const AlphaBeta mirror = fit_alpha_beta(samples);
+  EXPECT_EQ(mirror.beta, 0.0);
+  EXPECT_NEAR(mirror.alpha, fit.beta, 1e-12 * fit.beta);
+  EXPECT_NEAR(mirror.residual, fit.residual, 1e-9 * fit.residual);
+}
+
 TEST(CalibrateTest, FittedHwReplacesMeasuredChannels) {
   AlphaBeta net{5e-6, 3e-9, 0.0};
   const HwParams hw = fitted_hw(net, 2e-9, 6e-9);
