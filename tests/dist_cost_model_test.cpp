@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include <random>
 #include <vector>
@@ -148,8 +149,25 @@ TEST(SummaGeometry, HoardingRejectsPanelsThatOverflowL2) {
 TEST(SummaGeometry, RejectsNonSquareMatrices) {
   Machine m(16, 192, 4096, 1 << 22);
   Matrix<double> a(32, 16), b(16, 32), c(32, 32, 0.0);
-  EXPECT_THROW(summa_2d(m, c.view(), a.view(), b.view()),
-               std::invalid_argument);
+  // Every entry point refuses, and its message names it.
+  const auto expect_named = [&](const std::string& who, auto&& alg) {
+    try {
+      alg(c.view(), a.view(), b.view());
+      ADD_FAILURE() << who << " accepted non-square matrices";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(who + ":", 0), 0u) << e.what();
+    }
+  };
+  expect_named("summa_2d",
+               [&](auto c2, auto a2, auto b2) { summa_2d(m, c2, a2, b2); });
+  expect_named("summa_2d_hoarding", [&](auto c2, auto a2, auto b2) {
+    summa_2d_hoarding(m, c2, a2, b2);
+  });
+  expect_named("summa_l3_ool2", [&](auto c2, auto a2, auto b2) {
+    summa_l3_ool2(m, c2, a2, b2);
+  });
+  expect_named("mm_25d",
+               [&](auto c2, auto a2, auto b2) { mm_25d(m, c2, a2, b2); });
 }
 
 TEST(Mm25dGeometry, LayerCountNeedNotDivideGridEdge) {
