@@ -102,7 +102,8 @@ struct NvmStaged : PerStep {
 /// every step and is written to NVM exactly once: W1-level L3 writes.
 struct CResidentInL2 : PerStep {
   static void refuse(const ProcessGrid& lg, std::size_t n, std::size_t M2) {
-    // The W1 write bound hinges on C staying resident; never cheat.
+    // The W1 write bound hinges on C staying resident: refuse rather
+    // than silently cheat.
     if (lg.max_block_words(n) + 2 > M2) {
       throw std::invalid_argument(
           "summa_l3_ool2: the largest local C block (n/pr x n/pc words) "
@@ -244,6 +245,7 @@ void step_loop(Machine& m, const char* who, std::size_t c,
   // matrices which are reduced into C afterwards in layer order, so
   // the result is deterministic under any backend.
   std::vector<linalg::Matrix<double>> partial;
+  partial.reserve(c - 1);
   for (std::size_t l = 1; l < c; ++l) partial.emplace_back(n, n, 0.0);
 
   const BlockRange all_of_k{0, n};

@@ -406,9 +406,10 @@ TEST(MatmulKnownAnswers, EveryEntryPointAndResidency) {
   // other; these constants pin C's bits and all five per-rank channels
   // (words and messages) against fixed values, so a change that moves
   // every path alike still shows here.  Geometry: prime P = 7 (1 x 7
-  // grid) and P = 6 (2 x 3), with n = 13 indivisible by every grid
-  // edge; P = 12 with c = 3 (2 x 2 layers, 3 does not divide 2, so one
-  // layer gets no steps) and chunk_c2 = 2, which does not divide 3.
+  // grid), P = 6 (2 x 3) and P = 12, with n = 13, which no grid edge
+  // above 1 divides; at P = 12, c = 3 gives 2 x 2 layers (3 does not
+  // divide 2, so one layer gets no steps), and chunk_c2 = 2 does not
+  // divide 3.
   // The values assume IEEE doubles with no FMA contraction (the x86-64
   // baseline codegen).
   std::vector<MatmulCase> cases;
