@@ -13,9 +13,8 @@
 // attributes, so the analysis cannot follow them; Mutex and MutexLock
 // below are thin annotated wrappers (the pattern from the Clang
 // thread-safety docs and Abseil).  Annotated state in this repo:
-// ShmTransport's mailbox queues and movement stats
-// (dist/transport.hpp) and ThreadedBackend's persistent-pool job
-// state (dist/backend.hpp).
+// ShmTransport's movement stats (dist/transport.hpp) and
+// ThreadedBackend's persistent-pool job state (dist/backend.hpp).
 
 #include <mutex>
 

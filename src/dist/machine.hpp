@@ -32,7 +32,7 @@
 // delegated to the data-movement layer (dist/transport.hpp): the
 // default SimTransport keeps the original charge-only behavior, while
 // ShmTransport (WA_TRANSPORT=shm) really moves every payload between
-// per-rank heap arenas through checksummed message queues.  Charging
+// per-rank heap arenas through digest-checked heap messages.  Charging
 // always happens first and never depends on the transport, so the
 // counters are byte-identical across transports by construction.
 //
@@ -162,11 +162,12 @@ class Machine {
   /// (the network channel counts words crossing a processor boundary).
   /// Under a data-moving transport the payload (or, when @p payload is
   /// null, a same-size synthetic pattern) really travels src -> dst.
+  /// A zero-word transfer sends no message and is charged nothing.
   void send(std::size_t src, std::size_t dst, std::size_t words,
             const double* payload = nullptr) {
     check_proc(src);
     check_proc(dst);
-    if (src == dst) return;  // local move, no network traffic
+    if (src == dst || words == 0) return;  // no network traffic
     procs_[src].nw.add(words);
     procs_[dst].nw.add(words);
     if (transport_->moves_data()) {
@@ -187,14 +188,16 @@ class Machine {
   }
 
   /// Binomial-tree broadcast of @p words among @p group: every
-  /// participant is charged ceil(log2 |group|) rounds of @p words.
-  /// Under a data-moving transport the root's payload is fanned out
-  /// hop by hop along the same binomial tree.
+  /// participant is charged ceil(log2 |group|) rounds of @p words
+  /// (none when @p words is zero).  Under a data-moving transport the
+  /// root's payload is fanned out hop by hop along the same binomial
+  /// tree.
   void bcast(const std::vector<std::size_t>& group, std::size_t words,
              const double* payload = nullptr) {
     const std::uint64_t rounds = bcast_rounds(group.size());
     if (rounds == 0) return;
     for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
+    if (words == 0) return;
     for (std::size_t p : group) procs_[p].nw.add(rounds * words, rounds);
     if (transport_->moves_data()) {
       const Timer t(comm_wall_seconds_, comm_timer_depth_);
@@ -204,14 +207,15 @@ class Machine {
 
   /// Binomial-tree reduction: the network cost of a broadcast, plus
   /// each round's combine -- merging the received partial into the
-  /// local one writes @p words from L1 back to L2 per round.  Under a
-  /// data-moving transport partials are really combined elementwise
-  /// at every hop of the gather tree.
+  /// local one writes @p words from L1 back to L2 per round (none
+  /// when @p words is zero).  Under a data-moving transport partials
+  /// are really combined elementwise at every hop of the gather tree.
   void reduce(const std::vector<std::size_t>& group, std::size_t words,
               const double* payload = nullptr) {
     const std::uint64_t rounds = bcast_rounds(group.size());
     if (rounds == 0) return;
     for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
+    if (words == 0) return;
     for (std::size_t p : group) {
       procs_[p].nw.add(rounds * words, rounds);
       procs_[p].l2_write.add(rounds * words, rounds);

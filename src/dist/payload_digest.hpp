@@ -1,6 +1,7 @@
 #pragma once
 // wa::dist::detail::payload_digest -- the end-to-end integrity digest
-// ShmTransport computes on both sides of every delivery.
+// ShmTransport computes on both sides of every delivery, and
+// land_verified, the receiver's check-then-write.
 //
 // Four independent 64-bit lanes run over the payload's IEEE-754 bit
 // patterns: word i feeds lane i % 4, and the words % 4 tail words feed
@@ -18,11 +19,20 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace wa::dist::detail {
 
 /// Digest of @p words doubles at @p data (bit patterns, not values:
 /// +0.0 and -0.0, or two NaN payloads, digest differently).
 std::uint64_t payload_digest(const double* data, std::size_t words);
+
+/// Land a delivery of @p words doubles at @p data in @p arena, but
+/// only if @p data still digests to @p digest: overwrite the arena's
+/// first @p words (growing it to fit), or with @p combine add them
+/// elementwise.  Returns false, with @p arena's bytes and size
+/// untouched, on a mismatch.
+bool land_verified(std::vector<double>& arena, const double* data,
+                   std::size_t words, std::uint64_t digest, bool combine);
 
 }  // namespace wa::dist::detail

@@ -1,11 +1,8 @@
 #include "dist/transport.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <initializer_list>
-#include <thread>
-#include <utility>
 
 #include "dist/payload_digest.hpp"
 
@@ -49,6 +46,19 @@ std::uint64_t payload_digest(const double* data, std::size_t words) {
   return digest_step(h, words);
 }
 
+bool land_verified(std::vector<double>& arena, const double* data,
+                   std::size_t words, std::uint64_t digest, bool combine) {
+  // Verify first: a corrupted delivery must leave the arena untouched.
+  if (payload_digest(data, words) != digest) return false;
+  if (arena.size() < words) arena.resize(words);
+  if (combine) {
+    for (std::size_t i = 0; i < words; ++i) arena[i] += data[i];
+  } else {
+    std::memcpy(arena.data(), data, words * sizeof(double));
+  }
+  return true;
+}
+
 }  // namespace detail
 
 /// Accumulates elapsed wall-clock into stats_.seconds on destruction.
@@ -74,11 +84,6 @@ class ShmTransport::OpTimer {
 void ShmTransport::attach(std::size_t P) {
   P_ = P;
   arenas_.assign(P, {});
-  boxes_.clear();
-  boxes_.reserve(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    boxes_.push_back(std::make_unique<Mailbox>());
-  }
 }
 
 void ShmTransport::check_rank(std::size_t p) const {
@@ -111,34 +116,6 @@ const double* ShmTransport::stage(std::size_t src, std::size_t words,
   return a.data();
 }
 
-void ShmTransport::push(std::size_t dst, Msg msg) {
-  Mailbox& box = *boxes_[dst];
-  {
-    const MutexLock lock(box.mu);
-    box.q.push_back(std::move(msg));
-  }
-  box.cv.notify_one();
-}
-
-ShmTransport::Msg ShmTransport::pop(std::size_t dst) {
-  Mailbox& box = *boxes_[dst];
-  const MutexLock lock(box.mu);
-  // condition_variable_any waits on the annotated Mutex itself; the
-  // predicate always runs with the lock re-acquired (assert_held tells
-  // the static analysis so).
-  if (!box.cv.wait_for(box.mu, std::chrono::seconds(30), [&box] {
-        box.mu.assert_held();
-        return !box.q.empty();
-      })) {
-    throw std::runtime_error(
-        "ShmTransport: mailbox wait timed out (a charged transfer was "
-        "never delivered)");
-  }
-  Msg msg = std::move(box.q.front());
-  box.q.pop_front();
-  return msg;
-}
-
 namespace {
 
 [[noreturn]] void throw_corrupted() {
@@ -159,16 +136,9 @@ ShmTransport::Msg ShmTransport::package(std::size_t src,
 
 bool ShmTransport::land(std::size_t dst, const Msg& got, std::size_t words,
                         bool combine) {
-  // Verify first: a corrupted delivery must leave the arena untouched.
-  if (detail::payload_digest(got.data.data(), words) != got.digest) {
+  if (!detail::land_verified(arenas_[dst], got.data.data(), words,
+                             got.digest, combine)) {
     return false;
-  }
-  std::vector<double>& a = arenas_[dst];
-  if (a.size() < words) a.resize(words);
-  if (combine) {
-    for (std::size_t i = 0; i < words; ++i) a[i] += got.data[i];
-  } else {
-    std::memcpy(a.data(), got.data.data(), words * sizeof(double));
   }
   const MutexLock lock(stats_mu_);
   stats_.messages += 1;
@@ -180,38 +150,9 @@ bool ShmTransport::land(std::size_t dst, const Msg& got, std::size_t words,
 void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
                        bool combine) {
   // Sender side: the rank-private source bytes leave src's arena
-  // through a heap message (one real copy); receiver side: dequeue,
-  // verify, and land them in dst's arena (a second real copy).
-  push(dst, package(src, words));
-  if (!land(dst, pop(dst), words, combine)) throw_corrupted();
-}
-
-void ShmTransport::run_round(
-    const std::vector<std::pair<std::size_t, std::size_t>>& hops,
-    std::size_t words, bool combine) {
-  if (hops.size() > 1 && words >= parallel_words_) {
-    // Real concurrency for the big rounds: every hop gets a blocking
-    // receiver thread (parked on the mailbox condvar) and a sender
-    // thread that wakes it.  Sources and destinations within one
-    // binomial round are disjoint, so the arena writes cannot race.
-    std::vector<std::thread> workers;
-    workers.reserve(2 * hops.size());
-    std::atomic<bool> corrupted{false};
-    for (const auto& [src, dst] : hops) {
-      const std::size_t s = src, d = dst;
-      workers.emplace_back([this, d, words, combine, &corrupted] {
-        // Throwing on a worker would terminate; flag a corrupted
-        // delivery and let the joining thread raise the error.
-        if (!land(d, pop(d), words, combine)) corrupted.store(true);
-      });
-      workers.emplace_back(
-          [this, s, d, words] { push(d, package(s, words)); });
-    }
-    for (auto& w : workers) w.join();
-    if (corrupted.load()) throw_corrupted();
-    return;
-  }
-  for (const auto& [src, dst] : hops) hop(src, dst, words, combine);
+  // through a heap message (one real copy); receiver side: verify and
+  // land them in dst's arena (a second real copy).
+  if (!land(dst, package(src, words), words, combine)) throw_corrupted();
 }
 
 void ShmTransport::send(std::size_t src, std::size_t dst, std::size_t words,
@@ -231,18 +172,12 @@ void ShmTransport::bcast(const std::vector<std::size_t>& group,
   for (std::size_t p : group) check_rank(p);
   const OpTimer t(*this);
   stage(group.front(), words, payload);
-  // Grow destination arenas before any round runs concurrently.
-  for (std::size_t p : group) {
-    if (arenas_[p].size() < words) arenas_[p].resize(words);
-  }
   // The binomial tree the Machine charges: in round r every rank with
   // group index < 2^r that has the data forwards it to index + 2^r.
   for (std::size_t step = 1; step < g; step *= 2) {
-    std::vector<std::pair<std::size_t, std::size_t>> hops;
     for (std::size_t i = 0; i < step && i + step < g; ++i) {
-      hops.emplace_back(group[i], group[i + step]);
+      hop(group[i], group[i + step], words, /*combine=*/false);
     }
-    run_round(hops, words, /*combine=*/false);
   }
 }
 
@@ -258,11 +193,9 @@ void ShmTransport::reduce(const std::vector<std::size_t>& group,
   // L1 -> L2 merge traffic.
   for (std::size_t p : group) stage(p, words, payload);
   for (std::size_t step = 1; step < g; step *= 2) {
-    std::vector<std::pair<std::size_t, std::size_t>> hops;
     for (std::size_t i = 0; i + step < g; i += 2 * step) {
-      hops.emplace_back(group[i + step], group[i]);
+      hop(group[i + step], group[i], words, /*combine=*/true);
     }
-    run_round(hops, words, /*combine=*/true);
   }
 }
 

@@ -10,15 +10,13 @@
 //                 is the default and is byte-identical to the seed.
 //
 //   ShmTransport  every modelled transfer really moves its payload:
-//                 each rank owns a private heap arena, point-to-point
-//                 sends stage the payload into a heap message, enqueue
-//                 it on the destination rank's mutex+condvar mailbox,
-//                 and the receiver copies it into its own arena.
-//                 Broadcasts and reductions execute the same binomial
-//                 trees the Machine charges, hop by hop, with real
-//                 memcpys (and real elementwise combines for reduce);
-//                 large rounds run their hops on concurrent
-//                 sender/receiver thread pairs.  Every delivery is
+//                 each rank owns a private heap arena, and every hop
+//                 copies the sender's bytes into a heap message, then
+//                 copies the message into the receiver's arena, on the
+//                 calling thread.  Broadcasts and reductions execute
+//                 the same binomial trees the Machine charges, hop by
+//                 hop, with real memcpys (and real elementwise
+//                 combines for reduce).  Every delivery is
 //                 digested end-to-end (dist/payload_digest.hpp: a
 //                 4-lane word-parallel digest that any corruption
 //                 confined to one word always changes), and the
@@ -44,11 +42,9 @@
 // same interface through MPI when the build has it (-DWA_WITH_MPI=ON);
 // mpi_transport_available() reports whether this binary carries it.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -61,7 +57,7 @@ namespace wa::dist {
 /// Movement/verification totals of a data-moving transport.  All
 /// zeros for SimTransport (nothing moves, nothing to verify).
 struct TransportStats {
-  std::uint64_t messages = 0;  ///< queue deliveries completed
+  std::uint64_t messages = 0;  ///< deliveries completed
   std::uint64_t words = 0;     ///< payload words copied across arenas
   std::uint64_t verified = 0;  ///< words whose end-to-end checksum matched
   double seconds = 0.0;        ///< wall-clock inside transport operations
@@ -119,19 +115,12 @@ class SimTransport final : public Transport {
 };
 
 /// Per-rank-address-space transport over process-local heap memory
-/// (see file comment).  Thread-safe per operation; operations
-/// themselves are issued by the orchestration thread, matching how
-/// the Machine charges them.
+/// (see file comment).  Operations are issued by the orchestration
+/// thread, matching how the Machine charges them, and every hop runs
+/// on that thread; only the movement stats are locked, so stats() may
+/// be read from any thread.
 class ShmTransport final : public Transport {
  public:
-  /// @param parallel_words  hop size (in words) from which a
-  /// collective round runs its hops on concurrent sender/receiver
-  /// thread pairs instead of inline; smaller hops stay sequential so
-  /// fine-grained solvers do not pay a thread spawn per scalar
-  /// allreduce.
-  explicit ShmTransport(std::size_t parallel_words = 1 << 15)
-      : parallel_words_(parallel_words) {}
-
   const char* name() const override { return "shm"; }
   bool moves_data() const override { return true; }
   void attach(std::size_t P) override;
@@ -156,49 +145,27 @@ class ShmTransport final : public Transport {
   /// can lock stats_mu_ through the annotated members).
   class OpTimer;
 
-  /// One rank's inbox: a mutex+condvar message queue.  The queue is
-  /// the only mailbox state touched from both sides of a hop, and the
-  /// lock discipline is compile-time-checked on the Clang legs
-  /// (-Wthread-safety; see dist/annotations.hpp).  condition_variable_any
-  /// waits on the annotated Mutex directly (it is BasicLockable).
-  struct Mailbox {
-    Mutex mu;
-    std::condition_variable_any cv;
-    std::deque<Msg> q WA_GUARDED_BY(mu);
-  };
-
   // Stage @p words from @p payload (or the synthetic pattern) into
   // rank @p src's arena; returns the staged pointer.
   const double* stage(std::size_t src, std::size_t words,
                       const double* payload);
-  void push(std::size_t dst, Msg msg);
-  Msg pop(std::size_t dst);
   // Sender side of a hop: copy @p words of src's arena into a digested
   // heap message.
   Msg package(std::size_t src, std::size_t words) const;
-  // Receiver side of a hop: verify @p got's digest and, only if it
-  // matches, land it in dst's arena (@p combine adds instead of
-  // overwriting: the reduce hop) and count the delivery.  Returns
-  // false, with the arena untouched, on a mismatch.
+  // Receiver side of a hop: detail::land_verified into dst's arena
+  // (@p combine adds instead of overwriting: the reduce hop), counting
+  // the delivery.  Returns false, with the arena untouched, on a
+  // digest mismatch.
   bool land(std::size_t dst, const Msg& got, std::size_t words,
             bool combine);
-  // One queue hop: src's arena -> heap message -> dst's arena; throws
-  // on a digest mismatch.
+  // One hop: src's arena -> heap message -> dst's arena; throws on a
+  // digest mismatch.
   void hop(std::size_t src, std::size_t dst, std::size_t words,
            bool combine);
-  void run_round(const std::vector<std::pair<std::size_t, std::size_t>>& hops,
-                 std::size_t words, bool combine);
   void check_rank(std::size_t p) const;
 
-  std::size_t parallel_words_;
   std::size_t P_ = 0;
-  // Arenas are deliberately unguarded: operations are issued by the
-  // orchestration thread, and within one concurrent binomial round
-  // every hop touches disjoint src/dst arenas (the TSan leg checks
-  // this dynamically; a mutex here would serialize the very
-  // concurrency the large rounds exist to measure).
   std::vector<std::vector<double>> arenas_;
-  std::vector<std::unique_ptr<Mailbox>> boxes_;
   mutable Mutex stats_mu_;
   TransportStats stats_ WA_GUARDED_BY(stats_mu_);
 };

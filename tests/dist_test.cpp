@@ -53,6 +53,41 @@ TEST(MachineTest, BcastBinomialCost) {
   }
 }
 
+TEST(MachineTest, ZeroWordTransfersChargeNothing) {
+  auto m = small_machine(4);
+  m.send(0, 1, 0);
+  m.bcast({0, 1, 2, 3}, 0);
+  m.reduce({0, 1, 2, 3}, 0);
+  for (std::size_t p = 0; p < 4; ++p) {
+    const ProcTraffic& t = m.proc(p);
+    for (const ChanCount* ch :
+         {&t.nw, &t.l3_read, &t.l3_write, &t.l2_read, &t.l2_write}) {
+      EXPECT_EQ(ch->words, 0u) << "rank " << p;
+      EXPECT_EQ(ch->messages, 0u) << "rank " << p;
+    }
+  }
+
+  // mm_25d's chunked replication at P=16, c=4, n=3 cuts rank 15's
+  // 1-word fiber block into four pieces, three of them empty: it must
+  // cost the same 6 messages (A, B and C, two rounds each) as sending
+  // the block whole.
+  const std::size_t n = 3;
+  Matrix<double> a(n, n), b(n, n);
+  linalg::fill_random(a, 3);
+  linalg::fill_random(b, 4);
+  ProcTraffic rank15[2];
+  for (const std::size_t chunk : {0u, 1u}) {
+    auto mc = small_machine(16);
+    Matrix<double> c(n, n, 0.0);
+    mm_25d(mc, c.view(), a.view(), b.view(),
+           Mm25dOptions{4, false, false, chunk});
+    rank15[chunk] = mc.proc(15);
+  }
+  EXPECT_EQ(rank15[0].nw.messages, 6u);
+  EXPECT_EQ(rank15[1].nw.messages, rank15[0].nw.messages);
+  EXPECT_EQ(rank15[1].nw.words, rank15[0].nw.words);
+}
+
 TEST(MachineTest, CostUsesMaxOverProcessors) {
   auto m = small_machine(4);
   m.send(0, 1, 1000000);

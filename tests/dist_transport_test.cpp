@@ -66,22 +66,31 @@ TEST(ShmTransportTest, SendWithoutPayloadMovesSyntheticWords) {
 }
 
 TEST(ShmTransportTest, BcastReachesEveryParticipant) {
-  ShmTransport tp;
-  tp.attach(6);
-  std::vector<std::size_t> group = {0, 1, 2, 3, 4, 5};
-  std::vector<double> payload(33);
-  std::iota(payload.begin(), payload.end(), 0.5);
-  tp.bcast(group, payload.size(), payload.data());
-  for (std::size_t p = 1; p < 6; ++p) {
-    EXPECT_EQ(0, std::memcmp(tp.arena(p).data(), payload.data(),
-                             payload.size() * sizeof(double)))
-        << "rank " << p;
+  // 6 ranks end on a partial round; 8 ranks run full rounds of up to
+  // four hops.  Binomial fan-out: g-1 deliveries of `words` each.
+  struct Case {
+    std::size_t P, words;
+  };
+  for (const Case c : {Case{6, 33}, Case{8, 1024}}) {
+    ShmTransport tp;
+    tp.attach(c.P);
+    std::vector<std::size_t> group(c.P);
+    std::iota(group.begin(), group.end(), std::size_t{0});
+    std::vector<double> payload(c.words);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = double(i) * 0.75 - 100.0;
+    }
+    tp.bcast(group, payload.size(), payload.data());
+    for (std::size_t p = 1; p < c.P; ++p) {
+      EXPECT_EQ(0, std::memcmp(tp.arena(p).data(), payload.data(),
+                               payload.size() * sizeof(double)))
+          << "P=" << c.P << " rank " << p;
+    }
+    const TransportStats st = tp.stats();
+    EXPECT_EQ(st.messages, c.P - 1);
+    EXPECT_EQ(st.words, (c.P - 1) * payload.size());
+    EXPECT_EQ(st.verified, st.words);
   }
-  // Binomial fan-out: g-1 deliveries of `words` each.
-  const TransportStats st = tp.stats();
-  EXPECT_EQ(st.messages, 5u);
-  EXPECT_EQ(st.words, 5u * payload.size());
-  EXPECT_EQ(st.verified, st.words);
 }
 
 TEST(ShmTransportTest, ReduceCombinesElementwise) {
@@ -97,28 +106,6 @@ TEST(ShmTransportTest, ReduceCombinesElementwise) {
     EXPECT_DOUBLE_EQ(root[i], 4.0 * payload[i]) << i;
   }
   EXPECT_EQ(tp.stats().messages, 3u);
-}
-
-TEST(ShmTransportTest, ConcurrentRoundsDeliverAndVerify) {
-  // Tiny parallel threshold forces the threaded sender/receiver path
-  // on an 8-rank broadcast (rounds with up to 4 concurrent hops).
-  ShmTransport tp(/*parallel_words=*/16);
-  tp.attach(8);
-  std::vector<std::size_t> group(8);
-  std::iota(group.begin(), group.end(), std::size_t{0});
-  std::vector<double> payload(1024);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = double(i) * 0.75 - 100.0;
-  }
-  tp.bcast(group, payload.size(), payload.data());
-  for (std::size_t p = 1; p < 8; ++p) {
-    EXPECT_EQ(0, std::memcmp(tp.arena(p).data(), payload.data(),
-                             payload.size() * sizeof(double)))
-        << "rank " << p;
-  }
-  const TransportStats st = tp.stats();
-  EXPECT_EQ(st.messages, 7u);
-  EXPECT_EQ(st.verified, 7u * payload.size());
 }
 
 TEST(ShmTransportTest, ZeroWordAndSelfTransfersAreNoOps) {
@@ -205,6 +192,34 @@ TEST(PayloadDigestTest, EverySwapAndTruncationChangesDigest) {
     EXPECT_NE(detail::payload_digest(v.data(), n - 1),
               detail::payload_digest(v.data(), n))
         << "truncation " << n << " -> " << n - 1;
+  }
+}
+
+TEST(PayloadDigestTest, CorruptedDeliveryLeavesArenaUntouched) {
+  const std::vector<double> sent = digest_buffer();
+  const std::uint64_t digest = digest_of(sent);
+  std::vector<double> garbled = sent;
+  flip_bit(garbled, 5 * 64 + 17);  // one bit flipped after digesting
+  for (const bool combine : {false, true}) {
+    // Shorter than the delivery, so a premature resize would show.
+    const std::vector<double> before = {1.0, -2.0, 4.5};
+    std::vector<double> arena = before;
+    EXPECT_FALSE(detail::land_verified(arena, garbled.data(), garbled.size(),
+                                       digest, combine));
+    ASSERT_EQ(arena.size(), before.size()) << "combine=" << combine;
+    EXPECT_EQ(0, std::memcmp(arena.data(), before.data(),
+                             before.size() * sizeof(double)))
+        << "combine=" << combine;
+
+    // The clean delivery lands: it overwrites, or adds elementwise.
+    ASSERT_TRUE(detail::land_verified(arena, sent.data(), sent.size(),
+                                      digest, combine));
+    ASSERT_EQ(arena.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      const double want =
+          combine && i < before.size() ? before[i] + sent[i] : sent[i];
+      EXPECT_EQ(arena[i], want) << "combine=" << combine << " word " << i;
+    }
   }
 }
 
@@ -479,13 +494,13 @@ TEST(SimShmIdentityTest, DistributedKrylov) {
 }
 
 // ---------------------------------------------------------------------
-// TSan-targeted stress: the tiny parallel threshold forces every
-// collective round onto concurrent sender/receiver thread pairs while
-// the threaded backend's persistent pool runs the local phases -- the
-// maximal-concurrency configuration the WA_SANITIZE=thread CI leg is
-// built to vet.  The reference is the fully serial charge-only run:
-// counters and bits must survive both axes at once, and every word
-// that moved must checksum-verify end to end.
+// TSan-targeted stress: the threaded backend's persistent pool runs
+// every local phase while the orchestration thread moves and verifies
+// every charged transfer through the shm transport -- the
+// configuration the WA_SANITIZE=thread CI leg is built to vet.  The
+// reference is the fully serial charge-only run: counters and bits
+// must survive both axes at once, and every word that moved must
+// checksum-verify end to end.
 
 template <class Algo>
 void expect_stress_identical(std::size_t P, Algo&& algo) {
@@ -494,13 +509,13 @@ void expect_stress_identical(std::size_t P, Algo&& algo) {
               std::make_unique<SimTransport>());
   Machine hot(P, /*M1=*/192, /*M2=*/4096, /*M3=*/std::size_t(1) << 24,
               HwParams{}, std::make_unique<ThreadedBackend>(4),
-              std::make_unique<ShmTransport>(/*parallel_words=*/8));
+              std::make_unique<ShmTransport>());
   const std::vector<double> out_ref = algo(ref);
   const std::vector<double> out_hot = algo(hot);
   ASSERT_EQ(out_ref.size(), out_hot.size());
   EXPECT_EQ(0, std::memcmp(out_ref.data(), out_hot.data(),
                            out_ref.size() * sizeof(double)))
-      << "bitwise divergence under threaded backend + threaded rounds";
+      << "bitwise divergence under threaded backend + shm transport";
   EXPECT_TRUE(bench::same_counters(ref, hot));
   const auto* shm = dynamic_cast<const ShmTransport*>(&hot.transport());
   ASSERT_NE(shm, nullptr);
@@ -509,7 +524,7 @@ void expect_stress_identical(std::size_t P, Algo&& algo) {
   EXPECT_EQ(st.verified, st.words);  // every delivery checksum-clean
 }
 
-TEST(ShmStressTest, ConcurrentLargeRoundsAcrossAllFamilies) {
+TEST(ShmStressTest, ThreadedBackendAcrossAllFamilies) {
   const std::size_t P = 8, n = 24;
   auto a = linalg::random_spd(n, 13);
   auto b = linalg::random_spd(n, 17);

@@ -24,6 +24,10 @@ contract before any memcmp pin can catch them:
   wa-cast        reinterpret_cast/const_cast anywhere in src/ without an
                  adjacent memcpy (alignment/alias-safe repacking) or a
                  NOLINT justification.
+  wa-thread      std::thread/std::jthread/std::async or #include <thread>
+                 anywhere in src/ outside src/dist/backend.{hpp,cpp}:
+                 ThreadedBackend's persistent pool is the library's only
+                 thread launcher, so concurrent work runs on it.
 
 Suppression: a `NOLINT(wa-<rule>): <reason>` comment on the finding's
 line or one of the two lines above silences that rule there; the reason
@@ -40,10 +44,13 @@ from pathlib import Path
 
 # Dirs whose numeric/counter paths must be deterministic.
 DETERMINISM_DIRS = ("src/dist", "src/krylov", "src/sparse")
-# The cast rule covers the whole library.
-CAST_DIRS = ("src",)
-# The one file allowed to mutate Machine counter channels.
-COUNTER_HOME = "src/dist/machine.hpp"
+# The cast and thread rules cover the whole library.
+LIBRARY_DIRS = ("src",)
+# Files exempt from a rule: the one home of what it guards.
+RULE_HOMES = {
+    "wa-counter": ("src/dist/machine.hpp",),  # mutates counter channels
+    "wa-thread": ("src/dist/backend.hpp", "src/dist/backend.cpp"),  # the pool
+}
 
 CHANNELS = r"(?:nw|l3_read|l3_write|l2_read|l2_write)"
 
@@ -87,10 +94,20 @@ RULES = [
     ),
     (
         "wa-cast",
-        CAST_DIRS,
+        LIBRARY_DIRS,
         re.compile(r"\breinterpret_cast\b|\bconst_cast\b"),
         "reinterpret_cast/const_cast without an adjacent memcpy; repack "
         "through memcpy or add a NOLINT(wa-cast) justification",
+    ),
+    (
+        "wa-thread",
+        LIBRARY_DIRS,
+        re.compile(
+            r"\bstd\s*::\s*(?:thread|jthread|async)\b"
+            r"|^\s*#\s*include\s*<thread>"
+        ),
+        "thread launch outside src/dist/backend.{hpp,cpp}; run the work "
+        "on the ThreadedBackend pool",
     ),
 ]
 
@@ -155,7 +172,7 @@ def lint_file(root, rel, findings):
     for rule, dirs, pattern, message in RULES:
         if not any(rel_posix.startswith(d + "/") for d in dirs):
             continue
-        if rule == "wa-counter" and rel_posix == COUNTER_HOME:
+        if rel_posix in RULE_HOMES.get(rule, ()):
             continue
         for idx, line in enumerate(code_lines):
             if not pattern.search(line):
