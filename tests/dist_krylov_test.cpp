@@ -264,6 +264,95 @@ TEST(Halo2D, DiamondIsSubsetOfBoxOnRaggedMesh) {
   }
 }
 
+/// A depth-@p ghost exchange found by walking the mesh node by node:
+/// for each non-empty destination tile, every node outside it whose
+/// per-axis distances (gx, gy) to the tile satisfy max(gx, gy) <=
+/// ghost (box) or gx + gy <= ghost (diamond) is shipped by the tile
+/// owning it.  Listed by destination, then by source rank.
+std::vector<HaloTransfer> node_by_node_halo(const ProcessGrid& g,
+                                            std::size_t nx, std::size_t ny,
+                                            std::size_t ghost, bool diamond) {
+  const auto gap = [](std::size_t v, const BlockRange& t) -> std::size_t {
+    if (v < t.off) return t.off - v;
+    return v >= t.off + t.sz ? v - (t.off + t.sz) + 1 : 0;
+  };
+  std::vector<std::size_t> col_owner(nx), row_owner(ny);
+  for (std::size_t j = 0; j < g.cols(); ++j) {
+    const BlockRange t = g.col_block(nx, j);
+    for (std::size_t x = t.off; x < t.off + t.sz; ++x) col_owner[x] = j;
+  }
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    const BlockRange t = g.row_block(ny, i);
+    for (std::size_t y = t.off; y < t.off + t.sz; ++y) row_owner[y] = i;
+  }
+  std::vector<HaloTransfer> out;
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    const BlockRange ty = g.row_block(ny, g.row_of(p));
+    const BlockRange tx = g.col_block(nx, g.col_of(p));
+    if (tx.sz == 0 || ty.sz == 0) continue;
+    std::vector<std::size_t> nodes(g.size(), 0);
+    for (std::size_t y = 0; y < ny; ++y) {
+      for (std::size_t x = 0; x < nx; ++x) {
+        const std::size_t gx = gap(x, tx), gy = gap(y, ty);
+        const bool near =
+            diamond ? gx + gy <= ghost : std::max(gx, gy) <= ghost;
+        if (near && gx + gy > 0) ++nodes[g.rank(row_owner[y], col_owner[x])];
+      }
+    }
+    for (std::size_t q = 0; q < g.size(); ++q) {
+      if (nodes[q] > 0) out.push_back(HaloTransfer{q, p, nodes[q]});
+    }
+  }
+  return out;
+}
+
+TEST(Halo2D, MatchesNodeByNodeReference) {
+  // Box and diamond lists on ragged tiles, empty tiles and ghosts
+  // spanning several tiles or the whole mesh equal the node-by-node
+  // reference entry by entry, in order.  The other Halo2D tests check
+  // the diamond exactly at one interior tile and elsewhere only as a
+  // subset of the box.
+  std::size_t configs = 0, mismatches = 0;
+  const auto check = [&](const ProcessGrid& g, std::size_t nx,
+                         std::size_t ny, std::size_t ghost, bool diamond,
+                         const std::vector<HaloTransfer>& got) {
+    ++configs;
+    if (!same_transfers(got, node_by_node_halo(g, nx, ny, ghost, diamond)) &&
+        mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch: " << g.rows() << " x " << g.cols()
+                    << " grid, " << nx << " x " << ny << " mesh, ghost "
+                    << ghost << (diamond ? ", diamond" : ", box");
+    }
+  };
+  for (std::size_t pr = 1; pr <= 5; ++pr) {
+    for (std::size_t pc = 1; pc <= 5; ++pc) {
+      const ProcessGrid g(pr, pc);
+      for (std::size_t nx : {1, 2, 5, 9, 13, 17}) {
+        for (std::size_t ny : {1, 3, 4, 8, 11, 15}) {
+          for (std::size_t ghost = 0; ghost <= 9; ++ghost) {
+            check(g, nx, ny, ghost, false,
+                  halo_transfers_2d(g, nx, ny, ghost));
+            check(g, nx, ny, ghost, true,
+                  halo_transfers_2d_diamond(g, nx, ny, ghost));
+          }
+        }
+      }
+    }
+  }
+  // The linear case: 1 x P grids of an n x 1 mesh, at every depth up
+  // to past the whole mesh.
+  for (std::size_t P = 1; P <= 12; ++P) {
+    const ProcessGrid g(1, P);
+    for (std::size_t n = 0; n <= 40; ++n) {
+      for (std::size_t ghost = 0; ghost <= n + 3; ++ghost) {
+        check(g, n, 1, ghost, false, halo_transfers_2d(g, n, 1, ghost));
+        check(g, n, 1, ghost, false, halo_transfers(ProcessGrid(P), n, ghost));
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << configs << " configurations";
+}
+
 TEST(Halo2D, DiamondHaloLeavesIteratesBitwiseUnchanged) {
   // The halo list is charging geometry; the numerics read the same
   // exchanged ghosts either way.  Solving the same cross-stencil
@@ -919,24 +1008,29 @@ std::uint64_t channel_digest(const Machine& m, std::span<const double> x) {
 
 TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
   // Classical CG and both CA-CG modes on the 1-D row, 2-D box and
-  // graph partitions, then the batched solvers on the graph partition
-  // with an all-zero RHS that converges before its first step.  The
-  // other pins compare solver paths with each other; these constants
-  // pin x bits and all five per-rank channels (words and messages)
-  // against fixed values, so a refactor that moves one charge between
-  // calls, or one bit, shows here even when every path moves alike.
-  // The small streaming block makes every rank stream several chunks.
-  // The values assume IEEE doubles with no FMA contraction (the x86-64
-  // baseline codegen).
+  // graph partitions, then on explicit 1-D rows of a 2-D mesh and of a
+  // graph, then the batched solvers on the graph partition with an
+  // all-zero RHS that converges before its first step.  The other pins
+  // compare solver paths with each other; these constants pin x bits
+  // and all five per-rank channels (words and messages) against fixed
+  // values, so a refactor that moves one charge between calls, or one
+  // bit, shows here even when every path moves alike.  The small
+  // streaming block makes every rank stream several chunks.  The values
+  // assume IEEE doubles with no FMA contraction (the x86-64 baseline
+  // codegen).
   struct Case {
     sparse::Csr A;
     std::size_t P;
     unsigned seed;
+    PartitionKind kind = PartitionKind::kAuto;
   };
   const Case cases[] = {
       {sparse::stencil_1d(130, 2), 4, 101},
       {sparse::stencil_2d(20, 13, 1), 6, 103},
       {sparse::small_world_graph(150, 2, 8, 5), 6, 107},
+      {sparse::stencil_2d(20, 13, 1), 6, 113, PartitionKind::kRows1D},
+      {sparse::small_world_graph(150, 2, 8, 5), 6, 127,
+       PartitionKind::kRows1D},
   };
   CaCgOptions opt;
   opt.s = 4;
@@ -948,7 +1042,7 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
   std::vector<std::uint64_t> got;
   for (const Case& c : cases) {
     const auto prob = make_problem_2d(c.A, c.seed);
-    const auto part = make_partition(c.P, prob.A);
+    const auto part = make_partition(c.P, prob.A, c.kind);
     {
       Machine m = make_machine(c.P);
       std::vector<double> x(prob.A.n, 0.0);
@@ -970,6 +1064,17 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
   EXPECT_EQ(make_partition(6, cases[1].A)->ny(), 13u);
   const auto gpart = make_partition(6, cases[2].A);
   ASSERT_NE(gpart->graph(), nullptr);
+  // Explicit rows take the bandwidth as the radius: the s * 21-row
+  // ghost of the 2-D mesh spans several ragged blocks, and the
+  // s * 149-row ghost of the graph is the whole rest of the vector.
+  for (const std::size_t k : {3u, 4u}) {
+    const auto rows = make_partition(6, cases[k].A, cases[k].kind);
+    EXPECT_EQ(rows->ny(), 1u);
+    EXPECT_EQ(rows->graph(), nullptr);
+    EXPECT_EQ(rows->radius(), cases[k].A.bandwidth());
+  }
+  EXPECT_EQ(cases[3].A.bandwidth(), 21u);
+  EXPECT_EQ(cases[4].A.bandwidth(), 149u);
 
   {
     const sparse::Csr& A = cases[2].A;
@@ -1003,6 +1108,8 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
       0x11febc8abc197bdcull, 0xcdb43e71229a45a2ull, 0xc2fdecb2b10d16aaull,
       0x21fbe0e6bb08ec60ull, 0x90117d6fb9a2ce13ull, 0x631acd1c1ea3b86full,
       0x23d09b180096d8a1ull, 0xf4c22267772d3bb8ull, 0xdd74591e15ce2925ull,
+      0xd29c9c489db087d2ull, 0x83372fa1a0402d43ull, 0x03f2bd5d2cdec9fcull,
+      0xe9c24b2ade9dce71ull, 0x92cdcd509122d8f1ull, 0xe42587d68405954dull,
       0xd28e0a318207c959ull, 0x2a7f6e3b823d009eull, 0xa9c761cb33a7d27dull};
   ASSERT_EQ(got.size(), want.size());
 #if defined(__x86_64__)
@@ -1011,6 +1118,41 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
                                << got[k];
   }
 #endif
+}
+
+TEST(KrylovKnownAnswers, EmptyMatrixOnExplicitRows) {
+  // n = 0: explicit 1-D rows build an empty partition, and CG converges
+  // before its first step.  Only the setup's two allreduces are charged:
+  // at P = 4, 8 words in 8 messages and 4 combine writes per rank.
+  sparse::Csr A;
+  A.row_ptr = {0};
+  const std::size_t P = 4;
+  const auto part = make_partition(P, A, PartitionKind::kRows1D);
+  EXPECT_EQ(part->graph(), nullptr);
+  EXPECT_EQ(part->nodes(), 0u);
+  Machine m = make_machine(P);
+  std::vector<double> b, x;
+  const auto r = dist::cg(m, *part, A, b, x, 10, 1e-9);
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0u);
+  for (std::size_t p = 0; p < P; ++p) {
+    const ProcTraffic& t = m.proc(p);
+    EXPECT_EQ(t.nw.words, 8u) << p;
+    EXPECT_EQ(t.nw.messages, 8u) << p;
+    EXPECT_EQ(t.l2_write.words, 4u) << p;
+    EXPECT_EQ(t.l2_write.messages, 4u) << p;
+    for (const ChanCount* c : {&t.l3_read, &t.l3_write, &t.l2_read}) {
+      EXPECT_EQ(c->words, 0u) << p;
+      EXPECT_EQ(c->messages, 0u) << p;
+    }
+  }
+  // A declared but empty mesh still has no tiles to deal out.
+  sparse::Csr flat = A;
+  flat.nx = 3;
+  flat.ny = 0;
+  flat.nz = 1;
+  EXPECT_THROW(make_partition(P, flat, PartitionKind::kBlocks2D),
+               std::invalid_argument);
 }
 
 // ---- shared-memory Traffic vs. the Machine counters at P = 1 ------------

@@ -484,6 +484,8 @@ TEST(KrylovAutotuner, PlanMatchesOperatorGeometry) {
   const auto A2 = sparse::stencil_2d_cross(64, 64, 1);
   EXPECT_EQ(tuner.plan(A1, 4, 8).partition, dist::PartitionKind::kRows1D);
   EXPECT_EQ(tuner.plan(A2, 4, 8).partition, dist::PartitionKind::kBlocks2D);
+  const auto A3d = sparse::poisson_3d(16, 16, 4);
+  EXPECT_EQ(tuner.plan(A3d, 4, 8).partition, dist::PartitionKind::kBlocks2D);
   EXPECT_EQ(tuner.plan(A1, 4, 8).backend, "threaded");
   EXPECT_EQ(tuner.plan(A1, 2, 8).backend, "serial");
   // Geometry-free operators plan onto the graph partition, scored
