@@ -402,8 +402,7 @@ int main(int argc, char** argv) {
           total_msgs += m.proc(p).nw.messages;
         }
         const double w12_ps = double(pt2.l3_write.words) / bd / steps;
-        const double w12_model = cacg_batch_model_w12_per_solve_per_step(
-            nb, P, sB, mode, bsz);
+        const double w12_model = cacg_model_writes_per_step(nb, P, sB, mode);
         const double halo_ps =
             (double(pt2.nw.words) / bd - allred - setup_halo) /
             double(outers);

@@ -14,6 +14,7 @@
 
 #include "dist/backend.hpp"
 #include "dist/machine.hpp"
+#include "linalg/local_kernels.hpp"
 
 namespace wa::bench {
 
@@ -109,7 +110,7 @@ inline std::unique_ptr<dist::Transport> env_transport() {
 /// in the bench runs through it; counters are unaffected by design.
 inline linalg::KernelImpl env_kernels() {
   try {
-    const linalg::KernelImpl impl = dist::kernels_from_env();
+    const linalg::KernelImpl impl = linalg::kernels_from_env();
     linalg::set_active_kernels(impl);
     return impl;
   } catch (const std::invalid_argument& e) {

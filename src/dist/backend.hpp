@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "dist/annotations.hpp"
-#include "linalg/local_kernels.hpp"
 #include "memsim/hierarchy.hpp"
 
 namespace wa::dist {
@@ -217,15 +216,6 @@ inline std::size_t threads_from_env() {
 inline std::unique_ptr<Backend> backend_from_env() {
   const char* name = std::getenv("WA_BACKEND");
   return make_backend(name != nullptr ? name : "serial", threads_from_env());
-}
-
-/// Local-kernel implementation selected by WA_KERNELS
-/// (naive|blocked); blocked when unset.  Sits next to
-/// WA_BACKEND/WA_THREADS because the two choices compose: the backend
-/// picks who runs the local phases, WA_KERNELS picks how fast the
-/// numerics inside them go -- neither may change a single counter.
-inline linalg::KernelImpl kernels_from_env() {
-  return linalg::kernels_from_env();
 }
 
 }  // namespace wa::dist

@@ -173,27 +173,12 @@ class ProcessGrid {
     return cyclic_words(n, b, pc_, j, lo);
   }
 
-  /// All P ranks in row-major order -- the flat 1-D topology the
-  /// row-partitioned Krylov solvers treat the grid as (their
-  /// allreduce group spans every rank).
+  /// All P ranks in row-major order -- the Krylov solvers' allreduce
+  /// group, which spans every rank.
   std::vector<std::size_t> linear_group() const {
     std::vector<std::size_t> g(size());
     for (std::size_t p = 0; p < g.size(); ++p) g[p] = p;
     return g;
-  }
-
-  /// Rows [off, off+sz) of an n-row vector owned by linear rank @p p
-  /// under the balanced 1-D row partition over all P ranks.
-  BlockRange linear_block(std::size_t n, std::size_t p) const {
-    return balanced_block(n, size(), p);
-  }
-
-  /// Linear rank owning global row @p i of an n-row vector.
-  std::size_t linear_owner(std::size_t n, std::size_t i) const {
-    const std::size_t P = size();
-    const std::size_t q = n / P, r = n % P;
-    if (i < r * (q + 1)) return i / (q + 1);
-    return q == 0 ? r : r + (i - r * (q + 1)) / q;
   }
 
   /// Partition of the contraction dimension into SUMMA panels: the
@@ -222,44 +207,13 @@ class ProcessGrid {
   std::size_t pr_ = 1, pc_ = 1;
 };
 
-/// One neighbour shipment of a 1-D ghost-zone exchange: @p rows rows
-/// travel from their owner @p src to the requesting rank @p dst.
+/// One shipment of a ghost-zone exchange: @p rows mesh nodes (matrix
+/// rows) travel from their owner @p src to the requesting rank @p dst.
 struct HaloTransfer {
   std::size_t src = 0;
   std::size_t dst = 0;
   std::size_t rows = 0;
 };
-
-/// Shipments of a width-@p ghost exchange over the balanced 1-D row
-/// partition of n rows: every rank receives the @p ghost rows
-/// immediately above and below its own range from their owners
-/// (clipped at the domain edges).  A ghost zone wider than a
-/// neighbour's block spills over to the next rank, so the list is
-/// correct for any P, any n, and ghost widths spanning several
-/// blocks; ranks with empty blocks request nothing.
-inline std::vector<HaloTransfer> halo_transfers(const ProcessGrid& g,
-                                                std::size_t n,
-                                                std::size_t ghost) {
-  std::vector<HaloTransfer> out;
-  if (ghost == 0) return out;
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    const BlockRange own = g.linear_block(n, p);
-    if (own.sz == 0) continue;
-    const auto request = [&](std::size_t lo, std::size_t hi) {
-      // Split [lo, hi) by owning rank; each owner ships its overlap.
-      while (lo < hi) {
-        const std::size_t q = g.linear_owner(n, lo);
-        const BlockRange blk = g.linear_block(n, q);
-        const std::size_t end = std::min(hi, blk.off + blk.sz);
-        out.push_back(HaloTransfer{q, p, end - lo});
-        lo = end;
-      }
-    };
-    request(own.off >= ghost ? own.off - ghost : 0, own.off);
-    request(own.off + own.sz, std::min(n, own.off + own.sz + ghost));
-  }
-  return out;
-}
 
 /// Size of the intersection of half-open intervals [lo1, hi1) and
 /// [lo2, hi2).
@@ -270,8 +224,8 @@ inline std::size_t interval_overlap(std::size_t lo1, std::size_t hi1,
   return hi > lo ? hi - lo : 0;
 }
 
-/// Shipments of a depth-@p ghost exchange over the 2-D block
-/// partition of an nx-by-ny node mesh: grid rank (i, j) owns the tile
+/// Shipments of a depth-@p ghost exchange over the block partition of
+/// an nx-by-ny node mesh: grid rank (i, j) owns the tile
 /// row_block(ny, i) x col_block(nx, j), and its ghost region is the
 /// tile dilated by @p ghost nodes per side -- faces AND corners, since
 /// the powers of a (2b+1)^2 box stencil consume the full dilated box
@@ -280,11 +234,28 @@ inline std::size_t interval_overlap(std::size_t lo1, std::size_t hi1,
 /// tiles), nx/ny indivisible by the grid edges, and ghost widths
 /// spilling across several tiles; empty tiles request and ship
 /// nothing.  `rows` counts mesh nodes (a layered 3-D partition scales
-/// each shipment by its nz pencils).
+/// each shipment by its nz pencils).  A 1 x P grid over an n x 1 mesh
+/// is the balanced 1-D row split, shipping the ghost rows on either
+/// side of each block.
+///
+/// @p diamond: the stencil is a *cross* (axis offsets only, e.g. the
+/// 5-point Laplacian), whose e applications reach only nodes within
+/// Manhattan distance e, so the ghost region is the diamond gapx +
+/// gapy <= ghost around the tile (gap = per-axis distance to the
+/// tile).  The face strips equal the box's; each corner wedge shrinks
+/// from ghost^2 to ghost*(ghost-1)/2 nodes.  For radius-r cross
+/// stencils the diamond taken at ghost = s*r is a superset of the
+/// exact s-hop reach (ceil(gapx/r) + ceil(gapy/r) <= s implies gapx +
+/// gapy <= s*r), so shipping it is always safe and exact for r = 1.
+///
+/// Each mesh row y within the ghost depth of the destination tile
+/// keeps the x within w of the tile: w = ghost for the box, ghost - gapy
+/// for the diamond.
 inline std::vector<HaloTransfer> halo_transfers_2d(const ProcessGrid& g,
                                                    std::size_t nx,
                                                    std::size_t ny,
-                                                   std::size_t ghost) {
+                                                   std::size_t ghost,
+                                                   bool diamond = false) {
   std::vector<HaloTransfer> out;
   if (ghost == 0) return out;
   const std::size_t P = g.size();
@@ -295,69 +266,18 @@ inline std::vector<HaloTransfer> halo_transfers_2d(const ProcessGrid& g,
   }
   for (std::size_t p = 0; p < P; ++p) {
     if (tx[p].sz == 0 || ty[p].sz == 0) continue;
-    const std::size_t ex0 = tx[p].off >= ghost ? tx[p].off - ghost : 0;
-    const std::size_t ex1 = std::min(nx, tx[p].off + tx[p].sz + ghost);
-    const std::size_t ey0 = ty[p].off >= ghost ? ty[p].off - ghost : 0;
-    const std::size_t ey1 = std::min(ny, ty[p].off + ty[p].sz + ghost);
+    const std::size_t x0 = tx[p].off, x1 = tx[p].off + tx[p].sz;
+    const std::size_t y0 = ty[p].off, y1 = ty[p].off + ty[p].sz;
     for (std::size_t q = 0; q < P; ++q) {
-      if (q == p) continue;  // own tile is interior to the dilated box
-      const std::size_t nodes =
-          interval_overlap(ex0, ex1, tx[q].off, tx[q].off + tx[q].sz) *
-          interval_overlap(ey0, ey1, ty[q].off, ty[q].off + ty[q].sz);
-      if (nodes > 0) out.push_back(HaloTransfer{q, p, nodes});
-    }
-  }
-  return out;
-}
-
-/// Diamond variant of halo_transfers_2d for *cross* stencils (axis
-/// offsets only, e.g. the 5-point Laplacian): e applications of the
-/// stencil reach only nodes within Manhattan distance e, so a rank's
-/// depth-@p ghost region is the diamond gapx + gapy <= ghost around
-/// its tile (gap = per-axis distance to the tile), not the full
-/// dilated box.  The face strips are identical to the box variant;
-/// each corner wedge shrinks from ghost^2 to ghost*(ghost-1)/2 nodes.
-/// For radius-r cross stencils the diamond taken at ghost = s*r is a
-/// superset of the exact s-hop reach (ceil(gapx/r) + ceil(gapy/r) <=
-/// s implies gapx + gapy <= s*r), so shipping it is always safe and
-/// exact for r = 1.
-inline std::vector<HaloTransfer> halo_transfers_2d_diamond(
-    const ProcessGrid& g, std::size_t nx, std::size_t ny,
-    std::size_t ghost) {
-  std::vector<HaloTransfer> out;
-  if (ghost == 0) return out;
-  const std::size_t P = g.size();
-  std::vector<BlockRange> tx(P), ty(P);
-  for (std::size_t p = 0; p < P; ++p) {
-    ty[p] = g.row_block(ny, g.row_of(p));
-    tx[p] = g.col_block(nx, g.col_of(p));
-  }
-  const auto gap = [](std::size_t v, const BlockRange& t) -> std::size_t {
-    if (v < t.off) return t.off - v;
-    if (v >= t.off + t.sz) return v - (t.off + t.sz) + 1;
-    return 0;
-  };
-  for (std::size_t p = 0; p < P; ++p) {
-    if (tx[p].sz == 0 || ty[p].sz == 0) continue;
-    const std::size_t ex0 = tx[p].off >= ghost ? tx[p].off - ghost : 0;
-    const std::size_t ex1 = std::min(nx, tx[p].off + tx[p].sz + ghost);
-    const std::size_t ey0 = ty[p].off >= ghost ? ty[p].off - ghost : 0;
-    const std::size_t ey1 = std::min(ny, ty[p].off + ty[p].sz + ghost);
-    for (std::size_t q = 0; q < P; ++q) {
-      if (q == p) continue;
-      if (tx[q].sz == 0 || ty[q].sz == 0) continue;
-      // Intersect q's tile with p's dilated box, then keep only the
-      // nodes inside the diamond.
-      const std::size_t x0 = std::max(ex0, tx[q].off);
-      const std::size_t x1 = std::min(ex1, tx[q].off + tx[q].sz);
-      const std::size_t y0 = std::max(ey0, ty[q].off);
-      const std::size_t y1 = std::min(ey1, ty[q].off + ty[q].sz);
+      if (q == p) continue;  // own tile is interior to the ghost region
+      const std::size_t qy1 = std::min(ty[q].off + ty[q].sz, y1 + ghost);
       std::size_t nodes = 0;
-      for (std::size_t y = y0; y < y1; ++y) {
-        const std::size_t gy = gap(y, ty[p]);
-        for (std::size_t x = x0; x < x1; ++x) {
-          if (gap(x, tx[p]) + gy <= ghost) ++nodes;
-        }
+      for (std::size_t y = std::max(ty[q].off, y0 >= ghost ? y0 - ghost : 0);
+           y < qy1; ++y) {
+        const std::size_t gy = y < y0 ? y0 - y : (y >= y1 ? y - y1 + 1 : 0);
+        const std::size_t w = diamond ? ghost - gy : ghost;
+        nodes += interval_overlap(x0 >= w ? x0 - w : 0, std::min(nx, x1 + w),
+                                  tx[q].off, tx[q].off + tx[q].sz);
       }
       if (nodes > 0) out.push_back(HaloTransfer{q, p, nodes});
     }

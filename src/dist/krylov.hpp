@@ -242,17 +242,6 @@ inline double cacg_batch_model_awords_per_solve(std::size_t n, std::size_t P,
   return passes * cacg_model_awords_per_outer(n, P, s, r) / double(b);
 }
 
-/// Per-solve W12 per CG step of the batched CA-CG: FLAT in b (each
-/// solve writes its own iterates and basis columns), equal to the
-/// single-RHS closed form.  @p b is taken to make the flatness of the
-/// curve explicit at call sites.
-inline double cacg_batch_model_w12_per_solve_per_step(
-    std::size_t n, std::size_t P, std::size_t s, krylov::CaCgMode mode,
-    std::size_t b) {
-  (void)b;
-  return cacg_model_writes_per_step(n, P, s, mode);
-}
-
 /// Per-solve halo words per outer iteration: FLAT in b.  Each RHS's p
 /// and r panels ship their own ghost nodes (2 vectors, sent +
 /// received for an interior rank); batching shares the *event* (one

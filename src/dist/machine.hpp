@@ -139,12 +139,6 @@ class Machine {
 
   Backend& backend() { return *backend_; }
   const Backend& backend() const { return *backend_; }
-  void set_backend(std::unique_ptr<Backend> backend) {
-    if (backend == nullptr) {
-      throw std::invalid_argument("Machine: backend must not be null");
-    }
-    backend_ = std::move(backend);
-  }
 
   Transport& transport() { return *transport_; }
   const Transport& transport() const { return *transport_; }

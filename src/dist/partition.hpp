@@ -5,14 +5,7 @@
 // A Partition decides which mesh nodes (= matrix rows) each rank
 // owns, how wide a ghost exchange of a given depth is, and therefore
 // what every l3_read/l3_write/nw charge of the solvers is based on.
-// Three implementations:
-//
-//  * RowPartition1D -- the balanced 1-D row split all PR 4 solvers
-//    ran on.  Its halo depth is measured in *rows*, so a solver that
-//    derives the depth from the matrix bandwidth is correct for any
-//    banded matrix but degenerates on 2-D/3-D stencils: a (2b+1)^2
-//    stencil on an nx-wide mesh has 1-D bandwidth b*nx + b, and a
-//    ghost of s*bandwidth rows spans nearly the whole domain.
+// Two implementations:
 //
 //  * BlockPartition2D -- ProcessGrid tiles over the nx x ny node
 //    mesh (grid rows <-> y, grid columns <-> x), each tile carrying
@@ -20,6 +13,12 @@
 //    poisson_3d).  Ghost depth is measured in mesh nodes per axis, so
 //    the exchange ships faces + corners of width s*radius per side --
 //    Theta(s * sqrt(n/P)) words instead of Theta(s * bandwidth).
+//    The balanced 1-D row split is the same class on a 1 x P grid of
+//    the linear n x 1 x 1 pseudo-mesh, with the matrix bandwidth as
+//    its radius.  Its halo depth is then measured in *rows*: correct
+//    for any banded matrix, but degenerate on 2-D/3-D stencils, where
+//    a (2b+1)^2 stencil on an nx-wide mesh has bandwidth b*nx + b and
+//    a ghost of s*bandwidth rows spans nearly the whole domain.
 //
 //  * GraphPartition -- no geometry at all: the CSR adjacency is
 //    ordered by a deterministic BFS and sliced into P balanced
@@ -31,9 +30,9 @@
 //    to run-list iteration and sparsity-derived matrix-powers plans.
 //
 // Every box partition's owned node set, and its dilated ghost
-// region, is an axis-aligned NodeBox of the mesh; the 1-D partition
-// is the nx = n, ny = nz = 1 degenerate case, so the solvers speak
-// one box-shaped geometry for both mesh partitions.
+// region, is an axis-aligned NodeBox of the mesh; the 1-D row split
+// is the nx = n, ny = nz = 1 case, so the solvers speak one
+// box-shaped geometry for every mesh partition.
 
 #include <algorithm>
 #include <cstddef>
@@ -111,15 +110,16 @@ class Partition {
   const ProcessGrid& grid() const { return g_; }
   std::size_t ranks() const { return g_.size(); }
 
-  /// Mesh dims; nx*ny*nz == n.  The 1-D row partition views the rows
-  /// as a linear nx = n mesh whatever the matrix really is.
+  /// Mesh dims; nx*ny*nz == n.  The 1-D row split and the graph
+  /// partition view the rows as a linear nx = n mesh whatever the
+  /// matrix really is.
   virtual std::size_t nx() const = 0;
   virtual std::size_t ny() const = 0;
   virtual std::size_t nz() const = 0;
   std::size_t nodes() const { return nx() * ny() * nz(); }
 
   /// Ghost layers one matrix-power level consumes per axis (the
-  /// stencil radius; the 1-D partition uses the matrix bandwidth).
+  /// stencil radius; the 1-D row split uses the matrix bandwidth).
   virtual std::size_t radius() const = 0;
 
   /// Nodes owned by rank @p p.  The boxes of all ranks tile the mesh.
@@ -155,31 +155,6 @@ class Partition {
   ProcessGrid g_;
 };
 
-/// The balanced 1-D row split over all P ranks (PR 4 behavior).
-class RowPartition1D final : public Partition {
- public:
-  RowPartition1D(ProcessGrid g, std::size_t n, std::size_t radius)
-      : Partition(std::move(g)), n_(n),
-        radius_(std::max<std::size_t>(1, radius)) {}
-
-  std::size_t nx() const override { return n_; }
-  std::size_t ny() const override { return 1; }
-  std::size_t nz() const override { return 1; }
-  std::size_t radius() const override { return radius_; }
-
-  NodeBox owned(std::size_t p) const override {
-    const BlockRange b = grid().linear_block(n_, p);
-    return NodeBox{b.off, b.off + b.sz, 0, 1, 0, 1};
-  }
-
-  std::vector<HaloTransfer> halo(std::size_t depth) const override {
-    return halo_transfers(grid(), n_, depth);
-  }
-
- private:
-  std::size_t n_, radius_;
-};
-
 /// ProcessGrid tiles over the nx x ny mesh, each tile owning its full
 /// pencil of nz layers (see file comment).
 class BlockPartition2D final : public Partition {
@@ -188,16 +163,13 @@ class BlockPartition2D final : public Partition {
   /// only), so halo() ships the Manhattan-diamond ghost region
   /// instead of the full dilated box -- a strict subset, exact for
   /// radius-1 stencils and a safe superset of the s-hop reach
-  /// otherwise (see halo_transfers_2d_diamond).
+  /// otherwise (see halo_transfers_2d).  An empty mesh yields empty
+  /// boxes and no shipments.
   BlockPartition2D(ProcessGrid g, std::size_t mesh_nx, std::size_t mesh_ny,
                    std::size_t mesh_nz, std::size_t radius,
                    bool cross_halo = false)
       : Partition(std::move(g)), nx_(mesh_nx), ny_(mesh_ny), nz_(mesh_nz),
-        radius_(std::max<std::size_t>(1, radius)), cross_halo_(cross_halo) {
-    if (nx_ == 0 || ny_ == 0 || nz_ == 0) {
-      throw std::invalid_argument("BlockPartition2D: empty mesh");
-    }
-  }
+        radius_(std::max<std::size_t>(1, radius)), cross_halo_(cross_halo) {}
 
   std::size_t nx() const override { return nx_; }
   std::size_t ny() const override { return ny_; }
@@ -212,8 +184,7 @@ class BlockPartition2D final : public Partition {
 
   std::vector<HaloTransfer> halo(std::size_t depth) const override {
     std::vector<HaloTransfer> out =
-        cross_halo_ ? halo_transfers_2d_diamond(grid(), nx_, ny_, depth)
-                    : halo_transfers_2d(grid(), nx_, ny_, depth);
+        halo_transfers_2d(grid(), nx_, ny_, depth, cross_halo_);
     for (HaloTransfer& t : out) t.rows *= nz_;  // whole pencils travel
     return out;
   }
@@ -252,8 +223,8 @@ class GraphPartition final : public Partition {
   /// was built from, and closure()/halo() need the adjacency.
   GraphPartition(ProcessGrid g, const sparse::Csr& A);
 
-  /// Rows are viewed as a linear pseudo-mesh (like the 1-D split) so
-  /// nodes() covers the matrix; no box geometry is implied.
+  /// Rows are viewed as a linear pseudo-mesh (like the 1-D row split)
+  /// so nodes() covers the matrix; no box geometry is implied.
   std::size_t nx() const override { return n_; }
   std::size_t ny() const override { return 1; }
   std::size_t nz() const override { return 1; }
@@ -365,28 +336,33 @@ inline void check_mesh_geometry(const sparse::Csr& A) {
 }
 
 enum class PartitionKind {
-  kAuto,      ///< 2-D blocks on a 2-D/3-D mesh, 1-D rows on a 1-D
-              ///< mesh, graph partition when A has no geometry
-  kRows1D,    ///< balanced 1-D row split, bandwidth-derived halo
+  kAuto,      ///< see auto_partition_kind
+  kRows1D,    ///< BlockPartition2D on a 1 x P grid of the n x 1 x 1
+              ///< pseudo-mesh: balanced rows, bandwidth-derived halo
   kBlocks2D,  ///< 2-D tiles (layered over nz), stencil-radius halo
   kGraph      ///< BFS-sliced adjacency partition, exact s-hop halos
 };
 
-/// Partition of @p A's rows over @p P ranks.  kRows1D reproduces the
-/// PR 4 geometry exactly (halo depth = matrix bandwidth); kBlocks2D
-/// requires mesh geometry on A and picks the aspect-fitting grid;
-/// kGraph partitions the adjacency directly and works on any matrix.
-/// kAuto prefers the mesh partitions when A declares geometry and the
-/// graph partition otherwise (the old geometry-less fallback, a 1-D
-/// split with a bandwidth halo, stays reachable via explicit kRows1D).
+/// What kAuto means for a matrix declaring an nx x ny x nz mesh
+/// (nx == 0: no geometry): 2-D blocks on a 2-D/3-D mesh, 1-D rows on a
+/// 1-D mesh, the graph partition without geometry.
+inline PartitionKind auto_partition_kind(std::size_t nx, std::size_t ny,
+                                         std::size_t nz) {
+  if (nx == 0) return PartitionKind::kGraph;
+  return ny * nz > 1 ? PartitionKind::kBlocks2D : PartitionKind::kRows1D;
+}
+
+/// Partition of @p A's rows over @p P ranks.  kRows1D splits the rows
+/// into P balanced blocks with halo depth = matrix bandwidth, on any
+/// matrix, empty ones included; kBlocks2D requires a non-empty mesh
+/// declared on A and picks the aspect-fitting grid; kGraph partitions
+/// the adjacency directly and works on any matrix; kAuto picks one by
+/// auto_partition_kind.
 inline std::unique_ptr<Partition> make_partition(
     std::size_t P, const sparse::Csr& A,
     PartitionKind kind = PartitionKind::kAuto) {
-  const bool mesh2d = A.has_geometry() && A.ny * A.nz > 1;
   if (kind == PartitionKind::kAuto) {
-    kind = mesh2d ? PartitionKind::kBlocks2D
-                  : (A.has_geometry() ? PartitionKind::kRows1D
-                                      : PartitionKind::kGraph);
+    kind = auto_partition_kind(A.nx, A.ny, A.nz);
   }
   if (kind == PartitionKind::kGraph) {
     return std::make_unique<GraphPartition>(ProcessGrid(P), A);
@@ -397,12 +373,16 @@ inline std::unique_ptr<Partition> make_partition(
           "make_partition: 2-D blocks need mesh geometry on the matrix");
     }
     check_mesh_geometry(A);
+    if (A.n == 0) {
+      throw std::invalid_argument(
+          "make_partition: 2-D blocks need a non-empty mesh");
+    }
     return std::make_unique<BlockPartition2D>(best_grid_2d(P, A.nx, A.ny),
                                               A.nx, A.ny, A.nz, A.radius,
                                               A.cross);
   }
-  return std::make_unique<RowPartition1D>(
-      ProcessGrid(P), A.n, std::max<std::size_t>(1, A.bandwidth()));
+  return std::make_unique<BlockPartition2D>(ProcessGrid(1, P), A.n, 1, 1,
+                                            A.bandwidth());
 }
 
 }  // namespace wa::dist

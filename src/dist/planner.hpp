@@ -242,11 +242,12 @@ class KrylovAutotuner {
   double ghost_words(const MatrixFingerprint& fp, std::size_t P,
                      std::size_t e,
                      const std::map<std::size_t, double>& counted) const {
-    if (fp.nx == 0) {
+    const PartitionKind kind = auto_partition_kind(fp.nx, fp.ny, fp.nz);
+    if (kind == PartitionKind::kGraph) {
       const auto it = counted.find(e);
       if (it != counted.end()) return it->second;
     }
-    if (fp.nx != 0 && fp.ny * fp.nz > 1) {
+    if (kind == PartitionKind::kBlocks2D) {
       const ProcessGrid g = best_grid_2d(P, fp.nx, fp.ny);
       return fp.cross ? halo_words_2d_diamond_model(fp.nx, fp.ny, fp.nz,
                                                     g.rows(), g.cols(), e)
@@ -304,13 +305,9 @@ class KrylovAutotuner {
 
   KrylovPlan tune(const Key& key,
                   const std::map<std::size_t, double>& counted) const {
-    const bool mesh = key.fp.nx != 0 && key.fp.ny * key.fp.nz > 1;
     KrylovPlan best;
     best.algorithm = "cg";
-    best.partition = key.fp.nx == 0
-                         ? PartitionKind::kGraph
-                         : (mesh ? PartitionKind::kBlocks2D
-                                 : PartitionKind::kRows1D);
+    best.partition = auto_partition_kind(key.fp.nx, key.fp.ny, key.fp.nz);
     best.backend = key.P >= 4 ? "threaded" : "serial";
     // Dense stages riding along with the solve (e.g. blocked Gram /
     // basis assembly through the 2.5D path) deploy with the

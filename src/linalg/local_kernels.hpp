@@ -36,8 +36,8 @@
 //     under either choice.
 //
 // Selection: WA_KERNELS=naive|blocked (blocked when unset), read once
-// on first use next to WA_BACKEND/WA_THREADS (dist/backend.hpp), or
-// overridden programmatically via set_active_kernels (tests/benches).
+// on first use by kernels_from_env, or overridden programmatically via
+// set_active_kernels (tests/benches).
 
 #include "linalg/matrix.hpp"
 

@@ -129,7 +129,7 @@ TEST(GraphPartition, OwnedSetsTileTheRowsBalanced) {
     for (std::size_t p = 0; p < P; ++p) {
       const auto& own = gp.owned_rows(p);
       // Balanced exactly like the box partitions' split.
-      EXPECT_EQ(own.size(), ProcessGrid(P).linear_block(A.n, p).sz);
+      EXPECT_EQ(own.size(), balanced_block(A.n, P, p).sz);
       EXPECT_TRUE(std::is_sorted(own.begin(), own.end()));
       std::size_t run_total = 0;
       for (const auto& [lo, hi] : gp.owned_runs(p)) {

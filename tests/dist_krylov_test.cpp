@@ -58,25 +58,10 @@ Problem make_problem(std::size_t n, unsigned bw, unsigned seed) {
 
 // ---- 1-D partition + halo geometry --------------------------------------
 
-TEST(RowPartition, LinearOwnerInvertsLinearBlock) {
-  for (std::size_t P : {1, 4, 6, 7}) {
-    const ProcessGrid g(P);
-    for (std::size_t n : {1, 5, 26, 130}) {
-      for (std::size_t p = 0; p < P; ++p) {
-        const BlockRange o = g.linear_block(n, p);
-        for (std::size_t i = o.off; i < o.off + o.sz; ++i) {
-          EXPECT_EQ(g.linear_owner(n, i), p) << "n=" << n << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(Halo, TransfersClipAtDomainEdges) {
-  const ProcessGrid g(4);
   // n = 12, ghost 2: interior ranks exchange 2 rows with each
   // neighbour; the first and last rank have one one-sided zone only.
-  const auto hs = halo_transfers(g, 12, 2);
+  const auto hs = halo_transfers_2d(ProcessGrid(1, 4), 12, 1, 2);
   std::size_t total = 0;
   for (const auto& t : hs) {
     EXPECT_NE(t.src, t.dst);
@@ -87,10 +72,9 @@ TEST(Halo, TransfersClipAtDomainEdges) {
 }
 
 TEST(Halo, WideGhostSpillsAcrossSeveralRanks) {
-  const ProcessGrid g(4);
-  // n = 8 (blocks of 2), ghost 3 > block size: rank 0's lower ghost
-  // zone [2, 5) spans ranks 1 and 2.
-  const auto hs = halo_transfers(g, 8, 3);
+  // n = 8 (blocks of 2), ghost 3 > block size: rank 0's ghost zone
+  // [2, 5) spans ranks 1 and 2.
+  const auto hs = halo_transfers_2d(ProcessGrid(1, 4), 8, 1, 3);
   std::size_t to0_from1 = 0, to0_from2 = 0;
   for (const auto& t : hs) {
     if (t.dst == 0 && t.src == 1) to0_from1 += t.rows;
@@ -101,8 +85,8 @@ TEST(Halo, WideGhostSpillsAcrossSeveralRanks) {
 }
 
 TEST(Halo, EmptyForSingleRankOrZeroGhost) {
-  EXPECT_TRUE(halo_transfers(ProcessGrid(1), 100, 5).empty());
-  EXPECT_TRUE(halo_transfers(ProcessGrid(4), 100, 0).empty());
+  EXPECT_TRUE(halo_transfers_2d(ProcessGrid(1, 1), 100, 1, 5).empty());
+  EXPECT_TRUE(halo_transfers_2d(ProcessGrid(1, 4), 100, 1, 0).empty());
 }
 
 bool same_transfers(const std::vector<HaloTransfer>& got,
@@ -120,25 +104,25 @@ bool same_transfers(const std::vector<HaloTransfer>& got,
 TEST(Halo, GhostCoveringWholeDomainShipsEveryOtherBlock) {
   // ghost >= n: every rank requests the whole rest of the vector.
   // Blocks of 2 on n = 8; each rank's two zones are split by owner in
-  // ascending order, upper zone first -- pinned exactly.
-  const auto hs = halo_transfers(ProcessGrid(4), 8, 8);
+  // ascending order, the rows before its block first -- pinned exactly.
+  const auto hs = halo_transfers_2d(ProcessGrid(1, 4), 8, 1, 8);
   const std::vector<HaloTransfer> want = {
-      {1, 0, 2}, {2, 0, 2}, {3, 0, 2},   // rank 0: lower zone only
+      {1, 0, 2}, {2, 0, 2}, {3, 0, 2},   // rank 0: rows after only
       {0, 1, 2}, {2, 1, 2}, {3, 1, 2},   // rank 1: [0,2) then [4,8)
       {0, 2, 2}, {1, 2, 2}, {3, 2, 2},   // rank 2
-      {0, 3, 2}, {1, 3, 2}, {2, 3, 2}};  // rank 3: upper zone only
+      {0, 3, 2}, {1, 3, 2}, {2, 3, 2}};  // rank 3: rows before only
   EXPECT_TRUE(same_transfers(hs, want));
 }
 
 TEST(Halo, EmptyBlocksRequestAndShipNothing) {
   // n = 4 < P = 6: ranks 4 and 5 own nothing, so they appear in no
   // shipment; the populated ranks exchange single rows -- pinned.
-  const auto hs = halo_transfers(ProcessGrid(6), 4, 1);
+  const auto hs = halo_transfers_2d(ProcessGrid(1, 6), 4, 1, 1);
   const std::vector<HaloTransfer> want = {
-      {1, 0, 1},                          // rank 0: lower zone only
+      {1, 0, 1},                          // rank 0: rows after only
       {0, 1, 1}, {2, 1, 1},               // rank 1
       {1, 2, 1}, {3, 2, 1},               // rank 2
-      {2, 3, 1}};                         // rank 3: upper zone only
+      {2, 3, 1}};                         // rank 3: rows before only
   EXPECT_TRUE(same_transfers(hs, want));
 }
 
@@ -200,7 +184,7 @@ TEST(Halo2D, DiamondShipsExactWordCountForCrossStencils) {
   // total, pinned exactly against the box and the closed form.
   const ProcessGrid g(4, 4);
   const auto box = halo_transfers_2d(g, 64, 64, 4);
-  const auto dia = halo_transfers_2d_diamond(g, 64, 64, 4);
+  const auto dia = halo_transfers_2d(g, 64, 64, 4, /*diamond=*/true);
   const auto recv = [](const std::vector<HaloTransfer>& hs, std::size_t p) {
     std::size_t r = 0;
     for (const auto& t : hs) {
@@ -231,7 +215,7 @@ TEST(Halo2D, DiamondIsSubsetOfBoxOnRaggedMesh) {
   const std::size_t nx = 13, ny = 7, ghost = 3;
   const ProcessGrid g(2, 3);
   const auto box = halo_transfers_2d(g, nx, ny, ghost);
-  const auto dia = halo_transfers_2d_diamond(g, nx, ny, ghost);
+  const auto dia = halo_transfers_2d(g, nx, ny, ghost, /*diamond=*/true);
   const auto pair_rows = [](const std::vector<HaloTransfer>& hs,
                             std::size_t src, std::size_t dst) {
     std::size_t r = 0;
@@ -254,7 +238,7 @@ TEST(Halo2D, DiamondIsSubsetOfBoxOnRaggedMesh) {
   // diagonal neighbour, so purely-diagonal shipments (the box's
   // single corner node) vanish while face shipments match the box.
   const auto box1 = halo_transfers_2d(g, nx, ny, 1);
-  const auto dia1 = halo_transfers_2d_diamond(g, nx, ny, 1);
+  const auto dia1 = halo_transfers_2d(g, nx, ny, 1, /*diamond=*/true);
   for (std::size_t s = 0; s < g.size(); ++s) {
     for (std::size_t d = 0; d < g.size(); ++d) {
       const bool diag = g.row_of(s) != g.row_of(d) && g.col_of(s) != g.col_of(d);
@@ -330,10 +314,10 @@ TEST(Halo2D, MatchesNodeByNodeReference) {
       for (std::size_t nx : {1, 2, 5, 9, 13, 17}) {
         for (std::size_t ny : {1, 3, 4, 8, 11, 15}) {
           for (std::size_t ghost = 0; ghost <= 9; ++ghost) {
-            check(g, nx, ny, ghost, false,
-                  halo_transfers_2d(g, nx, ny, ghost));
-            check(g, nx, ny, ghost, true,
-                  halo_transfers_2d_diamond(g, nx, ny, ghost));
+            for (const bool diamond : {false, true}) {
+              check(g, nx, ny, ghost, diamond,
+                    halo_transfers_2d(g, nx, ny, ghost, diamond));
+            }
           }
         }
       }
@@ -346,7 +330,6 @@ TEST(Halo2D, MatchesNodeByNodeReference) {
     for (std::size_t n = 0; n <= 40; ++n) {
       for (std::size_t ghost = 0; ghost <= n + 3; ++ghost) {
         check(g, n, 1, ghost, false, halo_transfers_2d(g, n, 1, ghost));
-        check(g, n, 1, ghost, false, halo_transfers(ProcessGrid(P), n, ghost));
       }
     }
   }
@@ -468,16 +451,16 @@ TEST(Partition2D, HaloBlowupOfBandwidthDerived1DGhosts) {
   const std::size_t bw = A.bandwidth();
   EXPECT_EQ(bw, 257u);
 
-  const RowPartition1D part1(ProcessGrid(P), A.n, bw);
-  const BlockPartition2D part2(best_grid_2d(P, A.nx, A.ny), A.nx, A.ny,
-                               A.nz, A.radius);
+  const auto part1 = make_partition(P, A, PartitionKind::kRows1D);
+  const auto part2 = make_partition(P, A, PartitionKind::kBlocks2D);
   const auto max_recv = [&](const Partition& part, std::size_t depth) {
     std::vector<std::size_t> recv(P, 0);
     for (const auto& t : part.halo(depth)) recv[t.dst] += t.rows;
     return *std::max_element(recv.begin(), recv.end());
   };
-  const std::size_t r1 = max_recv(part1, s * part1.radius());
-  const std::size_t r2 = max_recv(part2, s * part2.radius());
+  EXPECT_EQ(part1->radius(), bw);
+  const std::size_t r1 = max_recv(*part1, s * part1->radius());
+  const std::size_t r2 = max_recv(*part2, s * part2->radius());
   // 1-D: 2 * 4 * 257 = 2056 clipped to n - n/P = 3840 -> 2056 rows.
   // 2-D: 16 x 16 tiles on a 1 x 16 grid, two 4 * 16 faces = 128.
   EXPECT_EQ(r2, 128u);

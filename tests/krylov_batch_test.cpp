@@ -390,10 +390,9 @@ TEST(DistBatchAmortization, CountersMatchClosedFormsAtB16) {
   // Machine-wide message total against the per-outer closed form plus
   // the one-time setup (one depth-r exchange + two allreduces).
   const double rounds0 = double(dist::Machine::bcast_rounds(P));
-  const std::size_t transfers_s =
-      dist::RowPartition1D(dist::ProcessGrid(P), n, r).halo(s * r).size();
-  const std::size_t transfers_1 =
-      dist::RowPartition1D(dist::ProcessGrid(P), n, r).halo(r).size();
+  const auto rows = dist::make_partition(P, A, dist::PartitionKind::kRows1D);
+  const std::size_t transfers_s = rows->halo(s * r).size();
+  const std::size_t transfers_1 = rows->halo(r).size();
   const double msgs_model =
       2.0 * double(transfers_1) + 2.0 * (2.0 * double(P) * rounds0) +
       outers * dist::cacg_model_network_messages_per_outer(P, transfers_s);
@@ -428,12 +427,9 @@ TEST(DistBatchAmortization, CountersMatchClosedFormsAtB16) {
   // slack absorbs the one-time setup writes.
   const double steps = outers * double(s);
   const double w12_per_solve_per_step = double(r16.l3_write) / 16.0 / steps;
-  EXPECT_LE(w12_per_solve_per_step,
-            1.3 * dist::cacg_batch_model_w12_per_solve_per_step(
-                      n, P, s, opt.mode, 16));
-  EXPECT_GE(w12_per_solve_per_step,
-            dist::cacg_batch_model_w12_per_solve_per_step(n, P, s, opt.mode,
-                                                          16));
+  const double w12_model = dist::cacg_model_writes_per_step(n, P, s, opt.mode);
+  EXPECT_LE(w12_per_solve_per_step, 1.3 * w12_model);
+  EXPECT_GE(w12_per_solve_per_step, w12_model);
 
   // Halo words per solve per outer: strip the allreduce share and the
   // one-time setup exchange from rank 1's network words, then pin the

@@ -281,8 +281,6 @@ TEST(LocalKernels, KernelsFromEnv) {
   } else {
     unsetenv("WA_KERNELS");
   }
-  // The dist-layer forwarder is the same parse.
-  EXPECT_EQ(dist::kernels_from_env(), linalg::kernels_from_env());
 }
 
 TEST(LocalKernels, SetActiveKernelsSwapsAndReturnsPrevious) {
