@@ -266,18 +266,18 @@ inline std::vector<HaloTransfer> halo_transfers_2d(const ProcessGrid& g,
   }
   for (std::size_t p = 0; p < P; ++p) {
     if (tx[p].sz == 0 || ty[p].sz == 0) continue;
-    const std::size_t x0 = tx[p].off, x1 = tx[p].off + tx[p].sz;
-    const std::size_t y0 = ty[p].off, y1 = ty[p].off + ty[p].sz;
+    const std::size_t x0 = tx[p].off, x1 = x0 + tx[p].sz;
+    const std::size_t y0 = ty[p].off, y1 = y0 + ty[p].sz;
+    const std::size_t ey0 = y0 >= ghost ? y0 - ghost : 0, ey1 = y1 + ghost;
     for (std::size_t q = 0; q < P; ++q) {
       if (q == p) continue;  // own tile is interior to the ghost region
-      const std::size_t qy1 = std::min(ty[q].off + ty[q].sz, y1 + ghost);
+      const std::size_t qy1 = std::min(ey1, ty[q].off + ty[q].sz);
       std::size_t nodes = 0;
-      for (std::size_t y = std::max(ty[q].off, y0 >= ghost ? y0 - ghost : 0);
-           y < qy1; ++y) {
-        const std::size_t gy = y < y0 ? y0 - y : (y >= y1 ? y - y1 + 1 : 0);
+      for (std::size_t y = std::max(ey0, ty[q].off); y < qy1; ++y) {
+        const std::size_t gy = y < y0 ? y0 - y : (y < y1 ? 0 : y - y1 + 1);
         const std::size_t w = diamond ? ghost - gy : ghost;
-        nodes += interval_overlap(x0 >= w ? x0 - w : 0, std::min(nx, x1 + w),
-                                  tx[q].off, tx[q].off + tx[q].sz);
+        nodes += interval_overlap(x0 >= w ? x0 - w : 0, x1 + w, tx[q].off,
+                                  tx[q].off + tx[q].sz);
       }
       if (nodes > 0) out.push_back(HaloTransfer{q, p, nodes});
     }

@@ -2,17 +2,17 @@
 // wa::dist -- the Section 8 Krylov solvers on the distributed machine.
 //
 // The matrix and all n-vectors are partitioned over the ProcessGrid's
-// ranks by a Partition (dist/partition.hpp): the balanced 1-D row
-// split, the 2-D block partition of grid-structured matrices (tiles
-// over the nx x ny mesh, layered over nz), or the GraphPartition of
-// general CSR matrices with no mesh geometry (BFS-grown owned index
-// sets with exact s-hop dependency closures from the sparsity
-// pattern).  Every outer step exchanges ghost zones of depth
+// ranks by a Partition (dist/partition.hpp): the block partition of
+// grid-structured matrices (tiles over the nx x ny mesh, layered over
+// nz), whose 1 x P case over the rows is the balanced 1-D row split,
+// or the GraphPartition of general CSR matrices with no mesh geometry
+// (BFS-grown owned index sets with exact s-hop dependency closures
+// from the sparsity pattern).  Every outer step exchanges ghost zones of depth
 // s * radius with the neighbouring ranks -- charged as point-to-point
 // sends on the Machine -- after which each rank can compute all 2s+1
 // basis columns of its own nodes locally (the matrix-powers
 // optimization: redundant flops in the ghost region instead of s
-// round-trips).  On the 1-D partition the radius is the matrix
+// round-trips).  On the 1-D row split the radius is the matrix
 // bandwidth (rows are the only geometry); on the 2-D partition it is
 // the stencil radius the sparse::Csr generators record, so the
 // exchange ships faces + corners of Theta(s*sqrt(n/P)) words instead
@@ -104,8 +104,9 @@ KrylovResult ca_cg(Machine& m, const Partition& part, const sparse::Csr& A,
                    const krylov::CaCgOptions& opt);
 
 /// Convenience front doors: partition chosen from the matrix geometry
-/// (make_partition kAuto -- 2-D blocks for mesh-generated matrices,
-/// the balanced 1-D row split otherwise) on m.nprocs() ranks.
+/// (make_partition kAuto -- 2-D blocks on 2-D/3-D meshes, 1-D rows on
+/// 1-D meshes, the graph partition on matrices without geometry) on
+/// m.nprocs() ranks.
 KrylovResult cg(Machine& m, const sparse::Csr& A, std::span<const double> b,
                 std::span<double> x, std::size_t max_iters, double tol);
 KrylovResult ca_cg(Machine& m, const sparse::Csr& A,

@@ -25,9 +25,8 @@ struct Csr {
   /// Stencil geometry carried by the mesh generators: node (x, y, z)
   /// of the nx * ny * nz Cartesian mesh is row (z*ny + y)*nx + x, and
   /// every stored entry couples nodes at most `radius` apart per
-  /// axis.  nx == 0 means the matrix did not come from a mesh (the
-  /// distributed partitions then fall back to the 1-D row split with
-  /// a bandwidth-derived halo).
+  /// axis.  nx == 0 means the matrix did not come from a mesh
+  /// (make_partition's kAuto then picks the graph partition).
   std::size_t nx = 0, ny = 0, nz = 0;
   std::size_t radius = 0;
 
