@@ -5,7 +5,9 @@
 // distributed CA-CG solvers running on owned-run iteration -- P = 1
 // bitwise-equal to the shared-memory solvers, serial-vs-threaded
 // identical, and strictly cheaper on the wire than the
-// bandwidth-derived 1-D fallback, pinned exactly from the halo lists.
+// bandwidth-derived 1-D fallback, pinned exactly from the halo lists;
+// and, on every partition kind, the halos against the rows a
+// matrix-powers basis reads.
 
 #include <gtest/gtest.h>
 
@@ -521,6 +523,105 @@ TEST(GraphPartition, ShipsFewerNetworkWordsThan1DPinnedFromHaloLists) {
   const std::uint64_t nw_1 = run(*part_1);
   EXPECT_LT(nw_g, nw_1);
   EXPECT_EQ(nw_1 - nw_g, 2 * (s1_1 - s1_g) + 4 * outers * (ss_1 - ss_g));
+}
+
+// ---- matrix-powers read sets against the shipped halos --------------------
+
+/// Global rows rank @p p owns under @p part, ascending.
+std::vector<std::size_t> rows_owned(const Partition& part, std::size_t p) {
+  if (const GraphPartition* gp = part.graph()) return gp->owned_rows(p);
+  std::vector<std::size_t> rows;
+  const NodeBox b = part.owned(p);
+  for (std::size_t z = b.z0; z < b.z1; ++z) {
+    for (std::size_t y = b.y0; y < b.y1; ++y) {
+      for (std::size_t x = b.x0; x < b.x1; ++x) {
+        rows.push_back(part.global_index(x, y, z));
+      }
+    }
+  }
+  return rows;
+}
+
+/// The matrices the matrix-powers plan tests sweep: a 1-D band, a
+/// 9-point box stencil, a 5-point cross, layered 3-D tiles and a graph.
+struct PlanMatrix {
+  sparse::Csr A;
+  bool band_1d;  // explicit rows ship exactly the read set
+};
+
+std::vector<PlanMatrix> plan_matrices() {
+  return {{sparse::stencil_1d(130, 2), true},
+          {sparse::stencil_2d(20, 13, 1), false},
+          {sparse::stencil_2d_cross(20, 13, 1), false},
+          {sparse::poisson_3d(12, 12, 4), false},
+          {sparse::small_world_graph(150, 2, 8, 5), false}};
+}
+
+TEST(MatrixPowersPlan, HalosCoverTheBasisReadSets) {
+  // The basis [p, Ap, .., A^s p, r, Ar, .., A^(s-1) r] of a rank's
+  // owned rows reads p within s hops and r within s - 1 hops.  Every
+  // such row another rank owns must travel in the basis exchange: per
+  // (src, dst) pair, at most the rows of that pair's transfers in
+  // halo(s * radius) plus halo((s - 1) * radius).  The graph halos and
+  // the radius-1 box and cross halos under kAuto ship exactly the read
+  // set; explicit 1-D rows of a mesh or a graph ship more over the
+  // sweep (row blocks spanning whole mesh lines can still match).  The
+  // closures come from GraphPartition::closure on a one-rank
+  // partition, which only walks A's pattern.
+  using Pair = std::pair<std::size_t, std::size_t>;
+  std::size_t configs = 0;
+  for (const PlanMatrix& pm : plan_matrices()) {
+    const sparse::Csr& A = pm.A;
+    const GraphPartition walk(ProcessGrid(1), A);
+    for (const PartitionKind kind :
+         {PartitionKind::kAuto, PartitionKind::kRows1D}) {
+      std::size_t sweep_read = 0, sweep_shipped = 0;
+      bool exact = true;
+      for (const std::size_t P : {4, 6, 16}) {
+        const auto part = make_partition(P, A, kind);
+        std::vector<std::vector<std::size_t>> own(P);
+        std::vector<std::size_t> owner(A.n, P);
+        for (std::size_t p = 0; p < P; ++p) {
+          own[p] = rows_owned(*part, p);
+          for (const std::size_t i : own[p]) owner[i] = p;
+        }
+        ASSERT_EQ(std::count(owner.begin(), owner.end(), P), 0);
+        exact = kind == PartitionKind::kAuto || part->graph() != nullptr ||
+                pm.band_1d;
+        for (const std::size_t s : {1, 2, 4}) {
+          ++configs;
+          std::map<Pair, std::size_t> read, shipped;
+          for (std::size_t dst = 0; dst < P; ++dst) {
+            if (own[dst].empty()) continue;
+            for (const std::size_t depth : {s, s - 1}) {
+              for (const std::size_t i : walk.closure(own[dst], depth)) {
+                if (owner[i] != dst) ++read[{owner[i], dst}];
+              }
+            }
+          }
+          for (const std::size_t depth : {s, s - 1}) {
+            for (const auto& t : part->halo(depth * part->radius())) {
+              shipped[{t.src, t.dst}] += t.rows;
+            }
+          }
+          for (const auto& [pair, rows] : read) {
+            EXPECT_LE(rows, shipped[pair])
+                << A.n << " rows, P=" << P << " s=" << s << " pair "
+                << pair.first << "->" << pair.second;
+            sweep_read += rows;
+          }
+          for (const auto& [pair, rows] : shipped) sweep_shipped += rows;
+          if (exact) {
+            EXPECT_EQ(read, shipped) << A.n << " rows, P=" << P << " s=" << s;
+          }
+        }
+      }
+      if (!exact) {
+        EXPECT_LT(sweep_read, sweep_shipped) << A.n << " rows";
+      }
+    }
+  }
+  EXPECT_EQ(configs, 5u * 2 * 3 * 3);
 }
 
 }  // namespace

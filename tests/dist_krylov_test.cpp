@@ -15,6 +15,7 @@
 #include <memory>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -607,6 +608,14 @@ struct Fnv64 {
   }
 };
 
+/// Digest of the iterate bits alone: pins the numerics apart from the
+/// counters, so a change that moves only charges leaves it unchanged.
+std::uint64_t x_digest(std::span<const double> x) {
+  Fnv64 f;
+  f.add(x);
+  return f.h;
+}
+
 /// Digest of the iterate bits and every rank's l3_write / nw words.
 std::uint64_t solve_digest(const Machine& m, std::span<const double> x) {
   Fnv64 f;
@@ -626,15 +635,18 @@ CaCgOptions known_answer_opts(CaCgMode mode) {
   return opt;
 }
 
-std::uint64_t ca_cg_digest(const sparse::Csr& A, std::size_t P,
-                           CaCgMode mode, unsigned seed) {
+/// Solve digest and x-only digest of one CA-CG solve on the 2-D tiles.
+std::pair<std::uint64_t, std::uint64_t> ca_cg_digest(const sparse::Csr& A,
+                                                     std::size_t P,
+                                                     CaCgMode mode,
+                                                     unsigned seed) {
   const auto prob = make_problem_2d(A, seed);
   const auto part = make_partition(P, prob.A);
   EXPECT_LT(part->owned(0).dx(), part->nx());  // tiles, not row slabs
   Machine m = make_machine(P);
   std::vector<double> x(prob.A.n, 0.0);
   dist::ca_cg(m, *part, prob.A, prob.b, x, known_answer_opts(mode));
-  return solve_digest(m, x);
+  return {solve_digest(m, x), x_digest(x)};
 }
 
 TEST(Partition2D, KnownAnswersOnNonLinearExtents) {
@@ -647,12 +659,16 @@ TEST(Partition2D, KnownAnswersOnNonLinearExtents) {
   // no FMA contraction (the x86-64 baseline codegen).
   const sparse::Csr mesh2 = sparse::stencil_2d(20, 13, 1);
   const sparse::Csr mesh3 = sparse::poisson_3d(12, 12, 4);
-  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> got, got_x;
+  const auto record = [&](std::pair<std::uint64_t, std::uint64_t> d) {
+    got.push_back(d.first);
+    got_x.push_back(d.second);
+  };
   for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
     for (std::size_t P : {4, 6}) {
-      got.push_back(ca_cg_digest(mesh2, P, mode, 67));
+      record(ca_cg_digest(mesh2, P, mode, 67));
     }
-    got.push_back(ca_cg_digest(mesh3, 16, mode, 71));
+    record(ca_cg_digest(mesh3, 16, mode, 71));
   }
   {
     const std::size_t P = 16, nrhs = 3, n = mesh3.n;
@@ -665,17 +681,27 @@ TEST(Partition2D, KnownAnswersOnNonLinearExtents) {
     Machine m = make_machine(P);
     dist::ca_cg_batch(m, *part, mesh3, B, X, nrhs,
                       known_answer_opts(CaCgMode::kStored));
-    got.push_back(solve_digest(m, X));
+    record({solve_digest(m, X), x_digest(X)});
   }
   const std::vector<std::uint64_t> want = {
       0x3c298fce7fa7400bull, 0x879b5c0d01a86f45ull, 0x2bd54f2684ca3f9cull,
       0x8fceb1103a309f0bull, 0xc28d8f7f8278dc21ull, 0x3a443519ed8c81bcull,
       0x4a3ebe7f28c05eb3ull};
+  // The same solves' x bits alone, recorded before the counters last
+  // moved: a change to what the basis build reads or charges must
+  // leave these as they are.
+  const std::vector<std::uint64_t> want_x = {
+      0xea5668668608ceafull, 0xa1bdde32b2081b7cull, 0x39600fab80fa9b7cull,
+      0xea5668668608ceafull, 0xa1bdde32b2081b7cull, 0x39600fab80fa9b7cull,
+      0xfc994a9e5aff20b3ull};
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got_x.size(), want_x.size());
 #if defined(__x86_64__)
   for (std::size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k], want[k]) << "case " << k << std::hex << " got 0x"
                                << got[k];
+    EXPECT_EQ(got_x[k], want_x[k]) << "case " << k << std::hex
+                                   << " x bits 0x" << got_x[k];
   }
 #endif
 
@@ -1022,7 +1048,7 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
   const double tol = 1e-9;
   const std::size_t max_iters = 500;
 
-  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> got, got_x;  // got_x: the CA-CG x bits
   for (const Case& c : cases) {
     const auto prob = make_problem_2d(c.A, c.seed);
     const auto part = make_partition(c.P, prob.A, c.kind);
@@ -1039,6 +1065,7 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
       std::vector<double> x(prob.A.n, 0.0);
       EXPECT_TRUE(dist::ca_cg(m, *part, prob.A, prob.b, x, opt).converged);
       got.push_back(channel_digest(m, x));
+      got_x.push_back(x_digest(x));
     }
   }
   // Partition kinds as named: rows, then tiles, then the graph.
@@ -1084,6 +1111,7 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
       std::vector<double> X(n * nrhs, 0.0);
       check(dist::ca_cg_batch(m, *gpart, A, B, X, nrhs, opt));
       got.push_back(channel_digest(m, X));
+      got_x.push_back(x_digest(X));
     }
   }
 
@@ -1094,11 +1122,25 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
       0xd29c9c489db087d2ull, 0x83372fa1a0402d43ull, 0x03f2bd5d2cdec9fcull,
       0xe9c24b2ade9dce71ull, 0x92cdcd509122d8f1ull, 0xe42587d68405954dull,
       0xd28e0a318207c959ull, 0x2a7f6e3b823d009eull, 0xa9c761cb33a7d27dull};
+  // The CA-CG solves' x bits alone (cases 1, 2, 4, 5, ..., 16, 17 of
+  // the list above), recorded before the counters last moved: a change
+  // to what the basis build reads or charges must leave these as they
+  // are.
+  const std::vector<std::uint64_t> want_x = {
+      0x51997893e82f94d8ull, 0x51997893e82f94d8ull, 0x3366d587b47e9438ull,
+      0x3366d587b47e9438ull, 0x865b07024cd219c1ull, 0x865b07024cd219c1ull,
+      0xdc41265ba3659d11ull, 0xdc41265ba3659d11ull, 0x889efce324dcf089ull,
+      0x889efce324dcf089ull, 0xf26a41555a7dab89ull, 0xf26a41555a7dab89ull};
   ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got_x.size(), want_x.size());
 #if defined(__x86_64__)
   for (std::size_t k = 0; k < got.size(); ++k) {
     EXPECT_EQ(got[k], want[k]) << "case " << k << std::hex << " got 0x"
                                << got[k];
+  }
+  for (std::size_t k = 0; k < got_x.size(); ++k) {
+    EXPECT_EQ(got_x[k], want_x[k]) << "CA-CG solve " << k << std::hex
+                                   << " x bits 0x" << got_x[k];
   }
 #endif
 }
