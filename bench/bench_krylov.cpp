@@ -139,8 +139,9 @@ int main(int argc, char** argv) {
   // The bandwidth-derived 1-D halo (s * bw rows, bw = b*nx + b for a
   // 2-D stencil, nx*ny for the 3-D Poisson matrix) against the 2-D
   // block partition's face+corner exchange of s * radius nodes per
-  // side.  Halo columns count the words an interior rank receives per
-  // outer iteration (2 vectors), next to the closed-form models.
+  // side.  Halo columns count the words the busiest rank receives per
+  // outer iteration (p at depth s * radius, r at (s - 1) * radius),
+  // next to the closed-form models.
   {
     const std::size_t P2 = 16, s2 = 4;
     std::printf("\nPartition sweep: bandwidth-derived 1-D halos vs 2-D "
@@ -167,12 +168,14 @@ int main(int argc, char** argv) {
 
       const auto max_recv = [&](const Partition& part) {
         std::vector<std::size_t> recv(P2, 0);
-        for (const auto& tr : part.halo(s2 * part.radius())) {
-          recv[tr.dst] += tr.rows;
+        for (const std::size_t lev : {s2, s2 - 1}) {  // p, then r
+          for (const auto& tr : part.halo(lev * part.radius())) {
+            recv[tr.dst] += tr.rows;
+          }
         }
         std::size_t mx = 0;
         for (std::size_t v : recv) mx = std::max(mx, v);
-        return 2 * mx;  // p and r travel together
+        return mx;
       };
       double halo_rows[2] = {0, 0};
       for (auto kind : {PartitionKind::kRows1D, PartitionKind::kBlocks2D}) {
@@ -181,17 +184,16 @@ int main(int argc, char** argv) {
         // Cross-pattern stencils ship the trimmed diamond halo (the
         // s-hop Manhattan ball), so their closed form differs from
         // the dense-block box model.
-        const double model_halo =
-            2.0 *
-            (blocks ? (A2.cross
-                           ? halo_words_2d_diamond_model(
-                                 A2.nx, A2.ny, A2.nz, part->grid().rows(),
-                                 part->grid().cols(), s2 * part->radius())
-                           : halo_words_2d_model(A2.nx, A2.ny, A2.nz,
-                                                 part->grid().rows(),
-                                                 part->grid().cols(),
-                                                 s2 * part->radius()))
-                    : halo_words_1d_model(A2.n, P2, s2 * part->radius()));
+        const auto model = [&](std::size_t lev) {
+          const std::size_t e = lev * part->radius();
+          if (!blocks) return halo_words_1d_model(A2.n, P2, e);
+          const std::size_t pr = part->grid().rows(), pc = part->grid().cols();
+          return A2.cross
+                     ? halo_words_2d_diamond_model(A2.nx, A2.ny, A2.nz, pr,
+                                                   pc, e)
+                     : halo_words_2d_model(A2.nx, A2.ny, A2.nz, pr, pc, e);
+        };
+        const double model_halo = model(s2) + model(s2 - 1);
         halo_rows[blocks ? 1 : 0] = double(max_recv(*part));
         for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
           Machine m2(P2, kM1, kM2, kM3, HwParams{}, bench::env_backend());
@@ -244,7 +246,8 @@ int main(int argc, char** argv) {
   // n - 1, so the 1-D ghost zone is the whole rest of the vector)
   // against the GraphPartition's exact s-hop closure counted from the
   // sparsity pattern.  "halo model" for the graph rows is the counted
-  // model 2 * max_recv_words(s) that the s-hop tests pin.
+  // model: the largest recv_words(p, s) + recv_words(p, s - 1) over the
+  // ranks (p's s-hop and r's (s-1)-hop ghosts).
   {
     const std::size_t P2 = 16, s2 = 4;
     const std::size_t ng = std::size_t(4096 * sc);
@@ -274,21 +277,32 @@ int main(int argc, char** argv) {
 
       const auto max_recv = [&](const Partition& part) {
         std::vector<std::size_t> recv(P2, 0);
-        for (const auto& tr : part.halo(s2 * part.radius())) {
-          recv[tr.dst] += tr.rows;
+        for (const std::size_t lev : {s2, s2 - 1}) {  // p, then r
+          for (const auto& tr : part.halo(lev * part.radius())) {
+            recv[tr.dst] += tr.rows;
+          }
         }
         std::size_t mx = 0;
         for (std::size_t v : recv) mx = std::max(mx, v);
-        return 2 * mx;  // p and r travel together
+        return mx;
       };
       double halo_rows[2] = {0, 0};
       for (auto kind : {PartitionKind::kRows1D, PartitionKind::kAuto}) {
         const auto part = make_partition(P2, Ag, kind);
-        const bool graph = part->graph() != nullptr;
-        const double model_halo =
-            graph ? 2.0 * double(part->graph()->max_recv_words(s2))
-                  : 2.0 * halo_words_1d_model(Ag.n, P2,
-                                              s2 * part->radius());
+        const GraphPartition* gp = part->graph();
+        const bool graph = gp != nullptr;
+        double model_halo = 0;
+        if (graph) {
+          for (std::size_t p = 0; p < P2; ++p) {
+            model_halo = std::max(
+                model_halo,
+                double(gp->recv_words(p, s2) + gp->recv_words(p, s2 - 1)));
+          }
+        } else {
+          model_halo =
+              halo_words_1d_model(Ag.n, P2, s2 * part->radius()) +
+              halo_words_1d_model(Ag.n, P2, (s2 - 1) * part->radius());
+        }
         halo_rows[graph ? 1 : 0] = double(max_recv(*part));
         for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
           Machine m2(P2, kM1, kM2, kM3, HwParams{}, bench::env_backend());
@@ -343,7 +357,8 @@ int main(int argc, char** argv) {
   // outer count (tol = 0) makes the per-solve columns line up with
   // the closed forms: W12 and halo words per solve are FLAT in b
   // (each RHS writes and ships its own panels) while the A-word
-  // stream and the message count amortize as 1/b.
+  // stream and the message count amortize as 1/b.  The halo and
+  // message columns must equal their closed forms exactly.
   {
     const std::size_t nb = std::size_t(4096 * sc);
     const std::size_t sB = 4, outers = 6;
@@ -354,14 +369,19 @@ int main(int argc, char** argv) {
     const double mm = 2.0 * double(sB) + 1.0;
     const double gram = mm * (mm + 1.0) / 2.0;
     const double ghost1 = halo_words_1d_model(nb, P, 1);
-    const double ghost_s = halo_words_1d_model(nb, P, sB);
     const std::size_t transfers1 = partb->halo(1).size();
     const std::size_t transfers_s = partb->halo(sB).size();
     // Rank-level allreduce words per solve (delta + bb at setup, Gram
     // + residual check per outer) and the one-vector setup exchange
     // are flat in b; subtracting them isolates the per-outer halo.
-    const double allred = 2.0 * rounds * (2.0 + double(outers) * (gram + 1.0));
+    const double allred_outer = 2.0 * rounds * (gram + 1.0);
+    const double allred = 2.0 * rounds * 2.0 + double(outers) * allred_outer;
     const double setup_halo = 2.0 * ghost1;
+    const double halo_model =
+        cacg_model_network_words_per_outer(P, sB,
+                                           halo_words_1d_model(nb, P, sB),
+                                           halo_words_1d_model(nb, P, sB - 1)) -
+        allred_outer;
     const double msgs_model =
         2.0 * double(transfers1) + 2.0 * (2.0 * double(P) * rounds) +
         double(outers) * cacg_model_network_messages_per_outer(P, transfers_s);
@@ -406,9 +426,11 @@ int main(int argc, char** argv) {
         const double halo_ps =
             (double(pt2.nw.words) / bd - allred - setup_halo) /
             double(outers);
-        const double halo_model =
-            cacg_batch_model_halo_words_per_solve_per_outer(ghost_s, bsz);
         const double msgs_ps = double(total_msgs) / bd;
+        if (halo_ps != halo_model || double(total_msgs) != msgs_model) {
+          bench::die("batch sweep: halo words or messages differ from "
+                     "their closed forms");
+        }
         // The shared A-stream is recoverable from two runs: reads are
         // affine in b (shared A-words + b per-RHS vector words), so
         // A = (b R(1) - R(b)) / (b - 1).

@@ -23,11 +23,6 @@ using krylov::CaCgBasis;
 using krylov::CaCgMode;
 using krylov::CaCgOptions;
 
-std::size_t rows_nnz(const sparse::Csr& A, std::size_t lo, std::size_t hi) {
-  if (hi <= lo) return 0;  // clamped-empty validity window
-  return A.row_ptr[hi] - A.row_ptr[lo];
-}
-
 /// Words each rank receives under a halo exchange, per vector.
 std::vector<std::size_t> recv_rows(const std::vector<HaloTransfer>& halos,
                                    std::size_t P) {
@@ -48,24 +43,6 @@ void for_each_run(const Partition& part, const NodeBox& b, Fn&& fn) {
     for (std::size_t y = b.y0; y < b.y1; ++y) {
       const std::size_t base = part.global_index(0, y, z);
       fn(base + b.x0, base + b.x1);
-    }
-  }
-}
-
-/// Same, with the local index of glo inside the enclosing extent box
-/// @p ebox as a third argument (the slot basis columns of the extent
-/// are stored at).
-template <class Fn>
-void for_each_run_local(const Partition& part, const NodeBox& b,
-                        const NodeBox& ebox, Fn&& fn) {
-  if (b.empty()) return;
-  const std::size_t w = ebox.dx(), h = ebox.dy();
-  for (std::size_t z = b.z0; z < b.z1; ++z) {
-    for (std::size_t y = b.y0; y < b.y1; ++y) {
-      const std::size_t base = part.global_index(0, y, z);
-      const std::size_t lbase =
-          ((z - ebox.z0) * h + (y - ebox.y0)) * w + (b.x0 - ebox.x0);
-      fn(base + b.x0, base + b.x1, lbase);
     }
   }
 }
@@ -109,7 +86,8 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 /// from GraphPartition's owned runs -- so the O(n) vector phases
 /// (setup, classical CG steps, delta recomputes) iterate one shape
 /// whatever the partition.  The CA-CG basis phases see the partition
-/// kind only through make_plan and build_basis below.
+/// kind only where make_plan below picks the streaming chunks' target
+/// rows.
 struct PartRun {
   Machine& m;
   const sparse::Csr& A;
@@ -143,7 +121,7 @@ struct PartRun {
         });
       }
       std::size_t words = 0;
-      for (const auto& [lo, hi] : runs[p]) words += rows_nnz(a, lo, hi);
+      for (const auto& [lo, hi] : runs[p]) words += a.row_ptr[hi] - a.row_ptr[lo];
       own_nnz[p] = words;
     }
   }
@@ -182,240 +160,85 @@ struct PartRun {
   }
 };
 
-/// Fill @p W with the 2s+1 basis columns over the extent box @p ebox:
-/// heads copied from p and r, then the shifted recurrence with
-/// per-level per-axis shrinking validity (basis_valid_window: nodes
-/// computable inside the extent, clamped at mesh edges, clamped empty
-/// instead of inverting).  Returns the A-words (values + cols of
-/// every computed row) the caller charges as slow reads.  One
-/// definition serves the stored phase and both streaming passes, so
-/// their arithmetic -- and the bitwise pins built on it -- cannot
-/// drift apart.  The caller's buffers are recycled (never read before
-/// being written: heads cover the whole extent, and Gram/recovery only
-/// read owned nodes, valid in every column).
-///
-/// Neighbours are gathered through an extent-local slot map: loc[j] is
-/// the slot of global row j in the extent, filled with the heads, so
-/// one loop serves 1-D, 2-D and 3-D boxes with no coordinate decode.
-/// Each row accumulates in A's stored column order, exactly the
-/// kd::row_dot / spmv sum.  Only extent rows' slots are read: a
-/// computable row's columns lie within the partition radius
-/// (check_mesh_geometry), which the validity windows shrink by per
-/// level.  The map is per-worker scratch; slots left by earlier calls
-/// are never read.
-std::uint64_t build_basis_box(const sparse::Csr& A, const Partition& part,
-                              const kd::BasisCoeffs& bc, std::size_t s,
-                              const std::vector<double>& p,
-                              const std::vector<double>& r,
-                              const NodeBox& ebox,
-                              std::vector<std::vector<double>>& W) {
-  if (A.n > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument(
-        "dist::ca_cg: box partitions need n < 2^32 (32-bit extent slots)");
-  }
-  const std::size_t mm = 2 * s + 1;
-  const std::size_t len = ebox.volume();
-  W.resize(mm);
-  for (auto& col : W) col.resize(len);
-  thread_local std::vector<std::uint32_t> loc;
-  if (loc.size() < A.n) loc.resize(A.n);
-  for_each_run_local(part, ebox, ebox,
-                     [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                       for (std::size_t i = glo; i < ghi; ++i) {
-                         const std::size_t li = lb + i - glo;
-                         W[0][li] = p[i];
-                         W[s + 1][li] = r[i];
-                         loc[i] = std::uint32_t(li);
-                       }
-                     });
-
-  const std::size_t nx = part.nx(), ny = part.ny(), nz = part.nz();
-  const std::size_t rad = part.radius();
-  std::uint64_t a_words = 0;
-  const auto advance = [&](std::size_t from, std::size_t to,
-                           std::size_t level, double theta) {
-    const BlockRange vx = basis_valid_window(ebox.x0, ebox.x1, nx, level, rad);
-    const BlockRange vy = basis_valid_window(ebox.y0, ebox.y1, ny, level, rad);
-    const BlockRange vz = basis_valid_window(ebox.z0, ebox.z1, nz, level, rad);
-    const NodeBox v{vx.off, vx.off + vx.sz, vy.off, vy.off + vy.sz,
-                    vz.off, vz.off + vz.sz};
-    if (v.empty()) return;
-    const double* fc = W[from].data();
-    double* tc = W[to].data();
-    for_each_run_local(
-        part, v, ebox,
-        [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-          for (std::size_t i = glo; i < ghi; ++i) {
-            double t = 0;
-            for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-              t += A.values[q] * fc[loc[A.col_idx[q]]];
-            }
-            tc[lb + i - glo] = (t - theta * fc[lb + i - glo]) / bc.sigma;
-          }
-          a_words += 2 * rows_nnz(A, glo, ghi);  // A values + cols
-        });
-  };
-  for (std::size_t j = 0; j < s; ++j) {
-    advance(j, j + 1, j + 1, bc.theta[j]);
-  }
-  for (std::size_t j = 0; j + 1 < s; ++j) {
-    advance(s + 1 + j, s + 1 + j + 1, j + 1, bc.theta[j]);
-  }
-  return a_words;
-}
-
-// ---- per-solve basis-chunk plans ----------------------------------------
+// ---- per-solve matrix-powers plans ------------------------------------
 //
 // Every CA-CG basis build covers one chunk: its target rows (the
 // rank's owned rows in stored mode, a ~block_rows slice of them when
-// streaming) and the extent their 2s+1 basis columns are computed
-// over.  The plan is built once per solve for both partition kinds;
-// after that only the basis build looks at the kind, and Gram
-// accumulation and recovery walk every chunk the same way.
-//
-// On a box partition the extent is the chunk box dilated by s*radius
-// (for a whole owned box exactly Partition::extended), and the target
-// runs are the chunk's mesh lines inside it.  On a GraphPartition the
-// owned sets are general index sets, so the extent is the exact s-hop
-// closure of the target rows, with a local CSR over it and the
-// per-level computable row sets read off the sparsity -- level l keeps
-// the rows whose every column lies in level l-1's set, the graph form
-// of basis_valid_window's per-axis shrink (target rows survive to
-// level s because the extent is their s-hop closure).  Both builders
-// run the same shifted recurrence accumulated in A's stored column
-// order, so at P = 1 (extent = every row, all levels full) the
-// iterates stay bitwise-identical to the shared-memory solver.
+// streaming) and the rows their basis [p, Ap, .., A^s p, r, Ar, ..,
+// A^(s-1) r] depends on.  A row's level-l value reads level l-1 at its
+// columns, so the targets' last p level needs p's level l within s-l
+// hops of the targets, and r, which stops at level s-1, needs its
+// level l within s-1-l hops.  One walk of A's pattern from the targets
+// (hop_walk) gives every row its hop count, and the plan keeps the
+// rows within k hops as runs of slots, the same way for every
+// partition kind.  The plan is built once per solve; Gram accumulation
+// and recovery then walk every chunk alike.  Each row accumulates in
+// A's stored column order, exactly the kd::row_dot / spmv sum, so at
+// P = 1 (every row a target, every level full) the iterates stay
+// bitwise-identical to the shared-memory solver.
+
+using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
 
 struct BasisChunk {
-  NodeBox ebox;  // the extent, box partitions
-  // The extent, graph partitions: its sorted global rows; a local CSR
-  // over it with full rows for level-1 rows and empty rows otherwise
-  // (rows outside level 1 are never advanced, so their columns are
-  // never read); the extent-local runs of the level-l computable set
-  // (lvl[l - 1], l = 1..s); and the A words one build reads.
-  std::vector<std::size_t> ext;
-  std::vector<std::size_t> lrp, lcols;
-  std::vector<double> lvals;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> lvl;
+  // The rows within s hops of the targets, sorted; basis slot li holds
+  // global row ext[li].
+  std::vector<std::uint32_t> ext;
+  // lvl[k], k = 0..s: the [lo, hi) slot runs of the rows within k
+  // hops.  lvl[0] is the targets; p's level l runs over lvl[s - l],
+  // r's over lvl[s - 1 - l].
+  std::vector<Runs> lvl;
+  // A words (values + cols) one build reads, and the heads the rank
+  // reads from slow memory: p over lvl[s] plus r over lvl[s - 1], owned
+  // rows only (ghosts arrive by network).
   std::uint64_t a_words = 0;
-  // Both kinds: the extent-local [lo, hi) runs of the target rows, the
-  // global row of each target row in run order, and the extent's
-  // overlap with the rank's owned rows (the p and r words read from
-  // slow memory; ghosts arrive by network).
-  std::vector<std::pair<std::size_t, std::size_t>> target;
-  std::vector<std::size_t> rows;
-  std::size_t overlap = 0;
+  std::size_t own_heads = 0;
+
+  std::size_t targets() const {
+    std::size_t t = 0;
+    for (const auto& [lo, hi] : lvl[0]) t += hi - lo;
+    return t;
+  }
 };
 
-/// Maximal contiguous [lo, hi) runs of a sorted index list.
-std::vector<std::pair<std::size_t, std::size_t>> index_runs(
-    const std::vector<std::size_t>& v) {
-  std::vector<std::pair<std::size_t, std::size_t>> rn;
-  for (std::size_t k = 0; k < v.size();) {
-    std::size_t e = k + 1;
-    while (e < v.size() && v[e] == v[e - 1] + 1) ++e;
-    rn.emplace_back(v[k], v[e - 1] + 1);
-    k = e;
-  }
-  return rn;
-}
-
-/// Chunk box @p c of owned box @p o, dilated by @p depth.
-BasisChunk box_chunk(const Partition& part, const NodeBox& o,
-                     const NodeBox& c, std::size_t depth) {
+/// The chunk of a rank owning the row runs @p own, targeting the
+/// sorted rows @p seed.
+BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
+                      const std::vector<std::size_t>& seed, std::size_t s) {
+  const HopSet hs = hop_walk(A.row_ptr, A.col_idx, seed, s);
+  const std::size_t len = hs.rows.size();
   BasisChunk ck;
-  ck.ebox = dilate_box(c, depth, part.nx(), part.ny(), part.nz());
-  for_each_run_local(part, c, ck.ebox,
-                     [&](std::size_t glo, std::size_t ghi, std::size_t lb) {
-                       ck.target.emplace_back(lb, lb + (ghi - glo));
-                       for (std::size_t i = glo; i < ghi; ++i) {
-                         ck.rows.push_back(i);
-                       }
-                     });
-  ck.overlap = box_overlap(ck.ebox, o);
-  return ck;
-}
-
-/// Chunk of rank @p rank targeting the sorted rows @p seed.
-BasisChunk graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
-                       std::size_t rank, std::vector<std::size_t> seed,
-                       std::size_t s) {
-  BasisChunk ck;
-  ck.ext = gp.closure(seed, s);
-  const std::size_t len = ck.ext.size();
-
-  std::vector<std::size_t> loc(A.n, std::size_t(-1));
-  for (std::size_t li = 0; li < len; ++li) loc[ck.ext[li]] = li;
-
-  // Local CSR and the level-1 set in one pass: a row joins level 1
-  // iff every column is inside the extent (an empty local row must
-  // not count -- membership is tested on the global pattern).
-  ck.lrp.assign(len + 1, 0);
-  std::vector<std::size_t> cur;
-  cur.reserve(len);
+  ck.ext.assign(hs.rows.begin(), hs.rows.end());
+  // Per hop count: the rows' A nonzeros and how many the rank owns
+  // (both row lists ascend, so one merge walk finds the owned ones).
+  std::vector<std::uint64_t> nnz(s + 1, 0);
+  std::vector<std::size_t> owned(s + 1, 0);
+  auto run = own.begin();
   for (std::size_t li = 0; li < len; ++li) {
-    const std::size_t i = ck.ext[li];
-    bool all_in = true;
-    for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-      if (loc[A.col_idx[q]] == std::size_t(-1)) {
-        all_in = false;
-        break;
-      }
-    }
-    if (all_in) {
-      for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-        ck.lcols.push_back(loc[A.col_idx[q]]);
-        ck.lvals.push_back(A.values[q]);
-      }
-      cur.push_back(li);
-    }
-    ck.lrp[li + 1] = ck.lcols.size();
+    const std::size_t i = hs.rows[li];
+    nnz[hs.hops[li]] += A.row_ptr[i + 1] - A.row_ptr[i];
+    while (run != own.end() && run->second <= i) ++run;
+    if (run != own.end() && run->first <= i) ++owned[hs.hops[li]];
   }
+  for (std::size_t k = 1; k <= s; ++k) {
+    nnz[k] += nnz[k - 1];
+    owned[k] += owned[k - 1];
+  }
+  for (std::size_t l = 1; l <= s; ++l) ck.a_words += 2 * nnz[s - l];
+  for (std::size_t l = 1; l < s; ++l) ck.a_words += 2 * nnz[s - 1 - l];
+  ck.own_heads = owned[s] + owned[s - 1];
 
-  ck.lvl.reserve(s);
-  std::vector<std::uint64_t> lvl_nnz;
-  std::vector<char> mem(len, 0);
-  std::vector<std::size_t> next;
-  for (std::size_t l = 1; l <= s; ++l) {
-    if (l > 1) {
-      // Shrink: level l keeps the rows of level l-1 whose columns
-      // all sit in level l-1 (local columns suffice -- the kept rows
-      // are level-1 rows, whose local rows are complete).
-      std::fill(mem.begin(), mem.end(), 0);
-      for (const std::size_t li : cur) mem[li] = 1;
-      next.clear();
-      for (const std::size_t li : cur) {
-        bool ok = true;
-        for (std::size_t q = ck.lrp[li]; q < ck.lrp[li + 1]; ++q) {
-          if (!mem[ck.lcols[q]]) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) next.push_back(li);
+  ck.lvl.resize(s + 1);
+  for (std::size_t k = 0; k <= s; ++k) {
+    for (std::size_t li = 0; li < len;) {
+      if (hs.hops[li] > k) {
+        ++li;
+        continue;
       }
-      cur.swap(next);
+      std::size_t e = li + 1;
+      while (e < len && hs.hops[e] <= k) ++e;
+      ck.lvl[k].emplace_back(li, e);
+      li = e;
     }
-    std::uint64_t nz = 0;
-    for (const std::size_t li : cur) nz += ck.lrp[li + 1] - ck.lrp[li];
-    ck.lvl.push_back(index_runs(cur));
-    lvl_nnz.push_back(nz);
-  }
-
-  // A values + cols per advance: p-chain levels 1..s, r-chain 1..s-1
-  // (the same accounting build_basis_box's advance makes per run).
-  for (std::size_t l = 1; l <= s; ++l) ck.a_words += 2 * lvl_nnz[l - 1];
-  for (std::size_t l = 1; l + 1 <= s; ++l) {
-    ck.a_words += 2 * lvl_nnz[l - 1];
-  }
-
-  std::vector<std::size_t> tloc(seed.size());
-  for (std::size_t k = 0; k < seed.size(); ++k) tloc[k] = loc[seed[k]];
-  ck.target = index_runs(tloc);  // seed and ext sorted => tloc ascending
-  ck.rows = std::move(seed);
-
-  for (const std::size_t i : ck.ext) {
-    if (gp.owner_of(i) == rank) ++ck.overlap;
   }
   return ck;
 }
@@ -425,83 +248,125 @@ BasisChunk graph_chunk(const sparse::Csr& A, const GraphPartition& gp,
 /// stored; when streaming, ~block_rows owned rows per chunk (along x
 /// on linear boxes, whole tile lines with their nz pencils along y on
 /// other boxes, slices of the owned list on graphs), so adjacent
-/// chunks re-read their extents' overlap -- the <= 2x read
+/// chunks re-read the rows their hop sets share -- the <= 2x read
 /// amplification.
 std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
                                                std::size_t s, CaCgMode mode,
                                                std::size_t block_rows) {
-  const bool stored = mode == CaCgMode::kStored;
+  if (rp.A.n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "dist::ca_cg: matrix-powers plans need n < 2^32 (32-bit basis "
+        "slots)");
+  }
   std::vector<std::vector<BasisChunk>> plan(rp.P);
   for (std::size_t p = 0; p < rp.P; ++p) {
     if (rp.own_sz[p] == 0) continue;
-    if (rp.gp != nullptr) {
+    std::vector<std::vector<std::size_t>> seeds;
+    if (mode == CaCgMode::kStored) {
+      seeds.emplace_back();
+      rp.for_runs(p, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) seeds.back().push_back(i);
+      });
+    } else if (rp.gp != nullptr) {
       const auto& own = rp.gp->owned_rows(p);
-      const std::size_t step = stored ? own.size() : block_rows;
-      for (std::size_t lo = 0; lo < own.size(); lo += step) {
-        const std::size_t hi = std::min(own.size(), lo + step);
-        plan[p].push_back(graph_chunk(
-            rp.A, *rp.gp, p, {own.begin() + lo, own.begin() + hi}, s));
+      for (std::size_t lo = 0; lo < own.size(); lo += block_rows) {
+        const std::size_t hi = std::min(own.size(), lo + block_rows);
+        seeds.emplace_back(own.begin() + lo, own.begin() + hi);
       }
-      continue;
+    } else {
+      for (const NodeBox& c :
+           stream_chunks(rp.part, rp.part.owned(p), block_rows)) {
+        seeds.emplace_back();
+        for_each_run(rp.part, c, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) seeds.back().push_back(i);
+        });
+      }
     }
-    const NodeBox o = rp.part.owned(p);
-    const std::vector<NodeBox> chunks =
-        stored ? std::vector<NodeBox>{o}
-               : stream_chunks(rp.part, o, block_rows);
-    for (const NodeBox& c : chunks) {
-      plan[p].push_back(box_chunk(rp.part, o, c, s * rp.part.radius()));
+    for (const auto& seed : seeds) {
+      plan[p].push_back(make_chunk(rp.A, rp.runs[p], seed, s));
     }
   }
   return plan;
 }
 
-/// build_basis_box's graph twin: heads gathered from p and r over the
-/// extent, then the shifted recurrence over the shrinking level runs.
-std::uint64_t build_basis_graph(const BasisChunk& ck,
-                                const kd::BasisCoeffs& bc, std::size_t s,
-                                const std::vector<double>& p,
-                                const std::vector<double>& r,
-                                std::vector<std::vector<double>>& W) {
-  const std::size_t mm = 2 * s + 1;
-  const std::size_t len = ck.ext.size();
-  W.resize(mm);
-  for (auto& col : W) col.resize(len);
-  for (std::size_t li = 0; li < len; ++li) {
-    W[0][li] = p[ck.ext[li]];
-    W[s + 1][li] = r[ck.ext[li]];
+/// The basis exchange: p's rows at depth s*radius plus r's at depth
+/// (s-1)*radius, one transfer per neighbour pair (a pair within the
+/// shallower depth is also one within the deeper).  At s = 1 r ships
+/// nothing.
+std::vector<HaloTransfer> basis_halo(const Partition& part, std::size_t s) {
+  std::vector<HaloTransfer> out = part.halo(s * part.radius());
+  for (const HaloTransfer& t : part.halo((s - 1) * part.radius())) {
+    const auto it = std::find_if(out.begin(), out.end(), [&](const auto& u) {
+      return u.src == t.src && u.dst == t.dst;
+    });
+    if (it == out.end()) {
+      throw std::logic_error("dist::ca_cg: halo depths are not nested");
+    }
+    it->rows += t.rows;
   }
+  return out;
+}
+
+/// Fill @p W with the 2s+1 basis columns of chunk @p ck: p's heads
+/// over every slot and r's over lvl[s-1], then the shifted recurrence
+/// with each level over its hop set.  Returns the A words read, which
+/// the caller charges as slow reads.  One definition serves the stored
+/// phase and both streaming passes, so their arithmetic -- and the
+/// bitwise pins built on it -- cannot drift apart.
+///
+/// Neighbours are gathered through a slot map: loc[j] is the slot of
+/// global row j, filled with the heads.  Every column of a row within
+/// k hops lies within k+1 hops, so each level reads only slots the
+/// level below wrote; the caller's buffers and the per-worker map are
+/// recycled, and what earlier calls left in them is never read
+/// (Gram and recovery read the targets only, set in every column).
+std::uint64_t build_basis(const sparse::Csr& A, const BasisChunk& ck,
+                          const kd::BasisCoeffs& bc, std::size_t s,
+                          const std::vector<double>& p,
+                          const std::vector<double>& r,
+                          std::vector<std::vector<double>>& W) {
+  const std::size_t len = ck.ext.size();
+  W.resize(2 * s + 1);
+  for (auto& col : W) col.resize(len);
+  thread_local std::vector<std::uint32_t> loc;
+  if (loc.size() < A.n) loc.resize(A.n);
+  const std::uint32_t* ext = ck.ext.data();
+  std::uint32_t* lp = loc.data();
+  double* p0 = W[0].data();
+  for (std::size_t li = 0; li < len; ++li) {
+    p0[li] = p[ext[li]];
+    lp[ext[li]] = std::uint32_t(li);
+  }
+  double* r0 = W[s + 1].data();
+  for (const auto& [lo, hi] : ck.lvl[s - 1]) {
+    for (std::size_t li = lo; li < hi; ++li) r0[li] = r[ext[li]];
+  }
+
+  const std::size_t* rptr = A.row_ptr.data();
+  const std::size_t* cols = A.col_idx.data();
+  const double* vals = A.values.data();
   const auto advance = [&](std::size_t from, std::size_t to,
-                           std::size_t level, double theta) {
+                           const Runs& rows, double theta) {
     const double* fc = W[from].data();
     double* tc = W[to].data();
-    for (const auto& [llo, lhi] : ck.lvl[level - 1]) {
-      for (std::size_t li = llo; li < lhi; ++li) {
+    for (const auto& [lo, hi] : rows) {
+      for (std::size_t li = lo; li < hi; ++li) {
+        const std::size_t i = ext[li];
         double t = 0;
-        for (std::size_t q = ck.lrp[li]; q < ck.lrp[li + 1]; ++q) {
-          t += ck.lvals[q] * fc[ck.lcols[q]];
+        for (std::size_t q = rptr[i]; q < rptr[i + 1]; ++q) {
+          t += vals[q] * fc[lp[cols[q]]];
         }
         tc[li] = (t - theta * fc[li]) / bc.sigma;
       }
     }
   };
-  for (std::size_t j = 0; j < s; ++j) {
-    advance(j, j + 1, j + 1, bc.theta[j]);
+  for (std::size_t l = 1; l <= s; ++l) {
+    advance(l - 1, l, ck.lvl[s - l], bc.theta[l - 1]);
   }
-  for (std::size_t j = 0; j + 1 < s; ++j) {
-    advance(s + 1 + j, s + 1 + j + 1, j + 1, bc.theta[j]);
+  for (std::size_t l = 1; l < s; ++l) {
+    advance(s + l, s + 1 + l, ck.lvl[s - 1 - l], bc.theta[l - 1]);
   }
   return ck.a_words;
-}
-
-/// The basis build of one chunk into @p W; returns the A words read.
-/// With make_plan, the only code that looks at the partition kind.
-std::uint64_t build_basis(const PartRun& rp, const BasisChunk& ck,
-                          const kd::BasisCoeffs& bc, std::size_t s,
-                          const std::vector<double>& p,
-                          const std::vector<double>& r,
-                          std::vector<std::vector<double>>& W) {
-  if (rp.gp != nullptr) return build_basis_graph(ck, bc, s, p, r, W);
-  return build_basis_box(rp.A, rp.part, bc, s, p, r, ck.ebox, W);
 }
 
 /// Gram partial over the chunk's target runs (one gram_upper_acc call
@@ -512,7 +377,7 @@ void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
                   const std::vector<std::vector<double>>& W) {
   std::vector<const double*> wp(mm);
   for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-  for (const auto& [llo, lhi] : ck.target) {
+  for (const auto& [llo, lhi] : ck.lvl[0]) {
     linalg::active_kernels().gram_upper_acc(gacc.a.data(), mm, wp.data(),
                                             llo, lhi);
   }
@@ -526,10 +391,9 @@ void recover(const BasisChunk& ck, std::size_t mm,
              const std::vector<double>& ph, const std::vector<double>& rh,
              const std::vector<double>& xh, std::span<double> x,
              std::vector<double>& pout, std::vector<double>& rout) {
-  std::size_t t = 0;
-  for (const auto& [llo, lhi] : ck.target) {
-    for (std::size_t li = llo; li < lhi; ++li, ++t) {
-      const std::size_t i = ck.rows[t];
+  for (const auto& [llo, lhi] : ck.lvl[0]) {
+    for (std::size_t li = llo; li < lhi; ++li) {
+      const std::size_t i = ck.ext[li];
       double np = 0, nr = 0, nx2 = x[i];
       for (std::size_t a = 0; a < mm; ++a) {
         np += W[a][li] * ph[a];
@@ -854,8 +718,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   }
   const auto halo1 = part.halo(part.radius());
   const auto recv1 = recv_rows(halo1, P);
-  const auto halo_s = part.halo(s * part.radius());
-  const auto recv_s = recv_rows(halo_s, P);
+  const auto halo_b = basis_halo(part, s);
+  const auto recv_b = recv_rows(halo_b, P);
 
   KrylovBatchResult out;
   out.rhs.resize(nrhs);
@@ -879,8 +743,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   std::vector<std::vector<double>> x_snap(nrhs), p_snap(nrhs), r_snap(nrhs);
   std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
 
-  // Per-rank scratch: the stored mode keeps every RHS's extended
-  // basis alive until recovery (rank x RHS slots); the streaming mode
+  // Per-rank scratch: the stored mode keeps every RHS's chunk basis
+  // alive until recovery (rank x RHS slots); the streaming mode
   // rebuilds chunkwise, so one basis block per rank is recycled
   // across chunks and RHS.  Gram partials are per rank per RHS.
   std::vector<std::vector<std::vector<std::vector<double>>>> Vloc(
@@ -926,10 +790,10 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
     }
 
-    // One ghost exchange of depth s*radius covers every basis column
-    // of the outer iteration (the matrix-powers optimization); one
-    // event ships the p and r panels of every active RHS together.
-    rp.exchange(halo_s, 2 * na);
+    // One ghost exchange covers every basis column of the outer
+    // iteration (the matrix-powers optimization): p at depth s*radius
+    // and r at (s-1)*radius, in one event for every active RHS.
+    rp.exchange(halo_b, na);
 
     // ---- basis + Gram: per chunk, each active RHS builds its basis
     // (one build_basis traversal of A per RHS) and accumulates its
@@ -940,16 +804,16 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // block chunk by chunk and writes nothing.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       if (rp.own_sz[rank] == 0) return;
-      detail::charge_l2_transit(h, 2 * na * recv_s[rank], m.M2(), 0);
+      detail::charge_l2_transit(h, na * recv_b[rank], m.M2(), 0);
       for (const BasisChunk& ck : plan[rank]) {
-        const std::size_t tsz = ck.rows.size();
+        const std::size_t tsz = ck.targets();
         std::uint64_t a_words = 0;  // same for every RHS: charged once
         for (const std::size_t j : act) {
           auto& W = basis_of(rank, j);
-          a_words = build_basis(rp, ck, bc, s, p[j], r[j], W);
+          a_words = build_basis(A, ck, bc, s, p[j], r[j], W);
           gram_partial(ck, gpart[rank][j], mm, W);
         }
-        detail::charge_l3_read(h, na * 2 * ck.overlap, m.M2());
+        detail::charge_l3_read(h, na * ck.own_heads, m.M2());
         if (stored) {
           detail::charge_l3_write(h, na * 2 * tsz, m.M2());  // basis heads
         }
@@ -1016,18 +880,18 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       if (rp.own_sz[rank] == 0) return;
       for (const BasisChunk& ck : plan[rank]) {
-        const std::size_t tsz = ck.rows.size();
+        const std::size_t tsz = ck.targets();
         std::uint64_t a_words = 0;
         for (const std::size_t j : act2) {
           auto& W = basis_of(rank, j);
-          if (!stored) a_words = build_basis(rp, ck, bc, s, p[j], r[j], W);
+          if (!stored) a_words = build_basis(A, ck, bc, s, p[j], r[j], W);
           recover(ck, mm, W, ph[j], rh[j], xh[j], X.subspan(j * n, n),
                   stored ? p[j] : pn[j], stored ? r[j] : rn[j]);
         }
         if (stored) {
           detail::charge_l3_read(h, na2 * (mm * tsz + tsz), m.M2());
         } else {
-          detail::charge_l3_read(h, na2 * 2 * ck.overlap, m.M2());
+          detail::charge_l3_read(h, na2 * ck.own_heads, m.M2());
           detail::charge_l3_read(h, a_words, m.M2());    // A, shared
           detail::charge_l3_read(h, na2 * tsz, m.M2());  // x
         }

@@ -7,12 +7,13 @@
 // nz), whose 1 x P case over the rows is the balanced 1-D row split,
 // or the GraphPartition of general CSR matrices with no mesh geometry
 // (BFS-grown owned index sets with exact s-hop dependency closures
-// from the sparsity pattern).  Every outer step exchanges ghost zones of depth
-// s * radius with the neighbouring ranks -- charged as point-to-point
-// sends on the Machine -- after which each rank can compute all 2s+1
-// basis columns of its own nodes locally (the matrix-powers
-// optimization: redundant flops in the ghost region instead of s
-// round-trips).  On the 1-D row split the radius is the matrix
+// from the sparsity pattern).  Every outer step exchanges ghost zones
+// with the neighbouring ranks -- p's at depth s * radius and r's at
+// (s-1) * radius, since r's chain stops at level s-1, in one
+// point-to-point send per neighbour pair on the Machine -- after which
+// each rank can compute all 2s+1 basis columns of its own nodes
+// locally (the matrix-powers optimization: redundant flops in the
+// ghost region instead of s round-trips).  On the 1-D row split the radius is the matrix
 // bandwidth (rows are the only geometry); on the 2-D partition it is
 // the stencil radius the sparse::Csr generators record, so the
 // exchange ships faces + corners of Theta(s*sqrt(n/P)) words instead
@@ -35,12 +36,12 @@
 // at b = 1 -- iterates and every counter -- by construction.  CA-CG's
 // matrix-powers work goes through a per-solve plan of basis chunks
 // (the owned rows when stored, ~block_rows slices of them when
-// streaming, each with its extent, target runs and owned overlap),
-// built the same way for box and graph partitions; only the plan and
-// the basis build itself look at the partition kind, so one
-// basis+Gram phase and one recovery phase serve both storage modes on
-// every partition.  Every allreduce carries the values it charges
-// (dot products, packed Gram triangles) as its payload.
+// streaming), each holding the rows within k hops of its targets for
+// k = 0..s, found by one walk of A's pattern on every partition kind;
+// one basis builder, one basis+Gram phase and one recovery phase
+// serve both storage modes on every partition.  Every allreduce
+// carries the values it charges (dot products, packed Gram triangles)
+// as its payload.
 //
 // The paper's W12 (words written to slow memory per CG step) maps to
 // the per-rank l3_write channel here and is partition-independent
@@ -187,19 +188,23 @@ inline double halo_words_2d_model(std::size_t nx, std::size_t ny,
   return double(nz) * (gx * gy - tx * ty);
 }
 
-/// Network words per rank per CA-CG outer iteration: the two-vector
-/// depth-(s*r) ghost exchange (received plus shipped -- symmetric for
-/// an interior rank) and the Gram + residual allreduces (reduce then
-/// bcast, each charging ceil(log2 P) rounds).  @p ghost is the
-/// per-exchange received-words count from a halo_words_*_model above,
-/// so one formula serves both partitions.
+/// Network words per rank per CA-CG outer iteration, per RHS: the
+/// basis exchange of p at depth s*r and r at depth (s-1)*r (received
+/// plus shipped -- symmetric for an interior rank) and the Gram +
+/// residual allreduces (reduce then bcast, each charging ceil(log2 P)
+/// rounds).  @p ghost_s and @p ghost_s1 are the words one exchange at
+/// depth s*r and (s-1)*r receives, from a halo_words_*_model above, so
+/// one formula serves every partition.  A batch of b RHS ships b times
+/// the halo words in the same events; the allreduces carry each RHS's
+/// values, so the per-solve value is flat in b.
 inline double cacg_model_network_words_per_outer(std::size_t P,
                                                  std::size_t s,
-                                                 double ghost) {
+                                                 double ghost_s,
+                                                 double ghost_s1) {
   const double rounds = double(Machine::bcast_rounds(P));
   const double mm = 2.0 * double(s) + 1.0;
   const double gram = mm * (mm + 1.0) / 2.0;
-  return 2.0 * 2.0 * ghost + 2.0 * rounds * (gram + 1.0);
+  return 2.0 * (ghost_s + ghost_s1) + 2.0 * rounds * (gram + 1.0);
 }
 
 // ---- batched multi-RHS amortization models ------------------------------
@@ -210,7 +215,8 @@ inline double cacg_model_network_words_per_outer(std::size_t P,
 //  * Per-RHS words -- each solve's own iterate/basis vector traffic
 //    (W12 writes, ghost words of its own panels, vector reads).
 //    These are irreducible: the per-solve curve is FLAT in b, and the
-//    batched solver's value must match the single-RHS closed forms.
+//    batched solver's value must match the single-RHS closed forms
+//    (cacg_model_writes_per_step, cacg_model_network_words_per_outer).
 //
 //  * Shared words/events -- the traversal of A's values + column
 //    indices per basis level, and the per-outer message count (one
@@ -222,15 +228,15 @@ inline double cacg_model_network_words_per_outer(std::size_t P,
 /// A-words (values + column indices) one interior rank reads per
 /// stored-mode CA-CG outer iteration on the balanced 1-D partition of
 /// a radius-@p r banded stencil: 2s-1 basis levels, each computing
-/// the owned rows plus a ghost margin that shrinks by r per level:
-///   2(2r+1) * ((2s-1) * ceil(n/P) + 2r * s(s-1)).
+/// the owned rows plus the ghost rows it depends on -- p's level l
+/// within (s-l)*r rows per side, r's within (s-1-l)*r:
+///   2(2r+1) * ((2s-1) * ceil(n/P) + 2r * (s-1)^2).
 /// Streaming mode traverses A twice (pass 1 + fused recovery pass).
 inline double cacg_model_awords_per_outer(std::size_t n, std::size_t P,
                                           std::size_t s, std::size_t r) {
   const double osz = std::ceil(double(n) / double(P));
-  const double rows =
-      (2.0 * double(s) - 1.0) * osz +
-      2.0 * double(r) * double(s) * (double(s) - 1.0);
+  const double rows = (2.0 * double(s) - 1.0) * osz +
+                      2.0 * double(r) * (double(s) - 1.0) * (double(s) - 1.0);
   return 2.0 * (2.0 * double(r) + 1.0) * rows;
 }
 
@@ -241,16 +247,6 @@ inline double cacg_batch_model_awords_per_solve(std::size_t n, std::size_t P,
                                                 std::size_t b) {
   const double passes = mode == krylov::CaCgMode::kStreaming ? 2.0 : 1.0;
   return passes * cacg_model_awords_per_outer(n, P, s, r) / double(b);
-}
-
-/// Per-solve halo words per outer iteration: FLAT in b.  Each RHS's p
-/// and r panels ship their own ghost nodes (2 vectors, sent +
-/// received for an interior rank); batching shares the *event* (one
-/// message per neighbour per outer), not the words.
-inline double cacg_batch_model_halo_words_per_solve_per_outer(double ghost,
-                                                              std::size_t b) {
-  (void)b;
-  return 2.0 * 2.0 * ghost;
 }
 
 /// Machine-wide network messages per CA-CG outer iteration,

@@ -54,28 +54,46 @@ GraphPartition::GraphPartition(ProcessGrid g, const sparse::Csr& A)
   }
 }
 
-std::vector<std::size_t> GraphPartition::closure(
-    const std::vector<std::size_t>& seed, std::size_t depth) const {
-  std::vector<char> in(n_, 0);
-  std::vector<std::size_t> out = seed;
-  std::vector<std::size_t> frontier = seed, next;
-  for (const std::size_t i : seed) in[i] = 1;
-  for (std::size_t d = 0; d < depth && !frontier.empty(); ++d) {
-    next.clear();
-    for (const std::size_t i : frontier) {
-      for (std::size_t q = rp_[i]; q < rp_[i + 1]; ++q) {
-        const std::size_t j = ci_[q];
+HopSet hop_walk(std::span<const std::size_t> row_ptr,
+                std::span<const std::size_t> col_idx,
+                const std::vector<std::size_t>& seed, std::size_t depth) {
+  const std::size_t n = row_ptr.empty() ? 0 : row_ptr.size() - 1;
+  std::vector<char> in(n, 0);
+  // (row, hops) in visit order: one FIFO frontier per hop, columns in
+  // stored order.
+  std::vector<std::pair<std::size_t, std::size_t>> found;
+  found.reserve(seed.size());
+  for (const std::size_t i : seed) {
+    in[i] = 1;
+    found.emplace_back(i, 0);
+  }
+  std::size_t head = 0;
+  for (std::size_t d = 1; d <= depth && head < found.size(); ++d) {
+    for (const std::size_t end = found.size(); head < end; ++head) {
+      const std::size_t i = found[head].first;
+      for (std::size_t q = row_ptr[i]; q < row_ptr[i + 1]; ++q) {
+        const std::size_t j = col_idx[q];
         if (!in[j]) {
           in[j] = 1;
-          out.push_back(j);
-          next.push_back(j);
+          found.emplace_back(j, d);
         }
       }
     }
-    frontier.swap(next);
   }
-  std::sort(out.begin(), out.end());
+  std::sort(found.begin(), found.end());
+  HopSet out;
+  out.rows.reserve(found.size());
+  out.hops.reserve(found.size());
+  for (const auto& [i, h] : found) {
+    out.rows.push_back(i);
+    out.hops.push_back(h);
+  }
   return out;
+}
+
+std::vector<std::size_t> GraphPartition::closure(
+    const std::vector<std::size_t>& seed, std::size_t depth) const {
+  return hop_walk(rp_, ci_, seed, depth).rows;
 }
 
 std::vector<HaloTransfer> GraphPartition::halo(std::size_t depth) const {

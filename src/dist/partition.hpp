@@ -29,14 +29,17 @@
 //    boxes; the solvers detect it via Partition::graph() and switch
 //    to run-list iteration and sparsity-derived matrix-powers plans.
 //
-// Every box partition's owned node set, and its dilated ghost
-// region, is an axis-aligned NodeBox of the mesh; the 1-D row split
-// is the nx = n, ny = nz = 1 case, so the solvers speak one
-// box-shaped geometry for every mesh partition.
+// Every box partition's owned node set is an axis-aligned NodeBox of
+// the mesh; the 1-D row split is the nx = n, ny = nz = 1 case, so the
+// solvers speak one box-shaped geometry for every mesh partition.
+// What a matrix-powers basis reads is not a box: it is the rows within
+// so many hops of the owned set, found by one walk of A's pattern
+// (hop_walk) on every partition kind.
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -57,47 +60,20 @@ struct NodeBox {
   bool empty() const { return volume() == 0; }
 };
 
-/// Node volume of the intersection of two boxes.
-inline std::size_t box_overlap(const NodeBox& a, const NodeBox& b) {
-  return interval_overlap(a.x0, a.x1, b.x0, b.x1) *
-         interval_overlap(a.y0, a.y1, b.y0, b.y1) *
-         interval_overlap(a.z0, a.z1, b.z0, b.z1);
-}
+/// Rows within some number of hops of a seed set in a CSR pattern,
+/// one hop being a step from a row to the columns it stores.
+struct HopSet {
+  std::vector<std::size_t> rows;  ///< ascending
+  std::vector<std::size_t> hops;  ///< hop count of rows[k]; 0 on the seed
+};
 
-/// @p b dilated by @p depth nodes per axis, clipped at the mesh edges
-/// (unpartitioned axes are already full, so their dilation clips
-/// away).  The one definition of ghost-region geometry: partitions
-/// and the solvers' streaming chunks both use it.
-inline NodeBox dilate_box(NodeBox b, std::size_t depth, std::size_t nx,
-                          std::size_t ny, std::size_t nz) {
-  if (b.empty()) return b;
-  b.x0 = b.x0 >= depth ? b.x0 - depth : 0;
-  b.x1 = std::min(nx, b.x1 + depth);
-  b.y0 = b.y0 >= depth ? b.y0 - depth : 0;
-  b.y1 = std::min(ny, b.y1 + depth);
-  b.z0 = b.z0 >= depth ? b.z0 - depth : 0;
-  b.z1 = std::min(nz, b.z1 + depth);
-  return b;
-}
-
-/// The sub-interval of [lo, hi) whose rows are computable at
-/// matrix-power level @p level: shrink by level*radius from every
-/// side that is not clamped at the domain edge (edge rows keep their
-/// one-sided stencils, exactly like the full-domain recurrence).
-/// The window is clamped empty instead of inverting -- once the halo
-/// depth is decoupled from the bandwidth a narrow extent can shrink
-/// past itself, and an inverted window must yield zero rows, not an
-/// underflowed unsigned range.
-inline BlockRange basis_valid_window(std::size_t lo, std::size_t hi,
-                                     std::size_t domain, std::size_t level,
-                                     std::size_t radius) {
-  const std::size_t shrink = level * radius;
-  const std::size_t vlo = lo == 0 ? 0 : lo + shrink;
-  const std::size_t vhi = hi == domain ? domain
-                                       : (hi > shrink ? hi - shrink : 0);
-  if (vhi <= vlo) return BlockRange{std::min(vlo, domain), 0};
-  return BlockRange{vlo, vhi - vlo};
-}
+/// The one breadth-first walk of a sparsity pattern: every row within
+/// @p depth hops of the duplicate-free @p seed, with its hop count.
+/// GraphPartition's closures and halos and the CA-CG matrix-powers
+/// plans (dist/krylov.cpp) all read it.
+HopSet hop_walk(std::span<const std::size_t> row_ptr,
+                std::span<const std::size_t> col_idx,
+                const std::vector<std::size_t>& seed, std::size_t depth);
 
 class GraphPartition;
 
@@ -124,12 +100,6 @@ class Partition {
 
   /// Nodes owned by rank @p p.  The boxes of all ranks tile the mesh.
   virtual NodeBox owned(std::size_t p) const = 0;
-
-  /// owned(p) dilated by @p depth ghost layers, clipped at the mesh
-  /// edges -- the extent a rank computes its basis columns over.
-  NodeBox extended(std::size_t p, std::size_t depth) const {
-    return dilate_box(owned(p), depth, nx(), ny(), nz());
-  }
 
   /// Ghost shipments of one depth-@p exchange, one word per vector
   /// element (`rows` already counts the layered nz pencils).
@@ -213,8 +183,9 @@ class BlockPartition2D final : public Partition {
 /// dependency sets.  For each destination rank the closure of its
 /// owned rows under `depth` adjacency hops is computed from the
 /// sparsity pattern, and every non-owned row in it becomes one
-/// shipped word from its owner -- exactly the rows a depth-level
-/// matrix-powers basis reads, nothing else.  This generalizes the
+/// shipped word from its owner.  CA-CG's basis reads p within s hops
+/// and r within s - 1 hops, so halo(s) for p plus halo(s - 1) for r
+/// ship exactly the rows it reads, nothing else.  This generalizes the
 /// 2-D diamond halos (which are the closure of a cross stencil) to
 /// arbitrary graphs.
 class GraphPartition final : public Partition {
@@ -260,9 +231,9 @@ class GraphPartition final : public Partition {
   std::size_t owned_count(std::size_t p) const { return owned_[p].size(); }
   std::size_t owner_of(std::size_t row) const { return owner_[row]; }
 
-  /// @p seed (sorted, duplicate-free) plus every row within @p depth
+  /// @p seed (duplicate-free) plus every row within @p depth
   /// adjacency hops of it, sorted ascending -- the rows a depth-level
-  /// matrix-powers computation on seed reads.
+  /// matrix-powers computation on seed reads (hop_walk's rows).
   std::vector<std::size_t> closure(const std::vector<std::size_t>& seed,
                                    std::size_t depth) const;
 
@@ -304,11 +275,12 @@ inline ProcessGrid best_grid_2d(std::size_t P, std::size_t nx,
 }
 
 /// Throw unless @p A's declared mesh geometry is consistent: the dims
-/// cover the matrix and every stored entry couples nodes at most
-/// `radius` apart per axis.  An under-declared radius would size the
-/// halos and validity windows too small and the basis build would
-/// read out of bounds with no diagnostic, so the front door refuses
-/// it up front (O(nnz), once per partition construction).
+/// cover the matrix, every stored entry couples nodes at most `radius`
+/// apart per axis, and a `cross` matrix couples nodes along one axis
+/// only.  An under-declared radius or a false cross flag would size
+/// the halos too small -- the basis would depend on rows the exchange
+/// never ships, with no diagnostic -- so the front door refuses them
+/// up front (O(nnz), once per partition construction).
 inline void check_mesh_geometry(const sparse::Csr& A) {
   if (A.nx * A.ny * A.nz != A.n) {
     throw std::invalid_argument(
@@ -330,6 +302,11 @@ inline void check_mesh_geometry(const sparse::Csr& A) {
         throw std::invalid_argument(
             "make_partition: matrix entries reach beyond the declared "
             "stencil radius");
+      }
+      if (A.cross && int(ix != jx) + int(iy != jy) + int(iz != jz) > 1) {
+        throw std::invalid_argument(
+            "make_partition: a cross stencil's entries must couple nodes "
+            "along one axis only");
       }
     }
   }

@@ -215,8 +215,9 @@ class KrylovAutotuner {
     ++misses_;
     std::map<std::size_t, double> counted;
     if (!A.has_geometry()) {
+      // CG's depth 1, and each candidate s's p and r depths.
       const GraphPartition gp(ProcessGrid(P), A);
-      for (const std::size_t depth : {1, 2, 4, 8, 16}) {
+      for (const std::size_t depth : {1, 2, 3, 4, 7, 8, 15, 16}) {
         counted[depth] = double(gp.max_recv_words(depth));
       }
     }
@@ -273,7 +274,6 @@ class KrylovAutotuner {
     // but every level of the graph partition's s-hop dependency still
     // advances one hop, so ghost depths scale with max(1, radius).
     const std::size_t re = std::max<std::size_t>(1, fp.radius);
-    const double r = double(re);
     if (s == 0) {  // classical CG
       const double w = cg_model_writes_per_step(fp.n, P);
       const double reads = 2.0 * nnz_rank / bd + 11.0 * osz;
@@ -285,18 +285,20 @@ class KrylovAutotuner {
     }
     const double sd = double(s);
     const double mm = 2.0 * sd + 1.0;
-    const double gram = mm * (mm + 1.0) / 2.0;
     const double passes = mode == krylov::CaCgMode::kStreaming ? 2.0 : 1.0;
     const double w = cacg_model_writes_per_step(fp.n, P, s, mode);
     // A-words per outer: each of the 2s-1 basis levels re-streams the
-    // rank's rows (values + column indices), plus the shrinking ghost
-    // margin of ~r per level per side.
+    // rank's rows (values + column indices), plus the ghost margin of
+    // the closed form -- its rows beyond (2s-1) levels of owned rows.
+    const double margin =
+        cacg_model_awords_per_outer(fp.n, P, s, re) -
+        (2.0 * sd - 1.0) * cacg_model_awords_per_outer(fp.n, P, 1, re);
     const double awords =
-        passes * ((2.0 * sd - 1.0) * 2.0 * nnz_rank +
-                  2.0 * (2.0 * r + 1.0) * 2.0 * r * sd * (sd - 1.0));
+        passes * ((2.0 * sd - 1.0) * 2.0 * nnz_rank + margin);
     const double reads = awords / bd + (2.0 * mm + 5.0) * osz;
-    const double nw = 4.0 * ghost_words(fp, P, s * re, counted) +
-                      2.0 * rounds * (gram + 1.0);
+    const double nw = cacg_model_network_words_per_outer(
+        P, s, ghost_words(fp, P, s * re, counted),
+        ghost_words(fp, P, (s - 1) * re, counted));
     const double msgs = (2.0 + 2.0 * 2.0 * rounds) / bd;
     return (hw_.beta_32 * (reads / sd) + hw_.beta_nw * (nw / sd) +
             hw_.alpha_nw * (msgs / sd)) +

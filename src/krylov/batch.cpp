@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "krylov/cacg_detail.hpp"
@@ -35,11 +36,13 @@ void check_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
 /// One streaming chunk's basis block, shared by both streaming passes:
 /// rows [elo, ehi) of the 2s+1 columns for target rows [lo, hi), where
 /// the extent adds s*bw ghost rows per side (clipped at the matrix
-/// edges).  Heads are gathered from p and r, then the shifted
-/// recurrence fills the rows computable inside the block, shrinking
-/// by bw per level except at the edges.  Charges the ghosted p and r
-/// reads and the flops; the A words only when @p charge_a (the first
-/// RHS of a chunk: one traversal serves the batch).  Returns elo.
+/// edges).  p's heads are gathered over the extent and r's, whose
+/// chain stops at level s-1, over the extent less one bw ring; then
+/// the shifted recurrence fills the rows computable inside the block,
+/// shrinking by bw per level except at the edges (r one ring ahead of
+/// p).  Charges the ghosted p and r reads and the flops; the A words
+/// only when @p charge_a (the first RHS of a chunk: one traversal
+/// serves the batch).  Returns elo.
 std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
                         std::size_t s, std::size_t bw,
                         const std::vector<double>& p,
@@ -52,17 +55,20 @@ std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
   const std::size_t ehi = std::min(n, hi + ext);
   const std::size_t len = ehi - elo;
 
+  // Rows [vlo, vhi) of the extent shrunk by @p rings bw rings.
+  const auto window = [&](std::size_t rings) {
+    return std::pair{elo == 0 ? 0 : elo + rings * bw,
+                     ehi == n ? n : ehi - rings * bw};
+  };
   W.assign(2 * s + 1, std::vector<double>(len, 0.0));
-  for (std::size_t i = 0; i < len; ++i) {
-    W[0][i] = p[elo + i];
-    W[s + 1][i] = r[elo + i];
-  }
-  t.slow_reads += 2 * len;  // ghosted p and r reads
+  for (std::size_t i = 0; i < len; ++i) W[0][i] = p[elo + i];
+  const auto [rlo, rhi] = window(1);
+  for (std::size_t i = rlo; i < rhi; ++i) W[s + 1][i - elo] = r[i];
+  t.slow_reads += len + (rhi - rlo);  // ghosted p and r reads
 
   const auto advance = [&](std::size_t col_from, std::size_t col_to,
-                           std::size_t level, double theta) {
-    const std::size_t vlo = elo == 0 ? 0 : elo + level * bw;
-    const std::size_t vhi = ehi == n ? n : ehi - level * bw;
+                           std::size_t rings, double theta) {
+    const auto [vlo, vhi] = window(rings);
     for (std::size_t i = vlo; i < vhi; ++i) {
       W[col_to][i - elo] =
           (detail::row_dot(A, i, W[col_from].data(), -std::ptrdiff_t(elo)) -
@@ -78,7 +84,7 @@ std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
     advance(lev, lev + 1, lev + 1, bc.theta[lev]);
   }
   for (std::size_t lev = 0; lev + 1 < s; ++lev) {
-    advance(s + 1 + lev, s + 1 + lev + 1, lev + 1, bc.theta[lev]);
+    advance(s + 1 + lev, s + 1 + lev + 1, lev + 2, bc.theta[lev]);
   }
   return elo;
 }

@@ -544,15 +544,18 @@ TEST_P(KrylovModelRegression2D, CaCgW12AndNetworkMatchClosedForms) {
   const double w_meas = double(m.critical_path().l3_write.words) - setup_w;
   EXPECT_NEAR(w_meas, w_model, 0.15 * w_model);
 
-  // Network: per outer, the two-vector depth-(s*r) face+corner
-  // exchange plus the Gram/residual allreduces; the setup adds one
-  // single-vector radius-deep exchange and two scalar allreduces.
+  // Network: per outer, the face+corner exchange of p at depth s*r
+  // and r at depth (s-1)*r plus the Gram/residual allreduces; the setup
+  // adds one single-vector radius-deep exchange and two scalar
+  // allreduces.
   const double ghost_s = halo_words_2d_model(64, 64, 1, 4, 4, s);
   EXPECT_DOUBLE_EQ(ghost_s, 320.0);  // 4 faces of 4*16 + 4 corners
+  const double ghost_s1 = halo_words_2d_model(64, 64, 1, 4, 4, s - 1);
+  EXPECT_DOUBLE_EQ(ghost_s1, 228.0);  // 4 faces of 3*16 + 4 corners
   const double rounds = double(Machine::bcast_rounds(P));
   const double ghost_1 = halo_words_2d_model(64, 64, 1, 4, 4, 1);
   const double nw_model =
-      outers * cacg_model_network_words_per_outer(P, s, ghost_s) +
+      outers * cacg_model_network_words_per_outer(P, s, ghost_s, ghost_s1) +
       2.0 * ghost_1 + 4.0 * rounds;
   std::uint64_t nw_meas = 0;
   for (std::size_t p = 0; p < P; ++p) {

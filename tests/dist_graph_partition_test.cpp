@@ -6,8 +6,8 @@
 // bitwise-equal to the shared-memory solvers, serial-vs-threaded
 // identical, and strictly cheaper on the wire than the
 // bandwidth-derived 1-D fallback, pinned exactly from the halo lists;
-// and, on every partition kind, the halos against the rows a
-// matrix-powers basis reads.
+// and, on every partition kind, the hop sets a matrix-powers plan
+// walks and the halos against the rows its basis reads.
 
 #include <gtest/gtest.h>
 
@@ -484,10 +484,11 @@ TEST(GraphPartition, ShipsFewerNetworkWordsThan1DPinnedFromHaloLists) {
   // charges are partition-independent (same group, same word counts),
   // and Machine::send charges both endpoints, so the total-nw gap
   // must equal exactly
-  //   2 * (S1_1d - S1_g)  +  4 * outers * (Ss_1d - Ss_g)
-  // where S1/Ss sum the transfer rows of the depth-radius setup
-  // exchange and the depth-s*radius basis exchange -- the counted
-  // s-hop model against the wire, as an integer identity.
+  //   2 * (S1_1d - S1_g)  +  2 * outers * (Sb_1d - Sb_g)
+  // where S_d sums the transfer rows of halo(d * radius), S1 is the
+  // setup exchange's and Sb = S_s + S_(s-1) the basis exchange's (p at
+  // depth s, r at depth s - 1) -- the counted s-hop model against the
+  // wire, as an integer identity.
   const auto prob = make_graph_problem(
       sparse::small_world_graph(256, 2, 4, 19), 89);
   const std::size_t P = 16, s = 4, outers = 2;
@@ -500,11 +501,14 @@ TEST(GraphPartition, ShipsFewerNetworkWordsThan1DPinnedFromHaloLists) {
     for (const auto& t : pt.halo(depth)) sum += t.rows;
     return sum;
   };
+  const auto basis_sum = [&](const Partition& pt) {
+    return halo_sum(pt, s * pt.radius()) + halo_sum(pt, (s - 1) * pt.radius());
+  };
   const std::uint64_t s1_g = halo_sum(*part_g, part_g->radius());
-  const std::uint64_t ss_g = halo_sum(*part_g, s * part_g->radius());
+  const std::uint64_t sb_g = basis_sum(*part_g);
   const std::uint64_t s1_1 = halo_sum(*part_1, part_1->radius());
-  const std::uint64_t ss_1 = halo_sum(*part_1, s * part_1->radius());
-  ASSERT_LT(ss_g, ss_1);
+  const std::uint64_t sb_1 = basis_sum(*part_1);
+  ASSERT_LT(sb_g, sb_1);
 
   const auto run = [&](const Partition& pt) {
     Machine m = make_machine(P);
@@ -522,7 +526,7 @@ TEST(GraphPartition, ShipsFewerNetworkWordsThan1DPinnedFromHaloLists) {
   const std::uint64_t nw_g = run(*part_g);
   const std::uint64_t nw_1 = run(*part_1);
   EXPECT_LT(nw_g, nw_1);
-  EXPECT_EQ(nw_1 - nw_g, 2 * (s1_1 - s1_g) + 4 * outers * (ss_1 - ss_g));
+  EXPECT_EQ(nw_1 - nw_g, 2 * (s1_1 - s1_g) + 2 * outers * (sb_1 - sb_g));
 }
 
 // ---- matrix-powers read sets against the shipped halos --------------------
@@ -555,6 +559,73 @@ std::vector<PlanMatrix> plan_matrices() {
           {sparse::stencil_2d_cross(20, 13, 1), false},
           {sparse::poisson_3d(12, 12, 4), false},
           {sparse::small_world_graph(150, 2, 8, 5), false}};
+}
+
+/// Hop distance between rows @p i and @p j of a mesh stencil, from
+/// their coordinates alone: ceil(|di| / radius) on a 1-D band, the
+/// Chebyshev distance for a radius-1 box stencil, the Manhattan
+/// distance for a radius-1 cross.
+std::size_t mesh_hops(const sparse::Csr& A, std::size_t i, std::size_t j) {
+  const auto apart = [](std::size_t a, std::size_t b) {
+    return a > b ? a - b : b - a;
+  };
+  if (A.ny * A.nz == 1) return (apart(i, j) + A.radius - 1) / A.radius;
+  const std::size_t plane = A.nx * A.ny;
+  const std::size_t dx = apart(i % A.nx, j % A.nx);
+  const std::size_t dy = apart(i % plane / A.nx, j % plane / A.nx);
+  const std::size_t dz = apart(i / plane, j / plane);
+  return A.cross ? dx + dy + dz : std::max({dx, dy, dz});
+}
+
+TEST(MatrixPowersPlan, HopSetsMatchReference) {
+  // hop_walk's rows and hop counts from every rank's owned rows equal a
+  // node-by-node reference: the nearest owned row by coordinates on the
+  // meshes, the first set-based BFS level that reaches the row on the
+  // graph.  Depths 1, 2 and 4 are the plan's s = 1, 2, 4.
+  std::size_t walks = 0;
+  for (const PlanMatrix& pm : plan_matrices()) {
+    const sparse::Csr& A = pm.A;
+    ASSERT_TRUE(!A.has_geometry() || A.radius == 1 || A.ny * A.nz == 1);
+    for (const PartitionKind kind :
+         {PartitionKind::kAuto, PartitionKind::kRows1D}) {
+      for (const std::size_t P : {4, 6, 16}) {
+        const auto part = make_partition(P, A, kind);
+        for (std::size_t p = 0; p < P; ++p) {
+          const std::vector<std::size_t> seed = rows_owned(*part, p);
+          if (seed.empty()) continue;
+          // Reference hop count of every row (n + 1: beyond depth 4).
+          std::vector<std::size_t> ref(A.n, A.n + 1);
+          if (A.has_geometry()) {
+            for (std::size_t i = 0; i < A.n; ++i) {
+              for (const std::size_t j : seed) {
+                ref[i] = std::min(ref[i], mesh_hops(A, i, j));
+              }
+            }
+          } else {
+            for (std::size_t d = 5; d-- > 0;) {
+              for (const std::size_t i : ref_closure(A, seed, d)) ref[i] = d;
+            }
+          }
+          for (const std::size_t depth : {1, 2, 4}) {
+            ++walks;
+            const HopSet hs = hop_walk(A.row_ptr, A.col_idx, seed, depth);
+            std::vector<std::size_t> rows, hops;
+            for (std::size_t i = 0; i < A.n; ++i) {
+              if (ref[i] <= depth) {
+                rows.push_back(i);
+                hops.push_back(ref[i]);
+              }
+            }
+            EXPECT_EQ(hs.rows, rows) << A.n << " rows, P=" << P << " rank "
+                                     << p << " depth " << depth;
+            EXPECT_EQ(hs.hops, hops) << A.n << " rows, P=" << P << " rank "
+                                     << p << " depth " << depth;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(walks, 5u * 2 * 3 * 3);
 }
 
 TEST(MatrixPowersPlan, HalosCoverTheBasisReadSets) {

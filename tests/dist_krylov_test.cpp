@@ -146,23 +146,6 @@ TEST(Halo2D, InteriorTileShipsFacesAndCorners) {
   EXPECT_DOUBLE_EQ(double(recv5), halo_words_2d_model(64, 64, 1, 4, 4, 4));
 }
 
-TEST(Halo2D, RaggedMeshConservesDilatedBoxVolume) {
-  // 13 x 7 mesh on a 2 x 3 grid: uneven tiles; each rank's received
-  // nodes must equal its clipped dilated box minus its own tile.
-  const std::size_t nx = 13, ny = 7, ghost = 2;
-  const ProcessGrid g(2, 3);
-  BlockPartition2D part(g, nx, ny, 1, 1);
-  const auto hs = halo_transfers_2d(g, nx, ny, ghost);
-  for (std::size_t p = 0; p < g.size(); ++p) {
-    std::size_t recv = 0;
-    for (const auto& t : hs) {
-      if (t.dst == p) recv += t.rows;
-    }
-    const NodeBox ext = part.extended(p, ghost);
-    EXPECT_EQ(recv, ext.volume() - part.owned_words(p)) << "rank " << p;
-  }
-}
-
 TEST(Halo2D, LayeredPartitionShipsWholePencils) {
   // poisson_3d-style layered tiles: every 2-D shipment carries its nz
   // mesh layers.
@@ -385,27 +368,6 @@ TEST(BestGrid2D, FitsTheMeshAspect) {
   EXPECT_EQ(long_grid.cols(), 16u);
 }
 
-TEST(BasisValidWindow, ClampsInsteadOfInverting) {
-  // Interior window that shrinks past itself: [10, 14) at level 3,
-  // radius 1 would invert to [13, 11) -- must clamp to zero rows
-  // (this is what guards rows_nnz's unsigned subtraction).
-  EXPECT_EQ(basis_valid_window(10, 14, 100, 3, 1).sz, 0u);
-  // Shrink deeper than the whole upper coordinate: no underflow.
-  EXPECT_EQ(basis_valid_window(2, 4, 100, 5, 1).sz, 0u);
-  // Domain edges stay clamped open, exactly like the full-domain
-  // recurrence (edge rows keep their one-sided stencils).
-  const BlockRange left = basis_valid_window(0, 10, 100, 2, 3);
-  EXPECT_EQ(left.off, 0u);
-  EXPECT_EQ(left.sz, 4u);  // [0, 10 - 6)
-  const BlockRange full = basis_valid_window(0, 100, 100, 7, 5);
-  EXPECT_EQ(full.off, 0u);
-  EXPECT_EQ(full.sz, 100u);
-  // Interior two-sided shrink matches the PR 4 arithmetic.
-  const BlockRange mid = basis_valid_window(20, 60, 100, 2, 4);
-  EXPECT_EQ(mid.off, 28u);
-  EXPECT_EQ(mid.sz, 24u);  // [28, 52)
-}
-
 TEST(PartitionFactory, AutoPicksGeometryAwarePartition) {
   const auto A1 = sparse::stencil_1d(64, 2);
   const auto p1 = make_partition(4, A1);
@@ -440,6 +402,18 @@ TEST(PartitionFactory, AutoPicksGeometryAwarePartition) {
   shrunk.ny = 4;  // dims no longer cover the matrix
   EXPECT_THROW(make_partition(4, shrunk, PartitionKind::kBlocks2D),
                std::invalid_argument);
+  // A false cross flag would ship the diamond while the 9-point basis
+  // reads the whole box: 416 rows at depth 4 on P = 6 against 496.
+  sparse::Csr boxy = sparse::stencil_2d(20, 13, 1);
+  boxy.cross = true;  // its corner entries couple two axes at once
+  EXPECT_THROW(make_partition(6, boxy), std::invalid_argument);
+  for (const sparse::Csr& ok :
+       {sparse::stencil_1d(20, 2), sparse::stencil_2d_cross(20, 13, 2),
+        sparse::poisson_3d(6, 5, 4)}) {
+    EXPECT_NO_THROW(make_partition(6, ok, PartitionKind::kBlocks2D));
+  }
+  EXPECT_TRUE(sparse::stencil_2d_cross(20, 13, 2).cross);
+  EXPECT_TRUE(sparse::poisson_3d(6, 5, 4).cross);
 }
 
 TEST(Partition2D, HaloBlowupOfBandwidthDerived1DGhosts) {
@@ -684,9 +658,9 @@ TEST(Partition2D, KnownAnswersOnNonLinearExtents) {
     record({solve_digest(m, X), x_digest(X)});
   }
   const std::vector<std::uint64_t> want = {
-      0x3c298fce7fa7400bull, 0x879b5c0d01a86f45ull, 0x2bd54f2684ca3f9cull,
-      0x8fceb1103a309f0bull, 0xc28d8f7f8278dc21ull, 0x3a443519ed8c81bcull,
-      0x4a3ebe7f28c05eb3ull};
+      0xae64475078fbb41full, 0xab2925ae4ff0dee4ull, 0x25dba993da2e963cull,
+      0x4c0f5834141f4207ull, 0x95a9d731900cd468ull, 0xb6f15266710a5f5cull,
+      0x02988e41a9d6cd93ull};
   // The same solves' x bits alone, recorded before the counters last
   // moved: a change to what the basis build reads or charges must
   // leave these as they are.
@@ -977,8 +951,9 @@ TEST(DistCaCg, StreamingWritesAreStoredWritesOverThetaS) {
 }
 
 TEST(DistCaCg, GhostWordsScaleWithSNotN) {
-  // The per-outer network volume of the basis exchange is 2 vectors
-  // x 2 zones x s*bw rows per interior rank -- independent of n.
+  // The per-outer network volume of the basis exchange is 2 zones of
+  // s*bw rows of p plus 2 of (s-1)*bw rows of r per interior rank --
+  // independent of n.
   const std::size_t s = 4, P = 4;
   const auto count_nw = [&](std::size_t n) {
     const auto prob = make_problem(n, 1, 31);
@@ -1116,12 +1091,12 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
   }
 
   const std::vector<std::uint64_t> want = {
-      0x11febc8abc197bdcull, 0xcdb43e71229a45a2ull, 0xc2fdecb2b10d16aaull,
-      0x21fbe0e6bb08ec60ull, 0x90117d6fb9a2ce13ull, 0x631acd1c1ea3b86full,
-      0x23d09b180096d8a1ull, 0xf4c22267772d3bb8ull, 0xdd74591e15ce2925ull,
-      0xd29c9c489db087d2ull, 0x83372fa1a0402d43ull, 0x03f2bd5d2cdec9fcull,
-      0xe9c24b2ade9dce71ull, 0x92cdcd509122d8f1ull, 0xe42587d68405954dull,
-      0xd28e0a318207c959ull, 0x2a7f6e3b823d009eull, 0xa9c761cb33a7d27dull};
+      0x11febc8abc197bdcull, 0x1b4585573adca51bull, 0x0c536decd9b8ebaaull,
+      0x21fbe0e6bb08ec60ull, 0x990c4a2daa69aecfull, 0x5f9a2e8ea9917c09ull,
+      0x23d09b180096d8a1ull, 0x4a7c663c77aa9e1dull, 0x04e6404418202137ull,
+      0xd29c9c489db087d2ull, 0x203992c092f68a5dull, 0x0c3041bdfb1a61ebull,
+      0xe9c24b2ade9dce71ull, 0xf22bb5ae2fbbfa89ull, 0xb8f8859170cb2d02ull,
+      0xd28e0a318207c959ull, 0x8ba21c672c3ae001ull, 0xf19713ba39705861ull};
   // The CA-CG solves' x bits alone (cases 1, 2, 4, 5, ..., 16, 17 of
   // the list above), recorded before the counters last moved: a change
   // to what the basis build reads or charges must leave these as they

@@ -433,21 +433,26 @@ TEST(DistBatchAmortization, CountersMatchClosedFormsAtB16) {
 
   // Halo words per solve per outer: strip the allreduce share and the
   // one-time setup exchange from rank 1's network words, then pin the
-  // remainder against the flat 4 * ghost model exactly.
+  // remainder against the flat closed form exactly -- p's ghosts at
+  // depth s*r and r's at (s-1)*r, sent and received: 2 (8 + 6) = 28.
   const double rounds = double(dist::Machine::bcast_rounds(P));
   const std::size_t mm = 2 * s + 1;
   const double gram = double(mm * (mm + 1) / 2);
   // Per solve: setup ships two allreduces of one word each, every
   // outer ships the Gram triangle + the recomputed delta.
-  const double allred_words = 2.0 * rounds * (2.0 + outers * (gram + 1.0));
+  const double allred_outer = 2.0 * rounds * (gram + 1.0);
+  const double allred_words = 2.0 * rounds * 2.0 + outers * allred_outer;
   const double setup_halo =
       2.0 * dist::halo_words_1d_model(n, P, r);  // sent + received, 1 vector
   const double halo_per_solve_per_outer =
       (double(r16.nw_words) / 16.0 - allred_words - setup_halo) / outers;
-  const double halo_model = dist::cacg_batch_model_halo_words_per_solve_per_outer(
-      dist::halo_words_1d_model(n, P, s * r), 16);
+  const double halo_model =
+      dist::cacg_model_network_words_per_outer(
+          P, s, dist::halo_words_1d_model(n, P, s * r),
+          dist::halo_words_1d_model(n, P, (s - 1) * r)) -
+      allred_outer;
   EXPECT_DOUBLE_EQ(halo_per_solve_per_outer, halo_model);
-  EXPECT_LE(halo_per_solve_per_outer, 1.3 * halo_model);
+  EXPECT_DOUBLE_EQ(halo_model, 2.0 * (2.0 * s * r + 2.0 * (s - 1) * r));
 }
 
 // ---- the request-level autotuner ----------------------------------------
