@@ -427,7 +427,9 @@ int main(int argc, char** argv) {
             (double(pt2.nw.words) / bd - allred - setup_halo) /
             double(outers);
         const double msgs_ps = double(total_msgs) / bd;
-        if (halo_ps != halo_model || double(total_msgs) != msgs_model) {
+        // The halo closed form is an interior rank's; P = 2 has none.
+        if ((P != 2 && halo_ps != halo_model) ||
+            double(total_msgs) != msgs_model) {
           bench::die("batch sweep: halo words or messages differ from "
                      "their closed forms");
         }
