@@ -121,7 +121,9 @@ struct PartRun {
         });
       }
       std::size_t words = 0;
-      for (const auto& [lo, hi] : runs[p]) words += a.row_ptr[hi] - a.row_ptr[lo];
+      for (const auto& [lo, hi] : runs[p]) {
+        words += a.row_ptr[hi] - a.row_ptr[lo];
+      }
       own_nnz[p] = words;
     }
   }

@@ -13,15 +13,15 @@
 // point-to-point send per neighbour pair on the Machine -- after which
 // each rank can compute all 2s+1 basis columns of its own nodes
 // locally (the matrix-powers optimization: redundant flops in the
-// ghost region instead of s round-trips).  On the 1-D row split the radius is the matrix
-// bandwidth (rows are the only geometry); on the 2-D partition it is
-// the stencil radius the sparse::Csr generators record, so the
-// exchange ships faces + corners of Theta(s*sqrt(n/P)) words instead
-// of the bandwidth-derived Theta(s*nx) row zones that degenerate into
-// an all-to-all on 2-D/3-D stencils; on the graph partition each
-// level is one adjacency hop, so the exchange ships exactly the
-// counted s-hop closure minus the owned set -- no geometry and no
-// bandwidth assumption at all.  Dot products and the Gram matrix
+// ghost region instead of s round-trips).  On the 1-D row split the
+// radius is the matrix bandwidth (rows are the only geometry); on the
+// 2-D partition it is the stencil radius the sparse::Csr generators
+// record, so the exchange ships faces + corners of Theta(s*sqrt(n/P))
+// words instead of the bandwidth-derived Theta(s*nx) row zones that
+// degenerate into an all-to-all on 2-D/3-D stencils; on the graph
+// partition each level is one adjacency hop, so the exchange ships
+// exactly the counted hop closures minus the owned set -- no geometry
+// and no bandwidth assumption at all.  Dot products and the Gram matrix
 // G = [P,R]^T [P,R] are per-rank partial sums combined by a
 // binomial-tree allreduce (Machine::reduce + bcast).
 //
