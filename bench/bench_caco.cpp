@@ -3,6 +3,8 @@
 // stream against shrinking caches: its DRAM write-backs grow like
 // Omega(n^3/sqrt(M)), while the cache-AWARE WA schedule re-blocked for
 // each M keeps write-backs near the output size.
+//
+// `--json PATH` writes both write-back counts per cache size.
 
 #include <cstdio>
 
@@ -45,7 +47,8 @@ std::uint64_t run_aware(std::size_t n, std::size_t cache_bytes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport report(argc, argv);
   const double sc = bench::env_scale();
   const std::size_t n = std::size_t(128 * sc);
   const std::uint64_t c_lines = n * n * 8 / 64;
@@ -60,6 +63,9 @@ int main() {
     const std::size_t bytes = kb * 1024;
     const auto co = run_co(n, bytes);
     const auto aw = run_aware(n, bytes);
+    const std::string key = "cache_" + std::to_string(kb) + "kib";
+    report.add(key, "co_writebacks", co);
+    report.add(key, "aware_writebacks", aw);
     t.row({std::to_string(kb), bench::fmt_u(co),
            bench::fmt_d(double(co) / double(c_lines)), bench::fmt_u(aw),
            bench::fmt_d(double(aw) / double(c_lines))});

@@ -2,6 +2,8 @@
 // and Strassen cannot avoid writes -- the dirty-writeback share of
 // DRAM traffic stays a constant fraction as the problem outgrows the
 // cache, while the WA matmul's share collapses to output-size.
+//
+// `--json PATH` writes DRAM reads and writes for every row.
 
 #include <cstdio>
 
@@ -23,9 +25,18 @@ using cachesim::CacheHierarchy;
 using cachesim::LevelConfig;
 using cachesim::Policy;
 
+/// Records one row's DRAM counters as case "<alg>_n<size>".
+void record(bench::JsonReport& report, const std::string& alg, std::size_t n,
+            const CacheHierarchy& sim) {
+  const std::string key = alg + "_n" + std::to_string(n);
+  report.add(key, "dram_reads", sim.dram_fills());
+  report.add(key, "dram_writes", sim.dram_writebacks());
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport report(argc, argv);
   const double sc = bench::env_scale();
   const std::size_t fast_bytes = std::size_t(8 * 1024 * sc);
 
@@ -43,6 +54,7 @@ int main() {
     for (std::size_t i = 0; i < n; ++i) x.raw()[i] = {double(i % 11), 0.0};
     core::traced_fft(x);
     sim.flush();
+    record(report, "fft", n, sim);
     t.row({"FFT (d=2)", std::to_string(n), bench::fmt_u(sim.dram_fills()),
            bench::fmt_u(sim.dram_writebacks()),
            bench::fmt_d(double(sim.dram_writebacks()) /
@@ -59,6 +71,7 @@ int main() {
     linalg::fill_random(b.raw(), 2);
     core::traced_strassen(c, a, b, sim, as, 16);
     sim.flush();
+    record(report, "strassen", n, sim);
     t.row({"Strassen (d=4)", std::to_string(n),
            bench::fmt_u(sim.dram_fills()),
            bench::fmt_u(sim.dram_writebacks()),
@@ -79,6 +92,7 @@ int main() {
     const std::size_t bs[] = {b3};
     core::traced_wa_matmul_multilevel(c, a, b, bs);
     sim.flush();
+    record(report, "wa_matmul", n, sim);
     t.row({"WA matmul (contrast)", std::to_string(n),
            bench::fmt_u(sim.dram_fills()),
            bench::fmt_u(sim.dram_writebacks()),
@@ -99,6 +113,7 @@ int main() {
     }
     core::traced_mergesort(data, scratch);
     sim.flush();
+    record(report, "mergesort", n, sim);
     t.row({"mergesort (conj.)", std::to_string(n),
            bench::fmt_u(sim.dram_fills()),
            bench::fmt_u(sim.dram_writebacks()),

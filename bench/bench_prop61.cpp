@@ -4,6 +4,8 @@
 // the 3-bit CLOCK approximation and limited associativity open the
 // small gap the paper measures, and SRRIP/random behave differently
 // again.
+//
+// `--json PATH` writes every write-back count of both tables.
 
 #include <cstdio>
 
@@ -42,7 +44,8 @@ std::uint64_t run_matmul(std::size_t n, std::size_t b, Policy pol,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonReport report(argc, argv);
   const double sc = bench::env_scale();
   const std::size_t n = std::size_t(96 * sc), b = 16;
   const std::uint64_t c_lines = n * n * 8 / 64;
@@ -56,6 +59,10 @@ int main() {
        {Policy::kLru, Policy::kClock3, Policy::kSrrip, Policy::kRandom}) {
     for (unsigned assoc : {0u, 16u, 8u}) {
       const auto w = run_matmul(n, b, pol, assoc);
+      report.add("matmul_" + cachesim::to_string(pol) + "_" +
+                     (assoc == 0 ? std::string("full")
+                                 : std::to_string(assoc) + "way"),
+                 "writebacks", w);
       t.row({cachesim::to_string(pol), assoc == 0 ? "full" :
              std::to_string(assoc), bench::fmt_u(w),
              bench::fmt_d(double(w) / double(c_lines))});
@@ -78,6 +85,7 @@ int main() {
     linalg::fill_random(B.raw(), 2);
     core::traced_trsm_wa(T, B, bb);
     sim.flush();
+    report.add("trsm", "writebacks", sim.dram_writebacks());
     const std::uint64_t lb = nn * nn * 8 / 64;
     t2.row({"TRSM (Alg 2)", bench::fmt_u(lb),
             bench::fmt_u(sim.dram_writebacks()),
@@ -93,6 +101,7 @@ int main() {
     A.raw() = linalg::random_spd(nn, 3);
     core::traced_cholesky_wa(A, bb);
     sim.flush();
+    report.add("cholesky", "writebacks", sim.dram_writebacks());
     const std::uint64_t lb = nn * nn * 8 / 64 / 2;  // lower triangle
     t2.row({"Cholesky (Alg 3)", bench::fmt_u(lb),
             bench::fmt_u(sim.dram_writebacks()),
@@ -107,6 +116,7 @@ int main() {
     for (std::size_t i = 0; i < N; ++i) P.raw()[i] = double(i % 31) - 15.0;
     core::traced_nbody2_wa(P, F, bb);
     sim.flush();
+    report.add("nbody", "writebacks", sim.dram_writebacks());
     const std::uint64_t lb = N * 8 / 64;
     t2.row({"N-body (Alg 4)", bench::fmt_u(lb),
             bench::fmt_u(sim.dram_writebacks()),

@@ -4,6 +4,7 @@
 // ASCII tables), centralized environment parsing, and the --json
 // machine-readable report CI diffs against checked-in baselines.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -178,6 +179,33 @@ inline std::string fmt_d(double v, int prec = 2) {
   }
   return buf;
 }
+
+/// The closing reading of a cache-figure bench, computed from its own
+/// tables: per variant, the largest VICTIMS.M / Write L.B. ratio over
+/// the swept dimension, and whether it stays within 1.05x of the
+/// bound.
+class BoundReading {
+ public:
+  explicit BoundReading(std::uint64_t write_lb) : write_lb_(write_lb) {}
+
+  void add(std::string variant, const std::vector<std::uint64_t>& victims_m) {
+    std::uint64_t worst = 0;
+    for (const std::uint64_t v : victims_m) worst = std::max(worst, v);
+    rows_.emplace_back(std::move(variant),
+                       double(worst) / double(write_lb_));
+  }
+
+  void print() const {
+    for (const auto& [variant, ratio] : rows_) {
+      std::printf("  %-40s max %5.2fx the bound: %s\n", variant.c_str(),
+                  ratio, ratio <= 1.05 ? "within 1.05x" : "NOT within 1.05x");
+    }
+  }
+
+ private:
+  std::uint64_t write_lb_;
+  std::vector<std::pair<std::string, double>> rows_;
+};
 
 /// Machine-readable counterpart of the printed tables: `--json PATH`
 /// on any bench collects named (case, key, value) triples and dumps
