@@ -512,15 +512,15 @@ std::vector<KnownCase> traced_cases() {
   const std::size_t bs[] = {16, 8, 4};  // outermost first
   const std::vector<std::pair<std::string, Run>> variants = {
       {"traced ml",
-       [&bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
+       [bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
          core::traced_wa_matmul_multilevel(c, a, b, bs);
        }},
       {"traced 2-level",
-       [&bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
+       [bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
          core::traced_wa_matmul_twolevel(c, a, b, bs);
        }},
       {"traced mixed",
-       [&bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
+       [bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
          const BlockOrder orders[] = {BlockOrder::kSlab, BlockOrder::kSlab,
                                       BlockOrder::kCResident};
          core::traced_blocked_matmul(c, a, b, bs, orders);
