@@ -50,18 +50,18 @@ int main() {
   const std::size_t bs[] = {4, 8, 16};
   struct Cfg {
     const char* name;
-    core::BlockOrder o0, o1, o2;
+    core::LoopOrder o0, o1, o2;
   };
   for (const auto& cfg :
-       {Cfg{"WA/WA/WA (Fig 4a)", core::BlockOrder::kCResident,
-            core::BlockOrder::kCResident, core::BlockOrder::kCResident},
-        Cfg{"slab/slab/WA (Fig 4b)", core::BlockOrder::kSlab,
-            core::BlockOrder::kSlab, core::BlockOrder::kCResident},
-        Cfg{"slab everywhere", core::BlockOrder::kSlab,
-            core::BlockOrder::kSlab, core::BlockOrder::kSlab}}) {
+       {Cfg{"WA/WA/WA (Fig 4a)", core::LoopOrder::kIJK, core::LoopOrder::kIJK,
+            core::LoopOrder::kIJK},
+        Cfg{"slab/slab/WA (Fig 4b)", core::LoopOrder::kKIJ,
+            core::LoopOrder::kKIJ, core::LoopOrder::kIJK},
+        Cfg{"slab everywhere", core::LoopOrder::kKIJ, core::LoopOrder::kKIJ,
+            core::LoopOrder::kKIJ}}) {
     linalg::Matrix<double> a(n, n), bm(n, n), c(n, n, 0.0);
     Hierarchy h({48, 192, 768, Hierarchy::kUnbounded});
-    const core::BlockOrder ord[] = {cfg.o0, cfg.o1, cfg.o2};
+    const core::LoopOrder ord[] = {cfg.o0, cfg.o1, cfg.o2};
     core::blocked_matmul_multilevel_explicit(c.view(), a.view(), bm.view(),
                                              bs, ord, h);
     t2.row({cfg.name, bench::fmt_u(h.stores_words(0)),

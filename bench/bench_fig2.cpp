@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     std::vector<Counters> data;
     for (auto m : middles) {
       data.push_back(run_variant(outer, m, [&](auto& c, auto& a, auto& b) {
-        const std::size_t bs[] = {b3, l2_block, l1_block};
+        const std::size_t bs[] = {l1_block, l2_block, b3};
         core::traced_wa_matmul_twolevel(c, a, b, bs);
       }));
     }

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
                                fl = {"FILLS.E"};
       std::vector<std::uint64_t> victims;
       for (auto m : middles) {
-        const std::vector<std::size_t> bs = {b3, l2b, l1b};
+        const std::vector<std::size_t> bs = {l1b, l2b, b3};
         const auto c = run(outer, m, bs, multilevel);
         vm.push_back(bench::fmt_u(c.victims_m));
         ve.push_back(bench::fmt_u(c.victims_e));

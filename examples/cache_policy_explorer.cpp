@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
 
   const std::size_t b3 = 57, b2 = 16, b1 = 8;
   if (order == "wa") {
-    const std::size_t bs[] = {b3, b2, b1};
+    const std::size_t bs[] = {b1, b2, b3};
     core::traced_wa_matmul_multilevel(C, A, B, bs);
   } else if (order == "twolevel") {
-    const std::size_t bs[] = {b3, b2, b1};
+    const std::size_t bs[] = {b1, b2, b3};
     core::traced_wa_matmul_twolevel(C, A, B, bs);
   } else if (order == "co") {
     core::traced_co_matmul(C, A, B, b1);

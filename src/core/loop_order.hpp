@@ -11,7 +11,10 @@ namespace wa::core {
 /// the loops outermost-first: i indexes C's block rows, j indexes C's
 /// block columns, k the contraction dimension.  The paper's Algorithm 1
 /// is kIJK (k innermost => write-avoiding); any order with k innermost
-/// is WA, any other order is merely communication-avoiding.
+/// is WA, any other order is merely communication-avoiding.  Per
+/// recursion level of Figure 4, kIJK is WAMatMul's C-resident order
+/// (Fig. 4a) and kKIJ ABMatMul's slab order (Fig. 4b), which runs the
+/// contraction outermost in slabs parallel to C.
 enum class LoopOrder { kIJK, kIKJ, kJIK, kJKI, kKIJ, kKJI };
 
 inline constexpr std::array<LoopOrder, 6> kAllLoopOrders = {
@@ -32,17 +35,6 @@ inline std::string to_string(LoopOrder o) {
     case LoopOrder::kKJI: return "kji";
   }
   return "?";
-}
-
-/// Recursion-level instruction order for the traced multi-level codes
-/// of Figure 4.  kCResident keeps a C block resident while the
-/// contraction loop runs innermost (WAMatMul, Fig. 4a); kSlab runs the
-/// contraction dimension outermost in slabs parallel to C (ABMatMul,
-/// Fig. 4b).
-enum class BlockOrder { kCResident, kSlab };
-
-inline std::string to_string(BlockOrder o) {
-  return o == BlockOrder::kCResident ? "C-resident(ikj)" : "slab(jik)";
 }
 
 }  // namespace wa::core

@@ -23,9 +23,8 @@ enum class LuVariant {
 };
 
 /// Two-level blocked LU without pivoting; L (unit lower) and U
-/// overwrite A.  Block size @p b staged at level @p fast of @p h.
+/// overwrite A.  Block size @p b staged at level 0 of @p h.
 void blocked_lu_explicit(linalg::MatrixView<double> A, std::size_t b,
-                         memsim::Hierarchy& h, LuVariant variant,
-                         std::size_t fast = 0);
+                         memsim::Hierarchy& h, LuVariant variant);
 
 }  // namespace wa::core

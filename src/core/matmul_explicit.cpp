@@ -1,8 +1,10 @@
 #include "core/matmul_explicit.hpp"
 
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
+#include "core/block_schedule.hpp"
 #include "linalg/local_kernels.hpp"
 
 namespace wa::core {
@@ -55,136 +57,45 @@ class BlockSlot {
   std::size_t words_ = 0;
 };
 
-struct BlockIndex {
-  std::size_t i, j, k;
-};
+/// The explicit memory model of the matmul block schedule: level t
+/// stages one C, one A and one B block slot in hierarchy level t; the
+/// leaf is the local gemm kernel plus its flop charge.
+struct ExplicitMatmul {
+  MatrixView<double> C;
+  ConstMatrixView<double> A, B;
+  memsim::Hierarchy& h;
+  double alpha;
+  bool b_transposed;
 
-/// Drive a triple block loop in the requested order.
-template <class Body>
-void for_each_block(LoopOrder order, std::size_t ni, std::size_t nj,
-                    std::size_t nk, Body body) {
-  auto loop3 = [&](auto f) {
-    switch (order) {
-      case LoopOrder::kIJK:
-        for (std::size_t i = 0; i < ni; ++i)
-          for (std::size_t j = 0; j < nj; ++j)
-            for (std::size_t k = 0; k < nk; ++k) f(BlockIndex{i, j, k});
-        break;
-      case LoopOrder::kIKJ:
-        for (std::size_t i = 0; i < ni; ++i)
-          for (std::size_t k = 0; k < nk; ++k)
-            for (std::size_t j = 0; j < nj; ++j) f(BlockIndex{i, j, k});
-        break;
-      case LoopOrder::kJIK:
-        for (std::size_t j = 0; j < nj; ++j)
-          for (std::size_t i = 0; i < ni; ++i)
-            for (std::size_t k = 0; k < nk; ++k) f(BlockIndex{i, j, k});
-        break;
-      case LoopOrder::kJKI:
-        for (std::size_t j = 0; j < nj; ++j)
-          for (std::size_t k = 0; k < nk; ++k)
-            for (std::size_t i = 0; i < ni; ++i) f(BlockIndex{i, j, k});
-        break;
-      case LoopOrder::kKIJ:
-        for (std::size_t k = 0; k < nk; ++k)
-          for (std::size_t i = 0; i < ni; ++i)
-            for (std::size_t j = 0; j < nj; ++j) f(BlockIndex{i, j, k});
-        break;
-      case LoopOrder::kKJI:
-        for (std::size_t k = 0; k < nk; ++k)
-          for (std::size_t j = 0; j < nj; ++j)
-            for (std::size_t i = 0; i < ni; ++i) f(BlockIndex{i, j, k});
-        break;
+  struct Stage {
+    BlockSlot a, b, c;
+    void operator()(BlockIndex ix, const MatmulBlock& s) {
+      c.want(ix.i, ix.j, s.m * s.n);
+      a.want(ix.i, ix.k, s.m * s.l);
+      b.want(ix.k, ix.j, s.l * s.n);
     }
   };
-  loop3(body);
-}
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-}  // namespace
-
-void blocked_matmul_explicit(MatrixView<double> C, ConstMatrixView<double> A,
-                             ConstMatrixView<double> B, std::size_t b,
-                             memsim::Hierarchy& h, LoopOrder order,
-                             std::size_t fast) {
-  const std::size_t m = C.rows(), l = C.cols(), n = A.cols();
-  const std::size_t ni = ceil_div(m, b), nj = ceil_div(l, b),
-                    nk = ceil_div(n, b);
-
-  BlockSlot slot_a(h, fast, /*writeback=*/false);
-  BlockSlot slot_b(h, fast, /*writeback=*/false);
-  BlockSlot slot_c(h, fast, /*writeback=*/true);
-
-  for_each_block(order, ni, nj, nk, [&](BlockIndex ix) {
-    const std::size_t i0 = ix.i * b, j0 = ix.j * b, k0 = ix.k * b;
-    const std::size_t bi = std::min(b, m - i0);
-    const std::size_t bj = std::min(b, l - j0);
-    const std::size_t bk = std::min(b, n - k0);
-
-    slot_c.want(ix.i, ix.j, bi * bj);
-    slot_a.want(ix.i, ix.k, bi * bk);
-    slot_b.want(ix.k, ix.j, bk * bj);
-
-    linalg::active_kernels().gemm_acc(C.block(i0, j0, bi, bj),
-                                      A.block(i0, k0, bi, bk),
-                                      B.block(k0, j0, bk, bj), 1.0);
-    h.flops(2ull * bi * bj * bk);
-  });
-  // Slots flush on scope exit (final C block is stored, A/B discarded).
-}
-
-namespace {
-
-void multilevel_rec(MatrixView<double> C, ConstMatrixView<double> A,
-                    ConstMatrixView<double> B,
-                    std::span<const std::size_t> block_sizes,
-                    std::span<const BlockOrder> orders, memsim::Hierarchy& h,
-                    std::size_t level, double alpha, bool b_transposed) {
-  if (block_sizes.empty()) {
-    // Everything is resident in the fastest level; pure arithmetic.
-    if (b_transposed) {
-      linalg::active_kernels().gemm_acc_bt(C, A, B, alpha);
-    } else {
-      linalg::active_kernels().gemm_acc(C, A, B, alpha);
-    }
-    h.flops(2ull * C.rows() * C.cols() * A.cols());
-    return;
+  // Slots release on scope exit: the last C block is stored, A and B
+  // are discarded.
+  Stage stage(std::size_t t) {
+    return {BlockSlot(h, t, /*writeback=*/false),
+            BlockSlot(h, t, /*writeback=*/false),
+            BlockSlot(h, t, /*writeback=*/true)};
   }
-  const std::size_t b = block_sizes.back();
-  const BlockOrder ord = orders.back();
-  const std::size_t m = C.rows(), l = C.cols(), n = A.cols();
-  const std::size_t ni = ceil_div(m, b), nj = ceil_div(l, b),
-                    nk = ceil_div(n, b);
 
-  // The fast side of this recursion level is hierarchy level
-  // `level - 1` (level counts remaining block_sizes entries).
-  const std::size_t fast = level - 1;
-  BlockSlot slot_a(h, fast, false);
-  BlockSlot slot_b(h, fast, false);
-  BlockSlot slot_c(h, fast, true);
-
-  const LoopOrder lo =
-      ord == BlockOrder::kCResident ? LoopOrder::kIJK : LoopOrder::kKIJ;
-  for_each_block(lo, ni, nj, nk, [&](BlockIndex ix) {
-    const std::size_t i0 = ix.i * b, j0 = ix.j * b, k0 = ix.k * b;
-    const std::size_t bi = std::min(b, m - i0);
-    const std::size_t bj = std::min(b, l - j0);
-    const std::size_t bk = std::min(b, n - k0);
-
-    slot_c.want(ix.i, ix.j, bi * bj);
-    slot_a.want(ix.i, ix.k, bi * bk);
-    slot_b.want(ix.k, ix.j, bk * bj);
-
-    // op(B) sub-block: for B^T the roles of its rows/columns swap.
-    const auto b_blk = b_transposed ? B.block(j0, k0, bj, bk)
-                                    : B.block(k0, j0, bk, bj);
-    multilevel_rec(C.block(i0, j0, bi, bj), A.block(i0, k0, bi, bk), b_blk,
-                   block_sizes.first(block_sizes.size() - 1),
-                   orders.first(orders.size() - 1), h, level - 1, alpha,
-                   b_transposed);
-  });
-}
+  void leaf(const MatmulBlock& e) {
+    const auto c = C.block(e.i0, e.j0, e.m, e.n);
+    const auto a = A.block(e.i0, e.k0, e.m, e.l);
+    const linalg::LocalKernels& kern = linalg::active_kernels();
+    if (b_transposed) {
+      kern.gemm_acc_bt(c, a, B.block(e.j0, e.k0, e.n, e.l), alpha);
+    } else {
+      kern.gemm_acc(c, a, B.block(e.k0, e.j0, e.l, e.n), alpha);
+    }
+    h.flops(2ull * e.m * e.n * e.l);
+  }
+};
 
 }  // namespace
 
@@ -192,32 +103,32 @@ void blocked_matmul_multilevel_at(MatrixView<double> C,
                                   ConstMatrixView<double> A,
                                   ConstMatrixView<double> B,
                                   std::span<const std::size_t> block_sizes,
-                                  std::span<const BlockOrder> orders,
-                                  memsim::Hierarchy& h, std::size_t level,
-                                  double alpha, bool b_transposed) {
-  multilevel_rec(C, A, B, block_sizes, orders, h, level, alpha,
-                 b_transposed);
+                                  std::span<const LoopOrder> orders,
+                                  memsim::Hierarchy& h, double alpha,
+                                  bool b_transposed) {
+  ExplicitMatmul model{C, A, B, h, alpha, b_transposed};
+  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+                  block_sizes, orders);
+}
+
+void blocked_matmul_explicit(MatrixView<double> C, ConstMatrixView<double> A,
+                             ConstMatrixView<double> B, std::size_t b,
+                             memsim::Hierarchy& h, LoopOrder order) {
+  blocked_matmul_multilevel_at(C, A, B, {&b, 1}, {&order, 1}, h);
 }
 
 void blocked_matmul_multilevel_explicit(
     MatrixView<double> C, ConstMatrixView<double> A,
     ConstMatrixView<double> B, std::span<const std::size_t> block_sizes,
-    std::span<const BlockOrder> orders, memsim::Hierarchy& h, double alpha,
+    std::span<const LoopOrder> orders, memsim::Hierarchy& h, double alpha,
     bool b_transposed) {
-  if (block_sizes.size() != orders.size()) {
-    throw std::invalid_argument("one order per blocking level required");
-  }
+  check_block_schedule(block_sizes, orders);
   if (block_sizes.size() + 1 != h.levels()) {
     throw std::invalid_argument(
         "hierarchy must have one more level than there are block sizes");
   }
-  for (std::size_t s = 0; s + 1 < block_sizes.size(); ++s) {
-    if (block_sizes[s] > block_sizes[s + 1]) {
-      throw std::invalid_argument("block sizes must grow with level");
-    }
-  }
-  multilevel_rec(C, A, B, block_sizes, orders, h, block_sizes.size(), alpha,
-                 b_transposed);
+  blocked_matmul_multilevel_at(C, A, B, block_sizes, orders, h, alpha,
+                               b_transposed);
 }
 
 void naive_dot_matmul_explicit(MatrixView<double> C,

@@ -19,7 +19,7 @@
 namespace wa::core {
 
 /// Two-level blocked C += A*B with block size @p b, staging blocks in
-/// level @p fast of @p h (the data starts at level fast+1).
+/// level 0 of @p h: the multi-level recursion below at one level.
 ///
 /// With a contraction-innermost @p order this is exactly Algorithm 1:
 /// writes to slow memory equal the output size.  Other orders evict
@@ -29,36 +29,35 @@ namespace wa::core {
 void blocked_matmul_explicit(linalg::MatrixView<double> C,
                              linalg::ConstMatrixView<double> A,
                              linalg::ConstMatrixView<double> B, std::size_t b,
-                             memsim::Hierarchy& h, LoopOrder order,
-                             std::size_t fast = 0);
+                             memsim::Hierarchy& h, LoopOrder order);
 
-/// Multi-level recursive blocked matmul: C += alpha * A * op(B).
-/// block_sizes[s] is the block side used when staging level s from
-/// level s+1 (fastest first); orders[s] chooses the instruction order
-/// at that recursion level.  All-kCResident reproduces WAMatMul
-/// (Fig. 4a): write-avoiding at every level.  kSlab below the top
-/// level reproduces ABMatMul (Fig. 4b): write-avoiding only at the
-/// outermost boundary.  With b_transposed, op(B) = B^T (the SYRK-shaped
-/// update the multi-level Cholesky needs).
+/// Multi-level recursive blocked matmul: C += alpha * A * op(B), on the
+/// block schedule of core/block_schedule.hpp.  block_sizes[t] is the
+/// block side staged into level t of @p h (fastest first) and
+/// orders[t] the order at that level.  All-kIJK reproduces WAMatMul
+/// (Fig. 4a): write-avoiding at every level.  kKIJ below the top level
+/// reproduces ABMatMul (Fig. 4b): write-avoiding only at the outermost
+/// boundary.  With b_transposed, op(B) = B^T (the SYRK-shaped update
+/// the multi-level Cholesky needs).
 void blocked_matmul_multilevel_explicit(linalg::MatrixView<double> C,
                                         linalg::ConstMatrixView<double> A,
                                         linalg::ConstMatrixView<double> B,
                                         std::span<const std::size_t> block_sizes,
-                                        std::span<const BlockOrder> orders,
+                                        std::span<const LoopOrder> orders,
                                         memsim::Hierarchy& h,
                                         double alpha = 1.0,
                                         bool b_transposed = false);
 
 /// Same recursion, entered with the operands already resident at
-/// hierarchy level @p level (used by the multi-level TRSM / Cholesky /
-/// LU below; level == block_sizes.size() is the public entry point).
+/// hierarchy level block_sizes.size() (used by the multi-level TRSM /
+/// Cholesky below, whose blocks are staged one level up), without the
+/// argument checks.
 void blocked_matmul_multilevel_at(linalg::MatrixView<double> C,
                                   linalg::ConstMatrixView<double> A,
                                   linalg::ConstMatrixView<double> B,
                                   std::span<const std::size_t> block_sizes,
-                                  std::span<const BlockOrder> orders,
-                                  memsim::Hierarchy& h, std::size_t level,
-                                  double alpha = 1.0,
+                                  std::span<const LoopOrder> orders,
+                                  memsim::Hierarchy& h, double alpha = 1.0,
                                   bool b_transposed = false);
 
 /// Naive non-CA dot-product matmul (three scalar loops, C entry kept

@@ -3,23 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/block_schedule.hpp"
+
 namespace wa::core {
 
 namespace {
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-struct Extent {
-  std::size_t i0, k0, j0;  // offsets into C rows, C cols, contraction
-  std::size_t m, n, l;     // C is m-by-n here; l = contraction length
-};
 
 /// Register-style micro-kernel: the A element is held in a register
 /// while a row of C accumulates (the in-L1 order is irrelevant to the
 /// L2/L3 counters the experiments read, exactly as the paper argues
 /// for its MKL base case).
 void micro_kernel(TracedMat& C, const TracedMat& A, const TracedMat& B,
-                  const Extent& e) {
+                  const MatmulBlock& e) {
   for (std::size_t i = 0; i < e.m; ++i) {
     for (std::size_t t = 0; t < e.l; ++t) {
       const double a = A.get(e.i0 + i, e.k0 + t);
@@ -30,85 +25,60 @@ void micro_kernel(TracedMat& C, const TracedMat& A, const TracedMat& B,
   }
 }
 
-void blocked_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
-                 const Extent& e, std::span<const std::size_t> bs,
-                 std::span<const BlockOrder> orders) {
-  if (bs.empty()) {
-    micro_kernel(C, A, B, e);
-    return;
-  }
-  const std::size_t b = bs.front();
-  const BlockOrder ord = orders.front();
-  const std::size_t ni = ceil_div(e.m, b);
-  const std::size_t nk = ceil_div(e.n, b);
-  const std::size_t njc = ceil_div(e.l, b);
+/// The traced memory model of the matmul block schedule: the cache
+/// simulator decides what stays resident, so staging does nothing; the
+/// leaf is the micro-kernel.
+struct TracedMatmul {
+  TracedMat& C;
+  const TracedMat& A;
+  const TracedMat& B;
 
-  auto sub = [&](std::size_t bi, std::size_t bk, std::size_t bj) {
-    Extent s;
-    s.i0 = e.i0 + bi * b;
-    s.k0 = e.k0 + bj * b;
-    s.j0 = e.j0 + bk * b;
-    s.m = std::min(b, e.m - bi * b);
-    s.n = std::min(b, e.n - bk * b);
-    s.l = std::min(b, e.l - bj * b);
-    blocked_rec(C, A, B, s, bs.subspan(1), orders.subspan(1));
-  };
-
-  if (ord == BlockOrder::kCResident) {
-    // Fig. 4a order: i (C rows), k (C cols), j (contraction) innermost.
-    for (std::size_t bi = 0; bi < ni; ++bi)
-      for (std::size_t bk = 0; bk < nk; ++bk)
-        for (std::size_t bj = 0; bj < njc; ++bj) sub(bi, bk, bj);
-  } else {
-    // Fig. 4b ABMatMul order: j (contraction) outermost.
-    for (std::size_t bj = 0; bj < njc; ++bj)
-      for (std::size_t bi = 0; bi < ni; ++bi)
-        for (std::size_t bk = 0; bk < nk; ++bk) sub(bi, bk, bj);
+  static auto stage(std::size_t /*level*/) {
+    return [](BlockIndex, const MatmulBlock&) {};
   }
-}
+  void leaf(const MatmulBlock& e) { micro_kernel(C, A, B, e); }
+};
 
 }  // namespace
 
 void traced_blocked_matmul(TracedMat& C, const TracedMat& A,
                            const TracedMat& B,
                            std::span<const std::size_t> block_sizes,
-                           std::span<const BlockOrder> orders) {
-  if (block_sizes.size() != orders.size()) {
-    throw std::invalid_argument("need one order per blocking level");
-  }
+                           std::span<const LoopOrder> orders) {
+  check_block_schedule(block_sizes, orders);
   if (A.rows() != C.rows() || B.cols() != C.cols() || A.cols() != B.rows()) {
     throw std::invalid_argument("matmul: shape mismatch");
   }
-  Extent e{0, 0, 0, C.rows(), C.cols(), A.cols()};
-  blocked_rec(C, A, B, e, block_sizes, orders);
+  TracedMatmul model{C, A, B};
+  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+                  block_sizes, orders);
 }
 
 void traced_wa_matmul_multilevel(TracedMat& C, const TracedMat& A,
                                  const TracedMat& B,
                                  std::span<const std::size_t> block_sizes) {
-  std::vector<BlockOrder> orders(block_sizes.size(),
-                                 BlockOrder::kCResident);
+  const std::vector<LoopOrder> orders(block_sizes.size(), LoopOrder::kIJK);
   traced_blocked_matmul(C, A, B, block_sizes, orders);
 }
 
 void traced_wa_matmul_twolevel(TracedMat& C, const TracedMat& A,
                                const TracedMat& B,
                                std::span<const std::size_t> block_sizes) {
-  std::vector<BlockOrder> orders(block_sizes.size(), BlockOrder::kSlab);
-  if (!orders.empty()) orders.front() = BlockOrder::kCResident;
+  std::vector<LoopOrder> orders(block_sizes.size(), LoopOrder::kKIJ);
+  if (!orders.empty()) orders.back() = LoopOrder::kIJK;
   traced_blocked_matmul(C, A, B, block_sizes, orders);
 }
 
 namespace {
 
 void co_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
-            const Extent& e, std::size_t base_dim) {
+            const MatmulBlock& e, std::size_t base_dim) {
   if (e.m <= base_dim && e.n <= base_dim && e.l <= base_dim) {
     micro_kernel(C, A, B, e);
     return;
   }
   // Split the largest of the three dimensions in half [FLPR99].
-  Extent lo = e, hi = e;
+  MatmulBlock lo = e, hi = e;
   if (e.m >= e.n && e.m >= e.l) {
     lo.m = e.m / 2;
     hi.m = e.m - lo.m;
@@ -130,8 +100,8 @@ void co_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
 
 void traced_co_matmul(TracedMat& C, const TracedMat& A, const TracedMat& B,
                       std::size_t base_dim) {
-  Extent e{0, 0, 0, C.rows(), C.cols(), A.cols()};
-  co_rec(C, A, B, e, base_dim);
+  co_rec(C, A, B, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+         base_dim);
 }
 
 void traced_mkl_like_matmul(TracedMat& C, const TracedMat& A,
@@ -146,8 +116,7 @@ void traced_mkl_like_matmul(TracedMat& C, const TracedMat& A,
       const std::size_t ib = std::min(tile_mn, m - i0);
       for (std::size_t j0 = 0; j0 < n; j0 += tile_mn) {
         const std::size_t jb = std::min(tile_mn, n - j0);
-        Extent e{i0, k0, j0, ib, jb, kb};
-        micro_kernel(C, A, B, e);
+        micro_kernel(C, A, B, MatmulBlock{i0, j0, k0, ib, jb, kb});
       }
     }
   }

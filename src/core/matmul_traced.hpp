@@ -20,24 +20,25 @@ namespace wa::core {
 
 using TracedMat = cachesim::TracedMatrix<double>;
 
-/// Recursive blocked matmul: block_sizes lists the block side per
-/// recursion level, *outermost first* (like the `block_sizes` array in
-/// Fig. 4); orders[t] picks the instruction order at that level.  The
-/// base case (all blocking consumed) is a register-style micro-kernel,
-/// the stand-in for the paper's L1-sized MKL call.
+/// Recursive blocked matmul on the block schedule the explicit matmul
+/// runs (core/block_schedule.hpp): block_sizes lists the block side
+/// per recursion level *fastest first*, as the cache levels are
+/// numbered, and orders[t] picks the order at level t.  The base case
+/// (all blocking consumed) is a register-style micro-kernel, the
+/// stand-in for the paper's L1-sized MKL call.
 void traced_blocked_matmul(TracedMat& C, const TracedMat& A,
                            const TracedMat& B,
                            std::span<const std::size_t> block_sizes,
-                           std::span<const BlockOrder> orders);
+                           std::span<const LoopOrder> orders);
 
-/// Figure 4a: WAMatMul -- C-resident (contraction-innermost) order at
-/// every recursion level.
+/// Figure 4a: WAMatMul -- C-resident (contraction-innermost, kIJK)
+/// order at every recursion level.
 void traced_wa_matmul_multilevel(TracedMat& C, const TracedMat& A,
                                  const TracedMat& B,
                                  std::span<const std::size_t> block_sizes);
 
-/// Figure 4b: two-level WA -- C-resident order at the top level only,
-/// slab order below.
+/// Figure 4b: two-level WA -- C-resident order at the top (slowest)
+/// level only, slab order (kKIJ) below.
 void traced_wa_matmul_twolevel(TracedMat& C, const TracedMat& A,
                                const TracedMat& B,
                                std::span<const std::size_t> block_sizes);

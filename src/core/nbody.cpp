@@ -26,46 +26,17 @@ std::vector<double> nbody2_reference(std::span<const double> P) {
   return F;
 }
 
-std::vector<double> nbody2_blocked_explicit(std::span<const double> P,
-                                            std::size_t b,
-                                            memsim::Hierarchy& h,
-                                            std::size_t fast) {
-  const std::size_t n = P.size();
-  if (n % b != 0) throw std::invalid_argument("nbody: N % b != 0");
-  std::vector<double> F(n, 0.0);
-  const std::size_t nb = n / b;
-
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    h.load(fast, b);   // P(1)(i)
-    h.alloc(fast, b);  // F(1)(i) initialized to zero in fast memory (R2)
-    for (std::size_t bj = 0; bj < nb; ++bj) {
-      h.load(fast, b);  // P(2)(j)
-      for (std::size_t i = bi * b; i < (bi + 1) * b; ++i) {
-        for (std::size_t j = bj * b; j < (bj + 1) * b; ++j) {
-          if (i != j) F[i] += pair_force(P[i], P[j]);
-        }
-      }
-      h.flops(std::uint64_t(b) * b);
-      h.discard(fast, b);  // P(2)(j) forgotten (D2)
-    }
-    h.discard(fast, b);  // P(1)(i) forgotten (D2)
-    h.store(fast, b);    // F(1)(i): its only write to slow memory (D1)
-  }
-  return F;
-}
-
 namespace {
 
-// One cross-block interaction pass at a given recursion level: F1
-// (resident one level up) accumulates forces from P2 onto P1.
+// One cross-block interaction pass at level t = bs.size() - 1: F1
+// (resident one level up) accumulates the forces of P2 on P1.  With one
+// block size this is Algorithm 4 verbatim.
 void nbody2_ml_rec(std::span<const double> P1, std::span<const double> P2,
-                   std::span<double> F1, std::size_t i_off,
-                   std::span<const std::size_t> bs, memsim::Hierarchy& h,
-                   std::size_t level) {
+                   std::span<double> F1, std::span<const std::size_t> bs,
+                   memsim::Hierarchy& h) {
   if (bs.empty()) {
     // pair_force is softened and returns 0 at coincidence, so the
     // self-pair contributes nothing and needs no index bookkeeping.
-    (void)i_off;
     for (std::size_t i = 0; i < P1.size(); ++i) {
       for (std::size_t j = 0; j < P2.size(); ++j) {
         F1[i] += pair_force(P1[i], P2[j]);
@@ -74,27 +45,35 @@ void nbody2_ml_rec(std::span<const double> P1, std::span<const double> P2,
     h.flops(std::uint64_t(P1.size()) * P2.size());
     return;
   }
-  const std::size_t b = bs.back();
-  const std::size_t fast = level - 1;
+  const std::size_t t = bs.size() - 1, b = bs[t];
   for (std::size_t bi = 0; bi < P1.size(); bi += b) {
     const std::size_t li = std::min(b, P1.size() - bi);
-    h.load(fast, li);   // P1 sub-block
-    h.alloc(fast, li);  // F1 sub-accumulator (R2)
+    h.load(t, li);   // P1 sub-block
+    h.alloc(t, li);  // F1 sub-accumulator initialized in place (R2)
     std::vector<double> f_local(li, 0.0);
     for (std::size_t bj = 0; bj < P2.size(); bj += b) {
       const std::size_t lj = std::min(b, P2.size() - bj);
-      h.load(fast, lj);  // P2 sub-block
+      h.load(t, lj);  // P2 sub-block
       nbody2_ml_rec(P1.subspan(bi, li), P2.subspan(bj, lj), f_local,
-                    i_off + bi, bs.first(bs.size() - 1), h, level - 1);
-      h.discard(fast, lj);
+                    bs.first(t), h);
+      h.discard(t, lj);  // P2 sub-block forgotten (D2)
     }
     for (std::size_t i = 0; i < li; ++i) F1[bi + i] += f_local[i];
-    h.discard(fast, li);  // P1 sub-block
-    h.store(fast, li);    // F1 sub-accumulator folded upward (D1)
+    h.discard(t, li);  // P1 sub-block forgotten (D2)
+    h.store(t, li);    // F1 sub-accumulator: its only store here (D1)
   }
 }
 
 }  // namespace
+
+std::vector<double> nbody2_blocked_explicit(std::span<const double> P,
+                                            std::size_t b,
+                                            memsim::Hierarchy& h) {
+  if (P.size() % b != 0) throw std::invalid_argument("nbody: N % b != 0");
+  std::vector<double> F(P.size(), 0.0);
+  nbody2_ml_rec(P, P, F, {&b, 1}, h);
+  return F;
+}
 
 std::vector<double> nbody2_multilevel_explicit(
     std::span<const double> P, std::span<const std::size_t> block_sizes,
@@ -107,7 +86,7 @@ std::vector<double> nbody2_multilevel_explicit(
         "nbody_ml: hierarchy must have one more level than block sizes");
   }
   std::vector<double> F(P.size(), 0.0);
-  nbody2_ml_rec(P, P, F, 0, block_sizes, h, block_sizes.size());
+  nbody2_ml_rec(P, P, F, block_sizes, h);
   // Self-interactions contributed pair_force(x, x) = 0, so no
   // correction is needed (the kernel is softened and antisymmetric).
   return F;
@@ -115,8 +94,7 @@ std::vector<double> nbody2_multilevel_explicit(
 
 std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
                                               std::size_t b,
-                                              memsim::Hierarchy& h,
-                                              std::size_t fast) {
+                                              memsim::Hierarchy& h) {
   const std::size_t n = P.size();
   if (n % b != 0) throw std::invalid_argument("nbody: N % b != 0");
   std::vector<double> F(n, 0.0);
@@ -128,7 +106,7 @@ std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
   for (std::size_t bi = 0; bi < nb; ++bi) {
     for (std::size_t bj = bi; bj < nb; ++bj) {
       if (bi == bj) {
-        h.load(fast, 2 * b);  // P(i), F(i)
+        h.load(0, 2 * b);  // P(i), F(i)
         for (std::size_t i = bi * b; i < (bi + 1) * b; ++i) {
           for (std::size_t j = i + 1; j < (bi + 1) * b; ++j) {
             const double f = pair_force(P[i], P[j]);
@@ -137,10 +115,10 @@ std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
           }
         }
         h.flops(std::uint64_t(b) * (b - 1) / 2);
-        h.discard(fast, b);  // P block
-        h.store(fast, b);    // F block written back
+        h.discard(0, b);  // P block
+        h.store(0, b);    // F block written back
       } else {
-        h.load(fast, 4 * b);  // P(i), P(j), F(i), F(j)
+        h.load(0, 4 * b);  // P(i), P(j), F(i), F(j)
         for (std::size_t i = bi * b; i < (bi + 1) * b; ++i) {
           for (std::size_t j = bj * b; j < (bj + 1) * b; ++j) {
             const double f = pair_force(P[i], P[j]);
@@ -149,9 +127,9 @@ std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
           }
         }
         h.flops(std::uint64_t(b) * b);
-        h.discard(fast, 2 * b);  // both P blocks
-        h.store(fast, b);        // F(i) written back
-        h.store(fast, b);        // F(j) written back
+        h.discard(0, 2 * b);  // both P blocks
+        h.store(0, b);        // F(i) written back
+        h.store(0, b);        // F(j) written back
       }
     }
   }
@@ -194,7 +172,6 @@ struct BlockLoopCtx {
   unsigned k;
   std::size_t b, nb;
   memsim::Hierarchy* h;
-  std::size_t fast;
   std::vector<double>* F;
   std::vector<std::size_t> blk;  // current block index per nesting level
 };
@@ -230,14 +207,14 @@ void nbodyk_block_level(BlockLoopCtx& ctx, unsigned depth) {
   }
   for (std::size_t bj = 0; bj < ctx.nb; ++bj) {
     ctx.blk[depth] = bj;
-    ctx.h->load(ctx.fast, ctx.b);  // P^(depth+1) block
+    ctx.h->load(0, ctx.b);  // P^(depth+1) block
     if (depth == 0) {
-      ctx.h->alloc(ctx.fast, ctx.b);  // F block (R2)
+      ctx.h->alloc(0, ctx.b);  // F block (R2)
     }
     nbodyk_block_level(ctx, depth + 1);
-    ctx.h->discard(ctx.fast, ctx.b);  // P block (D2)
+    ctx.h->discard(0, ctx.b);  // P block (D2)
     if (depth == 0) {
-      ctx.h->store(ctx.fast, ctx.b);  // F block: only store (D1)
+      ctx.h->store(0, ctx.b);  // F block: only store (D1)
     }
   }
 }
@@ -257,12 +234,11 @@ std::vector<double> nbodyk_reference(std::span<const double> P, unsigned k) {
 
 std::vector<double> nbodyk_blocked_explicit(std::span<const double> P,
                                             unsigned k, std::size_t b,
-                                            memsim::Hierarchy& h,
-                                            std::size_t fast) {
+                                            memsim::Hierarchy& h) {
   if (k < 2) throw std::invalid_argument("nbodyk: k >= 2 required");
   if (P.size() % b != 0) throw std::invalid_argument("nbodyk: N % b != 0");
   std::vector<double> F(P.size(), 0.0);
-  BlockLoopCtx ctx{P,  k,    b, P.size() / b, &h, fast, &F,
+  BlockLoopCtx ctx{P, k, b, P.size() / b, &h, &F,
                    std::vector<std::size_t>(k)};
   nbodyk_block_level(ctx, 0);
   return F;

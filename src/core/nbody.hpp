@@ -27,17 +27,17 @@ double pair_force(double xi, double xj);
 std::vector<double> nbody2_reference(std::span<const double> P);
 
 /// Algorithm 4: two-level blocked direct (N,2)-body with block size
-/// @p b staged at level @p fast of @p h.  Writes to slow memory = N.
+/// @p b staged at level 0 of @p h: the multi-level recursion below at
+/// one level.  Writes to slow memory = N.
 std::vector<double> nbody2_blocked_explicit(std::span<const double> P,
                                             std::size_t b,
-                                            memsim::Hierarchy& h,
-                                            std::size_t fast = 0);
+                                            memsim::Hierarchy& h);
 
 /// Multi-level recursive (N,2)-body: the "update F(i)" line of
 /// Algorithm 4 calls the same routine with the next smaller block
 /// size, which the paper's induction shows keeps the write bound at
-/// every level.  block_sizes are fastest-level-first, one per level
-/// boundary (like the matmul recursion).
+/// every level.  block_sizes[t] is staged into level t (fastest
+/// first, like the matmul recursion); blocks need not divide N.
 std::vector<double> nbody2_multilevel_explicit(
     std::span<const double> P, std::span<const std::size_t> block_sizes,
     memsim::Hierarchy& h);
@@ -47,8 +47,7 @@ std::vector<double> nbody2_multilevel_explicit(
 /// Theta(N^2/b) writes to slow memory -- not write-avoiding.
 std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
                                               std::size_t b,
-                                              memsim::Hierarchy& h,
-                                              std::size_t fast = 0);
+                                              memsim::Hierarchy& h);
 
 /// Synthetic k-tuple force kernel (k >= 2): contribution to the first
 /// particle from a tuple; returns 0 when any two tuple members are the
@@ -62,7 +61,6 @@ std::vector<double> nbodyk_reference(std::span<const double> P, unsigned k);
 /// Writes to slow memory = N; writes to fast = O(N^k / b^(k-1)).
 std::vector<double> nbodyk_blocked_explicit(std::span<const double> P,
                                             unsigned k, std::size_t b,
-                                            memsim::Hierarchy& h,
-                                            std::size_t fast = 0);
+                                            memsim::Hierarchy& h);
 
 }  // namespace wa::core

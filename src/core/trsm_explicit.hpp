@@ -22,18 +22,20 @@ enum class TrsmVariant {
   kRightLooking,    ///< eager trailing update: not write-avoiding
 };
 
-/// Two-level blocked TRSM with block size @p b staged at level
-/// @p fast of @p h.
+/// Two-level blocked TRSM with block size @p b staged at level 0 of
+/// @p h.  The left-looking variant is the multi-level recursion below
+/// at one level.
 void blocked_trsm_explicit(linalg::ConstMatrixView<double> T,
                            linalg::MatrixView<double> B, std::size_t b,
-                           memsim::Hierarchy& h, TrsmVariant variant,
-                           std::size_t fast = 0);
+                           memsim::Hierarchy& h, TrsmVariant variant);
 
 /// Multi-level recursive TRSM (Section 4.2's induction, executable):
-/// the block update calls the multi-level WA matmul and the diagonal
-/// solve recurses, so writes at every boundary s stay
-/// O(n^3 / sqrt(M_s)) and writes to the slowest level equal the
-/// output.  block_sizes as in blocked_matmul_multilevel_explicit.
+/// Algorithm 2 at every level.  Level t holds B(i,j) across its k loop
+/// and loads T(i,k) and X(k,j) as two messages; the block update calls
+/// the multi-level WA matmul and the diagonal solve recurses, so
+/// writes at every boundary s stay O(n^3 / sqrt(M_s)) and writes to
+/// the slowest level equal the output.  block_sizes as in
+/// blocked_matmul_multilevel_explicit (fastest first).
 void blocked_trsm_multilevel_explicit(linalg::ConstMatrixView<double> T,
                                       linalg::MatrixView<double> B,
                                       std::span<const std::size_t> block_sizes,

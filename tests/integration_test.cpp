@@ -136,10 +136,10 @@ TEST_P(MultilevelFuzz, RandomBlockingsAreCorrectAndWaIsMinimal) {
   for (std::size_t i = 1; i < levels; ++i) {
     bs[i] = bs[i - 1] * (1 + rng() % 2);
   }
-  std::vector<core::BlockOrder> orders(levels);
+  std::vector<core::LoopOrder> orders(levels);
   for (auto& o : orders) {
-    o = (rng() & 1) != 0u ? core::BlockOrder::kCResident
-                          : core::BlockOrder::kSlab;
+    o = (rng() & 1) != 0u ? core::LoopOrder::kIJK
+                          : core::LoopOrder::kKIJ;
   }
   std::vector<std::size_t> caps;
   for (auto b : bs) caps.push_back(3 * b * b);
@@ -156,7 +156,7 @@ TEST_P(MultilevelFuzz, RandomBlockingsAreCorrectAndWaIsMinimal) {
   EXPECT_LT(max_abs_diff(c, ref), 1e-11) << "n=" << n;
 
   // Compare against the all-WA order on the same blocking.
-  std::vector<core::BlockOrder> wa(levels, core::BlockOrder::kCResident);
+  std::vector<core::LoopOrder> wa(levels, core::LoopOrder::kIJK);
   Matrix<double> c2(n, n, 0.0);
   Hierarchy h2(caps);
   core::blocked_matmul_multilevel_explicit(c2.view(), a.view(), bm.view(),
@@ -174,8 +174,8 @@ TEST(FailureInjection, DeepHierarchyCapacityGuard) {
   const std::size_t n = 32;
   Matrix<double> a(n, n), bm(n, n), c(n, n, 0.0);
   const std::size_t bs[] = {4, 8};
-  const core::BlockOrder ord[] = {core::BlockOrder::kCResident,
-                                  core::BlockOrder::kCResident};
+  const core::LoopOrder ord[] = {core::LoopOrder::kIJK,
+                                  core::LoopOrder::kIJK};
   // Inner level capacity one word short of three blocks.
   Hierarchy h({3 * 4 * 4 - 1, 3 * 8 * 8, Hierarchy::kUnbounded});
   EXPECT_THROW(core::blocked_matmul_multilevel_explicit(
@@ -309,7 +309,7 @@ std::string list(std::span<const std::size_t> bs) {
 }
 
 std::vector<KnownCase> explicit_cases() {
-  using core::BlockOrder;
+  using core::LoopOrder;
   std::vector<KnownCase> cases;
   struct Shape {
     std::size_t m, n, l, b;
@@ -354,12 +354,12 @@ std::vector<KnownCase> explicit_cases() {
   for (const Ml& ml : {Ml{{2, 4}, 32}, Ml{{3, 6, 12}, 40}, Ml{{2, 5}, 27},
                        Ml{{4}, 24}}) {
     const std::size_t levels = ml.bs.size();
-    std::vector<BlockOrder> fig4b(levels - 1, BlockOrder::kSlab);
-    fig4b.push_back(BlockOrder::kCResident);
-    const std::pair<const char*, std::vector<BlockOrder>> mixes[] = {
-        {"4a", std::vector<BlockOrder>(levels, BlockOrder::kCResident)},
+    std::vector<LoopOrder> fig4b(levels - 1, LoopOrder::kKIJ);
+    fig4b.push_back(LoopOrder::kIJK);
+    const std::pair<const char*, std::vector<LoopOrder>> mixes[] = {
+        {"4a", std::vector<LoopOrder>(levels, LoopOrder::kIJK)},
         {"4b", fig4b},
-        {"slab", std::vector<BlockOrder>(levels, BlockOrder::kSlab)}};
+        {"slab", std::vector<LoopOrder>(levels, LoopOrder::kKIJ)}};
     for (const auto& [mix, orders] : mixes) {
       for (const bool bt : {false, true}) {
         const double alpha = bt ? -0.75 : 1.0;
@@ -503,13 +503,13 @@ cachesim::CacheHierarchy small_caches() {
 }
 
 std::vector<KnownCase> traced_cases() {
-  using core::BlockOrder;
+  using core::LoopOrder;
   using core::TracedMat;
   std::vector<KnownCase> cases;
   using Run = std::function<void(TracedMat&, const TracedMat&,
                                  const TracedMat&)>;
   const std::size_t outer = 40;
-  const std::size_t bs[] = {16, 8, 4};  // outermost first
+  const std::size_t bs[] = {4, 8, 16};
   const std::vector<std::pair<std::string, Run>> variants = {
       {"traced ml",
        [bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
@@ -521,8 +521,8 @@ std::vector<KnownCase> traced_cases() {
        }},
       {"traced mixed",
        [bs](TracedMat& c, const TracedMat& a, const TracedMat& b) {
-         const BlockOrder orders[] = {BlockOrder::kSlab, BlockOrder::kSlab,
-                                      BlockOrder::kCResident};
+         const LoopOrder orders[] = {LoopOrder::kIJK, LoopOrder::kKIJ,
+                                     LoopOrder::kKIJ};
          core::traced_blocked_matmul(c, a, b, bs, orders);
        }},
       {"traced unblocked",
@@ -663,14 +663,14 @@ TEST(SingleNodeKnownAnswers, EveryEntryPoint) {
       {0xe573a84bbc392ecdull, 0xb4d416baa83f7c2full},  // trsm right
       {0x42b247421e03880bull, 0x2ef742f4f6e99458ull},  // cholesky left
       {0xcbed69e7e31a75f0ull, 0x2ef742f4f6e99458ull},  // cholesky right
-      {0xc97a491181b2b9f9ull, 0xb0731849af2a2485ull},  // ml trsm {8}
-      {0x1ef975f5506da9ecull, 0xb1b1d4db0e5c419bull},  // ml chol {8}
+      {0xedab04484070bf8dull, 0xb0731849af2a2485ull},  // ml trsm {8}
+      {0x42b247421e03880bull, 0x2ef742f4f6e99458ull},  // ml chol {8}
       {0xc97a491181b2b9f9ull, 0x1430db9da607caedull},  // ml xlt {8}
-      {0xbf7573e319fbb5deull, 0x42c15e39fb3a20e9ull},  // ml trsm {2,8}
-      {0x3956fe4ff6ebceb0ull, 0x868f07c8b7583aadull},  // ml chol {2,8}
+      {0x42c6fdc573ab8f45ull, 0x42c15e39fb3a20e9ull},  // ml trsm {2,8}
+      {0x45478a48ac98bebcull, 0x07e6b5aa9f36ae33ull},  // ml chol {2,8}
       {0xbf7573e319fbb5deull, 0xcb26e13026e44edbull},  // ml xlt {2,8}
-      {0x497005cae4a9877eull, 0xec871f98f29e0d43ull},  // ml trsm {2,4,8}
-      {0xc98f3bda9860ab80ull, 0xc84dcf4ea32e8bccull},  // ml chol {2,4,8}
+      {0x158972dd55f91b5aull, 0xec871f98f29e0d43ull},  // ml trsm {2,4,8}
+      {0xfb2a0c5daccb28f2ull, 0x9f1be5265ddc620eull},  // ml chol {2,4,8}
       {0x497005cae4a9877eull, 0xcb26e13026e44edbull},  // ml xlt {2,4,8}
       {0xad07f110a7b7dd7aull, 0xe7cd7ddf86093543ull},  // lu left
       {0x0da96823de8c8ba4ull, 0xe7cd7ddf86093543ull},  // lu right

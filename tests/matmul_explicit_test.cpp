@@ -137,7 +137,7 @@ TEST(Multilevel, NumericallyCorrectThreeLevels) {
   linalg::fill_random(a, 11);
   linalg::fill_random(bm, 12);
   const std::size_t bs[] = {4, 8};
-  const BlockOrder ord[] = {BlockOrder::kCResident, BlockOrder::kCResident};
+  const LoopOrder ord[] = {LoopOrder::kIJK, LoopOrder::kIJK};
   Hierarchy h({3 * 4 * 4, 3 * 8 * 8, Hierarchy::kUnbounded});
   blocked_matmul_multilevel_explicit(c.view(), a.view(), bm.view(), bs, ord,
                                      h);
@@ -148,7 +148,7 @@ TEST(Multilevel, WaOrderIsWriteAvoidingAtEveryLevel) {
   const std::size_t n = 32;
   Matrix<double> a(n, n), bm(n, n), c(n, n, 0.0);
   const std::size_t bs[] = {4, 8};
-  const BlockOrder ord[] = {BlockOrder::kCResident, BlockOrder::kCResident};
+  const LoopOrder ord[] = {LoopOrder::kIJK, LoopOrder::kIJK};
   Hierarchy h({3 * 4 * 4, 3 * 8 * 8, Hierarchy::kUnbounded});
   blocked_matmul_multilevel_explicit(c.view(), a.view(), bm.view(), bs, ord,
                                      h);
@@ -167,9 +167,9 @@ TEST(Multilevel, SlabOrderLosesWriteAvoidanceBelowTopLevel) {
   const std::size_t n = 32;
   Matrix<double> a(n, n), bm(n, n), c(n, n, 0.0);
   const std::size_t bs[] = {4, 8};
-  const BlockOrder wa_ord[] = {BlockOrder::kCResident,
-                               BlockOrder::kCResident};
-  const BlockOrder slab_ord[] = {BlockOrder::kSlab, BlockOrder::kCResident};
+  const LoopOrder wa_ord[] = {LoopOrder::kIJK,
+                               LoopOrder::kIJK};
+  const LoopOrder slab_ord[] = {LoopOrder::kKIJ, LoopOrder::kIJK};
   Hierarchy h_wa({3 * 4 * 4, 3 * 8 * 8, Hierarchy::kUnbounded});
   Hierarchy h_slab({3 * 4 * 4, 3 * 8 * 8, Hierarchy::kUnbounded});
   blocked_matmul_multilevel_explicit(c.view(), a.view(), bm.view(), bs,
@@ -190,7 +190,7 @@ TEST(Multilevel, ValidatesArguments) {
   Matrix<double> a(8, 8), bm(8, 8), c(8, 8, 0.0);
   Hierarchy h({16, 64, Hierarchy::kUnbounded});
   const std::size_t bs_bad[] = {8, 4};  // must be nondecreasing
-  const BlockOrder ord[] = {BlockOrder::kCResident, BlockOrder::kCResident};
+  const LoopOrder ord[] = {LoopOrder::kIJK, LoopOrder::kIJK};
   EXPECT_THROW(blocked_matmul_multilevel_explicit(c.view(), a.view(),
                                                   bm.view(), bs_bad, ord, h),
                std::invalid_argument);

@@ -26,7 +26,7 @@ TEST(MatmulBt, MultilevelTransposedNumerics) {
   linalg::fill_random(a, 1);
   linalg::fill_random(b, 2);
   const std::size_t bs[] = {4, 8};
-  const BlockOrder ord[] = {BlockOrder::kCResident, BlockOrder::kCResident};
+  const LoopOrder ord[] = {LoopOrder::kIJK, LoopOrder::kIJK};
   auto h = three_level(4, 8);
   blocked_matmul_multilevel_explicit(c.view(), a.view(), b.view(), bs, ord,
                                      h, -1.0, /*b_transposed=*/true);
@@ -114,10 +114,9 @@ TEST(CholeskyMultilevel, WriteAvoidingAtSlowBoundary) {
   const std::size_t bs[] = {4, 8};
   auto h = three_level(4, 8);
   blocked_cholesky_multilevel_explicit(a.view(), bs, h);
-  // Whole blocks staged (incl. diagonal): exactly one store per block
-  // of the lower triangle => (nb+1)*nb/2 * b^2 words.
-  const std::uint64_t nb = n / 8;
-  EXPECT_EQ(h.stores_words(1), (nb * (nb + 1) / 2) * 64);
+  // One store per output block of the top level, half blocks on the
+  // diagonal: Algorithm 3's count for the top block size.
+  EXPECT_EQ(h.stores_words(1), algorithm3_expected_stores(n, 8));
   EXPECT_LT(h.stores_words(1), h.loads_words(1));
 }
 

@@ -48,14 +48,14 @@ TEST(TracedMatmul, MicroKernelNumerics) {
 
 TEST(TracedMatmul, MultilevelNumericsWithEdgeBlocks) {
   Traced3 t({LevelConfig{64 * 64, 0, Policy::kLru}}, 30, 22, 26, 62);
-  const std::size_t bs[] = {16, 8};
+  const std::size_t bs[] = {8, 16};
   traced_wa_matmul_multilevel(t.c, t.a, t.b, bs);
   t.check_numerics();
 }
 
 TEST(TracedMatmul, TwoLevelNumerics) {
   Traced3 t({LevelConfig{64 * 64, 0, Policy::kLru}}, 32, 32, 32, 63);
-  const std::size_t bs[] = {16, 8};
+  const std::size_t bs[] = {8, 16};
   traced_wa_matmul_twolevel(t.c, t.a, t.b, bs);
   t.check_numerics();
 }
@@ -134,7 +134,7 @@ TEST(Prop61Contrast, ThreeBlocksLruSlabBeatsCresidentInner) {
     return std::vector<LevelConfig>{
         LevelConfig{((fast_bytes + 63) / 64) * 64, 0, Policy::kLru}};
   };
-  const std::size_t bs[] = {b3, b_inner};
+  const std::size_t bs[] = {b_inner, b3};
 
   Traced3 t_multi(mk_cfg(), n, n, n, 80);
   traced_wa_matmul_multilevel(t_multi.c, t_multi.a, t_multi.b, bs);
@@ -160,7 +160,7 @@ TEST(TracedContrast, ContractionOutermostWritesScaleWithMiddleDim) {
       LevelConfig{5 * 16 * 16 * 8 + 64, 0, Policy::kLru}};
   Traced3 t(cfg, n, n, n, 90);
   const std::size_t bs[] = {16};
-  const BlockOrder slab_top[] = {BlockOrder::kSlab};
+  const LoopOrder slab_top[] = {LoopOrder::kKIJ};
   traced_blocked_matmul(t.c, t.a, t.b, bs, slab_top);
   t.check_numerics();
   t.sim.flush();
