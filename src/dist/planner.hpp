@@ -169,7 +169,6 @@ struct KrylovPlan {
   krylov::CaCgMode mode = krylov::CaCgMode::kStreaming;
   krylov::CaCgBasis basis = krylov::CaCgBasis::kMonomial;
   std::string backend;       ///< "serial" or "threaded"
-  std::size_t c = 1;         ///< 2.5D replication factor for dense stages
   double predicted_seconds;  ///< modelled time per CG step per solve
 
   /// CA-CG options matching the plan (meaningless for "cg").
@@ -189,11 +188,7 @@ struct KrylovPlan {
 /// (Newton basis past s = 8, where the monomial basis degrades).
 class KrylovAutotuner {
  public:
-  /// @p M2/@p M3 are the per-rank DRAM/NVM capacities the replication
-  /// planning is bounded by (defaults match PlannerProblem).
-  explicit KrylovAutotuner(HwParams hw, std::size_t M2 = 1 << 22,
-                           std::size_t M3 = 1 << 26)
-      : hw_(hw), M2_(M2), M3_(M3) {}
+  explicit KrylovAutotuner(HwParams hw) : hw_(hw) {}
 
   /// The tuned plan for solving @p A with batches of @p b RHS on
   /// @p P ranks.  First request per fingerprint runs the model sweep
@@ -311,10 +306,6 @@ class KrylovAutotuner {
     best.algorithm = "cg";
     best.partition = auto_partition_kind(key.fp.nx, key.fp.ny, key.fp.nz);
     best.backend = key.P >= 4 ? "threaded" : "serial";
-    // Dense stages riding along with the solve (e.g. blocked Gram /
-    // basis assembly through the 2.5D path) deploy with the
-    // closed-form replication factor for this machine's NVM budget.
-    best.c = choose_replication(key.fp.n, key.P, M2_, M3_, hw_);
     best.s = 0;
     best.predicted_seconds = step_cost(key.fp, key.P, key.b, 0,
                                        krylov::CaCgMode::kStored, counted);
@@ -351,7 +342,6 @@ class KrylovAutotuner {
   }
 
   HwParams hw_;
-  std::size_t M2_, M3_;
   std::map<Key, KrylovPlan> cache_;
   std::size_t hits_ = 0, misses_ = 0;
 };
