@@ -68,6 +68,8 @@ int main(int argc, char** argv) {
       std::size_t(73 * sc)};
   const std::size_t l2b = std::size_t(16 * sc), l1b = std::size_t(8 * sc);
   const std::uint64_t write_lb = outer * outer * 8 / 64;
+  const std::size_t l3_bytes =
+      cachesim::nehalem_scaled(sc).back().size_bytes;
 
   std::printf("Figure 5: instruction-order ablation under LRU, outer dims "
               "%zux%zu (Write L.B. = %llu lines)\n",
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
         report.add(key, "fills", c.fills);
         victims.push_back(c.victims_m);
       }
-      const double fit = double(128 * 1024 * sc) / double(b3 * b3 * 8);
+      const double fit = double(l3_bytes) / double(b3 * b3 * 8);
       char name[64];
       std::snprintf(name, sizeof name, "%s, block %zu (%.1f fit)",
                     multilevel ? "multi-level" : "two-level", b3, fit);
