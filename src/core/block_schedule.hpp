@@ -64,10 +64,10 @@ void for_each_block(LoopOrder order, std::size_t ni, std::size_t nj,
   }
 }
 
-/// One block of C += A * op(B): C's rows [i0, i0+m) and columns
-/// [j0, j0+n), contraction [k0, k0+l).  A's block is (i0, k0) of
-/// m x l; B's is (k0, j0) of l x n, or (j0, k0) of n x l when
-/// op(B) = B^T.
+/// One block of C += A * op(B) in the paper's notation (C is m x l, A
+/// is m x n, B is n x l): C's rows [i0, i0+m) and columns [j0, j0+l),
+/// contraction [k0, k0+n).  A's block is (i0, k0) of m x n; B's is
+/// (k0, j0) of n x l, or (j0, k0) of l x n when op(B) = B^T.
 struct MatmulBlock {
   std::size_t i0, j0, k0;
   std::size_t m, n, l;
@@ -77,7 +77,7 @@ struct MatmulBlock {
   MatmulBlock sub(BlockIndex ix, std::size_t b) const {
     const std::size_t i = ix.i * b, j = ix.j * b, k = ix.k * b;
     return {i0 + i, j0 + j, k0 + k,
-            std::min(b, m - i), std::min(b, n - j), std::min(b, l - k)};
+            std::min(b, m - i), std::min(b, n - k), std::min(b, l - j)};
   }
 };
 
@@ -109,8 +109,8 @@ void matmul_schedule(Model& model, const MatmulBlock& blk,
   }
   const std::size_t t = block_sizes.size() - 1, b = block_sizes[t];
   auto stage = model.stage(t);
-  for_each_block(orders[t], (blk.m + b - 1) / b, (blk.n + b - 1) / b,
-                 (blk.l + b - 1) / b, [&](BlockIndex ix) {
+  for_each_block(orders[t], (blk.m + b - 1) / b, (blk.l + b - 1) / b,
+                 (blk.n + b - 1) / b, [&](BlockIndex ix) {
                    const MatmulBlock s = blk.sub(ix, b);
                    stage(ix, s);
                    matmul_schedule(model, s, block_sizes.first(t),

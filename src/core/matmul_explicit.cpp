@@ -70,9 +70,9 @@ struct ExplicitMatmul {
   struct Stage {
     BlockSlot a, b, c;
     void operator()(BlockIndex ix, const MatmulBlock& s) {
-      c.want(ix.i, ix.j, s.m * s.n);
-      a.want(ix.i, ix.k, s.m * s.l);
-      b.want(ix.k, ix.j, s.l * s.n);
+      c.want(ix.i, ix.j, s.m * s.l);
+      a.want(ix.i, ix.k, s.m * s.n);
+      b.want(ix.k, ix.j, s.n * s.l);
     }
   };
 
@@ -85,13 +85,13 @@ struct ExplicitMatmul {
   }
 
   void leaf(const MatmulBlock& e) {
-    const auto c = C.block(e.i0, e.j0, e.m, e.n);
-    const auto a = A.block(e.i0, e.k0, e.m, e.l);
+    const auto c = C.block(e.i0, e.j0, e.m, e.l);
+    const auto a = A.block(e.i0, e.k0, e.m, e.n);
     const linalg::LocalKernels& kern = linalg::active_kernels();
     if (b_transposed) {
-      kern.gemm_acc_bt(c, a, B.block(e.j0, e.k0, e.n, e.l), alpha);
+      kern.gemm_acc_bt(c, a, B.block(e.j0, e.k0, e.l, e.n), alpha);
     } else {
-      kern.gemm_acc(c, a, B.block(e.k0, e.j0, e.l, e.n), alpha);
+      kern.gemm_acc(c, a, B.block(e.k0, e.j0, e.n, e.l), alpha);
     }
     h.flops(2ull * e.m * e.n * e.l);
   }
@@ -107,7 +107,7 @@ void blocked_matmul_multilevel_at(MatrixView<double> C,
                                   memsim::Hierarchy& h, double alpha,
                                   bool b_transposed) {
   ExplicitMatmul model{C, A, B, h, alpha, b_transposed};
-  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), A.cols(), C.cols()},
                   block_sizes, orders);
 }
 

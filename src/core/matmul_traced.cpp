@@ -16,9 +16,9 @@ namespace {
 void micro_kernel(TracedMat& C, const TracedMat& A, const TracedMat& B,
                   const MatmulBlock& e) {
   for (std::size_t i = 0; i < e.m; ++i) {
-    for (std::size_t t = 0; t < e.l; ++t) {
+    for (std::size_t t = 0; t < e.n; ++t) {
       const double a = A.get(e.i0 + i, e.k0 + t);
-      for (std::size_t j = 0; j < e.n; ++j) {
+      for (std::size_t j = 0; j < e.l; ++j) {
         C.add(e.i0 + i, e.j0 + j, a * B.get(e.k0 + t, e.j0 + j));
       }
     }
@@ -50,7 +50,7 @@ void traced_blocked_matmul(TracedMat& C, const TracedMat& A,
     throw std::invalid_argument("matmul: shape mismatch");
   }
   TracedMatmul model{C, A, B};
-  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+  matmul_schedule(model, MatmulBlock{0, 0, 0, C.rows(), A.cols(), C.cols()},
                   block_sizes, orders);
 }
 
@@ -77,20 +77,21 @@ void co_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
     micro_kernel(C, A, B, e);
     return;
   }
-  // Split the largest of the three dimensions in half [FLPR99].
+  // Split the largest of the three dimensions in half [FLPR99]; ties
+  // go to C's rows, then C's columns, then the contraction.
   MatmulBlock lo = e, hi = e;
-  if (e.m >= e.n && e.m >= e.l) {
+  if (e.m >= e.l && e.m >= e.n) {
     lo.m = e.m / 2;
     hi.m = e.m - lo.m;
     hi.i0 = e.i0 + lo.m;
-  } else if (e.n >= e.l) {
-    lo.n = e.n / 2;
-    hi.n = e.n - lo.n;
-    hi.j0 = e.j0 + lo.n;
-  } else {
+  } else if (e.l >= e.n) {
     lo.l = e.l / 2;
     hi.l = e.l - lo.l;
-    hi.k0 = e.k0 + lo.l;
+    hi.j0 = e.j0 + lo.l;
+  } else {
+    lo.n = e.n / 2;
+    hi.n = e.n - lo.n;
+    hi.k0 = e.k0 + lo.n;
   }
   co_rec(C, A, B, lo, base_dim);
   co_rec(C, A, B, hi, base_dim);
@@ -100,7 +101,7 @@ void co_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
 
 void traced_co_matmul(TracedMat& C, const TracedMat& A, const TracedMat& B,
                       std::size_t base_dim) {
-  co_rec(C, A, B, MatmulBlock{0, 0, 0, C.rows(), C.cols(), A.cols()},
+  co_rec(C, A, B, MatmulBlock{0, 0, 0, C.rows(), A.cols(), C.cols()},
          base_dim);
 }
 
@@ -116,7 +117,7 @@ void traced_mkl_like_matmul(TracedMat& C, const TracedMat& A,
       const std::size_t ib = std::min(tile_mn, m - i0);
       for (std::size_t j0 = 0; j0 < n; j0 += tile_mn) {
         const std::size_t jb = std::min(tile_mn, n - j0);
-        micro_kernel(C, A, B, MatmulBlock{i0, j0, k0, ib, jb, kb});
+        micro_kernel(C, A, B, MatmulBlock{i0, j0, k0, ib, kb, jb});
       }
     }
   }
