@@ -18,7 +18,7 @@
 // two-level WA orders.  Measured here at WA_SCALE=1, blocks 50, 57 and
 // 64 (4 or more blocks fit in L3) stay exactly at the bound for every
 // m, but block 73 (3.1 blocks fit) does not: it reaches 2.27x the
-// bound at m = 384 (README, "Deviations").  The closing reading is
+// bound at m = 384 (README, "Single-node kernels").  The reading is
 // computed from the tables: per variant, the largest VICTIMS.M /
 // Write L.B. ratio over m and whether it stays within 1.05x.
 //

@@ -9,13 +9,14 @@
 // block's LRU priority high, so write-backs stay nearer the lower
 // bound, at the price of more exclusive-state traffic.
 //
-// Measured here at WA_SCALE=1 (README, "Deviations"): the multi-level
-// order is already 1.06x the bound at 6.6 blocks and 1.79x at 5.0
-// blocks (m = 384), not near it down to ~5 blocks; the two-level
-// order stays at the bound while 4 or more blocks fit but reaches
-// 2.27x at 3.1 blocks.  The closing reading is computed from the
-// tables: per column and block, the largest VICTIMS.M / Write L.B.
-// ratio over m and whether it stays within 1.05x.
+// Measured here at WA_SCALE=1 (README, "Single-node kernels"): the
+// multi-level order is already 1.06x the bound at 6.6 blocks and
+// 1.79x at 5.0 blocks (m = 384), so it does not stay near the bound
+// down to the ~5 blocks the paper states; the two-level order stays
+// at the bound while 4 or more blocks fit but reaches 2.27x at 3.1
+// blocks.  The closing reading is computed from the tables: per
+// column and block, the largest VICTIMS.M / Write L.B. ratio over m
+// and whether it stays within 1.05x.
 //
 // `--json PATH` writes every counter of every table.
 
