@@ -51,17 +51,6 @@ double now_seconds() {
       .count();
 }
 
-/// Alpha-beta time of one traffic record under @p hw (Machine's
-/// proc_cost, but against an arbitrary parameter set so the same
-/// counters can be re-priced during the crossover sweeps).
-double priced(const ProcTraffic& t, const HwParams& hw) {
-  return hw.alpha_nw * double(t.nw.messages) + hw.beta_nw * double(t.nw.words) +
-         hw.beta_32 * double(t.l3_read.words) +
-         hw.beta_23 * double(t.l3_write.words) +
-         hw.beta_21 * double(t.l2_read.words) +
-         hw.beta_12 * double(t.l2_write.words);
-}
-
 /// Sweep real transport operations and collect (messages, words,
 /// seconds) samples for the least-squares fit.
 std::vector<CommSample> sweep_network(ShmTransport& tp, std::size_t P) {
@@ -284,11 +273,11 @@ int main(int argc, char** argv) {
                    "measured(s)"});
   ck.row({"stored", bench::fmt_u(stored_t.l3_write.words),
           bench::fmt_u(stored_t.l3_read.words),
-          bench::fmt_d(priced(stored_t, fitted), 6),
+          bench::fmt_d(fitted.time_of(stored_t), 6),
           bench::fmt_d(stored_meas, 6)});
   ck.row({"streaming", bench::fmt_u(streaming_t.l3_write.words),
           bench::fmt_u(streaming_t.l3_read.words),
-          bench::fmt_d(priced(streaming_t, fitted), 6),
+          bench::fmt_d(fitted.time_of(streaming_t), 6),
           bench::fmt_d(streaming_meas, 6)});
   ck.print();
 
@@ -298,7 +287,7 @@ int main(int argc, char** argv) {
   for (double k = 0.125; k <= 4096.0; k *= 2.0) {
     HwParams hw = fitted;
     hw.beta_23 = k * fitted.beta_32;
-    if (priced(streaming_t, hw) < priced(stored_t, hw)) {
+    if (hw.time_of(streaming_t) < hw.time_of(stored_t)) {
       cross_k = k;
       break;
     }

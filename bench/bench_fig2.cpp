@@ -112,6 +112,10 @@ void record(bench::JsonReport& report, bench::BoundReading& reading,
 int main(int argc, char** argv) {
   bench::JsonReport report(argc, argv);
   const double sc = bench::env_scale();
+  if (sc < 0.125) {
+    bench::die("bench_fig2: WA_SCALE must be at least 0.125; below it the L1 "
+               "block 8 * WA_SCALE rounds to 0");
+  }
   const auto outer = std::size_t(192 * sc);
   std::vector<std::size_t> middles;
   for (std::size_t m = std::size_t(12 * sc); m <= std::size_t(384 * sc);

@@ -60,6 +60,10 @@ Counters run(std::size_t outer, std::size_t middle,
 int main(int argc, char** argv) {
   bench::JsonReport report(argc, argv);
   const double sc = bench::env_scale();
+  if (sc < 0.125) {
+    bench::die("bench_fig5: WA_SCALE must be at least 0.125; below it the L1 "
+               "block 8 * WA_SCALE rounds to 0");
+  }
   const std::size_t outer = std::size_t(192 * sc);
   const std::vector<std::size_t> middles = {std::size_t(24 * sc),
                                             std::size_t(96 * sc),

@@ -6,18 +6,22 @@
 // A (2b+1)-point stencil on a 1-D mesh is the paper's model case where
 // the matrix-powers optimization gives f(s) = Theta(s); the streaming
 // variant then writes Theta(s) times fewer words to slow memory.
+// Both solves run on a one-rank Machine, whose iterates are bitwise
+// those of the shared-memory krylov::cg / krylov::ca_cg; the slow-
+// memory words are rank 0's l3_write and l3_read counters.
 
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
-#include "krylov/cacg.hpp"
-#include "krylov/cg.hpp"
+#include "dist/krylov.hpp"
+#include "dist/machine.hpp"
 #include "sparse/csr.hpp"
 
 int main(int argc, char** argv) {
   using namespace wa;
-  using namespace wa::krylov;
+  using krylov::CaCgMode;
+  using krylov::CaCgOptions;
 
   const std::size_t mesh =
       argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 32768;
@@ -30,11 +34,13 @@ int main(int argc, char** argv) {
               mesh);
 
   std::vector<double> x_cg(mesh, 0.0);
-  const auto r_cg = cg(A, b, x_cg, 10000, 1e-9);
+  dist::Machine m_cg(1, 192, 4096, 1 << 24);
+  const auto r_cg = dist::cg(m_cg, A, b, x_cg, 10000, 1e-9);
+  const dist::ProcTraffic& t_cg = m_cg.proc(0);
   std::printf("CG                : %4zu steps, residual %.2e, "
               "%llu slow writes\n",
               r_cg.iterations, r_cg.residual_norm,
-              (unsigned long long)r_cg.traffic.slow_writes);
+              (unsigned long long)t_cg.l3_write.words);
 
   CaCgOptions opt;
   opt.s = s;
@@ -42,22 +48,23 @@ int main(int argc, char** argv) {
   opt.tol = 1e-9;
   opt.max_outer = 10000;
   std::vector<double> x_wa(mesh, 0.0);
-  const auto r_wa = ca_cg(A, b, x_wa, opt);
+  dist::Machine m_wa(1, 192, 4096, 1 << 24);
+  const auto r_wa = dist::ca_cg(m_wa, A, b, x_wa, opt);
+  const dist::ProcTraffic& t_wa = m_wa.proc(0);
   std::printf("streaming CA-CG s=%zu: %4zu steps, residual %.2e, "
               "%llu slow writes\n",
               s, r_wa.iterations, r_wa.residual_norm,
-              (unsigned long long)r_wa.traffic.slow_writes);
+              (unsigned long long)t_wa.l3_write.words);
 
-  const double save = double(r_cg.traffic.slow_writes) /
-                      double(r_wa.traffic.slow_writes) *
+  const double save = double(t_cg.l3_write.words) /
+                      double(t_wa.l3_write.words) *
                       double(r_wa.iterations) / double(r_cg.iterations);
   std::printf("\nwrite reduction (per CG step): %.1fx  (theory: ~4s/3 = "
               "%.1fx)\n",
               save, 4.0 * double(s) / 3.0);
   std::printf("read overhead: %.2fx (theory: <= ~2x)\n",
-              double(r_wa.traffic.slow_reads) / double(r_wa.iterations) /
-                  (double(r_cg.traffic.slow_reads) /
-                   double(r_cg.iterations)));
+              double(t_wa.l3_read.words) / double(r_wa.iterations) /
+                  (double(t_cg.l3_read.words) / double(r_cg.iterations)));
   std::printf(
       "\nOn NVM where writes cost ~10-50x a read, this is the difference"
       "\nbetween a write-bound and a read-bound solver.\n");

@@ -82,9 +82,11 @@ struct MatmulBlock {
 };
 
 /// Rejects a schedule with other than one order per blocking level,
-/// or with block sizes that shrink toward the slow end.
+/// with a zero block size, or with block sizes that shrink toward the
+/// slow end.
 inline void check_block_schedule(std::span<const std::size_t> block_sizes,
                                  std::span<const LoopOrder> orders) {
+  check_block_sizes(block_sizes, "block schedule");
   if (block_sizes.size() != orders.size()) {
     throw std::invalid_argument("one order per blocking level required");
   }

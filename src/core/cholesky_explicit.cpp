@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/loop_order.hpp"
 #include "core/matmul_explicit.hpp"
 #include "linalg/local_kernels.hpp"
 
@@ -120,6 +121,7 @@ void chol_ml_rec(MatrixView<double> A, std::span<const std::size_t> bs,
 
 void blocked_cholesky_explicit(MatrixView<double> A, std::size_t b,
                                memsim::Hierarchy& h, CholeskyVariant variant) {
+  check_block_sizes({&b, 1}, "blocked_cholesky_explicit");
   if (A.rows() != A.cols()) throw std::invalid_argument("cholesky: square");
   if (variant == CholeskyVariant::kLeftLookingWA) {
     chol_ml_rec(A, {&b, 1}, h);
@@ -174,6 +176,7 @@ void blocked_cholesky_explicit(MatrixView<double> A, std::size_t b,
 void blocked_trsm_rlt_multilevel_explicit(
     ConstMatrixView<double> L, MatrixView<double> B,
     std::span<const std::size_t> block_sizes, memsim::Hierarchy& h) {
+  check_block_sizes(block_sizes, "blocked_trsm_rlt_multilevel_explicit");
   if (L.rows() != L.cols() || L.rows() != B.cols()) {
     throw std::invalid_argument("trsm_rlt_ml: shape mismatch");
   }
@@ -183,6 +186,7 @@ void blocked_trsm_rlt_multilevel_explicit(
 void blocked_cholesky_multilevel_explicit(
     MatrixView<double> A, std::span<const std::size_t> block_sizes,
     memsim::Hierarchy& h) {
+  check_block_sizes(block_sizes, "blocked_cholesky_multilevel_explicit");
   if (A.rows() != A.cols()) {
     throw std::invalid_argument("chol_ml: square matrix required");
   }
@@ -194,6 +198,7 @@ void blocked_cholesky_multilevel_explicit(
 }
 
 std::uint64_t algorithm3_expected_stores(std::size_t n, std::size_t b) {
+  check_block_sizes({&b, 1}, "algorithm3_expected_stores");
   const std::uint64_t nb = n / b;
   const std::uint64_t bb = std::uint64_t(b) * b;
   const std::uint64_t half = (std::uint64_t(b) * (b + 1)) / 2;

@@ -1,8 +1,12 @@
 #pragma once
-// Loop-order vocabulary shared by the blocked algorithms of Section 4
-// and the traced instruction orders of Section 6.
+// Loop-order vocabulary, and the block-size check, shared by the
+// blocked algorithms of Section 4 and the traced instruction orders of
+// Section 6.
 
 #include <array>
+#include <cstddef>
+#include <span>
+#include <stdexcept>
 #include <string>
 
 namespace wa::core {
@@ -35,6 +39,19 @@ inline std::string to_string(LoopOrder o) {
     case LoopOrder::kKJI: return "kji";
   }
   return "?";
+}
+
+/// Throws std::invalid_argument naming @p who when any of @p sizes (a
+/// block, base, panel, tile or cutoff size) is zero: every blocked
+/// loop steps by it, divides by it or recurses toward it.
+inline void check_block_sizes(std::span<const std::size_t> sizes,
+                              const char* who) {
+  for (const std::size_t b : sizes) {
+    if (b == 0) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": block sizes must be positive");
+    }
+  }
 }
 
 }  // namespace wa::core

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/loop_order.hpp"
 #include "linalg/local_kernels.hpp"
 
 namespace wa::core {
@@ -12,6 +13,7 @@ using linalg::MatrixView;
 
 void blocked_lu_explicit(MatrixView<double> A, std::size_t b,
                          memsim::Hierarchy& h, LuVariant variant) {
+  check_block_sizes({&b, 1}, "blocked_lu_explicit");
   if (A.rows() != A.cols()) throw std::invalid_argument("lu: square");
   const std::size_t n = A.rows();
   if (n % b != 0) throw std::invalid_argument("lu: n % b != 0");

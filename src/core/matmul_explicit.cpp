@@ -114,6 +114,7 @@ void blocked_matmul_multilevel_at(MatrixView<double> C,
 void blocked_matmul_explicit(MatrixView<double> C, ConstMatrixView<double> A,
                              ConstMatrixView<double> B, std::size_t b,
                              memsim::Hierarchy& h, LoopOrder order) {
+  check_block_sizes({&b, 1}, "blocked_matmul_explicit");
   blocked_matmul_multilevel_at(C, A, B, {&b, 1}, {&order, 1}, h);
 }
 
@@ -158,6 +159,7 @@ void naive_dot_matmul_explicit(MatrixView<double> C,
 
 Alg1Counts algorithm1_expected_counts(std::size_t m, std::size_t n,
                                       std::size_t l, std::size_t b) {
+  check_block_sizes({&b, 1}, "algorithm1_expected_counts");
   const std::uint64_t ml = std::uint64_t(m) * l;
   const std::uint64_t mnl = std::uint64_t(m) * n * l;
   return Alg1Counts{ml + 2 * mnl / b, ml};

@@ -101,6 +101,7 @@ void co_rec(TracedMat& C, const TracedMat& A, const TracedMat& B,
 
 void traced_co_matmul(TracedMat& C, const TracedMat& A, const TracedMat& B,
                       std::size_t base_dim) {
+  check_block_sizes({&base_dim, 1}, "traced_co_matmul");
   co_rec(C, A, B, MatmulBlock{0, 0, 0, C.rows(), A.cols(), C.cols()},
          base_dim);
 }
@@ -108,6 +109,8 @@ void traced_co_matmul(TracedMat& C, const TracedMat& A, const TracedMat& B,
 void traced_mkl_like_matmul(TracedMat& C, const TracedMat& A,
                             const TracedMat& B, std::size_t panel_k,
                             std::size_t tile_mn) {
+  const std::size_t sizes[] = {panel_k, tile_mn};
+  check_block_sizes(sizes, "traced_mkl_like_matmul");
   // Packed-panel schedule: for each contraction panel, sweep every
   // C tile.  C tiles are revisited (read + written) once per panel.
   const std::size_t m = C.rows(), n = C.cols(), l = A.cols();

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/loop_order.hpp"
+
 namespace wa::core {
 
 namespace {
@@ -69,6 +71,7 @@ void nbody2_ml_rec(std::span<const double> P1, std::span<const double> P2,
 std::vector<double> nbody2_blocked_explicit(std::span<const double> P,
                                             std::size_t b,
                                             memsim::Hierarchy& h) {
+  check_block_sizes({&b, 1}, "nbody2_blocked_explicit");
   if (P.size() % b != 0) throw std::invalid_argument("nbody: N % b != 0");
   std::vector<double> F(P.size(), 0.0);
   nbody2_ml_rec(P, P, F, {&b, 1}, h);
@@ -81,6 +84,7 @@ std::vector<double> nbody2_multilevel_explicit(
   if (block_sizes.empty()) {
     throw std::invalid_argument("nbody_ml: need >= 1 block size");
   }
+  check_block_sizes(block_sizes, "nbody2_multilevel_explicit");
   if (block_sizes.size() + 1 != h.levels()) {
     throw std::invalid_argument(
         "nbody_ml: hierarchy must have one more level than block sizes");
@@ -95,6 +99,7 @@ std::vector<double> nbody2_multilevel_explicit(
 std::vector<double> nbody2_symmetric_explicit(std::span<const double> P,
                                               std::size_t b,
                                               memsim::Hierarchy& h) {
+  check_block_sizes({&b, 1}, "nbody2_symmetric_explicit");
   const std::size_t n = P.size();
   if (n % b != 0) throw std::invalid_argument("nbody: N % b != 0");
   std::vector<double> F(n, 0.0);
@@ -236,6 +241,7 @@ std::vector<double> nbodyk_blocked_explicit(std::span<const double> P,
                                             unsigned k, std::size_t b,
                                             memsim::Hierarchy& h) {
   if (k < 2) throw std::invalid_argument("nbodyk: k >= 2 required");
+  check_block_sizes({&b, 1}, "nbodyk_blocked_explicit");
   if (P.size() % b != 0) throw std::invalid_argument("nbodyk: N % b != 0");
   std::vector<double> F(P.size(), 0.0);
   BlockLoopCtx ctx{P, k, b, P.size() / b, &h, &F,

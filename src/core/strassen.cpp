@@ -3,6 +3,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "core/loop_order.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/local_kernels.hpp"
 
@@ -127,6 +128,7 @@ void strassen_rec(TMat& C, const Quad& qc, const TMat& A, const Quad& qa,
 void traced_strassen(TMat& C, const TMat& A, const TMat& B,
                      cachesim::CacheHierarchy& sim,
                      cachesim::AddressSpace& as, std::size_t cutoff) {
+  check_block_sizes({&cutoff, 1}, "traced_strassen");
   const std::size_t n = C.rows();
   if (n != C.cols() || n != A.rows() || n != A.cols() || n != B.rows() ||
       n != B.cols()) {
@@ -192,6 +194,7 @@ linalg::Matrix<double> strassen_ref_rec(const linalg::Matrix<double>& A,
 linalg::Matrix<double> strassen_reference(const linalg::Matrix<double>& A,
                                           const linalg::Matrix<double>& B,
                                           std::size_t cutoff) {
+  check_block_sizes({&cutoff, 1}, "strassen_reference");
   if (A.rows() != A.cols() || B.rows() != B.cols() || A.rows() != B.rows()) {
     throw std::invalid_argument("strassen_reference: square required");
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/loop_order.hpp"
 #include "core/nbody.hpp"
 
 namespace wa::core {
@@ -96,6 +97,7 @@ void micro_cholesky(TMat& A, std::size_t ai, std::size_t aj, std::size_t b) {
 }  // namespace
 
 void traced_trsm_wa(const TMat& T, TMat& B, std::size_t b) {
+  check_block_sizes({&b, 1}, "traced_trsm_wa");
   const std::size_t n = T.rows();
   if (n % b != 0 || B.cols() % b != 0 || B.rows() != n) {
     throw std::invalid_argument("traced_trsm: bad shapes");
@@ -112,6 +114,7 @@ void traced_trsm_wa(const TMat& T, TMat& B, std::size_t b) {
 }
 
 void traced_cholesky_wa(TMat& A, std::size_t b) {
+  check_block_sizes({&b, 1}, "traced_cholesky_wa");
   const std::size_t n = A.rows();
   if (n % b != 0 || A.cols() != n) {
     throw std::invalid_argument("traced_cholesky: bad shapes");
@@ -142,6 +145,7 @@ void traced_cholesky_wa(TMat& A, std::size_t b) {
 
 void traced_nbody2_wa(const cachesim::TracedArray<double>& P,
                       cachesim::TracedArray<double>& F, std::size_t b) {
+  check_block_sizes({&b, 1}, "traced_nbody2_wa");
   const std::size_t n = P.size();
   if (n % b != 0 || F.size() != n) {
     throw std::invalid_argument("traced_nbody: bad shapes");

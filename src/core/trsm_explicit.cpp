@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/loop_order.hpp"
 #include "core/matmul_explicit.hpp"
 #include "linalg/local_kernels.hpp"
 
@@ -67,6 +68,7 @@ void trsm_ml_rec(ConstMatrixView<double> T, MatrixView<double> B,
 void blocked_trsm_explicit(ConstMatrixView<double> T, MatrixView<double> B,
                            std::size_t b, memsim::Hierarchy& h,
                            TrsmVariant variant) {
+  check_block_sizes({&b, 1}, "blocked_trsm_explicit");
   if (T.rows() != T.cols() || T.rows() != B.rows()) {
     throw std::invalid_argument("trsm: shape mismatch");
   }
@@ -114,6 +116,7 @@ void blocked_trsm_multilevel_explicit(ConstMatrixView<double> T,
                                       MatrixView<double> B,
                                       std::span<const std::size_t> block_sizes,
                                       memsim::Hierarchy& h) {
+  check_block_sizes(block_sizes, "blocked_trsm_multilevel_explicit");
   if (T.rows() != T.cols() || T.rows() != B.rows()) {
     throw std::invalid_argument("trsm_ml: shape mismatch");
   }
@@ -125,6 +128,7 @@ void blocked_trsm_multilevel_explicit(ConstMatrixView<double> T,
 }
 
 Alg2Counts algorithm2_expected_counts(std::size_t n, std::size_t b) {
+  check_block_sizes({&b, 1}, "algorithm2_expected_counts");
   const std::uint64_t nb = n / b;
   const std::uint64_t bb = std::uint64_t(b) * b;
   std::uint64_t loads = 0;

@@ -26,9 +26,8 @@ struct MmCostModel {
 
   /// Modelled alpha-beta execution time.
   double time(const HwParams& hw) const {
-    return hw.alpha_nw * nw_msgs + hw.beta_nw * nw_words +
-           hw.beta_32 * l3r_words + hw.beta_23 * l3w_words +
-           hw.beta_21 * l2r_words + hw.beta_12 * l2w_words;
+    return hw.time(nw_msgs, nw_words, l3r_words, l3w_words, l2r_words,
+                   l2w_words);
   }
 };
 

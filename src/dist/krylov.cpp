@@ -409,20 +409,6 @@ void recover(const BasisChunk& ck, std::size_t mm,
   }
 }
 
-/// Uncharged diagnostic shared with the shared-memory solvers: the
-/// true residual of the final iterate, computed globally.
-double true_residual(const sparse::Csr& A, std::span<const double> b,
-                     std::span<const double> x) {
-  std::vector<double> ax(A.n);
-  sparse::spmv(A, x, ax);
-  double rn = 0;
-  for (std::size_t i = 0; i < A.n; ++i) {
-    const double d = b[i] - ax[i];
-    rn += d * d;
-  }
-  return std::sqrt(rn);
-}
-
 // ---- the solvers ----------------------------------------------------------
 //
 // One body per method: the batched solvers below.  The batch keeps
@@ -468,11 +454,9 @@ struct BatchSetupResult {
 };
 
 /// Shared solve setup: one exchange event ships all nrhs x panels, one
-/// A traversal serves every r = b - A x and p = r (charged at the
-/// shared-memory rates), the nrhs deltas = <r, r> travel in one
-/// allreduce event, and <b, b> for the stopping thresholds (rank-
-/// ordered but uncharged reads, matching the shared-memory solvers)
-/// in another.
+/// A traversal serves every r = b - A x and p = r, the nrhs deltas =
+/// <r, r> travel in one allreduce event, and <b, b> for the stopping
+/// thresholds (rank-ordered but uncharged reads) in another.
 BatchSetupResult residual_setup_batch(
     PartRun& rp, const std::vector<HaloTransfer>& halo1,
     const std::vector<std::size_t>& recv1, std::span<const double> B,
@@ -688,14 +672,7 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
     for (const std::size_t j : act) ++out.rhs[j].iterations;
   }
 
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    out.rhs[j].residual_norm = true_residual(A, bj, X.subspan(j * n, n));
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged =
-          out.rhs[j].residual_norm <= tol * sparse::norm2(bj);
-    }
-  }
+  kd::finish_rhs(A, B, X, tol, 1.0, out.rhs);
   return out;
 }
 
@@ -855,9 +832,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       rh[j].assign(mm, 0.0);
       ph[j][0] = 1.0;
       rh[j][s + 1] = 1.0;
-      krylov::Traffic fast;  // inner-step flops; no slow channel
       const auto inner =
-          kd::inner_steps(s, bc, G[j], xh[j], ph[j], rh[j], delta[j], fast);
+          kd::inner_steps(s, bc, G[j], xh[j], ph[j], rh[j], delta[j]);
       if (inner.breakdown) {
         finished[j] = 1;
         continue;
@@ -928,7 +904,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       if (!std::isfinite(delta_true[k]) ||
           delta_true[k] > 16.0 * delta_enter[j]) {
         // Basis breakdown: roll back this outer iteration (simulation
-        // bookkeeping, uncharged -- as in the shared-memory solver).
+        // bookkeeping, uncharged).
         if (++restarts[j] > kMaxRestarts) {
           finished[j] = 1;
           continue;
@@ -968,14 +944,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     }
   }
 
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    out.rhs[j].residual_norm = true_residual(A, bj, X.subspan(j * n, n));
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged =
-          out.rhs[j].residual_norm <= opt.tol * sparse::norm2(bj) * 10.0;
-    }
-  }
+  kd::finish_rhs(A, B, X, opt.tol, 10.0, out.rhs);
   return out;
 }
 

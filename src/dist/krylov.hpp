@@ -68,25 +68,18 @@
 #include "dist/grid.hpp"
 #include "dist/machine.hpp"
 #include "dist/partition.hpp"
+#include "krylov/batch.hpp"
 #include "krylov/cacg.hpp"
 #include "sparse/csr.hpp"
 
 namespace wa::dist {
 
-/// Outcome of a distributed Krylov solve.  Traffic lives in the
-/// Machine's per-rank channel counters (W12 = l3_write), not here.
-struct KrylovResult {
-  std::size_t iterations = 0;  ///< CG steps taken (inner steps for s-step)
-  double residual_norm = 0.0;  ///< ||b - A x|| at exit
-  bool converged = false;
-};
-
-/// Outcome of a batched multi-RHS distributed solve: one KrylovResult
-/// per right-hand side.  Traffic is shared across the batch and lives
-/// in the Machine's counters.
-struct KrylovBatchResult {
-  std::vector<KrylovResult> rhs;
-};
+/// Outcome of a distributed Krylov solve, single and batched: the
+/// shared-memory solvers' result types.  Every word a solve moves
+/// lives in the Machine's per-rank channel counters (W12 = l3_write),
+/// not here.
+using KrylovResult = krylov::SolveResult;
+using KrylovBatchResult = krylov::BatchResult;
 
 /// Distributed classical CG (Algorithm 6) on an explicit partition:
 /// partitioned spmv with radius-deep ghost exchanges, allreduce dots.

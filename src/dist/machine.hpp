@@ -94,6 +94,23 @@ struct HwParams {
   double beta_21 = 1e-10;  ///< L2 -> L1
   double beta_12 = 1e-10;  ///< L1 -> L2
 
+  /// The alpha-beta price of a set of channel counts: network
+  /// messages and words, then the words of L3 -> L2, L2 -> L3,
+  /// L2 -> L1 and L1 -> L2.  Machine::proc_cost, the closed-form
+  /// models (MmCostModel::time) and bench re-pricing all use it.
+  double time(double nw_msgs, double nw_words, double l3r_words,
+              double l3w_words, double l2r_words, double l2w_words) const {
+    return alpha_nw * nw_msgs + beta_nw * nw_words + beta_32 * l3r_words +
+           beta_23 * l3w_words + beta_21 * l2r_words + beta_12 * l2w_words;
+  }
+
+  /// The same price of one processor's counters.
+  double time_of(const ProcTraffic& t) const {
+    return time(double(t.nw.messages), double(t.nw.words),
+                double(t.l3_read.words), double(t.l3_write.words),
+                double(t.l2_read.words), double(t.l2_write.words));
+  }
+
   /// NVM as fast as the network: replication through L3 pays off.
   static HwParams fast_nvm() {
     HwParams hw;
@@ -276,13 +293,7 @@ class Machine {
   /// Alpha-beta time of one processor's counters.
   double proc_cost(std::size_t p) const {
     check_proc(p);
-    const ProcTraffic& t = procs_[p];
-    return hw_.alpha_nw * double(t.nw.messages) +
-           hw_.beta_nw * double(t.nw.words) +
-           hw_.beta_32 * double(t.l3_read.words) +
-           hw_.beta_23 * double(t.l3_write.words) +
-           hw_.beta_21 * double(t.l2_read.words) +
-           hw_.beta_12 * double(t.l2_write.words);
+    return hw_.time_of(procs_[p]);
   }
 
   /// Max over processors of proc_cost (the modelled runtime).

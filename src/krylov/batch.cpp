@@ -17,11 +17,12 @@ using detail::Small;
 // Both batched solvers keep b fully independent per-RHS recurrences:
 // every floating-point operation an RHS sees is the same whatever
 // else is in the batch, in the same order, so the iterates are
-// bitwise-identical for any batch composition.  Sharing happens only
-// in the *charging*: words of A (values + column indices) are read
-// once per traversal and serve every active RHS, while per-RHS vector
-// words are charged per RHS.  krylov::cg and krylov::ca_cg are these
-// bodies at nrhs == 1.
+// bitwise-identical for any batch composition.  Nothing is shared
+// and nothing is charged: these bodies are the per-RHS numerical
+// reference the distributed solvers are pinned against at P = 1, and
+// a solve's slow-memory words are counted on the Machine (see
+// batch.hpp).  krylov::cg and krylov::ca_cg are these bodies at
+// nrhs == 1.
 
 namespace {
 
@@ -40,15 +41,12 @@ void check_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
 /// chain stops at level s-1, over the extent less one bw ring; then
 /// the shifted recurrence fills the rows computable inside the block,
 /// shrinking by bw per level except at the edges (r one ring ahead of
-/// p).  Charges the ghosted p and r reads and the flops; the A words
-/// only when @p charge_a (the first RHS of a chunk: one traversal
-/// serves the batch).  Returns elo.
+/// p).  Returns elo.
 std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
                         std::size_t s, std::size_t bw,
                         const std::vector<double>& p,
                         const std::vector<double>& r, std::size_t lo,
-                        std::size_t hi, bool charge_a, Traffic& t,
-                        std::vector<std::vector<double>>& W) {
+                        std::size_t hi, std::vector<std::vector<double>>& W) {
   const std::size_t n = A.n;
   const std::size_t ext = s * bw;
   const std::size_t elo = lo >= ext ? lo - ext : 0;
@@ -64,7 +62,6 @@ std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
   for (std::size_t i = 0; i < len; ++i) W[0][i] = p[elo + i];
   const auto [rlo, rhi] = window(1);
   for (std::size_t i = rlo; i < rhi; ++i) W[s + 1][i - elo] = r[i];
-  t.slow_reads += len + (rhi - rlo);  // ghosted p and r reads
 
   const auto advance = [&](std::size_t col_from, std::size_t col_to,
                            std::size_t rings, double theta) {
@@ -74,10 +71,6 @@ std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
           (detail::row_dot(A, i, W[col_from].data(), -std::ptrdiff_t(elo)) -
            theta * W[col_from][i - elo]) /
           bc.sigma;
-      if (charge_a) {
-        t.slow_reads += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);  // values+cols
-      }
-      t.flops += 2 * (A.row_ptr[i + 1] - A.row_ptr[i]);
     }
   };
   for (std::size_t lev = 0; lev < s; ++lev) {
@@ -106,21 +99,16 @@ BatchResult cg_batch(const sparse::Csr& A, std::span<const double> B,
   std::vector<double> delta(nrhs), stop(nrhs);
   std::vector<char> done(nrhs, 0);
 
-  // r = b - A x ; p = r.  One A traversal serves every RHS.
-  out.traffic.slow_reads += A.nnz();
+  // r = b - A x ; p = r.
   for (std::size_t j = 0; j < nrhs; ++j) {
     const auto bj = B.subspan(j * n, n);
     const auto xj = X.subspan(j * n, n);
     sparse::spmv(A, xj, w[j]);
-    out.traffic.slow_reads += n;
     for (std::size_t i = 0; i < n; ++i) {
       r[j][i] = bj[i] - w[j][i];
       p[j][i] = r[j][i];
     }
-    out.traffic.slow_reads += 2 * n;
-    out.traffic.slow_writes += 2 * n;
     delta[j] = sparse::dot(r[j], r[j]);
-    out.traffic.slow_reads += 2 * n;
     stop[j] = tol * tol * sparse::dot(bj, bj);
   }
 
@@ -136,16 +124,10 @@ BatchResult cg_batch(const sparse::Csr& A, std::span<const double> B,
       }
     }
     if (act.empty()) break;
-    const std::uint64_t na = act.size();
-
-    // w = A p for every active RHS off one traversal of A.
-    for (const std::size_t j : act) sparse::spmv(A, p[j], w[j]);
-    out.traffic.slow_reads += A.nnz() + na * n;
-    out.traffic.slow_writes += na * n;
-    out.traffic.flops += na * 2 * A.nnz();
 
     for (const std::size_t j : act) {
       const auto xj = X.subspan(j * n, n);
+      sparse::spmv(A, p[j], w[j]);
       const double alpha = delta[j] / sparse::dot(p[j], w[j]);
       sparse::axpy(alpha, p[j], xj);
       sparse::axpy(-alpha, w[j], r[j]);
@@ -155,26 +137,9 @@ BatchResult cg_batch(const sparse::Csr& A, std::span<const double> B,
       for (std::size_t i = 0; i < n; ++i) p[j][i] = r[j][i] + beta * p[j][i];
       ++out.rhs[j].iterations;
     }
-    out.traffic.slow_reads += na * 10 * n;  // dots + axpys + p update
-    out.traffic.slow_writes += na * 3 * n;  // x, r, p
-    out.traffic.flops += na * 6 * n;
   }
 
-  // Residual check (untracked diagnostic), per RHS.
-  std::vector<double> ax(n);
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    sparse::spmv(A, X.subspan(j * n, n), ax);
-    double rn = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = bj[i] - ax[i];
-      rn += d * d;
-    }
-    out.rhs[j].residual_norm = std::sqrt(rn);
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged = out.rhs[j].residual_norm <= tol * sparse::norm2(bj);
-    }
-  }
+  detail::finish_rhs(A, B, X, tol, 1.0, out.rhs);
   return out;
 }
 
@@ -202,19 +167,14 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
 
   {
     std::vector<double> tmp(n);
-    out.traffic.slow_reads += A.nnz();
     for (std::size_t j = 0; j < nrhs; ++j) {
       const auto bj = B.subspan(j * n, n);
       sparse::spmv(A, X.subspan(j * n, n), tmp);
-      out.traffic.slow_reads += n;
       for (std::size_t i = 0; i < n; ++i) {
         r[j][i] = bj[i] - tmp[i];
         p[j][i] = r[j][i];
       }
-      out.traffic.slow_reads += 2 * n;
-      out.traffic.slow_writes += 2 * n;
       delta[j] = sparse::dot(r[j], r[j]);
-      out.traffic.slow_reads += 2 * n;
       stop[j] = opt.tol * opt.tol * sparse::dot(bj, bj);
     }
   }
@@ -239,7 +199,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       }
     }
     if (act.empty()) break;
-    const std::uint64_t na = act.size();
 
     for (const std::size_t j : act) {
       delta_enter[j] = delta[j];
@@ -258,9 +217,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
         V[j][0] = p[j];
         V[j][s + 1] = r[j];
       }
-      out.traffic.slow_reads += na * 2 * n;
-      out.traffic.slow_writes += na * 2 * n;  // basis heads materialized
-      // Each basis level is one traversal of A shared by the batch.
       for (std::size_t lev = 0; lev < s; ++lev) {
         for (const std::size_t j : act) {
           sparse::spmv(A, V[j][lev], V[j][lev + 1]);
@@ -269,9 +225,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
                 (V[j][lev + 1][i] - bc.theta[lev] * V[j][lev][i]) / bc.sigma;
           }
         }
-        out.traffic.slow_reads += A.nnz() + na * n;
-        out.traffic.slow_writes += na * n;
-        out.traffic.flops += na * (2 * A.nnz() + n);
       }
       for (std::size_t lev = 0; lev + 1 < s; ++lev) {
         for (const std::size_t j : act) {
@@ -283,9 +236,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
                 bc.sigma;
           }
         }
-        out.traffic.slow_reads += A.nnz() + na * n;
-        out.traffic.slow_writes += na * n;
-        out.traffic.flops += na * (2 * A.nnz() + n);
       }
       for (const std::size_t j : act) {
         std::vector<const double*> vp(m);
@@ -294,25 +244,20 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
                                                 0, n);
         linalg::gram_mirror(G[j].a.data(), m);
       }
-      out.traffic.slow_reads += na * std::uint64_t(m) * n;
-      out.traffic.flops += na * std::uint64_t(m) * m * n;
     } else {
-      // ---- Streaming pass 1, chunk-outer / RHS-inner: the A rows of
-      // a chunk are read once and advance every RHS's basis block.
+      // ---- Streaming pass 1: per chunk, each active RHS builds its
+      // own basis block and accumulates its Gram matrix.
       std::vector<std::vector<double>> W;
       for (std::size_t lo = 0; lo < n; lo += block_rows) {
         const std::size_t hi = std::min(n, lo + block_rows);
-        bool first = true;
         for (const std::size_t j : act) {
-          const std::size_t elo = build_block(A, bc, s, bw, p[j], r[j], lo,
-                                              hi, first, out.traffic, W);
+          const std::size_t elo =
+              build_block(A, bc, s, bw, p[j], r[j], lo, hi, W);
           std::vector<const double*> wp(m);
           for (std::size_t a = 0; a < m; ++a) wp[a] = W[a].data();
           linalg::active_kernels().gram_upper_acc(G[j].a.data(), m,
                                                   wp.data(), lo - elo,
                                                   hi - elo);
-          out.traffic.flops += std::uint64_t(m) * m * (hi - lo);
-          first = false;
         }
       }
       for (const std::size_t j : act) linalg::gram_mirror(G[j].a.data(), m);
@@ -328,8 +273,8 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       rh[j].assign(m, 0.0);
       ph[j][0] = 1.0;
       rh[j][s + 1] = 1.0;
-      const auto inner = detail::inner_steps(s, bc, G[j], xh[j], ph[j],
-                                             rh[j], delta[j], out.traffic);
+      const auto inner =
+          detail::inner_steps(s, bc, G[j], xh[j], ph[j], rh[j], delta[j]);
       if (inner.breakdown) {
         finished[j] = 1;
         continue;
@@ -338,7 +283,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       act2.push_back(j);
     }
     if (act2.empty()) continue;
-    const std::uint64_t na2 = act2.size();
 
     if (opt.mode == CaCgMode::kStored) {
       for (const std::size_t j : act2) {
@@ -355,13 +299,9 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
           xj[i] = nx;
         }
       }
-      out.traffic.slow_reads += na2 * (std::uint64_t(m) * n + n);
-      out.traffic.slow_writes += na2 * 3 * n;
-      out.traffic.flops += na2 * 6ull * m * n;
     } else {
-      // ---- Streaming pass 2: recompute the basis blockwise (again
-      // chunk-outer so A words are paid once per chunk) and fuse the
-      // recovery.
+      // ---- Streaming pass 2: recompute each RHS's basis blockwise
+      // and fuse the recovery.
       std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
       for (const std::size_t j : act2) {
         pn[j].resize(n);
@@ -370,10 +310,9 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       std::vector<std::vector<double>> W;
       for (std::size_t lo = 0; lo < n; lo += block_rows) {
         const std::size_t hi = std::min(n, lo + block_rows);
-        bool first = true;
         for (const std::size_t j : act2) {
-          const std::size_t elo = build_block(A, bc, s, bw, p[j], r[j], lo,
-                                              hi, first, out.traffic, W);
+          const std::size_t elo =
+              build_block(A, bc, s, bw, p[j], r[j], lo, hi, W);
           const auto xj = X.subspan(j * n, n);
           for (std::size_t i = lo; i < hi; ++i) {
             const std::size_t li = i - elo;
@@ -387,10 +326,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
             rn[j][i] = nr;
             xj[i] = nx;
           }
-          out.traffic.slow_reads += hi - lo;         // x
-          out.traffic.slow_writes += 3 * (hi - lo);  // x, p, r only
-          out.traffic.flops += 6ull * m * (hi - lo);
-          first = false;
         }
       }
       for (const std::size_t j : act2) {
@@ -404,7 +339,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     std::vector<std::size_t> restart_set;
     for (const std::size_t j : act2) {
       const double delta_true = sparse::dot(r[j], r[j]);
-      out.traffic.slow_reads += 2 * n;
       if (!std::isfinite(delta_true) ||
           delta_true > 16.0 * delta_enter[j]) {
         if (++restarts[j] > kMaxRestarts) {
@@ -425,10 +359,10 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       }
     }
 
-    // Classical-CG fallback for the rolled-back RHS, batched the same
-    // way: each of the s steps reads A once for every RHS still in
-    // the fallback.  A non-positive or non-finite den retires that
-    // RHS from the fallback only (it rejoins the outer loop).
+    // Classical-CG fallback for the rolled-back RHS: s steps for every
+    // RHS still in the fallback.  A non-positive or non-finite den
+    // retires that RHS from the fallback only (it rejoins the outer
+    // loop).
     if (!restart_set.empty()) {
       std::vector<std::vector<double>> w(nrhs);
       std::vector<char> fb_done(nrhs, 0);
@@ -438,7 +372,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
           if (!fb_done[j] && delta[j] > stop[j]) R.push_back(j);
         }
         if (R.empty()) break;
-        std::uint64_t ns = 0;
         for (const std::size_t j : R) {
           if (w[j].empty()) w[j].assign(n, 0.0);
           sparse::spmv(A, p[j], w[j]);
@@ -460,32 +393,12 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
             p[j][i] = r[j][i] + beta * p[j][i];
           }
           ++out.rhs[j].iterations;
-          ++ns;
-        }
-        if (ns > 0) {
-          out.traffic.slow_reads += A.nnz() + ns * 9 * n;
-          out.traffic.slow_writes += ns * 4 * n;
-          out.traffic.flops += ns * (2 * A.nnz() + 10 * n);
         }
       }
     }
   }
 
-  std::vector<double> ax(n);
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    sparse::spmv(A, X.subspan(j * n, n), ax);
-    double rnrm = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dd = bj[i] - ax[i];
-      rnrm += dd * dd;
-    }
-    out.rhs[j].residual_norm = std::sqrt(rnrm);
-    if (!out.rhs[j].converged) {
-      out.rhs[j].converged =
-          out.rhs[j].residual_norm <= opt.tol * sparse::norm2(bj) * 10.0;
-    }
-  }
+  detail::finish_rhs(A, B, X, opt.tol, 10.0, out.rhs);
   return out;
 }
 

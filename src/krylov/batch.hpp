@@ -1,18 +1,19 @@
 #pragma once
 // wa::krylov -- batched multi-RHS variants of CG and s-step CA-CG.
 //
-// Production traffic is many concurrent solves of the *same* operator.
-// The batched solvers run b independent per-RHS recurrences but share
-// every read of A: one matrix traversal per basis level (or SpMV)
-// serves all b right-hand sides, so the A-word stream per solve drops
-// toward 1/b of the one-RHS cost while each RHS's arithmetic stays
-// bitwise-identical whatever else is in the batch.  Per-RHS
-// convergence, breakdown, and restart are tracked so finished systems
-// drop out of the batch without perturbing the others' bits.
+// The batched solvers run b independent per-RHS recurrences: each
+// RHS's arithmetic is bitwise-identical whatever else is in the
+// batch, and per-RHS convergence, breakdown and restart let finished
+// systems drop out without perturbing the others' bits.
 //
-// These are the only CG and CA-CG bodies: krylov::cg and krylov::ca_cg
-// run them at nrhs == 1 (size-checked), so the single-RHS solvers
-// match the batch at b = 1 -- iterates AND traffic -- by construction.
+// These are the only shared-memory CG and CA-CG bodies: krylov::cg
+// and krylov::ca_cg run them at nrhs == 1 (size-checked).  They are
+// the per-RHS numerical reference the distributed solvers in
+// dist/krylov.hpp are pinned bitwise-equal to at P = 1, and they
+// count nothing.  A solve's slow-memory words (and the A traversal a
+// batch shares) are counted by the Machine: run dist::cg / ca_cg (or
+// the batches) on a one-rank Machine, whose iterates are bitwise
+// these, and read rank 0's l3_write and l3_read.
 //
 // Panels are column-major: RHS j occupies [j*n, (j+1)*n) of the B and
 // X spans.
@@ -26,12 +27,9 @@
 
 namespace wa::krylov {
 
-/// Result of a batched solve: one SolveResult per RHS (its `traffic`
-/// member is left zero -- traffic is shared across the batch and not
-/// attributable per RHS) plus the whole-batch traffic tally.
+/// Result of a batched solve: one SolveResult per RHS.
 struct BatchResult {
   std::vector<SolveResult> rhs;
-  Traffic traffic;
 };
 
 /// Batched classical CG on an n x nrhs column-major panel.
@@ -40,8 +38,7 @@ BatchResult cg_batch(const sparse::Csr& A, std::span<const double> B,
                      std::size_t max_iters, double tol);
 
 /// Batched s-step CA-CG (stored + streaming, monomial + Newton) on an
-/// n x nrhs column-major panel.  One basis build per outer iteration
-/// is shared across all active RHS.
+/// n x nrhs column-major panel.
 BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
                         std::span<double> X, std::size_t nrhs,
                         const CaCgOptions& opt);

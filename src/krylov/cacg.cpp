@@ -11,9 +11,7 @@ SolveResult ca_cg(const sparse::Csr& A, std::span<const double> b,
   if (b.size() != A.n || x.size() != A.n) {
     throw std::invalid_argument("ca_cg: size mismatch");
   }
-  BatchResult res = ca_cg_batch(A, b, x, 1, opt);
-  res.rhs[0].traffic = res.traffic;
-  return res.rhs[0];
+  return ca_cg_batch(A, b, x, 1, opt).rhs[0];
 }
 
 }  // namespace wa::krylov

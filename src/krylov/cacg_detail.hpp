@@ -1,12 +1,13 @@
 #pragma once
 // wa::krylov::detail -- the numerical core shared by the
-// shared-memory CA-CG (krylov/cacg.cpp) and the distributed CA-CG
+// shared-memory solvers (krylov/batch.cpp) and the distributed ones
 // (dist/krylov.cpp): basis recurrence coefficients, the coordinate-
-// space inner steps, and the row-wise kernels.  Both solvers MUST run
-// the identical arithmetic in the identical order -- the distributed
-// solver is pinned bitwise-equal to the shared-memory one on P = 1 --
-// so these live in one header instead of two anonymous namespaces
-// that could drift apart.
+// space inner steps, the row-wise kernels, and the result tail every
+// solver body ends in.  Both layers MUST run the identical arithmetic
+// in the identical order -- the distributed solvers are pinned
+// bitwise-equal to the shared-memory ones on P = 1 -- so these live in
+// one header instead of two anonymous namespaces that could drift
+// apart.
 
 #include <algorithm>
 #include <cmath>
@@ -16,7 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "krylov/traffic.hpp"
+#include "krylov/cg.hpp"
 #include "sparse/csr.hpp"
 
 namespace wa::krylov::detail {
@@ -164,8 +165,7 @@ struct InnerResult {
 inline InnerResult inner_steps(std::size_t s, const BasisCoeffs& bc,
                                const Small& G, std::vector<double>& xh,
                                std::vector<double>& ph,
-                               std::vector<double>& rh, double& delta,
-                               Traffic& traffic) {
+                               std::vector<double>& rh, double& delta) {
   const std::size_t m = 2 * s + 1;
   std::vector<double> wh(m);
   for (std::size_t j = 0; j < s; ++j) {
@@ -182,9 +182,36 @@ inline InnerResult inner_steps(std::size_t s, const BasisCoeffs& bc,
     const double beta = delta_new / delta;
     delta = delta_new;
     for (std::size_t i = 0; i < m; ++i) ph[i] = rh[i] + beta * ph[i];
-    traffic.flops += 6 * m + 4 * m * m;  // all in fast memory, O(s^2)
   }
   return {delta, false};
+}
+
+/// The tail of every solver body: each RHS's true residual
+/// ||b - A x|| of its final iterate (computed globally, never
+/// charged), and for an RHS the loop did not already mark converged,
+/// whether that residual is within (tol * ||b||) * slack -- slack 1
+/// for CG, 10 for CA-CG, whose s-step recurrence lets the updated
+/// residual drift further from the true one.  B and X are
+/// column-major n x rhs.size() panels.
+inline void finish_rhs(const sparse::Csr& A, std::span<const double> B,
+                       std::span<const double> X, double tol, double slack,
+                       std::vector<SolveResult>& rhs) {
+  const std::size_t n = A.n;
+  std::vector<double> ax(n);
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    const auto bj = B.subspan(j * n, n);
+    sparse::spmv(A, X.subspan(j * n, n), ax);
+    double rn = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = bj[i] - ax[i];
+      rn += d * d;
+    }
+    rhs[j].residual_norm = std::sqrt(rn);
+    if (!rhs[j].converged) {
+      rhs[j].converged =
+          rhs[j].residual_norm <= tol * sparse::norm2(bj) * slack;
+    }
+  }
 }
 
 }  // namespace wa::krylov::detail

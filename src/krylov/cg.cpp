@@ -11,9 +11,7 @@ SolveResult cg(const sparse::Csr& A, std::span<const double> b,
   if (b.size() != A.n || x.size() != A.n) {
     throw std::invalid_argument("cg: size mismatch");
   }
-  BatchResult res = cg_batch(A, b, x, 1, max_iters, tol);
-  res.rhs[0].traffic = res.traffic;
-  return res.rhs[0];
+  return cg_batch(A, b, x, 1, max_iters, tol).rhs[0];
 }
 
 }  // namespace wa::krylov

@@ -1,12 +1,13 @@
 #pragma once
-// Conjugate gradient (Algorithm 6 of the paper) with slow-memory
-// traffic accounting: each iteration writes the four n-vectors
-// x, p, r, w once, so W12 ~ 4n per iteration.
+// Conjugate gradient (Algorithm 6 of the paper), the shared-memory
+// numerical reference.  It counts nothing: each iteration writes the
+// four n-vectors x, p, r, w once (W12 = 4n per iteration), and the
+// Machine counts those words -- dist::cg on one rank runs these
+// iterates bit for bit (see krylov/batch.hpp).
 
 #include <cstddef>
 #include <span>
 
-#include "krylov/traffic.hpp"
 #include "sparse/csr.hpp"
 
 namespace wa::krylov {
@@ -15,7 +16,6 @@ struct SolveResult {
   std::size_t iterations = 0;     ///< CG steps taken (inner steps for s-step)
   double residual_norm = 0.0;     ///< ||b - A x|| at exit
   bool converged = false;
-  Traffic traffic;
 };
 
 /// Solve A x = b by CG; x holds the initial guess on entry and the

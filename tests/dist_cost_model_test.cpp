@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -449,16 +450,38 @@ TEST(ModelRegression, LuCountersPinnedOnNonSquareGrid) {
   EXPECT_EQ(ll.l3_write.words, 140u);
 }
 
-// The Section 8 closed forms for the Krylov solvers, pinned like the
-// Table 1/2 matmul and LU models above: per rank per CG step the
-// stored-basis CA-CG writes (2s+4)/s * n/P slow-memory words
-// (Theta(n)), the streaming variant 3/s * n/P (Theta(n/s)), and
-// classical CG 4 n/P.  The measured counters additionally carry the
-// setup writes (2 n/P once) and, for CG, the allreduce combine
-// rounds; the tolerance absorbs those sub-leading terms, so genuine
-// charging drift fails here instead of only moving bench tables.
+// The Section 8 closed forms for the Krylov solvers, exact on every
+// rank: a rank owning `own` rows writes r and p once at setup (2 own
+// slow-memory words), then per outer iteration (2s+4) own for the
+// stored-basis CA-CG (Theta(n) per CG step), 3 own for the streaming
+// variant (Theta(n/s)), and per step 4 own for classical CG.  On a
+// rank owning exactly n/P rows the per-step part is the library's
+// closed form (cacg_model_writes_per_step, cg_model_writes_per_step).
+// The CG allreduces charge their combines to l2_write, keeping the
+// l3_write channel the vector stream alone.
 class KrylovModelRegression
     : public ::testing::TestWithParam<krylov::CaCgMode> {};
+
+/// Every rank's l3_write after a CA-CG solve of @p steps CG steps
+/// (a whole number of outer iterations), against the exact closed form.
+void expect_cacg_writes(const Machine& m, const Partition& part,
+                        krylov::CaCgMode mode, std::size_t s,
+                        std::size_t steps) {
+  const std::uint64_t per_outer =
+      mode == krylov::CaCgMode::kStored ? 2 * s + 4 : 3;
+  const std::size_t n = part.nodes(), P = part.ranks();
+  for (std::size_t p = 0; p < P; ++p) {
+    const std::uint64_t own = part.owned_words(p);
+    const std::uint64_t w = m.proc(p).l3_write.words;
+    EXPECT_EQ(w, 2 * own + steps / s * per_outer * own)
+        << "P=" << P << " rank " << p;
+    if (own * P == n) {
+      EXPECT_EQ(double(w - 2 * own),
+                cacg_model_writes_per_step(n, P, s, mode) * double(steps))
+          << "P=" << P << " rank " << p;
+    }
+  }
+}
 
 TEST_P(KrylovModelRegression, CaCgPerRankW12MatchesSection8ClosedForm) {
   const krylov::CaCgMode mode = GetParam();
@@ -472,24 +495,17 @@ TEST_P(KrylovModelRegression, CaCgPerRankW12MatchesSection8ClosedForm) {
 
   for (std::size_t P : {1, 4, 6}) {
     Machine m(P, 192, 4096, 1 << 24);
+    const auto part = make_partition(P, A);
     std::vector<double> x(n, 0.0);
     krylov::CaCgOptions opt;
     opt.s = s;
     opt.mode = mode;
     opt.tol = 1e-9;
-    const auto res = ca_cg(m, A, b, x, opt);
+    const auto res = ca_cg(m, *part, A, b, x, opt);
     ASSERT_TRUE(res.converged) << "P=" << P;
     ASSERT_GT(res.iterations, 0u);
-
-    const double model =
-        cacg_model_writes_per_step(n, P, s, mode) * double(res.iterations);
-    // Max-over-ranks measured writes, less the one-time setup charge
-    // (r and p materialized once: 2 words per owned row; the critical
-    // path is a ceil-share rank), leaving the pure per-step stream.
-    const double setup = 2.0 * std::ceil(double(n) / double(P));
-    const double meas =
-        double(m.critical_path().l3_write.words) - setup;
-    EXPECT_NEAR(meas, model, 0.15 * model) << "P=" << P;
+    ASSERT_EQ(res.iterations % s, 0u) << "a restart would skew the model";
+    expect_cacg_writes(m, *part, mode, s, res.iterations);
   }
 }
 
@@ -537,12 +553,7 @@ TEST_P(KrylovModelRegression2D, CaCgW12AndNetworkMatchClosedForms) {
   ASSERT_EQ(res.iterations % s, 0u) << "a restart would skew the model";
   const double outers = double(res.iterations / s);
 
-  // W12: the per-step closed form, less the one-time setup writes.
-  const double w_model =
-      cacg_model_writes_per_step(n, P, s, mode) * double(res.iterations);
-  const double setup_w = 2.0 * std::ceil(double(n) / double(P));
-  const double w_meas = double(m.critical_path().l3_write.words) - setup_w;
-  EXPECT_NEAR(w_meas, w_model, 0.15 * w_model);
+  expect_cacg_writes(m, *part, mode, s, res.iterations);
 
   // Network: per outer, the face+corner exchange of p at depth s*r
   // and r at depth (s-1)*r plus the Gram/residual allreduces; the setup
@@ -584,15 +595,21 @@ TEST(ModelRegression, DistCgPerRankW12MatchesClassicalRate) {
 
   for (std::size_t P : {1, 4, 6}) {
     Machine m(P, 192, 4096, 1 << 24);
+    const auto part = make_partition(P, A);
     std::vector<double> x(n, 0.0);
-    const auto res = cg(m, A, b, x, 4000, 1e-9);
+    const auto res = cg(m, *part, A, b, x, 4000, 1e-9);
     ASSERT_TRUE(res.converged) << "P=" << P;
-    const double model =
-        cg_model_writes_per_step(n, P) * double(res.iterations);
-    // l3_write carries the vector stream; the CG allreduces charge
-    // their combines to l2_write, keeping the channels separable.
-    const double meas = double(m.critical_path().l3_write.words);
-    EXPECT_NEAR(meas, model, 0.15 * model) << "P=" << P;
+    const std::uint64_t steps = res.iterations;
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::uint64_t own = part->owned_words(p);
+      const std::uint64_t w = m.proc(p).l3_write.words;
+      EXPECT_EQ(w, 2 * own + steps * 4 * own) << "P=" << P << " rank " << p;
+      if (own * P == n) {
+        EXPECT_EQ(double(w - 2 * own),
+                  cg_model_writes_per_step(n, P) * double(steps))
+            << "P=" << P << " rank " << p;
+      }
+    }
   }
 }
 

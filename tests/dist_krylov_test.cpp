@@ -4,8 +4,8 @@
 // parity on ragged rank counts, serial-vs-threaded counter identity,
 // the exact Theta(s) write reduction of the streaming matrix-powers
 // variant, the bandwidth-halo blow-up the 2-D partition fixes, known
-// answers over every channel and partition kind, and how the
-// shared-memory Traffic tally compares with the counters at P = 1.
+// answers over every channel and partition kind, and the exact
+// slow-memory words of a solve at P = 1.
 
 #include <gtest/gtest.h>
 
@@ -1155,67 +1155,119 @@ TEST(KrylovKnownAnswers, EmptyMatrixOnExplicitRows) {
                std::invalid_argument);
 }
 
-// ---- shared-memory Traffic vs. the Machine counters at P = 1 ------------
+// ---- a solve's slow-memory words at P = 1, in closed form --------------
 
-TEST(KrylovTrafficVsCounters, P1SlowChannelsMatchUpToTheStoredAWords) {
-  // The shared-memory solvers tally slow-memory words in Traffic; the
-  // distributed ones charge rank 0's l3_read/l3_write.  At P = 1:
-  //  * writes agree for CG and both CA-CG modes;
-  //  * reads agree for CG, and for streaming CA-CG on the 1-D
-  //    partition, whose chunks are the shared solver's row blocks;
-  //  * stored CA-CG: the distributed side charges A as values plus
-  //    column indices (2 nnz per basis level) where the shared side
-  //    charges nnz + n, so it reads (2s-1)(nnz-n) more words per outer
-  //    iteration;
-  //  * streaming on 2-D and graph matrices differs by chunk geometry
-  //    (box or closure extents vs. the shared solver's s*bandwidth
-  //    row zones), so those reads are not compared.
-  // tol = 0 runs a fixed number of steps; the iteration count rules
-  // out a restart, whose fallback steps charge differently.
-  constexpr std::size_t s = 4, outers = 5, cg_steps = 20;
+/// Streaming CA-CG reads over @p outers outer iterations at P = 1 on a
+/// banded 1-D stencil of radius @p r, from the chunk extents alone.
+/// Chunks hold max(4sr, 256) target rows; one pass over a chunk reads
+/// p's heads within s*r rows of its targets and r's within (s-1)*r,
+/// and A's values and column indices (2 nnz) over the rows of every
+/// basis level -- p's level l within (s-l)*r rows, r's within
+/// (s-1-l)*r -- clipped at the matrix edges.  Two passes per outer
+/// iteration, plus x and the residual dot product (3n).
+std::uint64_t streaming_reads_1d(const sparse::Csr& A, std::size_t r,
+                                 std::size_t s, std::size_t outers) {
+  const std::size_t n = A.n;
+  const std::size_t rows = std::max<std::size_t>(4 * s * r, 256);
+  // Rows [a, b): those within k*r rows of [lo, hi), clipped.
+  const auto within = [&](std::size_t lo, std::size_t hi, std::size_t k) {
+    return std::pair<std::size_t, std::size_t>{
+        lo >= k * r ? lo - k * r : 0, std::min(n, hi + k * r)};
+  };
+  std::uint64_t pass = 0;
+  for (std::size_t lo = 0; lo < n; lo += rows) {
+    const std::size_t hi = std::min(n, lo + rows);
+    for (const std::size_t k : {s, s - 1}) {
+      const auto [a, b] = within(lo, hi, k);
+      pass += b - a;
+    }
+    for (std::size_t l = 1; l <= s; ++l) {
+      const auto [a, b] = within(lo, hi, s - l);
+      pass += 2 * (A.row_ptr[b] - A.row_ptr[a]);
+    }
+    for (std::size_t l = 1; l < s; ++l) {
+      const auto [a, b] = within(lo, hi, s - 1 - l);
+      pass += 2 * (A.row_ptr[b] - A.row_ptr[a]);
+    }
+  }
+  return outers * (2 * pass + 3 * n);
+}
+
+TEST(KrylovClosedForms, P1SlowChannelsAreExact) {
+  // A one-rank Machine counts the slow-memory words of a shared-memory
+  // solve: its iterates are bitwise krylov::cg's and ca_cg's (pinned
+  // above).  With n rows and nnz stored nonzeros:
+  //  * the setup reads nnz + 5n and writes r and p (2n);
+  //  * a CG step reads nnz + 11n and writes x, r, p and w (4n);
+  //  * a stored CA-CG outer iteration reads 2(2s-1) nnz + (4s+7) n and
+  //    writes (2s+4) n: the 2s+1 basis columns, then x, p and r;
+  //  * a streaming outer iteration writes x, p and r only (3n); on a
+  //    banded 1-D stencil its reads are streaming_reads_1d.  On the
+  //    2-D and graph matrices they follow the hop-set chunk geometry
+  //    MatrixPowersPlan.HopSetsMatchReference checks, so only the
+  //    writes are asserted there.
+  // CG steps and the setup read A as nnz words; the CA-CG basis reads
+  // it as values plus column indices, 2 nnz per level.  tol = 0 runs
+  // a fixed number of steps, and the iteration counts rule out a
+  // restart, whose fallback CG steps these forms leave out.  The
+  // table's values are known answers recorded from the counters.
+  constexpr std::size_t s = 4, outers = 5, steps = 20;
   struct Case {
     sparse::Csr A;
-    bool rows_1d;
+    std::size_t radius;  // band radius of a 1-D stencil; 0 otherwise
+    std::uint64_t cg_w, cg_r, stored_w, stored_r, stream_w, stream_r;
   };
   const Case cases[] = {
-      {sparse::stencil_1d(384, 1), true},
-      {sparse::stencil_2d(24, 24, 1), false},
-      {sparse::small_world_graph(300, 2, 6, 3), false},
+      {sparse::stencil_1d(384, 1), 1, 31488, 110550, 23808, 127730, 6528,
+       178730},
+      {sparse::stencil_1d(1000, 2), 2, 82000, 329874, 62000, 474574, 17000,
+       755794},
+      {sparse::stencil_2d(24, 24, 1), 0, 47232, 232500, 35712, 417020, 9792,
+       0},
+      {sparse::small_world_graph(300, 2, 6, 3), 0, 24600, 99252, 18600,
+       143352, 5100, 0},
   };
   for (const Case& c : cases) {
     const sparse::Csr& A = c.A;
     const auto prob = make_problem_2d(A, 127);
     const std::uint64_t n = A.n, nnz = A.nnz();
+    const std::uint64_t setup_r = nnz + 5 * n, setup_w = 2 * n;
     {
-      std::vector<double> xs(n, 0.0), xd(n, 0.0);
-      const auto ref = krylov::cg(A, prob.b, xs, cg_steps, 0.0);
       Machine m = make_machine(1);
-      const auto got = dist::cg(m, A, prob.b, xd, cg_steps, 0.0);
-      ASSERT_EQ(ref.iterations, cg_steps);
-      ASSERT_EQ(got.iterations, cg_steps);
-      EXPECT_EQ(ref.traffic.slow_writes, m.proc(0).l3_write.words) << n;
-      EXPECT_EQ(ref.traffic.slow_reads, m.proc(0).l3_read.words) << n;
+      std::vector<double> x(n, 0.0);
+      const auto res = dist::cg(m, A, prob.b, x, steps, 0.0);
+      ASSERT_EQ(res.iterations, steps) << n;
+      const ProcTraffic& t = m.proc(0);
+      EXPECT_EQ(t.l3_write.words, setup_w + steps * 4 * n) << n;
+      EXPECT_EQ(t.l3_read.words, setup_r + steps * (nnz + 11 * n)) << n;
+      EXPECT_EQ(t.l3_write.words, c.cg_w) << n;
+      EXPECT_EQ(t.l3_read.words, c.cg_r) << n;
     }
     for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      const bool stored = mode == CaCgMode::kStored;
       CaCgOptions opt;
       opt.s = s;
       opt.tol = 0.0;
       opt.max_outer = outers;
       opt.mode = mode;
-      std::vector<double> xs(n, 0.0), xd(n, 0.0);
-      const auto ref = krylov::ca_cg(A, prob.b, xs, opt);
       Machine m = make_machine(1);
-      const auto got = dist::ca_cg(m, A, prob.b, xd, opt);
-      ASSERT_EQ(ref.iterations, outers * s);
-      ASSERT_EQ(got.iterations, outers * s);
-      const std::uint64_t reads = m.proc(0).l3_read.words;
-      EXPECT_EQ(ref.traffic.slow_writes, m.proc(0).l3_write.words) << n;
-      if (mode == CaCgMode::kStored) {
-        EXPECT_EQ(reads - ref.traffic.slow_reads,
-                  outers * (2 * s - 1) * (nnz - n))
+      std::vector<double> x(n, 0.0);
+      const auto res = dist::ca_cg(m, A, prob.b, x, opt);
+      ASSERT_EQ(res.iterations, outers * s) << n;
+      const ProcTraffic& t = m.proc(0);
+      const std::uint64_t w = stored ? 2 * s + 4 : 3;
+      EXPECT_EQ(t.l3_write.words, setup_w + outers * w * n) << n;
+      EXPECT_EQ(t.l3_write.words, stored ? c.stored_w : c.stream_w) << n;
+      if (stored) {
+        EXPECT_EQ(t.l3_read.words,
+                  setup_r + outers * (2 * (2 * s - 1) * nnz + (4 * s + 7) * n))
             << n;
-      } else if (c.rows_1d) {
-        EXPECT_EQ(ref.traffic.slow_reads, reads) << n;
+        EXPECT_EQ(t.l3_read.words, c.stored_r) << n;
+      } else if (c.radius > 0) {
+        EXPECT_EQ(t.l3_read.words,
+                  setup_r + streaming_reads_1d(A, c.radius, s, outers))
+            << n;
+        EXPECT_EQ(t.l3_read.words, c.stream_r) << n;
       }
     }
   }

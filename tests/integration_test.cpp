@@ -22,6 +22,7 @@
 #include "core/matmul_explicit.hpp"
 #include "core/matmul_traced.hpp"
 #include "core/nbody.hpp"
+#include "core/strassen.hpp"
 #include "core/traced_kernels.hpp"
 #include "core/trsm_explicit.hpp"
 #include "linalg/kernels.hpp"
@@ -711,5 +712,80 @@ TEST(SingleNodeKnownAnswers, EveryEntryPoint) {
 #endif
   }
 }
+
+// Failure injection: a zero block size (or base, panel, tile or
+// cutoff size) is a typed error from every single-node entry point
+// that takes one, raised before any blocked loop divides by it,
+// steps by it or recurses toward it.
+TEST(FailureInjection, ZeroBlockSizeIsRefused) {
+  using core::LoopOrder;
+  using core::TracedMat;
+  const std::size_t n = 16, zero = 0;
+  const std::size_t ml[] = {0, 8};
+  const LoopOrder ord[] = {LoopOrder::kIJK, LoopOrder::kIJK};
+  Matrix<double> spd = linalg::random_spd(n, 131), x(n, n, 1.0),
+                 c(n, n, 0.0);
+  const Matrix<double> up = linalg::random_upper_triangular(n, 132);
+  const Matrix<double> lo = random_lower_triangular(n, 133);
+  const std::vector<double> p = particles(n, 134);
+  Hierarchy h({3 * n * n, Hierarchy::kUnbounded});
+  Hierarchy h3({3 * 8 * 8, 3 * n * n, Hierarchy::kUnbounded});
+  using IA = std::invalid_argument;
+
+  EXPECT_THROW(core::blocked_matmul_explicit(c.view(), spd.view(), x.view(),
+                                             zero, h, LoopOrder::kIJK),
+               IA);
+  EXPECT_THROW(core::blocked_matmul_multilevel_explicit(
+                   c.view(), spd.view(), x.view(), ml, ord, h3),
+               IA);
+  for (const auto v :
+       {core::TrsmVariant::kLeftLookingWA, core::TrsmVariant::kRightLooking}) {
+    EXPECT_THROW(core::blocked_trsm_explicit(up.view(), x.view(), zero, h, v),
+                 IA);
+  }
+  EXPECT_THROW(
+      core::blocked_trsm_multilevel_explicit(up.view(), x.view(), ml, h3), IA);
+  for (const auto v : {core::CholeskyVariant::kLeftLookingWA,
+                       core::CholeskyVariant::kRightLooking}) {
+    EXPECT_THROW(core::blocked_cholesky_explicit(spd.view(), zero, h, v), IA);
+  }
+  EXPECT_THROW(core::blocked_cholesky_multilevel_explicit(spd.view(), ml, h3),
+               IA);
+  EXPECT_THROW(core::blocked_trsm_rlt_multilevel_explicit(lo.view(), x.view(),
+                                                          ml, h3),
+               IA);
+  for (const auto v :
+       {core::LuVariant::kLeftLookingWA, core::LuVariant::kRightLooking}) {
+    EXPECT_THROW(core::blocked_lu_explicit(spd.view(), zero, h, v), IA);
+  }
+  EXPECT_THROW(core::nbody2_blocked_explicit(p, zero, h), IA);
+  EXPECT_THROW(core::nbody2_multilevel_explicit(p, ml, h3), IA);
+  EXPECT_THROW(core::nbody2_symmetric_explicit(p, zero, h), IA);
+  EXPECT_THROW(core::nbodyk_blocked_explicit(p, 3, zero, h), IA);
+  EXPECT_THROW(core::algorithm1_expected_counts(n, n, n, zero), IA);
+  EXPECT_THROW(core::algorithm2_expected_counts(n, zero), IA);
+  EXPECT_THROW(core::algorithm3_expected_stores(n, zero), IA);
+  EXPECT_THROW(core::strassen_reference(spd, x, zero), IA);
+
+  cachesim::CacheHierarchy sim = small_caches();
+  cachesim::AddressSpace as;
+  TracedMat ta(sim, as, n, n), tb(sim, as, n, n), tc(sim, as, n, n);
+  ta.raw() = spd;
+  TracedMat tt(sim, as, n, n);
+  tt.raw() = up;
+  cachesim::TracedArray<double> tp(sim, as, n), tf(sim, as, n);
+  tp.raw() = p;
+  EXPECT_THROW(core::traced_blocked_matmul(tc, ta, tb, ml, ord), IA);
+  EXPECT_THROW(core::traced_wa_matmul_multilevel(tc, ta, tb, ml), IA);
+  EXPECT_THROW(core::traced_wa_matmul_twolevel(tc, ta, tb, ml), IA);
+  EXPECT_THROW(core::traced_co_matmul(tc, ta, tb, zero), IA);
+  EXPECT_THROW(core::traced_mkl_like_matmul(tc, ta, tb, zero, 8), IA);
+  EXPECT_THROW(core::traced_mkl_like_matmul(tc, ta, tb, 8, zero), IA);
+  EXPECT_THROW(core::traced_trsm_wa(tt, tb, zero), IA);
+  EXPECT_THROW(core::traced_cholesky_wa(ta, zero), IA);
+  EXPECT_THROW(core::traced_nbody2_wa(tp, tf, zero), IA);
+  EXPECT_THROW(core::traced_strassen(tc, ta, tb, sim, as, zero), IA);
+}
+
 }  // namespace
 }  // namespace wa

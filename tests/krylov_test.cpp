@@ -1,13 +1,17 @@
 // Tests for Section 8: CG, CA-CG, and the streaming write-avoiding
 // CA-CG.  Key claims: (1) all three solve the system; (2) CA-CG
 // matches CG's convergence; (3) the streaming variant cuts
-// slow-memory writes by Theta(s) at <= ~2x reads.
+// slow-memory writes by Theta(s) at <= ~2x reads.  Slow-memory words
+// are counted on a one-rank Machine, whose iterates are bitwise the
+// shared-memory solvers' (pinned in dist_krylov_test).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
+#include "dist/krylov.hpp"
+#include "dist/machine.hpp"
 #include "krylov/cacg.hpp"
 #include "krylov/cg.hpp"
 #include "sparse/csr.hpp"
@@ -36,6 +40,8 @@ double rel_residual(const sparse::Csr& a, std::span<const double> b,
   return std::sqrt(num / den);
 }
 
+dist::Machine one_rank() { return dist::Machine(1, 192, 4096, 1 << 24); }
+
 TEST(Cg, SolvesStencilSystem) {
   const auto a = sparse::stencil_1d(256, 1);
   const auto b = rhs_for(a, 1);
@@ -46,14 +52,14 @@ TEST(Cg, SolvesStencilSystem) {
 }
 
 TEST(Cg, WritesFourVectorsPerIteration) {
+  // r and p once at setup, then x, r, p and w once per step.
   const auto a = sparse::stencil_1d(512, 1);
   const auto b = rhs_for(a, 2);
   std::vector<double> x(a.n, 0.0);
-  const auto res = cg(a, b, x, 300, 1e-12);
+  dist::Machine m = one_rank();
+  const auto res = dist::cg(m, a, b, x, 300, 1e-12);
   ASSERT_GT(res.iterations, 3u);
-  const double per_iter =
-      double(res.traffic.slow_writes) / double(res.iterations);
-  EXPECT_NEAR(per_iter, 4.0 * double(a.n), 0.4 * double(a.n));
+  EXPECT_EQ(m.proc(0).l3_write.words, 2 * a.n + 4 * a.n * res.iterations);
 }
 
 class CaCgSweep
@@ -119,25 +125,27 @@ TEST(Section8, StreamingReducesWritesByThetaS) {
   stored.mode = CaCgMode::kStored;
   stored.tol = 1e-9;
   stored.max_outer = 300;
-  const auto r_stored = ca_cg(a, b, x1, stored);
+  dist::Machine m_stored = one_rank();
+  const auto r_stored = dist::ca_cg(m_stored, a, b, x1, stored);
 
   CaCgOptions streaming = stored;
   streaming.mode = CaCgMode::kStreaming;
-  const auto r_stream = ca_cg(a, b, x2, streaming);
+  dist::Machine m_stream = one_rank();
+  const auto r_stream = dist::ca_cg(m_stream, a, b, x2, streaming);
 
   ASSERT_GT(r_stored.iterations, s);
   ASSERT_GT(r_stream.iterations, s);
 
-  const double w_stored = double(r_stored.traffic.slow_writes) /
+  const double w_stored = double(m_stored.proc(0).l3_write.words) /
                           double(r_stored.iterations);
-  const double w_stream = double(r_stream.traffic.slow_writes) /
+  const double w_stream = double(m_stream.proc(0).l3_write.words) /
                           double(r_stream.iterations);
-  // Stored: ~(2s+2)/s * n  writes/step; streaming: ~3n/s writes/step.
+  // Stored: ~(2s+4)/s * n  writes/step; streaming: ~3n/s writes/step.
   EXPECT_GT(w_stored / w_stream, double(s) / 2.0);
 
   // The price: reads and flops at most ~2.5x (basis computed twice).
-  const double reads_ratio = double(r_stream.traffic.slow_reads) /
-                             double(r_stored.traffic.slow_reads);
+  const double reads_ratio = double(m_stream.proc(0).l3_read.words) /
+                             double(m_stored.proc(0).l3_read.words);
   EXPECT_LT(reads_ratio, 2.5);
 }
 
@@ -151,10 +159,11 @@ TEST(Section8, StreamingWritesPerStepApproachThreeNOverS) {
   opt.mode = CaCgMode::kStreaming;
   opt.tol = 1e-8;
   opt.max_outer = 100;
-  const auto res = ca_cg(a, b, x, opt);
+  dist::Machine m = one_rank();
+  const auto res = dist::ca_cg(m, a, b, x, opt);
   ASSERT_GE(res.iterations, s);
   const double per_step =
-      double(res.traffic.slow_writes) / double(res.iterations);
+      double(m.proc(0).l3_write.words) / double(res.iterations);
   // W12 = O(n/s) per step: 3n/s plus the initial setup amortized.
   EXPECT_LT(per_step, 5.0 * double(a.n) / double(s));
 }
