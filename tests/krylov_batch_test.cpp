@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -242,22 +243,128 @@ TEST(DistBatch, B1BitwiseEqualSingle) {
   }
 }
 
+// The distributed solvers walk A once per group of up to kGroup active
+// RHS; these batch sizes straddle every group boundary.
+constexpr std::size_t kGroup = 8;
+constexpr std::size_t kBatchSizes[] = {1, 3, kGroup, kGroup + 1,
+                                       2 * kGroup + 1};
+
+/// panel_for with RHS 1 zeroed: it converges at the first check, so
+/// the active set regroups around it from the first iteration on.
+std::vector<double> panel_with_zero(const sparse::Csr& A, std::size_t nrhs,
+                                    unsigned seed) {
+  std::vector<double> B = panel_for(A, nrhs, seed);
+  if (nrhs > 1) {
+    std::fill(B.begin() + std::ptrdiff_t(A.n),
+              B.begin() + std::ptrdiff_t(2 * A.n), 0.0);
+  }
+  return B;
+}
+
 TEST(DistBatch, P1BitwiseEqualSharedBatch) {
-  const auto A = sparse::stencil_1d(130, 1);
-  const std::size_t nrhs = 3;
-  const auto B = panel_for(A, nrhs, 13);
+  const sparse::Csr mats[] = {sparse::stencil_1d(130, 1),
+                              sparse::small_world_graph(300, 2, 6, 3)};
+  for (const sparse::Csr& A : mats) {
+    for (const std::size_t nrhs : kBatchSizes) {
+      const auto B = panel_with_zero(A, nrhs, 13);
+      {
+        dist::Machine m = make_machine(1);
+        std::vector<double> xd(A.n * nrhs, 0.0), xs(A.n * nrhs, 0.0);
+        const auto rd = dist::cg_batch(m, A, B, xd, nrhs, 200, 1e-10);
+        const auto rs = krylov::cg_batch(A, B, xs, nrhs, 200, 1e-10);
+        EXPECT_TRUE(bits_equal(xd, xs)) << "cg n=" << A.n << " b=" << nrhs;
+        for (std::size_t j = 0; j < nrhs; ++j) {
+          EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations)
+              << "cg n=" << A.n << " b=" << nrhs << " rhs " << j;
+        }
+      }
+      for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+        CaCgOptions opt;
+        opt.s = 4;
+        opt.tol = 1e-10;
+        opt.mode = mode;
+        dist::Machine m = make_machine(1);
+        std::vector<double> xd(A.n * nrhs, 0.0), xs(A.n * nrhs, 0.0);
+        const auto rd = dist::ca_cg_batch(m, A, B, xd, nrhs, opt);
+        const auto rs = krylov::ca_cg_batch(A, B, xs, nrhs, opt);
+        EXPECT_TRUE(bits_equal(xd, xs))
+            << "n=" << A.n << " b=" << nrhs << " mode=" << int(mode);
+        for (std::size_t j = 0; j < nrhs; ++j) {
+          EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations)
+              << "n=" << A.n << " b=" << nrhs << " mode=" << int(mode)
+              << " rhs " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistBatch, RestartsBitwiseEqualSharedBatch) {
+  // A monomial basis at s = 10 on a radius-2 stencil breaks down on
+  // RHS 2 again and again (26 times per mode): its recovered residual
+  // overshoots, the outer iteration rolls back to its entry iterates,
+  // classical CG steps stand in for it, and it retires at the restart
+  // cap.  RHS 3 repeats RHS 2, so every roll-back and fallback step
+  // runs two RHS at once.  No other case runs that path against an
+  // independent implementation.
+  const auto A = sparse::stencil_1d(2048, 2);
+  const std::size_t n = A.n, nrhs = 4;
+  std::vector<double> B = panel_for(A, 3, 33);
+  B.resize(nrhs * n);
+  std::copy_n(B.begin() + std::ptrdiff_t(2 * n), n,
+              B.begin() + std::ptrdiff_t(3 * n));
   for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
     CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
+    opt.s = 10;
+    opt.tol = 1e-9;
+    opt.max_outer = 400;
     opt.mode = mode;
+    opt.basis = CaCgBasis::kMonomial;
     dist::Machine m = make_machine(1);
     std::vector<double> xd(A.n * nrhs, 0.0), xs(A.n * nrhs, 0.0);
     const auto rd = dist::ca_cg_batch(m, A, B, xd, nrhs, opt);
     const auto rs = krylov::ca_cg_batch(A, B, xs, nrhs, opt);
     EXPECT_TRUE(bits_equal(xd, xs)) << "mode=" << int(mode);
+    const std::span<const double> xv(xd);
+    EXPECT_TRUE(bits_equal(xv.subspan(2 * n, n), xv.subspan(3 * n, n)))
+        << "mode=" << int(mode);
     for (std::size_t j = 0; j < nrhs; ++j) {
-      EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations) << "rhs " << j;
+      EXPECT_EQ(rd.rhs[j].iterations, rs.rhs[j].iterations)
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(rd.rhs[j].converged, rs.rhs[j].converged)
+          << "mode=" << int(mode) << " rhs " << j;
+    }
+  }
+}
+
+TEST(DistBatch, GraphBatchBitwiseEqualSolo) {
+  // Each RHS of a batch one wider than a group, on the P = 4 graph
+  // partition, is bitwise the same solve run alone: its group,
+  // neighbours and the zero RHS that drops out change nothing.
+  const auto A = sparse::small_world_graph(300, 2, 6, 3);
+  const std::size_t n = A.n, nrhs = kGroup + 1;
+  const auto B = panel_with_zero(A, nrhs, 19);
+  const auto part = dist::make_partition(4, A);
+  ASSERT_NE(part->graph(), nullptr);
+  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+    CaCgOptions opt;
+    opt.s = 4;
+    opt.tol = 1e-10;
+    opt.mode = mode;
+    dist::Machine mb = make_machine(4);
+    std::vector<double> xb(n * nrhs, 0.0);
+    const auto batch = dist::ca_cg_batch(mb, *part, A, B, xb, nrhs, opt);
+    for (std::size_t j = 0; j < nrhs; ++j) {
+      dist::Machine ms = make_machine(4);
+      std::vector<double> xs(n, 0.0);
+      const auto solo = dist::ca_cg(
+          ms, *part, A, std::span<const double>(B).subspan(j * n, n), xs, opt);
+      EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(j * n, n)))
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(solo.iterations, batch.rhs[j].iterations)
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(solo.converged, batch.rhs[j].converged)
+          << "mode=" << int(mode) << " rhs " << j;
     }
   }
 }
