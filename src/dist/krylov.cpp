@@ -1,6 +1,7 @@
 #include "dist/krylov.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/detail.hpp"
@@ -309,12 +311,95 @@ std::vector<HaloTransfer> basis_halo(const Partition& part, std::size_t s) {
   return out;
 }
 
-/// Fill @p W with the 2s+1 basis columns of chunk @p ck: p's heads
-/// over every slot and r's over lvl[s-1], then the shifted recurrence
-/// with each level over its hop set.  Returns the A words read, which
-/// the caller charges as slow reads.  One definition serves the stored
-/// phase and both streaming passes, so their arithmetic -- and the
-/// bitwise pins built on it -- cannot drift apart.
+// ---- the row kernel ---------------------------------------------------------
+//
+// Every phase that reads A walks it here: each row's nonzeros once for
+// a group of up to kRhsGroup right-hand sides (lanes).  Each lane sums
+// in A's stored column order from +0, exactly the kd::row_dot / spmv
+// sum, so every lane is bitwise the per-RHS product whatever the group
+// holds.  The lane count is a template argument of the walk, so each
+// width keeps its sums and column pointers in registers.
+
+/// fn(first, last) over [0, count) in consecutive groups of at most
+/// kRhsGroup.
+template <class Fn>
+void for_each_group(std::size_t count, Fn&& fn) {
+  for (std::size_t g0 = 0; g0 < count; g0 += kRhsGroup) {
+    fn(g0, std::min(count, g0 + kRhsGroup));
+  }
+}
+
+template <std::size_t L, class Row, class Slot, class Done>
+void walk_rows_of(const sparse::Csr& A, const Runs& rows, Row row,
+                  Slot slot, const double* const* in, Done& done) {
+  const std::size_t* rptr = A.row_ptr.data();
+  const std::size_t* cols = A.col_idx.data();
+  const double* vals = A.values.data();
+  std::array<const double*, L> x{};
+  std::copy_n(in, L, x.begin());
+  for (const auto& [lo, hi] : rows) {
+    for (std::size_t li = lo; li < hi; ++li) {
+      const std::size_t i = row(li);
+      std::array<double, L> t{};
+      for (std::size_t q = rptr[i]; q < rptr[i + 1]; ++q) {
+        const double a = vals[q];
+        const std::size_t c = slot(cols[q]);
+        for (std::size_t k = 0; k < L; ++k) t[k] += a * x[k][c];
+      }
+      for (std::size_t k = 0; k < L; ++k) done(li, k, t[k]);
+    }
+  }
+}
+
+/// For each slot li of @p rows and each lane k < g (1 <= g <=
+/// kRhsGroup): the sum t = sum_q A(row(li), q) * in[k][slot(q)],
+/// handed to done(li, k, t).
+template <class Row, class Slot, class Done>
+void walk_rows(const sparse::Csr& A, const Runs& rows, std::size_t g,
+               Row row, Slot slot, const double* const* in, Done done) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((g == I + 1 &&
+      (walk_rows_of<I + 1>(A, rows, row, slot, in, done), true)) ||
+     ...);
+  }(std::make_index_sequence<kRhsGroup>{});
+}
+
+/// w[j] = A v(j) over rank @p rank's owned rows for every j of @p js,
+/// one walk of A per group.
+template <class V>
+void spmv_owned(const PartRun& rp, std::size_t rank,
+                const std::vector<std::size_t>& js, V v,
+                std::vector<std::vector<double>>& w) {
+  const auto same = [](std::size_t i) { return i; };
+  for_each_group(js.size(), [&](std::size_t g0, std::size_t g1) {
+    std::array<const double*, kRhsGroup> in{};
+    std::array<double*, kRhsGroup> out{};
+    for (std::size_t k = g0; k < g1; ++k) {
+      in[k - g0] = v(js[k]);
+      out[k - g0] = w[js[k]].data();
+    }
+    walk_rows(rp.A, rp.runs[rank], g1 - g0, same, same, in.data(),
+              [&](std::size_t i, std::size_t k, double t) { out[k][i] = t; });
+  });
+}
+
+/// One chunk's 2s+1 basis columns, one per slot.
+using Basis = std::vector<std::vector<double>>;
+
+/// One group's operands for build_basis: lane k builds basis *W[k]
+/// from heads p[k] and r[k].
+struct BasisGroup {
+  std::size_t size = 0;
+  std::array<const double*, kRhsGroup> p{}, r{};
+  std::array<Basis*, kRhsGroup> W{};
+};
+
+/// Fill every lane's basis with the 2s+1 columns of chunk @p ck: p's
+/// heads over every slot and r's over lvl[s-1], then the shifted
+/// recurrence with each level over its hop set, one walk of A per
+/// level for the whole group.  One definition serves the stored phase
+/// and both streaming passes, so their arithmetic -- and the bitwise
+/// pins built on it -- cannot drift apart.
 ///
 /// Neighbours are gathered through a slot map: loc[j] is the slot of
 /// global row j, filled with the heads.  Every column of a row within
@@ -322,45 +407,42 @@ std::vector<HaloTransfer> basis_halo(const Partition& part, std::size_t s) {
 /// level below wrote; the caller's buffers and the per-worker map are
 /// recycled, and what earlier calls left in them is never read
 /// (Gram and recovery read the targets only, set in every column).
-std::uint64_t build_basis(const sparse::Csr& A, const BasisChunk& ck,
-                          const kd::BasisCoeffs& bc, std::size_t s,
-                          const std::vector<double>& p,
-                          const std::vector<double>& r,
-                          std::vector<std::vector<double>>& W) {
+void build_basis(const sparse::Csr& A, const BasisChunk& ck,
+                 const kd::BasisCoeffs& bc, std::size_t s,
+                 const BasisGroup& grp) {
   const std::size_t len = ck.ext.size();
-  W.resize(2 * s + 1);
-  for (auto& col : W) col.resize(len);
   thread_local std::vector<std::uint32_t> loc;
   if (loc.size() < A.n) loc.resize(A.n);
   const std::uint32_t* ext = ck.ext.data();
   std::uint32_t* lp = loc.data();
-  double* p0 = W[0].data();
-  for (std::size_t li = 0; li < len; ++li) {
-    p0[li] = p[ext[li]];
-    lp[ext[li]] = std::uint32_t(li);
-  }
-  double* r0 = W[s + 1].data();
-  for (const auto& [lo, hi] : ck.lvl[s - 1]) {
-    for (std::size_t li = lo; li < hi; ++li) r0[li] = r[ext[li]];
+  for (std::size_t li = 0; li < len; ++li) lp[ext[li]] = std::uint32_t(li);
+  for (std::size_t k = 0; k < grp.size; ++k) {
+    Basis& W = *grp.W[k];
+    W.resize(2 * s + 1);
+    for (auto& col : W) col.resize(len);
+    double* p0 = W[0].data();
+    for (std::size_t li = 0; li < len; ++li) p0[li] = grp.p[k][ext[li]];
+    double* r0 = W[s + 1].data();
+    for (const auto& [lo, hi] : ck.lvl[s - 1]) {
+      for (std::size_t li = lo; li < hi; ++li) r0[li] = grp.r[k][ext[li]];
+    }
   }
 
-  const std::size_t* rptr = A.row_ptr.data();
-  const std::size_t* cols = A.col_idx.data();
-  const double* vals = A.values.data();
+  const auto row = [ext](std::size_t li) { return std::size_t(ext[li]); };
+  const auto slot = [lp](std::size_t j) { return std::size_t(lp[j]); };
+  const double sigma = bc.sigma;
   const auto advance = [&](std::size_t from, std::size_t to,
                            const Runs& rows, double theta) {
-    const double* fc = W[from].data();
-    double* tc = W[to].data();
-    for (const auto& [lo, hi] : rows) {
-      for (std::size_t li = lo; li < hi; ++li) {
-        const std::size_t i = ext[li];
-        double t = 0;
-        for (std::size_t q = rptr[i]; q < rptr[i + 1]; ++q) {
-          t += vals[q] * fc[lp[cols[q]]];
-        }
-        tc[li] = (t - theta * fc[li]) / bc.sigma;
-      }
+    std::array<const double*, kRhsGroup> fc{};
+    std::array<double*, kRhsGroup> tc{};
+    for (std::size_t k = 0; k < grp.size; ++k) {
+      fc[k] = (*grp.W[k])[from].data();
+      tc[k] = (*grp.W[k])[to].data();
     }
+    walk_rows(A, rows, grp.size, row, slot, fc.data(),
+              [&](std::size_t li, std::size_t k, double t) {
+                tc[k][li] = (t - theta * fc[k][li]) / sigma;
+              });
   };
   for (std::size_t l = 1; l <= s; ++l) {
     advance(l - 1, l, ck.lvl[s - l], bc.theta[l - 1]);
@@ -368,7 +450,6 @@ std::uint64_t build_basis(const sparse::Csr& A, const BasisChunk& ck,
   for (std::size_t l = 1; l < s; ++l) {
     advance(s + l, s + 1 + l, ck.lvl[s - 1 - l], bc.theta[l - 1]);
   }
-  return ck.a_words;
 }
 
 /// Gram partial over the chunk's target runs (one gram_upper_acc call
@@ -376,7 +457,7 @@ std::uint64_t build_basis(const sparse::Csr& A, const BasisChunk& ck,
 /// P = 1, with its single [0, n) run, equal to the shared-memory
 /// solver's one call).
 void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
-                  const std::vector<std::vector<double>>& W) {
+                  const Basis& W) {
   std::vector<const double*> wp(mm);
   for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
   for (const auto& [llo, lhi] : ck.lvl[0]) {
@@ -388,8 +469,7 @@ void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
 /// Recovery over the chunk's target rows:
 /// [pout, rout, x] = [W] [ph, rh, xh] + [0, 0, x], scattered to the
 /// target rows' global indices.
-void recover(const BasisChunk& ck, std::size_t mm,
-             const std::vector<std::vector<double>>& W,
+void recover(const BasisChunk& ck, std::size_t mm, const Basis& W,
              const std::vector<double>& ph, const std::vector<double>& rh,
              const std::vector<double>& xh, std::span<double> x,
              std::vector<double>& pout, std::vector<double>& rout) {
@@ -416,10 +496,11 @@ void recover(const BasisChunk& ck, std::size_t mm,
 // operation an RHS sees is the same whatever else is in the batch, in
 // the same order, so iterates are bitwise-identical for any batch
 // composition and finished/broken-down RHS drop out without perturbing
-// the others.  Sharing happens in the *charging*: words of A are read
-// once per traversal, each halo exchange is one event shipping all
-// active panels, and each allreduce is one event combining all active
-// scalars/Grams.  Per-RHS vector words carry an active-count
+// the others.  Sharing happens in the kernels and the charging: the
+// row kernel walks A once per basis level or SpMV for each group of up
+// to kRhsGroup active RHS, and A's words are charged once per batch;
+// each halo exchange is one event shipping all active panels, and each
+// allreduce is one event combining all active scalars/Grams.  Per-RHS vector words carry an active-count
 // multiplier.  The single-RHS entry points are these bodies at
 // nrhs = 1.
 
@@ -454,9 +535,10 @@ struct BatchSetupResult {
 };
 
 /// Shared solve setup: one exchange event ships all nrhs x panels, one
-/// A traversal serves every r = b - A x and p = r, the nrhs deltas =
-/// <r, r> travel in one allreduce event, and <b, b> for the stopping
-/// thresholds (rank-ordered but uncharged reads) in another.
+/// walk of A per group (charged once) serves every r = b - A x and
+/// p = r, the nrhs deltas = <r, r> travel in one allreduce event, and
+/// <b, b> for the stopping thresholds (rank-ordered but uncharged
+/// reads) in another.
 BatchSetupResult residual_setup_batch(
     PartRun& rp, const std::vector<HaloTransfer>& halo1,
     const std::vector<std::size_t>& recv1, std::span<const double> B,
@@ -476,14 +558,10 @@ BatchSetupResult residual_setup_batch(
 
   rp.exchange(halo1, nrhs);
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+    spmv_owned(rp, rank, all,
+               [&](std::size_t j) { return X.data() + j * n; }, w);
     for (std::size_t j = 0; j < nrhs; ++j) {
-      const auto xj = X.subspan(j * n, n);
       const auto bj = B.subspan(j * n, n);
-      rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          w[j][i] = kd::row_dot(A, i, xj.data(), 0);
-        }
-      });
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           r[j][i] = bj[i] - w[j][i];
@@ -530,11 +608,12 @@ BatchSetupResult residual_setup_batch(
 
 /// One classical CG step over the RHS set @p act, charged at the
 /// classical per-step rates (reads A + O(n)/P, writes 4n/P per rank
-/// per RHS) with one exchange event, one A traversal, and one
-/// allreduce event per scalar round.  With @p check_den (the CA-CG
-/// restart fallback) a non-positive or non-finite den retires that
-/// RHS after phase 1 (marked in @p broke, no phase 2/3 work or
-/// charges, no delta update); classical CG divides unconditionally.
+/// per RHS) with one exchange event, one walk of A per group (charged
+/// once), and one allreduce event per scalar round.  With
+/// @p check_den (the CA-CG restart fallback) a non-positive or
+/// non-finite den retires that RHS after phase 1 (marked in @p broke,
+/// no phase 2/3 work or charges, no delta update); classical CG
+/// divides unconditionally.
 void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
                    const std::vector<std::size_t>& recv1,
                    std::span<double> X, std::vector<std::vector<double>>& r,
@@ -554,14 +633,11 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
 
   rp.exchange(halo1, na);  // all active p panels travel together
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
+    spmv_owned(rp, rank, act, [&](std::size_t j) { return p[j].data(); },
+               w);
     for (std::size_t idx = 0; idx < act.size(); ++idx) {
       const std::size_t j = act[idx];
       double sum = 0.0;
-      rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          w[j][i] = kd::row_dot(A, i, p[j].data(), 0);
-        }
-      });
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) sum += p[j][i] * w[j][i];
       });
@@ -719,22 +795,35 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   constexpr std::size_t kMaxRestarts = 25;
   std::vector<char> finished(nrhs, 0);
 
-  std::vector<std::vector<double>> x_snap(nrhs), p_snap(nrhs), r_snap(nrhs);
-  std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
+  // X is the caller's buffer, so an outer iteration that rolls back
+  // restores x from a snapshot; recovery writes the new p and r aside
+  // into pn and rn, so the entry p and r survive it to be swapped back.
+  std::vector<std::vector<double>> x_snap(nrhs), pn(nrhs), rn(nrhs);
 
   // Per-rank scratch: the stored mode keeps every RHS's chunk basis
   // alive until recovery (rank x RHS slots); the streaming mode
-  // rebuilds chunkwise, so one basis block per rank is recycled
-  // across chunks and RHS.  Gram partials are per rank per RHS.
-  std::vector<std::vector<std::vector<std::vector<double>>>> Vloc(
-      P, std::vector<std::vector<std::vector<double>>>(stored ? nrhs : 1));
+  // rebuilds chunkwise, so one group's basis blocks per rank (rank x
+  // kRhsGroup slots) are recycled across chunks and groups.  Gram
+  // partials are per rank per RHS.
+  std::vector<std::vector<Basis>> Vloc(
+      P, std::vector<Basis>(stored ? nrhs : std::min(nrhs, kRhsGroup)));
   std::vector<std::vector<kd::Small>> gpart(
       P, std::vector<kd::Small>(nrhs, kd::Small(mm)));
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(P, 0.0));
-  const auto basis_of = [&](std::size_t rank, std::size_t j)
-      -> std::vector<std::vector<double>>& {
-    return Vloc[rank][stored ? j : 0];
+  // Group js[g0, g1) on rank @p rank: its heads and basis blocks.
+  const auto group_of = [&](std::size_t rank,
+                            const std::vector<std::size_t>& js,
+                            std::size_t g0, std::size_t g1) {
+    BasisGroup g;
+    g.size = g1 - g0;
+    for (std::size_t k = 0; k < g.size; ++k) {
+      const std::size_t j = js[g0 + k];
+      g.p[k] = p[j].data();
+      g.r[k] = r[j].data();
+      g.W[k] = &Vloc[rank][stored ? j : k];
+    }
+    return g;
   };
 
   const std::vector<std::vector<BasisChunk>> plan =
@@ -758,8 +847,6 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       delta_enter[j] = delta[j];
       const auto xj = X.subspan(j * n, n);
       x_snap[j].assign(xj.begin(), xj.end());
-      p_snap[j] = p[j];
-      r_snap[j] = r[j];
     }
 
     std::vector<kd::Small> G(nrhs, kd::Small(mm));
@@ -774,29 +861,30 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // and r at (s-1)*radius, in one event for every active RHS.
     rp.exchange(halo_b, na);
 
-    // ---- basis + Gram: per chunk, each active RHS builds its basis
-    // (one build_basis traversal of A per RHS) and accumulates its
-    // Gram partial; only the charge for A's words is shared, once per
-    // chunk for the whole batch.  Stored mode keeps the basis and
-    // writes each finished own-node column to slow memory once (the
-    // Theta(n) stored-basis write stream); streaming discards its fast
-    // block chunk by chunk and writes nothing.
+    // ---- basis + Gram: per chunk, each group of active RHS builds
+    // its bases in one walk of A per level, then each RHS accumulates
+    // its Gram partial; A's words are charged once per chunk for the
+    // whole batch.  Stored mode keeps the basis and writes each
+    // finished own-node column to slow memory once (the Theta(n)
+    // stored-basis write stream); streaming discards its fast blocks
+    // chunk by chunk and writes nothing.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       if (rp.own_sz[rank] == 0) return;
       detail::charge_l2_transit(h, na * recv_b[rank], m.M2(), 0);
       for (const BasisChunk& ck : plan[rank]) {
         const std::size_t tsz = ck.targets();
-        std::uint64_t a_words = 0;  // same for every RHS: charged once
-        for (const std::size_t j : act) {
-          auto& W = basis_of(rank, j);
-          a_words = build_basis(A, ck, bc, s, p[j], r[j], W);
-          gram_partial(ck, gpart[rank][j], mm, W);
-        }
+        for_each_group(act.size(), [&](std::size_t g0, std::size_t g1) {
+          const BasisGroup g = group_of(rank, act, g0, g1);
+          build_basis(A, ck, bc, s, g);
+          for (std::size_t k = 0; k < g.size; ++k) {
+            gram_partial(ck, gpart[rank][act[g0 + k]], mm, *g.W[k]);
+          }
+        });
         detail::charge_l3_read(h, na * ck.own_heads, m.M2());
         if (stored) {
           detail::charge_l3_write(h, na * 2 * tsz, m.M2());  // basis heads
         }
-        detail::charge_l3_read(h, a_words, m.M2());  // A, shared
+        detail::charge_l3_read(h, ck.a_words, m.M2());  // A, shared
         if (stored) {
           detail::charge_l3_write(h, na * (2 * s - 1) * tsz, m.M2());
           detail::charge_l3_read(h, na * mm * tsz, m.M2());  // Gram re-read
@@ -846,41 +934,41 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
 
     // ---- recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
     // Stored mode reads its kept basis; streaming recomputes the basis
-    // chunkwise and fuses the recovery (the <= 2x flop doubling the
-    // paper trades for the Theta(s) write reduction), writing the new
-    // p and r aside because later chunks still read the old ones.
-    if (!stored) {
-      for (const std::size_t j : act2) {
-        pn[j].resize(n);
-        rn[j].resize(n);
-      }
+    // chunkwise, one walk of A per level for each group, and fuses the
+    // recovery (the <= 2x flop doubling the paper trades for the
+    // Theta(s) write reduction).  Both write the new p and r aside:
+    // later streaming chunks still read the old ones, and a rolled-back
+    // RHS swaps them back.
+    for (const std::size_t j : act2) {
+      pn[j].resize(n);
+      rn[j].resize(n);
     }
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
       if (rp.own_sz[rank] == 0) return;
       for (const BasisChunk& ck : plan[rank]) {
         const std::size_t tsz = ck.targets();
-        std::uint64_t a_words = 0;
-        for (const std::size_t j : act2) {
-          auto& W = basis_of(rank, j);
-          if (!stored) a_words = build_basis(A, ck, bc, s, p[j], r[j], W);
-          recover(ck, mm, W, ph[j], rh[j], xh[j], X.subspan(j * n, n),
-                  stored ? p[j] : pn[j], stored ? r[j] : rn[j]);
-        }
+        for_each_group(act2.size(), [&](std::size_t g0, std::size_t g1) {
+          const BasisGroup g = group_of(rank, act2, g0, g1);
+          if (!stored) build_basis(A, ck, bc, s, g);
+          for (std::size_t k = 0; k < g.size; ++k) {
+            const std::size_t j = act2[g0 + k];
+            recover(ck, mm, *g.W[k], ph[j], rh[j], xh[j],
+                    X.subspan(j * n, n), pn[j], rn[j]);
+          }
+        });
         if (stored) {
           detail::charge_l3_read(h, na2 * (mm * tsz + tsz), m.M2());
         } else {
           detail::charge_l3_read(h, na2 * ck.own_heads, m.M2());
-          detail::charge_l3_read(h, a_words, m.M2());    // A, shared
-          detail::charge_l3_read(h, na2 * tsz, m.M2());  // x
+          detail::charge_l3_read(h, ck.a_words, m.M2());  // A, shared
+          detail::charge_l3_read(h, na2 * tsz, m.M2());   // x
         }
         detail::charge_l3_write(h, na2 * 3 * tsz, m.M2());  // x, p, r
       }
     });
-    if (!stored) {
-      for (const std::size_t j : act2) {
-        p[j].swap(pn[j]);
-        r[j].swap(rn[j]);
-      }
+    for (const std::size_t j : act2) {
+      p[j].swap(pn[j]);
+      r[j].swap(rn[j]);
     }
 
     // Recompute delta from the *recovered* residual; a large
@@ -912,10 +1000,8 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
         out.rhs[j].iterations -= s;
         const auto xj = X.subspan(j * n, n);
         std::copy(x_snap[j].begin(), x_snap[j].end(), xj.begin());
-        for (std::size_t i = 0; i < n; ++i) {
-          p[j][i] = p_snap[j][i];
-          r[j][i] = r_snap[j][i];
-        }
+        p[j].swap(pn[j]);  // the entry p and r, set aside by recovery
+        r[j].swap(rn[j]);
         delta[j] = delta_enter[j];
         restart_set.push_back(j);
       } else {

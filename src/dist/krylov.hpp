@@ -39,7 +39,9 @@
 // streaming), each holding the rows within k hops of its targets for
 // k = 0..s, found by one walk of A's pattern on every partition kind;
 // one basis builder, one basis+Gram phase and one recovery phase
-// serve both storage modes on every partition.  Every allreduce
+// serve both storage modes on every partition.  One row kernel reads A
+// for every phase: each walk of a row's nonzeros serves a group of up
+// to kRhsGroup active RHS (below).  Every allreduce
 // carries the values it charges (dot products, packed Gram triangles)
 // as its payload.
 //
@@ -107,18 +109,28 @@ KrylovResult ca_cg(Machine& m, const sparse::Csr& A,
                    std::span<const double> b, std::span<double> x,
                    const krylov::CaCgOptions& opt);
 
+/// Active right-hand sides one walk of A serves: every phase that
+/// reads A (the CA-CG basis levels, the CG SpMV, the setup residual)
+/// walks each row's nonzeros once for a group of up to kRhsGroup
+/// RHS, each accumulating its own sum in A's stored column order.
+/// A fixed width, chosen by measurement (README, "Batched solves"):
+/// wider groups spill the per-RHS sums and column pointers out of
+/// registers.
+inline constexpr std::size_t kRhsGroup = 8;
+
 /// Batched multi-RHS distributed solvers on column-major n x nrhs
 /// panels (RHS j occupies [j*n, (j+1)*n) of B and X).  The b per-RHS
 /// recurrences are fully independent -- every RHS's arithmetic is
 /// bitwise-identical whatever else is in the batch, and finished
 /// systems drop out without perturbing the others' bits -- but the
-/// *shared* costs are paid once per batch: one traversal of A per
-/// basis level (or SpMV), one ghost-exchange event per outer iteration
-/// shipping all active panels together, and one allreduce event
-/// combining all active Gram matrices / dot products.  Per-RHS vector
-/// words are charged per RHS.  These are the solver bodies: cg and
-/// ca_cg above run them at nrhs == 1.  The panels must hold at least
-/// n*nrhs words (std::invalid_argument otherwise).
+/// *shared* costs are paid once per batch: one walk of A per basis
+/// level (or SpMV) for every kRhsGroup active RHS, charged once, one
+/// ghost-exchange event per outer iteration shipping all active
+/// panels together, and one allreduce event combining all active Gram
+/// matrices / dot products.  Per-RHS vector words are charged per
+/// RHS.  These are the solver bodies: cg and ca_cg above run them at
+/// nrhs == 1.  The panels must hold at least n*nrhs words
+/// (std::invalid_argument otherwise).
 KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            const sparse::Csr& A, std::span<const double> B,
                            std::span<double> X, std::size_t nrhs,

@@ -253,8 +253,8 @@ class KrylovAutotuner {
     return halo_words_1d_model(fp.n, P, e);
   }
 
-  /// Modelled time per CG step per solve of one candidate: the W12
-  /// write stream and the per-RHS vector reads are flat in b; the
+  /// Modelled time per CG step per solve of one candidate, priced by
+  /// HwParams::time like every other model here: the W12 write stream and the per-RHS vector reads are flat in b; the
   /// A-word stream and the per-event message latency amortize as 1/b
   /// (the batched-solver counters pin these shapes -- see
   /// tests/krylov_batch_test.cpp).
@@ -275,8 +275,7 @@ class KrylovAutotuner {
       const double nw = 2.0 * ghost_words(fp, P, re, counted) +
                         2.0 * rounds * 2.0;
       const double msgs = (2.0 + 2.0 * 2.0 * rounds) / bd;
-      return hw_.beta_23 * w + hw_.beta_32 * reads + hw_.beta_nw * nw +
-             hw_.alpha_nw * msgs;
+      return hw_.time(msgs, nw, reads, w, 0.0, 0.0);
     }
     const double sd = double(s);
     const double mm = 2.0 * sd + 1.0;
@@ -295,9 +294,7 @@ class KrylovAutotuner {
         P, s, ghost_words(fp, P, s * re, counted),
         ghost_words(fp, P, (s - 1) * re, counted));
     const double msgs = (2.0 + 2.0 * 2.0 * rounds) / bd;
-    return (hw_.beta_32 * (reads / sd) + hw_.beta_nw * (nw / sd) +
-            hw_.alpha_nw * (msgs / sd)) +
-           hw_.beta_23 * w;
+    return hw_.time(msgs / sd, nw / sd, reads / sd, w, 0.0, 0.0);
   }
 
   KrylovPlan tune(const Key& key,

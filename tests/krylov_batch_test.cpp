@@ -243,9 +243,9 @@ TEST(DistBatch, B1BitwiseEqualSingle) {
   }
 }
 
-// The distributed solvers walk A once per group of up to kGroup active
-// RHS; these batch sizes straddle every group boundary.
-constexpr std::size_t kGroup = 8;
+// The distributed solvers walk A once per group of up to kRhsGroup
+// active RHS; these batch sizes straddle every group boundary.
+constexpr std::size_t kGroup = dist::kRhsGroup;
 constexpr std::size_t kBatchSizes[] = {1, 3, kGroup, kGroup + 1,
                                        2 * kGroup + 1};
 
