@@ -546,8 +546,7 @@ BatchSetupResult residual_setup_batch(
     std::vector<std::vector<double>>& p, std::vector<std::vector<double>>& w,
     std::size_t nrhs) {
   Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-  const std::size_t n = A.n;
+  const std::size_t n = rp.A.n;
 
   BatchSetupResult out;
   out.bb.assign(nrhs, 0.0);
@@ -623,8 +622,7 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
                    const std::vector<std::size_t>& act, bool check_den,
                    std::vector<char>* broke) {
   Machine& m = rp.m;
-  const sparse::Csr& A = rp.A;
-  const std::size_t n = A.n;
+  const std::size_t n = rp.A.n;
   const std::uint64_t na = act.size();
   std::vector<std::vector<double>> partj(act.size(),
                                          std::vector<double>(rp.P, 0.0));

@@ -2,10 +2,11 @@
 // the b = 1 batch is bitwise-identical to the single-RHS solvers --
 // iterates, and on the Machine every counter -- per-RHS early exit
 // leaves the remaining iterates bitwise-unchanged, the batched
-// distributed path is backend-invariant, and the b-sweep counters
-// match the closed-form amortization models: A-words and network
-// messages per solve fall as 1/b while the per-RHS W12 and halo-word
-// channels stay flat.
+// distributed path is backend-invariant and bitwise the per-RHS
+// solvers across row-kernel group boundaries and CA-CG restarts, and
+// the b-sweep counters match the closed-form amortization models:
+// A-words and network messages per solve fall as 1/b while the
+// per-RHS W12 and halo-word channels stay flat.
 
 #include <gtest/gtest.h>
 
