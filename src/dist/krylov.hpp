@@ -41,9 +41,8 @@
 // one basis builder, one basis+Gram phase and one recovery phase
 // serve both storage modes on every partition.  One row kernel reads A
 // for every phase: each walk of a row's nonzeros serves a group of up
-// to kRhsGroup active RHS (below).  Every allreduce
-// carries the values it charges (dot products, packed Gram triangles)
-// as its payload.
+// to kRhsGroup active RHS (below).  Every allreduce carries the values
+// it charges (dot products, packed Gram triangles) as its payload.
 //
 // The paper's W12 (words written to slow memory per CG step) maps to
 // the per-rank l3_write channel here and is partition-independent

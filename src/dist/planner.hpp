@@ -254,10 +254,10 @@ class KrylovAutotuner {
   }
 
   /// Modelled time per CG step per solve of one candidate, priced by
-  /// HwParams::time like every other model here: the W12 write stream and the per-RHS vector reads are flat in b; the
-  /// A-word stream and the per-event message latency amortize as 1/b
-  /// (the batched-solver counters pin these shapes -- see
-  /// tests/krylov_batch_test.cpp).
+  /// HwParams::time like every other model here: the W12 write stream
+  /// and the per-RHS vector reads are flat in b; the A-word stream and
+  /// the per-event message latency amortize as 1/b (the batched-solver
+  /// counters pin these shapes -- see tests/krylov_batch_test.cpp).
   double step_cost(const MatrixFingerprint& fp, std::size_t P,
                    std::size_t b, std::size_t s, krylov::CaCgMode mode,
                    const std::map<std::size_t, double>& counted) const {
