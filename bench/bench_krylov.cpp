@@ -4,8 +4,18 @@
 // machine and print the measured per-rank slow-memory writes per CG
 // step (the paper's W12) next to the Section 8 closed forms:
 // classical CG and the stored basis stay Theta(n) per step while the
-// streaming matrix-powers variant drops to Theta(n/s), at <= 2x
-// reads.  A second sweep runs CA-CG on 2-D/3-D stencils under both
+// streaming matrix-powers variant drops to Theta(n/s).  Streaming pays
+// in reads, since its chunks re-read the rows their hop sets share;
+// machine-wide l3_read, streaming over stored, for 5 outer iterations
+// at tol 0 with M2 = 16,384 words (README, "Distributed Krylov layer"):
+//
+//   operator, P                             s = 2   s = 4   s = 8
+//   stencil_1d(8192, 2), 4                  1.47x   1.57x   1.64x
+//   small_world_graph(16384, 2, 256, 1), 16 1.53x   1.79x   2.11x
+//   stencil_2d(96, 96), 4                   1.64x   1.83x   3.87x
+//   poisson_3d(48, 48, 8), 16               1.57x   2.32x   4.90x
+//
+// A second sweep runs CA-CG on 2-D/3-D stencils under both
 // the 1-D row partition (bandwidth-derived halo: s*bw rows, bw ~ nx,
 // so the ghost zone saturates at the whole rest of the vector) and
 // the 2-D block partition (face + corner exchanges of s*radius nodes

@@ -49,28 +49,48 @@ void for_each_run(const Partition& part, const NodeBox& b, Fn&& fn) {
   }
 }
 
-/// Owned box @p o split into streaming chunks of ~@p block_rows owned
-/// words: along x for linear boxes (exactly the PR 4 row blocks),
-/// along y otherwise (whole tile lines with their nz pencils).
+/// The streaming chunk floor: max(4*s*radius, 256) target rows.
+std::size_t floor_rows(std::size_t s, std::size_t radius) {
+  return std::max<std::size_t>(4 * s * radius, 256);
+}
+
+/// Owned box @p o split into streaming chunks of whole lines: x-runs on
+/// linear boxes (a line is one row), y-lines with their nz pencils
+/// otherwise.  An explicit @p block_rows is block_rows rows in whole
+/// lines.  The default takes the larger of the floor (floor_rows, in
+/// whole lines) and the most lines whose s*radius-dilated bounding box
+/// holds at most M2/(2s+1) rows, so that a chunk's 2s+1 basis columns
+/// fit in L2 (the sequential matrix-powers blocking of Demmel, Hoemmen,
+/// Mohiyuddin and Yelick, IPDPS 2008).  The box is clipped to the mesh
+/// across the cut but not along it, where the neighbouring chunks'
+/// targets lie; on a linear box the second size is M2/(2s+1) -
+/// 2*s*radius rows.  O(1) per rank, and independent of the batch.
 std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
-                                   std::size_t block_rows) {
+                                   std::size_t s, std::size_t block_rows,
+                                   std::size_t M2) {
   std::vector<NodeBox> out;
   if (o.empty()) return out;
-  if (part.ny() == 1 && part.nz() == 1) {
-    for (std::size_t lo = o.x0; lo < o.x1; lo += block_rows) {
-      NodeBox c = o;
-      c.x0 = lo;
-      c.x1 = std::min(o.x1, lo + block_rows);
-      out.push_back(c);
-    }
-    return out;
+  const bool along_x = part.ny() == 1 && part.nz() == 1;
+  const std::size_t line = along_x ? 1 : o.dx() * o.dz();
+  std::size_t lines = std::max<std::size_t>(1, block_rows / line);
+  if (block_rows == 0) {
+    const std::size_t h = s * part.radius();
+    const auto dilated = [h](std::size_t lo, std::size_t hi, std::size_t n) {
+      return std::min(n, hi + h) - (lo > h ? lo - h : 0);
+    };
+    const std::size_t across = along_x ? 1
+                                       : dilated(o.x0, o.x1, part.nx()) *
+                                             dilated(o.z0, o.z1, part.nz());
+    const std::size_t fit = M2 / (2 * s + 1) / across;
+    lines = std::max({std::size_t(1), floor_rows(s, part.radius()) / line,
+                      fit > 2 * h ? fit - 2 * h : 0});
   }
-  const std::size_t line = std::max<std::size_t>(1, o.dx() * o.dz());
-  const std::size_t ych = std::max<std::size_t>(1, block_rows / line);
-  for (std::size_t lo = o.y0; lo < o.y1; lo += ych) {
+  const std::size_t lo0 = along_x ? o.x0 : o.y0;
+  const std::size_t hi0 = along_x ? o.x1 : o.y1;
+  for (std::size_t lo = lo0; lo < hi0; lo += lines) {
     NodeBox c = o;
-    c.y0 = lo;
-    c.y1 = std::min(o.y1, lo + ych);
+    (along_x ? c.x0 : c.y0) = lo;
+    (along_x ? c.x1 : c.y1) = std::min(hi0, lo + lines);
     out.push_back(c);
   }
   return out;
@@ -167,9 +187,9 @@ struct PartRun {
 // ---- per-solve matrix-powers plans ------------------------------------
 //
 // Every CA-CG basis build covers one chunk: its target rows (the
-// rank's owned rows in stored mode, a ~block_rows slice of them when
-// streaming) and the rows their basis [p, Ap, .., A^s p, r, Ar, ..,
-// A^(s-1) r] depends on.  A row's level-l value reads level l-1 at its
+// rank's owned rows in stored mode, a slice of them when streaming)
+// and the rows their basis [p, Ap, .., A^s p, r, Ar, .., A^(s-1) r]
+// depends on.  A row's level-l value reads level l-1 at its
 // columns, so the targets' last p level needs p's level l within s-l
 // hops of the targets, and r, which stops at level s-1, needs its
 // level l within s-1-l hops.  One walk of A's pattern from the targets
@@ -249,14 +269,24 @@ BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
 
 /// Per-rank basis chunks of one solve, loop-invariant across outer
 /// iterations and shared by every RHS: the whole owned set when
-/// stored; when streaming, ~block_rows owned rows per chunk (along x
-/// on linear boxes, whole tile lines with their nz pencils along y on
-/// other boxes, slices of the owned list on graphs), so adjacent
-/// chunks re-read the rows their hop sets share -- the <= 2x read
-/// amplification.
+/// stored; when streaming, a box's stream_chunks, or block_rows
+/// (default floor_rows) slices of a graph part's owned list.  Adjacent
+/// chunks re-read the rows their hop sets share, so streaming reads
+/// more than stored.  Machine-wide l3_read, streaming over stored, for
+/// 5 outer iterations at tol 0 and M2 = 16,384 words:
+///
+///   operator, P                             s = 2   s = 4   s = 8
+///   stencil_1d(8192, 2), 4                  1.47x   1.57x   1.64x
+///   small_world_graph(16384, 2, 256, 1), 16 1.53x   1.79x   2.11x
+///   stencil_2d(96, 96), 4                   1.64x   1.83x   3.87x
+///   poisson_3d(48, 48, 8), 16               1.57x   2.32x   4.90x
+///
+/// At s = 8 fewer lines fit in M2/17 words than the floor holds on the
+/// 2-D and 3-D tiles, so their chunks stay at the floor.
 std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
                                                std::size_t s, CaCgMode mode,
-                                               std::size_t block_rows) {
+                                               std::size_t block_rows,
+                                               std::size_t M2) {
   if (rp.A.n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "dist::ca_cg: matrix-powers plans need n < 2^32 (32-bit basis "
@@ -273,13 +303,15 @@ std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
       });
     } else if (rp.gp != nullptr) {
       const auto& own = rp.gp->owned_rows(p);
-      for (std::size_t lo = 0; lo < own.size(); lo += block_rows) {
-        const std::size_t hi = std::min(own.size(), lo + block_rows);
+      const std::size_t rows =
+          block_rows != 0 ? block_rows : floor_rows(s, rp.part.radius());
+      for (std::size_t lo = 0; lo < own.size(); lo += rows) {
+        const std::size_t hi = std::min(own.size(), lo + rows);
         seeds.emplace_back(own.begin() + lo, own.begin() + hi);
       }
     } else {
       for (const NodeBox& c :
-           stream_chunks(rp.part, rp.part.owned(p), block_rows)) {
+           stream_chunks(rp.part, rp.part.owned(p), s, block_rows, M2)) {
         seeds.emplace_back();
         for_each_run(rp.part, c, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) seeds.back().push_back(i);
@@ -765,10 +797,6 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
 
   PartRun rp(m, A, part);
   const std::size_t P = rp.P;
-  std::size_t block_rows = opt.block_rows;
-  if (block_rows == 0) {
-    block_rows = std::max<std::size_t>(4 * s * part.radius(), 256);
-  }
   const auto halo1 = part.halo(part.radius());
   const auto recv1 = recv_rows(halo1, P);
   const auto halo_b = basis_halo(part, s);
@@ -825,7 +853,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   };
 
   const std::vector<std::vector<BasisChunk>> plan =
-      make_plan(rp, s, opt.mode, block_rows);
+      make_plan(rp, s, opt.mode, opt.block_rows, m.M2());
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
     std::vector<std::size_t> act;

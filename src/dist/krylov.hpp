@@ -35,14 +35,16 @@
 // cg_batch and ca_cg_batch at nrhs = 1, so they agree with the batch
 // at b = 1 -- iterates and every counter -- by construction.  CA-CG's
 // matrix-powers work goes through a per-solve plan of basis chunks
-// (the owned rows when stored, ~block_rows slices of them when
-// streaming), each holding the rows within k hops of its targets for
-// k = 0..s, found by one walk of A's pattern on every partition kind;
-// one basis builder, one basis+Gram phase and one recovery phase
-// serve both storage modes on every partition.  One row kernel reads A
-// for every phase: each walk of a row's nonzeros serves a group of up
-// to kRhsGroup active RHS (below).  Every allreduce carries the values
-// it charges (dot products, packed Gram triangles) as its payload.
+// (the owned rows when stored; when streaming, slices of them sized so
+// a chunk's basis fits in the Machine's L2, and no smaller than
+// max(4 s radius, 256) rows), each holding the rows within k hops of
+// its targets for k = 0..s, found by one walk of A's pattern on every
+// partition kind; one basis builder, one basis+Gram phase and one
+// recovery phase serve both storage modes on every partition.  One row
+// kernel reads A for every phase: each walk of a row's nonzeros serves
+// a group of up to kRhsGroup active RHS (below).  Every allreduce
+// carries the values it charges (dot products, packed Gram triangles)
+// as its payload.
 //
 // The paper's W12 (words written to slow memory per CG step) maps to
 // the per-rank l3_write channel here and is partition-independent

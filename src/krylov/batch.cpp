@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "krylov/cacg_detail.hpp"
@@ -22,7 +22,9 @@ using detail::Small;
 // reference the distributed solvers are pinned against at P = 1, and
 // a solve's slow-memory words are counted on the Machine (see
 // batch.hpp).  krylov::cg and krylov::ca_cg are these bodies at
-// nrhs == 1.
+// nrhs == 1.  CA-CG builds each RHS's whole basis in either storage
+// mode: stored and streaming compute the same bits, so CaCgOptions'
+// mode and block_rows change only what a Machine charges.
 
 namespace {
 
@@ -32,54 +34,6 @@ void check_panels(std::size_t n, std::size_t nrhs, std::size_t bsz,
     throw std::invalid_argument(std::string(who) +
                                 ": panel spans must hold n*nrhs words");
   }
-}
-
-/// One streaming chunk's basis block, shared by both streaming passes:
-/// rows [elo, ehi) of the 2s+1 columns for target rows [lo, hi), where
-/// the extent adds s*bw ghost rows per side (clipped at the matrix
-/// edges).  p's heads are gathered over the extent and r's, whose
-/// chain stops at level s-1, over the extent less one bw ring; then
-/// the shifted recurrence fills the rows computable inside the block,
-/// shrinking by bw per level except at the edges (r one ring ahead of
-/// p).  Returns elo.
-std::size_t build_block(const sparse::Csr& A, const BasisCoeffs& bc,
-                        std::size_t s, std::size_t bw,
-                        const std::vector<double>& p,
-                        const std::vector<double>& r, std::size_t lo,
-                        std::size_t hi, std::vector<std::vector<double>>& W) {
-  const std::size_t n = A.n;
-  const std::size_t ext = s * bw;
-  const std::size_t elo = lo >= ext ? lo - ext : 0;
-  const std::size_t ehi = std::min(n, hi + ext);
-  const std::size_t len = ehi - elo;
-
-  // Rows [vlo, vhi) of the extent shrunk by @p rings bw rings.
-  const auto window = [&](std::size_t rings) {
-    return std::pair{elo == 0 ? 0 : elo + rings * bw,
-                     ehi == n ? n : ehi - rings * bw};
-  };
-  W.assign(2 * s + 1, std::vector<double>(len, 0.0));
-  for (std::size_t i = 0; i < len; ++i) W[0][i] = p[elo + i];
-  const auto [rlo, rhi] = window(1);
-  for (std::size_t i = rlo; i < rhi; ++i) W[s + 1][i - elo] = r[i];
-
-  const auto advance = [&](std::size_t col_from, std::size_t col_to,
-                           std::size_t rings, double theta) {
-    const auto [vlo, vhi] = window(rings);
-    for (std::size_t i = vlo; i < vhi; ++i) {
-      W[col_to][i - elo] =
-          (detail::row_dot(A, i, W[col_from].data(), -std::ptrdiff_t(elo)) -
-           theta * W[col_from][i - elo]) /
-          bc.sigma;
-    }
-  };
-  for (std::size_t lev = 0; lev < s; ++lev) {
-    advance(lev, lev + 1, lev + 1, bc.theta[lev]);
-  }
-  for (std::size_t lev = 0; lev + 1 < s; ++lev) {
-    advance(s + 1 + lev, s + 1 + lev + 1, lev + 2, bc.theta[lev]);
-  }
-  return elo;
 }
 
 }  // namespace
@@ -179,12 +133,6 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     }
   }
 
-  const std::size_t bw = std::max<std::size_t>(1, A.bandwidth());
-  std::size_t block_rows = opt.block_rows;
-  if (block_rows == 0) {
-    block_rows = std::max<std::size_t>(4 * s * bw, 256);
-  }
-
   std::vector<std::vector<double>> x_snap(nrhs), p_snap(nrhs), r_snap(nrhs);
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
@@ -208,59 +156,41 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
       r_snap[j] = r[j];
     }
 
+    // The basis [p, Ap, .., A^s p, r, Ar, .., A^(s-1) r] of every
+    // active RHS, whole, then its Gram matrix.
     std::vector<Small> G(nrhs, Small(m));
-    std::vector<std::vector<std::vector<double>>> V(nrhs);  // kStored only
-
-    if (opt.mode == CaCgMode::kStored) {
+    std::vector<std::vector<std::vector<double>>> V(nrhs);
+    for (const std::size_t j : act) {
+      V[j].assign(m, std::vector<double>(n, 0.0));
+      V[j][0] = p[j];
+      V[j][s + 1] = r[j];
+    }
+    for (std::size_t lev = 0; lev < s; ++lev) {
       for (const std::size_t j : act) {
-        V[j].assign(m, std::vector<double>(n, 0.0));
-        V[j][0] = p[j];
-        V[j][s + 1] = r[j];
-      }
-      for (std::size_t lev = 0; lev < s; ++lev) {
-        for (const std::size_t j : act) {
-          sparse::spmv(A, V[j][lev], V[j][lev + 1]);
-          for (std::size_t i = 0; i < n; ++i) {
-            V[j][lev + 1][i] =
-                (V[j][lev + 1][i] - bc.theta[lev] * V[j][lev][i]) / bc.sigma;
-          }
+        sparse::spmv(A, V[j][lev], V[j][lev + 1]);
+        for (std::size_t i = 0; i < n; ++i) {
+          V[j][lev + 1][i] =
+              (V[j][lev + 1][i] - bc.theta[lev] * V[j][lev][i]) / bc.sigma;
         }
       }
-      for (std::size_t lev = 0; lev + 1 < s; ++lev) {
-        for (const std::size_t j : act) {
-          sparse::spmv(A, V[j][s + 1 + lev], V[j][s + 1 + lev + 1]);
-          for (std::size_t i = 0; i < n; ++i) {
-            V[j][s + 1 + lev + 1][i] =
-                (V[j][s + 1 + lev + 1][i] -
-                 bc.theta[lev] * V[j][s + 1 + lev][i]) /
-                bc.sigma;
-          }
-        }
-      }
+    }
+    for (std::size_t lev = 0; lev + 1 < s; ++lev) {
       for (const std::size_t j : act) {
-        std::vector<const double*> vp(m);
-        for (std::size_t a = 0; a < m; ++a) vp[a] = V[j][a].data();
-        linalg::active_kernels().gram_upper_acc(G[j].a.data(), m, vp.data(),
-                                                0, n);
-        linalg::gram_mirror(G[j].a.data(), m);
-      }
-    } else {
-      // ---- Streaming pass 1: per chunk, each active RHS builds its
-      // own basis block and accumulates its Gram matrix.
-      std::vector<std::vector<double>> W;
-      for (std::size_t lo = 0; lo < n; lo += block_rows) {
-        const std::size_t hi = std::min(n, lo + block_rows);
-        for (const std::size_t j : act) {
-          const std::size_t elo =
-              build_block(A, bc, s, bw, p[j], r[j], lo, hi, W);
-          std::vector<const double*> wp(m);
-          for (std::size_t a = 0; a < m; ++a) wp[a] = W[a].data();
-          linalg::active_kernels().gram_upper_acc(G[j].a.data(), m,
-                                                  wp.data(), lo - elo,
-                                                  hi - elo);
+        sparse::spmv(A, V[j][s + 1 + lev], V[j][s + 1 + lev + 1]);
+        for (std::size_t i = 0; i < n; ++i) {
+          V[j][s + 1 + lev + 1][i] =
+              (V[j][s + 1 + lev + 1][i] -
+               bc.theta[lev] * V[j][s + 1 + lev][i]) /
+              bc.sigma;
         }
       }
-      for (const std::size_t j : act) linalg::gram_mirror(G[j].a.data(), m);
+    }
+    for (const std::size_t j : act) {
+      std::vector<const double*> vp(m);
+      for (std::size_t a = 0; a < m; ++a) vp[a] = V[j][a].data();
+      linalg::active_kernels().gram_upper_acc(G[j].a.data(), m, vp.data(), 0,
+                                              n);
+      linalg::gram_mirror(G[j].a.data(), m);
     }
 
     // ---- Inner s steps in coordinates, per RHS.  A breakdown only
@@ -284,53 +214,19 @@ BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
     }
     if (act2.empty()) continue;
 
-    if (opt.mode == CaCgMode::kStored) {
-      for (const std::size_t j : act2) {
-        const auto xj = X.subspan(j * n, n);
-        for (std::size_t i = 0; i < n; ++i) {
-          double np = 0, nr = 0, nx = xj[i];
-          for (std::size_t a = 0; a < m; ++a) {
-            np += V[j][a][i] * ph[j][a];
-            nr += V[j][a][i] * rh[j][a];
-            nx += V[j][a][i] * xh[j][a];
-          }
-          p[j][i] = np;
-          r[j][i] = nr;
-          xj[i] = nx;
+    // Recovery: [p, r, x] = [P, R] [ph, rh, xh] + [0, 0, x].
+    for (const std::size_t j : act2) {
+      const auto xj = X.subspan(j * n, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        double np = 0, nr = 0, nx = xj[i];
+        for (std::size_t a = 0; a < m; ++a) {
+          np += V[j][a][i] * ph[j][a];
+          nr += V[j][a][i] * rh[j][a];
+          nx += V[j][a][i] * xh[j][a];
         }
-      }
-    } else {
-      // ---- Streaming pass 2: recompute each RHS's basis blockwise
-      // and fuse the recovery.
-      std::vector<std::vector<double>> pn(nrhs), rn(nrhs);
-      for (const std::size_t j : act2) {
-        pn[j].resize(n);
-        rn[j].resize(n);
-      }
-      std::vector<std::vector<double>> W;
-      for (std::size_t lo = 0; lo < n; lo += block_rows) {
-        const std::size_t hi = std::min(n, lo + block_rows);
-        for (const std::size_t j : act2) {
-          const std::size_t elo =
-              build_block(A, bc, s, bw, p[j], r[j], lo, hi, W);
-          const auto xj = X.subspan(j * n, n);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t li = i - elo;
-            double np = 0, nr = 0, nx = xj[i];
-            for (std::size_t a = 0; a < m; ++a) {
-              np += W[a][li] * ph[j][a];
-              nr += W[a][li] * rh[j][a];
-              nx += W[a][li] * xh[j][a];
-            }
-            pn[j][i] = np;
-            rn[j][i] = nr;
-            xj[i] = nx;
-          }
-        }
-      }
-      for (const std::size_t j : act2) {
-        p[j].swap(pn[j]);
-        r[j].swap(rn[j]);
+        p[j][i] = np;
+        r[j][i] = nr;
+        xj[i] = nx;
       }
     }
 

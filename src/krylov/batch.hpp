@@ -37,8 +37,8 @@ BatchResult cg_batch(const sparse::Csr& A, std::span<const double> B,
                      std::span<double> X, std::size_t nrhs,
                      std::size_t max_iters, double tol);
 
-/// Batched s-step CA-CG (stored + streaming, monomial + Newton) on an
-/// n x nrhs column-major panel.
+/// Batched s-step CA-CG (monomial or Newton basis) on an n x nrhs
+/// column-major panel.  Both storage modes run the same recurrence.
 BatchResult ca_cg_batch(const sparse::Csr& A, std::span<const double> B,
                         std::span<double> X, std::size_t nrhs,
                         const CaCgOptions& opt);

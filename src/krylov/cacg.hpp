@@ -10,15 +10,17 @@
 //   * kStored:    the bases are materialized in slow memory --
 //                 W12 stays Theta(n) per CG step (no write savings,
 //                 matching the paper's observation).
-//   * kStreaming: the bases are produced blockwise TWICE (once fused
+//   * kStreaming: the bases are produced chunkwise TWICE (once fused
 //                 with the Gram-matrix accumulation, once fused with
-//                 the [p,r,x] recovery) and discarded block by block;
+//                 the [p,r,x] recovery) and discarded chunk by chunk;
 //                 only x, p, r are ever written to slow memory --
-//                 W12 = Theta(n/s) per CG step, at <= 2x reads/flops.
+//                 W12 = Theta(n/s) per CG step, for twice the flops and
+//                 the chunks' ghost reads.
 //
-// The streaming pass needs the matrix-powers dependency structure; we
-// implement it for banded matrices (the paper's model case: stencils
-// on Cartesian meshes), using ghost zones of width s * bandwidth.
+// Both modes compute the same iterates.  The shared-memory solver
+// builds the whole basis either way and counts nothing; the
+// distributed solvers (dist/krylov.hpp) run the chunked schedule and
+// charge what each mode reads and writes on the Machine.
 
 #include <cstddef>
 #include <span>
@@ -42,7 +44,10 @@ struct CaCgOptions {
   std::size_t s = 4;            ///< inner steps per outer iteration
   CaCgMode mode = CaCgMode::kStored;
   CaCgBasis basis = CaCgBasis::kMonomial;
-  std::size_t block_rows = 0;   ///< streaming row-block size (0 = auto)
+  /// Target rows per streaming chunk of the distributed solvers, in
+  /// whole mesh lines on a box partition.  0 sizes chunks from the
+  /// partition, s and the Machine's M2 (dist/krylov.cpp, stream_chunks).
+  std::size_t block_rows = 0;
   std::size_t max_outer = 1000;
   double tol = 1e-10;
 };

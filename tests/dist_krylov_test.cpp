@@ -4,8 +4,9 @@
 // parity on ragged rank counts, serial-vs-threaded counter identity,
 // the exact Theta(s) write reduction of the streaming matrix-powers
 // variant, the bandwidth-halo blow-up the 2-D partition fixes, known
-// answers over every channel and partition kind, and the exact
-// slow-memory words of a solve at P = 1.
+// answers over every channel and partition kind, the exact
+// slow-memory words of a solve at P = 1, and the streaming chunk size
+// rule against its floor.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <memory>
 #include <random>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -536,29 +538,75 @@ TEST(Partition2D, TinyMeshWithEmptyTilesStillSolves) {
   EXPECT_TRUE(res.converged);
 }
 
+/// At P = 1, dist::ca_cg on @p A's default partition, streaming in
+/// chunks of @p block_rows rows, against krylov::ca_cg in both storage
+/// modes and both bases: equal iteration counts and x bits.  The
+/// streaming run must read more than one cut into a single chunk, so
+/// the pin really chunks.
+void expect_p1_chunked_bitwise(const sparse::Csr& A, std::size_t block_rows,
+                               unsigned seed) {
+  const auto prob = make_problem_2d(A, seed);
+  const auto part = make_partition(1, prob.A);
+  for (auto basis : {CaCgBasis::kMonomial, CaCgBasis::kNewton}) {
+    for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+      CaCgOptions opt;
+      opt.s = 4;
+      opt.tol = 1e-10;
+      opt.mode = mode;
+      opt.basis = basis;
+      opt.block_rows = block_rows;
+      std::vector<double> x_shared(prob.A.n, 0.0), x_dist(prob.A.n, 0.0);
+      const auto ref = krylov::ca_cg(prob.A, prob.b, x_shared, opt);
+      Machine m = make_machine(1);
+      const auto got = dist::ca_cg(m, *part, prob.A, prob.b, x_dist, opt);
+      EXPECT_EQ(got.iterations, ref.iterations)
+          << A.n << " rows, mode=" << int(mode) << " basis=" << int(basis);
+      EXPECT_EQ(std::memcmp(x_shared.data(), x_dist.data(),
+                            prob.A.n * sizeof(double)),
+                0)
+          << A.n << " rows, mode=" << int(mode) << " basis=" << int(basis);
+      if (mode == CaCgMode::kStreaming) {
+        opt.block_rows = prob.A.n;
+        Machine one = make_machine(1);
+        std::vector<double> x_one(prob.A.n, 0.0);
+        dist::ca_cg(one, *part, prob.A, prob.b, x_one, opt);
+        EXPECT_GT(m.proc(0).l3_read.words, one.proc(0).l3_read.words)
+            << A.n << " rows: the pin never chunked";
+      }
+    }
+  }
+}
+
 TEST(Partition2D, P1BitwiseEqualSharedMemory) {
   // On one rank the 2-D partition's extent is the full mesh and every
   // basis value is computed by the identical row-wise arithmetic, so
   // the iterates match the shared-memory solver bit for bit in both
-  // storage modes (chunking cannot move a single bit: each row's
-  // recurrence reads the same values in the same CSR order).
-  const auto prob = make_problem_2d(sparse::stencil_2d(12, 11, 1), 53);
-  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
-    CaCgOptions opt;
-    opt.s = 4;
-    opt.tol = 1e-10;
-    opt.mode = mode;
-    std::vector<double> x_shared(prob.A.n, 0.0), x_dist(prob.A.n, 0.0);
-    const auto ref = krylov::ca_cg(prob.A, prob.b, x_shared, opt);
-    Machine m = make_machine(1);
-    const auto part = make_partition(1, prob.A);
-    EXPECT_EQ(part->ny(), 11u);  // really the 2-D partition
-    const auto got = dist::ca_cg(m, *part, prob.A, prob.b, x_dist, opt);
-    EXPECT_EQ(got.iterations, ref.iterations);
-    EXPECT_EQ(std::memcmp(x_shared.data(), x_dist.data(),
-                          prob.A.n * sizeof(double)),
-              0);
-  }
+  // storage modes.  Streaming cuts the 11 mesh lines into chunks of 2
+  // (block_rows 24 on 12-node lines); y-chunks of a 2-D box list their
+  // rows in ascending order, so the Gram partials sum in the order of
+  // the one whole-vector sum.
+  const auto A = sparse::stencil_2d(12, 11, 1);
+  EXPECT_EQ(make_partition(1, A)->ny(), 11u);  // really the 2-D partition
+  expect_p1_chunked_bitwise(A, 24, 53);
+}
+
+TEST(PartitionKinds, P1ChunkedBitwiseEqualSharedMemory) {
+  // The same pin on the 1-D rows of a band, the 2-D cross (diamond
+  // halos) and the graph partition, each streaming in 6 or 7 chunks of
+  // 24 rows.  Layered 3-D boxes are left out: their y-chunks span every
+  // z-plane, so a chunk's targets are no ascending run of rows and its
+  // Gram partial sums in another order -- streaming on a 3-D box that
+  // splits into several chunks misses krylov::ca_cg's bits by an ulp
+  // (ROADMAP item 14), while its stored mode agrees.
+  const auto band = sparse::stencil_1d(130, 2);
+  EXPECT_EQ(make_partition(1, band)->ny(), 1u);
+  expect_p1_chunked_bitwise(band, 24, 57);
+  const auto cross = sparse::stencil_2d_cross(12, 11, 1);
+  EXPECT_TRUE(cross.cross);
+  expect_p1_chunked_bitwise(cross, 24, 59);
+  const auto graph = sparse::small_world_graph(150, 2, 8, 5);
+  EXPECT_NE(make_partition(1, graph)->graph(), nullptr);
+  expect_p1_chunked_bitwise(graph, 24, 61);
 }
 
 // ---- known answers on non-linear box extents ----------------------------
@@ -1158,17 +1206,22 @@ TEST(KrylovKnownAnswers, EmptyMatrixOnExplicitRows) {
 // ---- a solve's slow-memory words at P = 1, in closed form --------------
 
 /// Streaming CA-CG reads over @p outers outer iterations at P = 1 on a
-/// banded 1-D stencil of radius @p r, from the chunk extents alone.
-/// Chunks hold max(4sr, 256) target rows; one pass over a chunk reads
-/// p's heads within s*r rows of its targets and r's within (s-1)*r,
-/// and A's values and column indices (2 nnz) over the rows of every
-/// basis level -- p's level l within (s-l)*r rows, r's within
-/// (s-1-l)*r -- clipped at the matrix edges.  Two passes per outer
-/// iteration, plus x and the residual dot product (3n).
+/// banded 1-D stencil of radius @p r with @p M2 words of L2, from the
+/// chunk extents alone.  Chunks hold the larger of max(4sr, 256) and
+/// M2/(2s+1) - 2sr target rows (the most whose 2s+1 basis columns over
+/// the rows within s*r fit in L2); one pass over a chunk reads p's
+/// heads within s*r rows of its targets and r's within (s-1)*r, and A's
+/// values and column indices (2 nnz) over the rows of every basis level
+/// -- p's level l within (s-l)*r rows, r's within (s-1-l)*r -- clipped
+/// at the matrix edges.  Two passes per outer iteration, plus x and the
+/// residual dot product (3n).
 std::uint64_t streaming_reads_1d(const sparse::Csr& A, std::size_t r,
-                                 std::size_t s, std::size_t outers) {
+                                 std::size_t s, std::size_t M2,
+                                 std::size_t outers) {
   const std::size_t n = A.n;
-  const std::size_t rows = std::max<std::size_t>(4 * s * r, 256);
+  const std::size_t fit = M2 / (2 * s + 1);
+  const std::size_t rows = std::max<std::size_t>(
+      {4 * s * r, 256, fit > 2 * s * r ? fit - 2 * s * r : 0});
   // Rows [a, b): those within k*r rows of [lo, hi), clipped.
   const auto within = [&](std::size_t lo, std::size_t hi, std::size_t k) {
     return std::pair<std::size_t, std::size_t>{
@@ -1219,9 +1272,9 @@ TEST(KrylovClosedForms, P1SlowChannelsAreExact) {
   };
   const Case cases[] = {
       {sparse::stencil_1d(384, 1), 1, 31488, 110550, 23808, 127730, 6528,
-       178730},
+       177510},
       {sparse::stencil_1d(1000, 2), 2, 82000, 329874, 62000, 474574, 17000,
-       755794},
+       751914},
       {sparse::stencil_2d(24, 24, 1), 0, 47232, 232500, 35712, 417020, 9792,
        0},
       {sparse::small_world_graph(300, 2, 6, 3), 0, 24600, 99252, 18600,
@@ -1265,12 +1318,75 @@ TEST(KrylovClosedForms, P1SlowChannelsAreExact) {
         EXPECT_EQ(t.l3_read.words, c.stored_r) << n;
       } else if (c.radius > 0) {
         EXPECT_EQ(t.l3_read.words,
-                  setup_r + streaming_reads_1d(A, c.radius, s, outers))
+                  setup_r + streaming_reads_1d(A, c.radius, s, m.M2(),
+                                               outers))
             << n;
         EXPECT_EQ(t.l3_read.words, c.stream_r) << n;
       }
     }
   }
+}
+
+// ---- streaming chunk sizes --------------------------------------------
+
+TEST(StreamingChunks, DefaultRuleNeverReadsMoreThanTheFloor) {
+  // Streaming chunks default to the larger of the floor, max(4sr, 256)
+  // target rows in whole mesh lines, and the most lines whose basis fits
+  // in L2.  Against the same solve cut at the floor alone (an explicit
+  // block_rows), every rank reads no more words; with M2 = 1024 words,
+  // under 256 (2s+1) at every s, no chunk can grow and every rank reads
+  // exactly as many.  Writes and network words never depend on the
+  // chunks.  Graph chunks keep the floor, so they read the same.
+  const sparse::Csr ops[] = {
+      sparse::stencil_1d(8192, 2), sparse::stencil_2d(96, 96, 1),
+      sparse::stencil_2d_cross(96, 96, 1), sparse::poisson_3d(24, 24, 8),
+      sparse::small_world_graph(4096, 2, 8, 5)};
+  std::size_t fell = 0;
+  for (const sparse::Csr& A : ops) {
+    const auto prob = make_problem_2d(A, 131);
+    for (const std::size_t P : {1, 4, 16}) {
+      const auto part = make_partition(P, A);
+      for (const std::size_t s : {2, 4, 8}) {
+        for (const std::size_t M2 : {1024, 16384}) {
+          CaCgOptions opt;
+          opt.s = s;
+          opt.tol = 0.0;
+          opt.max_outer = 1;
+          opt.mode = CaCgMode::kStreaming;
+          const auto solve = [&](std::size_t block_rows) {
+            opt.block_rows = block_rows;
+            Machine m(P, 192, M2, 1 << 24, HwParams{});
+            std::vector<double> x(A.n, 0.0);
+            const auto r = dist::ca_cg(m, *part, A, prob.b, x, opt);
+            EXPECT_EQ(r.iterations, s * opt.max_outer) << "a restart";
+            std::vector<ProcTraffic> t;
+            for (std::size_t p = 0; p < P; ++p) t.push_back(m.proc(p));
+            return t;
+          };
+          const auto def = solve(0);
+          const auto floor =
+              solve(std::max<std::size_t>(4 * s * part->radius(), 256));
+          for (std::size_t p = 0; p < P; ++p) {
+            const ProcTraffic& d = def[p];
+            const ProcTraffic& f = floor[p];
+            const std::string where =
+                std::to_string(A.n) + " rows, P=" + std::to_string(P) +
+                " s=" + std::to_string(s) + " M2=" + std::to_string(M2) +
+                " rank " + std::to_string(p);
+            EXPECT_LE(d.l3_read.words, f.l3_read.words) << where;
+            if (M2 == 1024) {
+              EXPECT_EQ(d.l3_read.words, f.l3_read.words) << where;
+            }
+            fell += d.l3_read.words < f.l3_read.words;
+            EXPECT_EQ(d.l3_write.words, f.l3_write.words) << where;
+            EXPECT_EQ(d.nw.words, f.nw.words) << where;
+            EXPECT_EQ(d.nw.messages, f.nw.messages) << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fell, 0u);
 }
 
 }  // namespace

@@ -370,6 +370,54 @@ TEST(DistBatch, GraphBatchBitwiseEqualSolo) {
   }
 }
 
+TEST(DistBatch, BoxBatchBitwiseEqualSolo) {
+  // The box-partition twin: a layered 3-D mesh on P = 4, whose
+  // streaming bits depend on how each 12 x 12 x 8 tile is cut into
+  // chunks.  With M2 = 16,384 words the default chunks grow past the
+  // floor (2 mesh lines) to fit M2; the rule reads neither nrhs nor the
+  // group, so each RHS of a 9-wide batch is bitwise the same solve run
+  // alone.
+  const auto A = sparse::poisson_3d(24, 24, 8);
+  const std::size_t n = A.n, nrhs = kGroup + 1, P = 4;
+  const auto B = panel_with_zero(A, nrhs, 23);
+  const auto part = dist::make_partition(P, A);
+  ASSERT_EQ(part->owned(0).dy(), 12u);
+  const auto machine = [&] {
+    return std::make_unique<dist::Machine>(P, 192, 16384, 1 << 24,
+                                           dist::HwParams{});
+  };
+  for (auto mode : {CaCgMode::kStored, CaCgMode::kStreaming}) {
+    CaCgOptions opt;
+    opt.s = 4;
+    opt.tol = 1e-10;
+    opt.mode = mode;
+    const auto mb = machine();
+    std::vector<double> xb(n * nrhs, 0.0);
+    const auto batch = dist::ca_cg_batch(*mb, *part, A, B, xb, nrhs, opt);
+    for (std::size_t j = 0; j < nrhs; ++j) {
+      const auto ms = machine();
+      std::vector<double> xs(n, 0.0);
+      const auto bj = std::span<const double>(B).subspan(j * n, n);
+      const auto solo = dist::ca_cg(*ms, *part, A, bj, xs, opt);
+      EXPECT_TRUE(bits_equal(xs, std::span<const double>(xb).subspan(j * n, n)))
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(solo.iterations, batch.rhs[j].iterations)
+          << "mode=" << int(mode) << " rhs " << j;
+      EXPECT_EQ(solo.converged, batch.rhs[j].converged)
+          << "mode=" << int(mode) << " rhs " << j;
+      if (mode == CaCgMode::kStreaming && j == 0) {
+        // The chunks did grow: cut at the floor, the solo reads more.
+        CaCgOptions at_floor = opt;
+        at_floor.block_rows = 256;
+        const auto mf = machine();
+        std::vector<double> xf(n, 0.0);
+        dist::ca_cg(*mf, *part, A, bj, xf, at_floor);
+        EXPECT_LT(ms->proc(0).l3_read.words, mf->proc(0).l3_read.words);
+      }
+    }
+  }
+}
+
 TEST(DistBatch, EarlyExitLeavesOthersBitwise) {
   const auto A = sparse::stencil_1d(130, 1);
   const std::size_t n = A.n;
