@@ -1,12 +1,16 @@
 // Microbenchmarks for the code the simulator actually spends its
-// cycles in.  Two halves:
+// cycles in.  Three parts:
 //
 //   1. The LocalKernels seam: naive vs blocked GFLOP/s for the dense
 //      per-rank kernels (gemm, trsm, syrk) at n = 128/256/512, with a
 //      parity guard so a fast-but-wrong kernel cannot pass unnoticed.
 //      This is the number the seam exists for -- per-rank numerics
 //      should measure the hardware, not the loop nest.
-//   2. The simulator substrates (cache model event rate, traced and
+//   2. The layers under a distributed step: the backend pool's round
+//      trip for an empty 16-rank job, and ShmTransport's cost per
+//      word for a serial send and for a 16-destination send_all on
+//      that pool.
+//   3. The simulator substrates (cache model event rate, traced and
 //      explicit matmul drivers) that the Figure 2/5 replays lean on.
 //
 // With --json PATH the deterministic counters (flops, reps, simulator
@@ -16,12 +20,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "cachesim/traced.hpp"
 #include "core/matmul_explicit.hpp"
 #include "core/matmul_traced.hpp"
+#include "dist/backend.hpp"
+#include "dist/transport.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/local_kernels.hpp"
 #include "linalg/matrix.hpp"
@@ -195,6 +203,76 @@ void bench_local_kernels(bench::JsonReport& report, bench::Table& table) {
   }
 }
 
+void bench_comm_layers(bench::JsonReport& report, bench::Table& table) {
+  constexpr std::size_t kRanks = 16, kThreads = 3;
+  dist::ThreadedBackend pool(kThreads);
+  std::vector<std::size_t> ranks(kRanks);
+  std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+  // The pool's empty-job round trip: wake the workers, claim 16
+  // ranks that do nothing, check in.  Every local phase and every
+  // send_all batch pays at least this.
+  {
+    const std::vector<std::size_t> caps = {1, 2};
+    const dist::Backend::LocalFn empty = [](std::size_t, memsim::Hierarchy&) {};
+    const dist::Backend::Sink drop = [](std::size_t,
+                                        const memsim::Hierarchy&) {};
+    const std::size_t jobs = 2000;
+    pool.run(ranks, caps, empty, drop);  // starts the workers
+    const double t = best_of(3, [&] {
+      for (std::size_t j = 0; j < jobs; ++j) pool.run(ranks, caps, empty, drop);
+    });
+    const double us = t / double(jobs) * 1e6;
+    report.add("pool_empty_job", "ranks", std::uint64_t(kRanks));
+    report.add("pool_empty_job", "threads", std::uint64_t(kThreads));
+    report.add("pool_empty_job", "jobs", std::uint64_t(jobs));
+    report.add("pool_empty_job", "us_per_job_wall", us);
+    table.row({"pool_empty_job", std::to_string(kRanks), "-", "-",
+               bench::fmt_d(us) + " us/job"});
+  }
+  // ShmTransport per word, on synthetic payloads of LL-LU's typical
+  // refetch size: serial sends into one arena, then a ring of 16
+  // transfers issued as one batch on the pool above.
+  const std::size_t words = 4096;
+  {
+    dist::ShmTransport tp;
+    tp.attach(kRanks);
+    const std::size_t sends = 512;
+    tp.send(1, 0, words, nullptr);  // grows the arena once
+    const double t = best_of(3, [&] {
+      for (std::size_t i = 0; i < sends; ++i) {
+        tp.send(1 + i % (kRanks - 1), 0, words, nullptr);
+      }
+    });
+    const double ns = t / double(sends * words) * 1e9;
+    report.add("shm_send", "words", std::uint64_t(words));
+    report.add("shm_send", "sends", std::uint64_t(sends));
+    report.add("shm_send", "ns_per_word_wall", ns);
+    table.row({"shm_send", std::to_string(words), "-", "-",
+               bench::fmt_d(ns) + " ns/word"});
+  }
+  {
+    dist::ShmTransport tp;
+    tp.attach(kRanks);
+    std::vector<dist::Transfer> ring(kRanks);
+    for (std::size_t d = 0; d < kRanks; ++d) {
+      ring[d] = {(d + 1) % kRanks, d, words};
+    }
+    const std::size_t batches = 32;
+    tp.send_all(ring, pool);  // grows the arenas once
+    const double t = best_of(3, [&] {
+      for (std::size_t i = 0; i < batches; ++i) tp.send_all(ring, pool);
+    });
+    const double ns = t / double(batches * kRanks * words) * 1e9;
+    report.add("shm_send_all_16", "words", std::uint64_t(words));
+    report.add("shm_send_all_16", "transfers", std::uint64_t(kRanks));
+    report.add("shm_send_all_16", "batches", std::uint64_t(batches));
+    report.add("shm_send_all_16", "threads", std::uint64_t(kThreads));
+    report.add("shm_send_all_16", "ns_per_word_wall", ns);
+    table.row({"shm_send_all_16", std::to_string(words), "-", "-",
+               bench::fmt_d(ns) + " ns/word"});
+  }
+}
+
 void bench_substrates(bench::JsonReport& report, bench::Table& table) {
   // Cache-model event rate, sequential and (xorshift) random.
   {
@@ -274,6 +352,7 @@ int main(int argc, char** argv) {
               linalg::kernels(active).name);
   bench::Table table({"case", "n", "naive GF/s", "blocked GF/s", "ratio"});
   bench_local_kernels(report, table);
+  bench_comm_layers(report, table);
   bench_substrates(report, table);
   table.print();
   return 0;

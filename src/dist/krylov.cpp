@@ -158,19 +158,23 @@ struct PartRun {
 
   /// Ghost exchange of @p vecs partitioned vectors: owners read the
   /// shipped boundary nodes from slow memory once, then every
-  /// transfer is a neighbour send charged to both endpoints.  The
-  /// received nodes stay in the consumer's fast memory (charged as L2
-  /// transit where they are used), so ghosts never inflate W12.
+  /// transfer is a neighbour send charged to both endpoints, all of
+  /// them issued as one batch.  The received nodes stay in the
+  /// consumer's fast memory (charged as L2 transit where they are
+  /// used), so ghosts never inflate W12.
   void exchange(const std::vector<HaloTransfer>& halos, std::size_t vecs) {
     if (halos.empty()) return;
     std::vector<std::size_t> sent(P, 0);
-    for (const HaloTransfer& t : halos) sent[t.src] += t.rows * vecs;
+    std::vector<Transfer> sends;
+    sends.reserve(halos.size());
+    for (const HaloTransfer& t : halos) {
+      sent[t.src] += t.rows * vecs;
+      sends.push_back({t.src, t.dst, t.rows * vecs});
+    }
     m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
       detail::charge_l3_read(h, sent[p], m.M2());
     });
-    for (const HaloTransfer& t : halos) {
-      m.send(t.src, t.dst, t.rows * vecs);
-    }
+    m.send_all(sends);
   }
 
   /// Charge a binomial-tree allreduce of @p vals among all ranks

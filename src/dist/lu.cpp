@@ -200,7 +200,8 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
     // the L tiles it owns in block columns < jb from its NVM and
     // ships them along its grid row to the column group factoring
     // block column jb.  @p s batches the shipments into s-panel
-    // groups (fewer, larger messages; the words are unchanged).
+    // groups (fewer, larger messages; the words are unchanged).  The
+    // shipments are independent, so they go out as one batch.
     if (j0 > 0) {
       m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
         const std::size_t i = g.row_of(p), j = g.col_of(p);
@@ -212,6 +213,7 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
         }
         detail::charge_l3_read(h, words, m.M2());
       });
+      std::vector<Transfer> refetch;
       for (std::size_t i = 0; i < g.rows(); ++i) {
         for (std::size_t j = 0; j < g.cols(); ++j) {
           std::size_t batched = 0, in_batch = 0;
@@ -220,14 +222,19 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
             const std::size_t qw = std::min(b, j0 - q0);
             batched += g.cyclic_row_words(n, b, i, q0 + qw) * qw;
             if (++in_batch == s) {
-              if (batched > 0) m.send(g.rank(i, j), g.rank(i, jc), batched);
+              if (batched > 0) {
+                refetch.push_back({g.rank(i, j), g.rank(i, jc), batched});
+              }
               batched = 0;
               in_batch = 0;
             }
           }
-          if (batched > 0) m.send(g.rank(i, j), g.rank(i, jc), batched);
+          if (batched > 0) {
+            refetch.push_back({g.rank(i, j), g.rank(i, jc), batched});
+          }
         }
       }
+      m.send_all(refetch);
     }
 
     // Top-triangle chain: the U blocks of column jb are produced in

@@ -178,12 +178,31 @@ class Machine {
             const double* payload = nullptr) {
     check_proc(src);
     check_proc(dst);
-    if (src == dst || words == 0) return;  // no network traffic
-    procs_[src].nw.add(words);
-    procs_[dst].nw.add(words);
+    if (!charge_send(src, dst, words)) return;
     if (transport_->moves_data()) {
       const Timer t(comm_wall_seconds_, comm_timer_depth_);
       transport_->send(src, dst, words, payload);
+    }
+  }
+
+  /// A step's independent point-to-point transfers, issued together:
+  /// every endpoint is checked before anything is charged or moved,
+  /// each transfer is then charged exactly as send() charges it, and a
+  /// data-moving transport may run the deliveries on this machine's
+  /// backend (see Transport::send_all).  No transfer may carry bytes
+  /// another one of the batch delivers.
+  void send_all(const std::vector<Transfer>& transfers) {
+    for (const Transfer& t : transfers) {
+      check_proc(t.src);
+      check_proc(t.dst);
+    }
+    bool moved = false;
+    for (const Transfer& t : transfers) {
+      moved = charge_send(t.src, t.dst, t.words) || moved;
+    }
+    if (moved && transport_->moves_data()) {
+      const Timer timer(comm_wall_seconds_, comm_timer_depth_);
+      transport_->send_all(transfers, *backend_);
     }
   }
 
@@ -371,6 +390,16 @@ class Machine {
 
   void check_proc(std::size_t p) const {
     if (p >= P_) throw std::out_of_range("Machine: processor out of range");
+  }
+
+  /// Charge a checked point-to-point transfer to both endpoints; a
+  /// self or zero-word transfer crosses no network and is charged
+  /// nothing.  Returns whether anything was charged.
+  bool charge_send(std::size_t src, std::size_t dst, std::size_t words) {
+    if (src == dst || words == 0) return false;
+    procs_[src].nw.add(words);
+    procs_[dst].nw.add(words);
+    return true;
   }
 
   std::size_t P_, M1_, M2_, M3_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <initializer_list>
 
+#include "dist/backend.hpp"
 #include "dist/payload_digest.hpp"
 
 namespace wa::dist {
@@ -99,24 +100,34 @@ const std::vector<double>& ShmTransport::arena(std::size_t p) const {
   return arenas_[p];
 }
 
-const double* ShmTransport::stage(std::size_t src, std::size_t words,
-                                  const double* payload) {
-  std::vector<double>& a = arenas_[src];
-  if (a.size() < words) a.resize(words);
-  if (payload != nullptr) {
-    std::memcpy(a.data(), payload, words * sizeof(double));
-  } else {
-    // The true bytes are staged later by the algorithm; move a
-    // deterministic pattern of the same size so the copy cost -- and
-    // the integrity check -- are still real.
-    for (std::size_t i = 0; i < words; ++i) {
-      a[i] = double((src * 2654435761ull + i * 40503ull) & 0xFFFFull) * 1e-3;
-    }
-  }
-  return a.data();
-}
-
 namespace {
+
+/// The payload a send without one moves, so the copy cost -- and the
+/// integrity check -- are still real: word i from rank @p src is
+/// ((src * 2654435761 + i * 40503) mod 2^16) * 1e-3.  Four lanes each
+/// step their key by 4 * 40503 in 32-bit arithmetic, which keeps the
+/// low 16 bits exact, so every word is bitwise the one-word formula's.
+void synthetic_payload(std::size_t src, double* out, std::size_t words) {
+  constexpr std::uint32_t kStride = 40503u;
+  const auto word = [](std::uint32_t key) {
+    return double(std::int32_t(key & 0xFFFFu)) * 1e-3;
+  };
+  const auto base = std::uint32_t(src * 2654435761ull);
+  std::uint32_t k0 = base, k1 = base + kStride, k2 = base + 2 * kStride,
+                k3 = base + 3 * kStride;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    out[i] = word(k0);
+    out[i + 1] = word(k1);
+    out[i + 2] = word(k2);
+    out[i + 3] = word(k3);
+    k0 += 4 * kStride;
+    k1 += 4 * kStride;
+    k2 += 4 * kStride;
+    k3 += 4 * kStride;
+  }
+  for (; i < words; ++i) out[i] = word(base + std::uint32_t(i) * kStride);
+}
 
 [[noreturn]] void throw_corrupted() {
   throw std::runtime_error(
@@ -125,6 +136,17 @@ namespace {
 }
 
 }  // namespace
+
+void ShmTransport::stage(std::size_t src, std::size_t words,
+                         const double* payload) {
+  std::vector<double>& a = arenas_[src];
+  if (a.size() < words) a.resize(words);
+  if (payload != nullptr) {
+    std::memcpy(a.data(), payload, words * sizeof(double));
+  } else {
+    synthetic_payload(src, a.data(), words);
+  }
+}
 
 ShmTransport::Msg ShmTransport::package(std::size_t src,
                                         std::size_t words) const {
@@ -155,21 +177,65 @@ void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
   if (!land(dst, package(src, words), words, combine)) throw_corrupted();
 }
 
+void ShmTransport::deliver(const Transfer& t, Msg& msg) {
+  // Sender side: the sender's bytes go straight into the heap message
+  // (one real copy, or the pattern written there); receiver side:
+  // verify and land them in dst's arena (a second real copy).
+  msg.data.resize(t.words);
+  if (t.payload != nullptr) {
+    std::memcpy(msg.data.data(), t.payload, t.words * sizeof(double));
+  } else {
+    synthetic_payload(t.src, msg.data.data(), t.words);
+  }
+  msg.digest = detail::payload_digest(msg.data.data(), t.words);
+  if (!land(t.dst, msg, t.words, /*combine=*/false)) throw_corrupted();
+}
+
 void ShmTransport::send(std::size_t src, std::size_t dst, std::size_t words,
                         const double* payload) {
-  if (words == 0 || src == dst) return;
   check_rank(src);
   check_rank(dst);
+  if (words == 0 || src == dst) return;
   const OpTimer t(*this);
-  stage(src, words, payload);
-  hop(src, dst, words, /*combine=*/false);
+  Msg msg;
+  deliver(Transfer{src, dst, words, payload}, msg);
+}
+
+void ShmTransport::send_all(const std::vector<Transfer>& transfers,
+                            Backend& backend) {
+  for (const Transfer& t : transfers) {
+    check_rank(t.src);
+    check_rank(t.dst);
+  }
+  // Group the deliveries by destination, keeping list order within
+  // each: a destination's job then writes only its own arena, in the
+  // order serial sends would, and no delivery reads any arena.
+  std::vector<std::vector<const Transfer*>> inbox(P_);
+  std::vector<std::size_t> dsts;
+  for (const Transfer& t : transfers) {
+    if (t.words == 0 || t.src == t.dst) continue;
+    if (inbox[t.dst].empty()) dsts.push_back(t.dst);
+    inbox[t.dst].push_back(&t);
+  }
+  if (dsts.empty()) return;
+  // A delivery charges nothing (the Machine charged it), so the job's
+  // hierarchies take any valid shape and its sink drops them.
+  const std::vector<std::size_t> uncharged = {1, 2};
+  const OpTimer timer(*this);
+  backend.run(
+      dsts, uncharged,
+      [this, &inbox](std::size_t dst, memsim::Hierarchy&) {
+        Msg msg;
+        for (const Transfer* t : inbox[dst]) deliver(*t, msg);
+      },
+      [](std::size_t, const memsim::Hierarchy&) {});
 }
 
 void ShmTransport::bcast(const std::vector<std::size_t>& group,
                          std::size_t words, const double* payload) {
+  for (std::size_t p : group) check_rank(p);
   const std::size_t g = group.size();
   if (g < 2 || words == 0) return;
-  for (std::size_t p : group) check_rank(p);
   const OpTimer t(*this);
   stage(group.front(), words, payload);
   // The binomial tree the Machine charges: in round r every rank with
@@ -183,9 +249,9 @@ void ShmTransport::bcast(const std::vector<std::size_t>& group,
 
 void ShmTransport::reduce(const std::vector<std::size_t>& group,
                           std::size_t words, const double* payload) {
+  for (std::size_t p : group) check_rank(p);
   const std::size_t g = group.size();
   if (g < 2 || words == 0) return;
-  for (std::size_t p : group) check_rank(p);
   const OpTimer t(*this);
   // Every participant contributes a partial; the representative
   // payload (or the synthetic pattern) seeds each arena, and every

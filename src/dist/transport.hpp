@@ -10,14 +10,23 @@
 //                 is the default and is byte-identical to the seed.
 //
 //   ShmTransport  every modelled transfer really moves its payload:
-//                 each rank owns a private heap arena, and every hop
-//                 copies the sender's bytes into a heap message, then
-//                 copies the message into the receiver's arena, on the
-//                 calling thread.  Broadcasts and reductions execute
-//                 the same binomial trees the Machine charges, hop by
-//                 hop, with real memcpys (and real elementwise
-//                 combines for reduce).  Every delivery is
-//                 digested end-to-end (dist/payload_digest.hpp: a
+//                 each rank owns a private heap arena, and every
+//                 delivery builds a digested heap message from the
+//                 sender's bytes (the payload, or a synthetic pattern
+//                 of the same size), then verifies and copies it into
+//                 the receiver's arena.  A batch of point-to-point
+//                 sends (send_all: a halo exchange, LL-LU's refetch)
+//                 runs as one backend job whose ranks are the
+//                 batch's destinations: each destination lands its
+//                 own deliveries in list order, so under a
+//                 ThreadedBackend the pool's workers move the bytes
+//                 while every arena and every count ends exactly as
+//                 after the same sends issued one at a time.
+//                 Broadcasts and reductions execute the same binomial
+//                 trees the Machine charges, hop by hop on the
+//                 calling thread, with real memcpys (and real
+//                 elementwise combines for reduce).  Every delivery
+//                 is digested end-to-end (dist/payload_digest.hpp: a
 //                 4-lane word-parallel digest that any corruption
 //                 confined to one word always changes), and the
 //                 receiver verifies the digest *before* the bytes
@@ -25,11 +34,15 @@
 //                 but the transport garbled is an error that leaves
 //                 the destination untouched, not a silent
 //                 disagreement -- the simulator's communication
-//                 schedule is *validated*, not assumed.  Moving a
-//                 word costs about 2.9 ns end to end on the
-//                 write-avoiding LU benchmark (bench/e2e, lu_ll_shm,
-//                 4-vCPU Xeon guest), down from 23-25 ns with the
-//                 byte-serial FNV-1a checksum this digest replaced.
+//                 schedule is *validated*, not assumed.  On the
+//                 write-avoiding LU benchmark's configuration
+//                 (bench/e2e, lu_ll_shm: 9.8M words in 2,112
+//                 deliveries per op; 4-vCPU Xeon guest) a serial
+//                 send costs 2.2-2.4 ns a word, and the refetch
+//                 batches on a three-worker pool 1.1 ns, against
+//                 3.0-3.2 ns when every hop ran on the calling
+//                 thread after staging its bytes in the sender's
+//                 arena.
 //
 // Counters never depend on the transport (the Machine charges before
 // the bytes move), which is what pins WA_TRANSPORT=sim and =shm to
@@ -53,6 +66,18 @@
 #include "dist/annotations.hpp"
 
 namespace wa::dist {
+
+class Backend;  // dist/backend.hpp
+
+/// One point-to-point transfer of a batch (Transport::send_all,
+/// Machine::send_all): @p words doubles from rank @p src to rank
+/// @p dst, with send()'s payload semantics.
+struct Transfer {
+  std::size_t src = 0;
+  std::size_t dst = 0;
+  std::size_t words = 0;
+  const double* payload = nullptr;
+};
 
 /// Movement/verification totals of a data-moving transport.  All
 /// zeros for SimTransport (nothing moves, nothing to verify).
@@ -87,6 +112,18 @@ class Transport {
   virtual void send(std::size_t src, std::size_t dst, std::size_t words,
                     const double* payload) = 0;
 
+  /// Move every transfer of @p transfers, ending exactly as send()
+  /// called on each in list order would.  The transfers are
+  /// independent (none carries bytes another one delivers), so an
+  /// implementation may run them on @p backend's workers.  The default
+  /// issues them one at a time through send().
+  virtual void send_all(const std::vector<Transfer>& transfers,
+                        Backend& /*backend*/) {
+    for (const Transfer& t : transfers) {
+      send(t.src, t.dst, t.words, t.payload);
+    }
+  }
+
   /// Binomial-tree broadcast of @p words from group.front() to every
   /// other participant (the tree the Machine charges).
   virtual void bcast(const std::vector<std::size_t>& group,
@@ -116,9 +153,13 @@ class SimTransport final : public Transport {
 
 /// Per-rank-address-space transport over process-local heap memory
 /// (see file comment).  Operations are issued by the orchestration
-/// thread, matching how the Machine charges them, and every hop runs
-/// on that thread; only the movement stats are locked, so stats() may
-/// be read from any thread.
+/// thread, matching how the Machine charges them.  A send_all batch
+/// runs on the backend's workers, one destination per rank of the
+/// job, and a destination's job writes only its own arena; every
+/// other hop runs on the calling thread.  Only the movement stats are
+/// locked, so stats() may be read from any thread.  Every entry point
+/// checks all of its ranks before it moves anything, zero-word and
+/// self transfers included.
 class ShmTransport final : public Transport {
  public:
   const char* name() const override { return "shm"; }
@@ -126,6 +167,8 @@ class ShmTransport final : public Transport {
   void attach(std::size_t P) override;
   void send(std::size_t src, std::size_t dst, std::size_t words,
             const double* payload) override;
+  void send_all(const std::vector<Transfer>& transfers,
+                Backend& backend) override;
   void bcast(const std::vector<std::size_t>& group, std::size_t words,
              const double* payload) override;
   void reduce(const std::vector<std::size_t>& group, std::size_t words,
@@ -146,12 +189,17 @@ class ShmTransport final : public Transport {
   class OpTimer;
 
   // Stage @p words from @p payload (or the synthetic pattern) into
-  // rank @p src's arena; returns the staged pointer.
-  const double* stage(std::size_t src, std::size_t words,
-                      const double* payload);
+  // rank @p src's arena, the start of a bcast or reduce tree.
+  void stage(std::size_t src, std::size_t words, const double* payload);
   // Sender side of a hop: copy @p words of src's arena into a digested
   // heap message.
   Msg package(std::size_t src, std::size_t words) const;
+  // One point-to-point delivery: build @p t's message in @p msg
+  // straight from the sender's bytes (payload or synthetic pattern;
+  // no arena is read), then land it in t.dst's arena; throws on a
+  // digest mismatch.  @p msg is reused across one destination's
+  // deliveries.
+  void deliver(const Transfer& t, Msg& msg);
   // Receiver side of a hop: detail::land_verified into dst's arena
   // (@p combine adds instead of overwriting: the reduce hop), counting
   // the delivery.  Returns false, with the arena untouched, on a

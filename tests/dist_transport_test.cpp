@@ -1,5 +1,6 @@
 // Tests for the data-movement seam (dist/transport.hpp): ShmTransport
-// delivery/verification semantics, the WA_TRANSPORT env contract
+// delivery/verification semantics, batched sends (send_all) landing
+// exactly what one-by-one sends land, the WA_TRANSPORT env contract
 // (library throws, benches exit 2), the calibration fit, and the
 // headline acceptance pin of the seam -- SUMMA, 2.5D, LU (LL+RL), and
 // distributed CG/CA-CG produce bitwise-identical results and
@@ -123,8 +124,191 @@ TEST(ShmTransportTest, ZeroWordAndSelfTransfersAreNoOps) {
 TEST(ShmTransportTest, RejectsUnattachedRanks) {
   ShmTransport tp;
   tp.attach(2);
+  SerialSimBackend serial;
   EXPECT_THROW(tp.send(0, 5, 4, nullptr), std::out_of_range);
+  // Every entry point checks its ranks before its zero-word and self
+  // early returns, and a batch checks all of them before moving any.
+  EXPECT_THROW(tp.send(0, 5, 0, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.send(5, 5, 4, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.bcast({5}, 4, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.bcast({0, 5}, 0, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.reduce({5}, 4, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.reduce({1, 5}, 0, nullptr), std::out_of_range);
+  EXPECT_THROW(tp.send_all({{0, 1, 4}, {0, 5, 0}}, serial),
+               std::out_of_range);
   EXPECT_THROW(tp.arena(2), std::out_of_range);
+  EXPECT_EQ(tp.stats().messages, 0u);
+  EXPECT_TRUE(tp.arena(1).empty());
+}
+
+/// The bytes a send without a payload moves from rank @p src: the
+/// one-word formula the transport's four-lane generator must match.
+std::vector<double> synthetic_words(std::size_t src, std::size_t words) {
+  std::vector<double> v(words);
+  for (std::size_t i = 0; i < words; ++i) {
+    v[i] = double((src * 2654435761ull + i * 40503ull) & 0xFFFFull) * 1e-3;
+  }
+  return v;
+}
+
+TEST(ShmTransportTest, SyntheticPayloadIsTheOneWordFormula) {
+  // 37 words end on a one-word tail; 70,001 words step the
+  // generator's 32-bit keys through several wraps, and rank 7's key
+  // product already wraps 32 bits.
+  ShmTransport tp;
+  tp.attach(8);
+  for (const std::size_t words : {std::size_t{37}, std::size_t{70001}}) {
+    for (const std::size_t src : {std::size_t{3}, std::size_t{7}}) {
+      const std::vector<double> want = synthetic_words(src, words);
+      tp.send(src, 0, words, nullptr);
+      EXPECT_EQ(0, std::memcmp(tp.arena(0).data(), want.data(),
+                               words * sizeof(double)))
+          << "send from " << src << ", " << words << " words";
+      // A broadcast tree starts from the same pattern.
+      tp.bcast({src, 1}, words, nullptr);
+      EXPECT_EQ(0, std::memcmp(tp.arena(1).data(), want.data(),
+                               words * sizeof(double)))
+          << "bcast from " << src << ", " << words << " words";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Batched sends: Machine::send_all lands exactly what one-by-one sends
+// land, on either backend.
+
+/// Forwards every call to a ShmTransport but keeps Transport's default
+/// send_all, the path a wrapping transport that does not override it
+/// takes.
+class ForwardingTransport final : public Transport {
+ public:
+  const char* name() const override { return "forwarding"; }
+  bool moves_data() const override { return true; }
+  void attach(std::size_t P) override { inner_.attach(P); }
+  void send(std::size_t src, std::size_t dst, std::size_t words,
+            const double* payload) override {
+    inner_.send(src, dst, words, payload);
+  }
+  void bcast(const std::vector<std::size_t>& group, std::size_t words,
+             const double* payload) override {
+    inner_.bcast(group, words, payload);
+  }
+  void reduce(const std::vector<std::size_t>& group, std::size_t words,
+              const double* payload) override {
+    inner_.reduce(group, words, payload);
+  }
+  TransportStats stats() const override { return inner_.stats(); }
+  const ShmTransport& inner() const { return inner_; }
+
+ private:
+  ShmTransport inner_;
+};
+
+const ShmTransport& shm_of(const Machine& m) {
+  if (const auto* fwd = dynamic_cast<const ForwardingTransport*>(
+          &m.transport())) {
+    return fwd->inner();
+  }
+  return dynamic_cast<const ShmTransport&>(m.transport());
+}
+
+/// Every arena, byte for byte and in size, the movement stats and
+/// every rank's counters of @p got equal @p want's.
+void expect_same_movement(const Machine& want, const Machine& got,
+                          const char* what) {
+  const ShmTransport& a = shm_of(want);
+  const ShmTransport& b = shm_of(got);
+  for (std::size_t p = 0; p < want.nprocs(); ++p) {
+    ASSERT_EQ(a.arena(p).size(), b.arena(p).size()) << what << " rank " << p;
+    if (a.arena(p).empty()) continue;  // memcmp may not take null
+    EXPECT_EQ(0, std::memcmp(a.arena(p).data(), b.arena(p).data(),
+                             a.arena(p).size() * sizeof(double)))
+        << what << " rank " << p;
+  }
+  EXPECT_EQ(a.stats().messages, b.stats().messages) << what;
+  EXPECT_EQ(a.stats().words, b.stats().words) << what;
+  EXPECT_EQ(a.stats().verified, b.stats().verified) << what;
+  EXPECT_TRUE(bench::same_counters(want, got)) << what;
+}
+
+Machine shm_machine(std::unique_ptr<Backend> backend,
+                    std::unique_ptr<Transport> transport =
+                        std::make_unique<ShmTransport>()) {
+  return Machine(6, 32, 64, 128, HwParams{}, std::move(backend),
+                 std::move(transport));
+}
+
+TEST(ShmSendAllTest, LandsExactlyWhatOneByOneSendsLand) {
+  std::vector<double> payload(41);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = double(i) * 0.5 - 3.0;
+  }
+  const std::vector<Transfer> batch = {
+      // One source to three destinations.
+      {0, 1, 50},
+      {0, 2, 20},
+      {0, 3, 64},
+      // Three sources into rank 4, each shorter than the one before,
+      // so every later delivery leaves an earlier one's tail.
+      {1, 4, 90},
+      {2, 4, 60},
+      {3, 4, 30},
+      // A payload-carrying transfer, also shorter than rank 3's first.
+      {5, 3, 41, payload.data()},
+      // A self and a zero-word transfer: charged and moved nothing.
+      {5, 5, 16},
+      {2, 0, 0},
+  };
+
+  Machine serial = shm_machine(std::make_unique<SerialSimBackend>());
+  for (const Transfer& t : batch) serial.send(t.src, t.dst, t.words, t.payload);
+  const ShmTransport& ref = shm_of(serial);
+  ASSERT_EQ(ref.arena(4).size(), 90u);
+  EXPECT_EQ(0, std::memcmp(ref.arena(4).data() + 60,
+                           synthetic_words(1, 90).data() + 60,
+                           30 * sizeof(double)));
+  EXPECT_EQ(0, std::memcmp(ref.arena(3).data(), payload.data(),
+                           payload.size() * sizeof(double)));
+  EXPECT_EQ(ref.stats().messages, 7u);
+  EXPECT_EQ(ref.stats().words, 355u);
+  EXPECT_EQ(ref.stats().verified, 355u);
+  EXPECT_TRUE(ref.arena(0).empty());
+  EXPECT_TRUE(ref.arena(5).empty());
+
+  Machine on_serial = shm_machine(std::make_unique<SerialSimBackend>());
+  on_serial.send_all(batch);
+  expect_same_movement(serial, on_serial, "send_all on SerialSimBackend");
+
+  Machine on_pool = shm_machine(std::make_unique<ThreadedBackend>(3));
+  on_pool.send_all(batch);
+  expect_same_movement(serial, on_pool, "send_all on ThreadedBackend(3)");
+
+  Machine by_default = shm_machine(std::make_unique<ThreadedBackend>(3),
+                                   std::make_unique<ForwardingTransport>());
+  by_default.send_all(batch);
+  expect_same_movement(serial, by_default, "Transport's default send_all");
+}
+
+TEST(ShmSendAllTest, OutOfRangeRankChargesAndMovesNothing) {
+  const std::vector<std::vector<Transfer>> bad = {
+      {{0, 1, 50}, {1, 2, 8}, {2, 6, 8}},  // a bad destination last
+      {{0, 1, 50}, {6, 2, 0}, {2, 3, 8}},  // a bad zero-word source
+      {{0, 1, 50}, {7, 7, 8}},             // a bad self transfer
+  };
+  for (const std::vector<Transfer>& batch : bad) {
+    Machine ms[] = {shm_machine(std::make_unique<SerialSimBackend>()),
+                    shm_machine(std::make_unique<ThreadedBackend>(3))};
+    for (Machine& m : ms) {
+      EXPECT_THROW(m.send_all(batch), std::out_of_range) << m.backend().name();
+      for (std::size_t p = 0; p < m.nprocs(); ++p) {
+        EXPECT_EQ(m.proc(p).nw.words, 0u) << m.backend().name();
+        EXPECT_EQ(m.proc(p).nw.messages, 0u) << m.backend().name();
+        EXPECT_TRUE(shm_of(m).arena(p).empty()) << m.backend().name();
+      }
+      EXPECT_EQ(shm_of(m).stats().messages, 0u);
+      EXPECT_EQ(m.comm_wall_seconds(), 0.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
