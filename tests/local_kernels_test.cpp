@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -108,16 +109,36 @@ TEST(LocalKernels, GemmParityOnStridedSubViews) {
   }
 }
 
+/// Well-conditioned n x n operands for every solve variant: u upper
+/// (diagonal 4 + |.|), l lower (diagonal 3 + |.|), and unit_l, which is
+/// l with its below-diagonal entries divided by n.  The unit-lower
+/// solve ignores the diagonal, so O(1) off-diagonal entries would grow
+/// its solution exponentially in n and swamp any parity tolerance.
+struct TriOperands {
+  linalg::Matrix<double> u, l, unit_l;
+};
+
+TriOperands tri_operands(std::size_t n) {
+  TriOperands t{linalg::random_upper_triangular(n, 9),
+                linalg::Matrix<double>(n, n), {}};
+  linalg::fill_random(t.l, 10);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) t.l(i, j) = 0.0;
+    t.l(i, i) = 3.0 + std::abs(t.l(i, i));
+  }
+  t.unit_l = t.l;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) t.unit_l(i, j) /= double(n);
+  }
+  return t;
+}
+
 TEST(LocalKernels, TrsmParityAllVariants) {
   for (const std::size_t n : {8u, 64u, 100u, 192u}) {
     const std::size_t nrhs = n / 2 + 3;
-    auto u = linalg::random_upper_triangular(n, 9);
-    linalg::Matrix<double> l(n, n);
-    linalg::fill_random(l, 10);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-      l(i, i) = 3.0 + std::abs(l(i, i));
-    }
+    const TriOperands ops = tri_operands(n);
+    const linalg::Matrix<double>& u = ops.u;
+    const linalg::Matrix<double>& l = ops.l;
     const auto check = [&](auto solve_naive, auto solve_blocked,
                            const linalg::Matrix<double>& t, bool right,
                            const char* who) {
@@ -130,18 +151,11 @@ TEST(LocalKernels, TrsmParityAllVariants) {
       solve_blocked(t.view(), b1.view());
       EXPECT_LT(linalg::max_abs_diff(b0, b1), 1e-9) << who << " n=" << n;
     };
-    // The unit-lower solve ignores the diagonal, so O(1) off-diagonal
-    // entries would grow the solution exponentially in n and swamp the
-    // parity tolerance; damp them to keep the solve well conditioned.
-    linalg::Matrix<double> lu_mat = l;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) lu_mat(i, j) /= double(n);
-    }
     const auto& nk = linalg::naive_kernels();
     const auto& bk = linalg::blocked_kernels();
     check(nk.trsm_left_upper, bk.trsm_left_upper, u, false, "left_upper");
     check(nk.trsm_left_lower, bk.trsm_left_lower, l, false, "left_lower");
-    check(nk.trsm_left_unit_lower, bk.trsm_left_unit_lower, lu_mat, false,
+    check(nk.trsm_left_unit_lower, bk.trsm_left_unit_lower, ops.unit_l, false,
           "left_unit_lower");
     check(nk.trsm_right_lower_t, bk.trsm_right_lower_t, l, true,
           "right_lower_t");
@@ -438,6 +452,123 @@ TEST(LocalKernels, ThreadedBackendBitwiseIdenticalUnderBlocked) {
   expect_traffic_identical(ms, mt, "summa threaded");
   EXPECT_EQ(0, std::memcmp(c_serial.data(), c_threaded.data(),
                            64 * 64 * sizeof(double)));
+}
+
+// ---- known answers at LU's panel widths ----------------------------------
+//
+// The other LU tests run b <= 16, below both the gemm volume threshold
+// and the 64-wide diagonal split.  These constants pin the blocked
+// table's left-lower and right-upper solves past that split, and both
+// LU schedules at the end-to-end panel widths (b = 32 left-looking,
+// b = 128 right-looking), against fixed values.  A wide solve's
+// off-diagonal updates run the blocked gemm, whose AVX2+FMA leg rounds
+// differently from the portable engine, so every output pin holds one
+// value per leg.  The values assume IEEE doubles with no FMA
+// contraction outside that leg.
+
+/// FNV-1a over 64-bit words.
+class Fnv {
+ public:
+  void add(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (w >> (8 * b)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add_bits(const linalg::Matrix<double>& m) {
+    for (std::size_t k = 0; k < m.rows() * m.cols(); ++k) {
+      std::uint64_t u = 0;
+      std::memcpy(&u, m.data() + k, sizeof u);
+      add(u);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// A known answer per blocked-gemm leg.
+struct PerLeg {
+  std::uint64_t simd, portable;
+};
+
+std::uint64_t on_this_leg(PerLeg want) {
+  // The SIMD leg reports whether it ran; a 1 x 1 product is harmless.
+  linalg::Matrix<double> c(1, 1), a(1, 1), b(1, 1);
+  const bool simd = linalg::detail::gemm_blocked_simd(c.view(), a.view(),
+                                                      b.view(), 1.0, false);
+  return simd ? want.simd : want.portable;
+}
+
+TEST(LocalKernelsKnownAnswers, BlockedSolvesPastTheDiagonalBlock) {
+  // Widths 65 and 100 leave a ragged last diagonal block, 128 and 192
+  // split evenly; 1, 37 and 130 right-hand sides.
+  const auto& bk = linalg::blocked_kernels();
+  Fnv unit, lower, upper;
+  for (const std::size_t n : {65u, 100u, 128u, 192u}) {
+    const TriOperands ops = tri_operands(n);
+    for (const std::size_t nrhs : {1u, 37u, 130u}) {
+      linalg::Matrix<double> left(n, nrhs), right(nrhs, n);
+      linalg::fill_random(left, unsigned(n + nrhs));
+      linalg::fill_random(right, unsigned(n + nrhs + 1));
+      linalg::Matrix<double> b = left;
+      bk.trsm_left_unit_lower(ops.unit_l.view(), b.view());
+      unit.add_bits(b);
+      b = left;
+      bk.trsm_left_lower(ops.l.view(), b.view());
+      lower.add_bits(b);
+      bk.trsm_right_upper(ops.u.view(), right.view());
+      upper.add_bits(right);
+    }
+  }
+  EXPECT_EQ(unit.value(),
+            on_this_leg({11059044650268176211ull, 17482670506270883859ull}));
+  EXPECT_EQ(lower.value(),
+            on_this_leg({9977387636529227971ull, 12640437793039961611ull}));
+  EXPECT_EQ(upper.value(),
+            on_this_leg({10472691190223779090ull, 4610258236393650369ull}));
+}
+
+TEST(LocalKernelsKnownAnswers, LuAtEndToEndPanelWidths) {
+  // Both schedules on a serial P = 4 (2 x 2) Machine with the e2e
+  // workloads' M1 and M2, n = 256: left-looking at b = 32, s = 4 (its
+  // solves sit inside one diagonal block), right-looking at b = 128
+  // (its solves split into two).
+  KernelGuard guard(linalg::KernelImpl::kBlocked);
+  const linalg::Matrix<double> a0 = linalg::random_spd(256, 25);
+  const struct {
+    bool left;
+    PerLeg bits;
+    std::uint64_t counters;
+  } cases[] = {
+      {true,
+       {10322613304458422511ull, 15326745265642373871ull},
+       4361258977244291597ull},
+      {false,
+       {14012205019345330533ull, 317564881319801190ull},
+       3351138025741466584ull},
+  };
+  for (const auto& tc : cases) {
+    linalg::Matrix<double> a = a0;
+    dist::Machine m(4, 3072, 65536, 1 << 24, dist::HwParams{},
+                    std::make_unique<dist::SerialSimBackend>());
+    tc.left ? dist::lu_left_looking(m, a.view(), 32, 4)
+            : dist::lu_right_looking(m, a.view(), 128);
+    Fnv bits, counters;
+    bits.add_bits(a);
+    for (std::size_t p = 0; p < m.nprocs(); ++p) {
+      const dist::ProcTraffic& t = m.proc(p);
+      for (const dist::ChanCount* ch :
+           {&t.nw, &t.l3_read, &t.l3_write, &t.l2_read, &t.l2_write}) {
+        counters.add(ch->words);
+        counters.add(ch->messages);
+      }
+    }
+    const char* who = tc.left ? "lu_left_looking" : "lu_right_looking";
+    EXPECT_EQ(bits.value(), on_this_leg(tc.bits)) << who;
+    EXPECT_EQ(counters.value(), tc.counters) << who;
+  }
 }
 
 }  // namespace
