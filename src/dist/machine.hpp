@@ -224,10 +224,9 @@ class Machine {
   /// tree.
   void bcast(const std::vector<std::size_t>& group, std::size_t words,
              const double* payload = nullptr) {
-    const std::uint64_t rounds = bcast_rounds(group.size());
-    if (rounds == 0) return;
     for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
-    if (words == 0) return;
+    const std::uint64_t rounds = bcast_rounds(group.size());
+    if (rounds == 0 || words == 0) return;
     for (std::size_t p : group) procs_[p].nw.add(rounds * words, rounds);
     if (transport_->moves_data()) {
       const Timer t(comm_wall_seconds_, comm_timer_depth_);
@@ -242,10 +241,9 @@ class Machine {
   /// are really combined elementwise at every hop of the gather tree.
   void reduce(const std::vector<std::size_t>& group, std::size_t words,
               const double* payload = nullptr) {
-    const std::uint64_t rounds = bcast_rounds(group.size());
-    if (rounds == 0) return;
     for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
-    if (words == 0) return;
+    const std::uint64_t rounds = bcast_rounds(group.size());
+    if (rounds == 0 || words == 0) return;
     for (std::size_t p : group) {
       procs_[p].nw.add(rounds * words, rounds);
       procs_[p].l2_write.add(rounds * words, rounds);

@@ -295,19 +295,35 @@ TEST(ShmSendAllTest, OutOfRangeRankChargesAndMovesNothing) {
       {{0, 1, 50}, {6, 2, 0}, {2, 3, 8}},  // a bad zero-word source
       {{0, 1, 50}, {7, 7, 8}},             // a bad self transfer
   };
+  const auto expect_untouched = [](const Machine& m) {
+    for (std::size_t p = 0; p < m.nprocs(); ++p) {
+      EXPECT_EQ(m.proc(p).nw.words, 0u) << m.backend().name();
+      EXPECT_EQ(m.proc(p).nw.messages, 0u) << m.backend().name();
+      EXPECT_EQ(m.proc(p).l2_write.words, 0u) << m.backend().name();
+      EXPECT_TRUE(shm_of(m).arena(p).empty()) << m.backend().name();
+    }
+    EXPECT_EQ(shm_of(m).stats().messages, 0u);
+    EXPECT_EQ(m.comm_wall_seconds(), 0.0);
+  };
   for (const std::vector<Transfer>& batch : bad) {
     Machine ms[] = {shm_machine(std::make_unique<SerialSimBackend>()),
                     shm_machine(std::make_unique<ThreadedBackend>(3))};
     for (Machine& m : ms) {
       EXPECT_THROW(m.send_all(batch), std::out_of_range) << m.backend().name();
-      for (std::size_t p = 0; p < m.nprocs(); ++p) {
-        EXPECT_EQ(m.proc(p).nw.words, 0u) << m.backend().name();
-        EXPECT_EQ(m.proc(p).nw.messages, 0u) << m.backend().name();
-        EXPECT_TRUE(shm_of(m).arena(p).empty()) << m.backend().name();
-      }
-      EXPECT_EQ(shm_of(m).stats().messages, 0u);
-      EXPECT_EQ(m.comm_wall_seconds(), 0.0);
+      expect_untouched(m);
     }
+  }
+  // A one-member collective has no rounds, yet its member is checked
+  // like every other endpoint; a valid one charges and moves nothing.
+  Machine ms[] = {shm_machine(std::make_unique<SerialSimBackend>()),
+                  shm_machine(std::make_unique<ThreadedBackend>(3))};
+  std::vector<double> payload(8, 1.0);
+  for (Machine& m : ms) {
+    EXPECT_THROW(m.bcast({6}, 8), std::out_of_range) << m.backend().name();
+    EXPECT_THROW(m.reduce({7}, 8), std::out_of_range) << m.backend().name();
+    m.bcast({5}, 8, payload.data());
+    m.reduce({5}, 8, payload.data());
+    expect_untouched(m);
   }
 }
 
