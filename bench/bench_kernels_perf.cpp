@@ -2,7 +2,8 @@
 // cycles in.  Three parts:
 //
 //   1. The LocalKernels seam: naive vs blocked GFLOP/s for the dense
-//      per-rank kernels (gemm, trsm, syrk) at n = 128/256/512, with a
+//      per-rank kernels (gemm, trsm, syrk) at n = 128/256/512, and for
+//      the two triangular solves LU runs at its panel widths, with a
 //      parity guard so a fast-but-wrong kernel cannot pass unnoticed.
 //      This is the number the seam exists for -- per-rank numerics
 //      should measure the hardware, not the loop nest.
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -203,6 +205,109 @@ void bench_local_kernels(bench::JsonReport& report, bench::Table& table) {
   }
 }
 
+/// Seconds per call of @p fn: the best of three runs, each at least
+/// 10 ms of back-to-back calls.
+template <typename Fn>
+double per_call_s(Fn&& fn) {
+  double best = 1e300;
+  for (int r = 0; r < 3; ++r) {
+    std::size_t calls = 0;
+    const double t0 = now_s();
+    double t = 0;
+    do {
+      fn();
+      ++calls;
+      t = now_s() - t0;
+    } while (t < 0.01);
+    best = std::min(best, t / double(calls));
+  }
+  return best;
+}
+
+// The triangular solves both LU schedules run, at their shapes: the
+// unit-lower U-panel solve and the right-upper L-panel solve, on views
+// of stride 1024 like the e2e LU's n = 1024 matrix.  Width 32 is
+// LL-LU's panel (one tiled diagonal block, bitwise the naive loops,
+// so the guard is memcmp); width 128 is RL-LU's (two diagonal blocks
+// and a gemm, so the guard is a tolerance).  Each timed call restores
+// B from a copy first, on both sides.
+void bench_lu_solves(bench::JsonReport& report, bench::Table& table) {
+  constexpr std::size_t kStride = 1024;
+  const struct {
+    bool right;
+    std::size_t w, other;  // width; right-hand sides (left) or rows (right)
+  } cases[] = {{false, 32, 32},  {false, 32, 256},  {false, 128, 32},
+               {false, 128, 256}, {true, 32, 32},   {true, 32, 128},
+               {true, 128, 32},   {true, 128, 128}};
+  for (const auto& c : cases) {
+    // T: well conditioned either way (unit-lower below-diagonal
+    // entries damped by 1/w, upper diagonal 4 + |.|).
+    linalg::Matrix<double> t(c.w, kStride);
+    linalg::fill_random(t, 7);
+    for (std::size_t i = 0; i < c.w; ++i) {
+      for (std::size_t j = 0; j < c.w; ++j) {
+        if (c.right && j == i) t(i, j) = 4.0 + std::abs(t(i, j));
+        if (!c.right && j < i) t(i, j) /= double(c.w);
+      }
+    }
+    const std::size_t rows = c.right ? c.other : c.w;
+    const std::size_t cols = c.right ? c.w : c.other;
+    linalg::Matrix<double> base(rows, kStride);
+    linalg::fill_random(base, 8);
+    const auto tv = t.block(0, 0, c.w, c.w);
+    const auto solve = [&](const linalg::LocalKernels& k,
+                           linalg::Matrix<double>& b) {
+      for (std::size_t i = 0; i < rows; ++i) {
+        std::copy(&base(i, 0), &base(i, 0) + cols, &b(i, 0));
+      }
+      if (c.right) {
+        k.trsm_right_upper(tv, b.block(0, 0, rows, cols));
+      } else {
+        k.trsm_left_unit_lower(tv, b.block(0, 0, rows, cols));
+      }
+    };
+
+    linalg::Matrix<double> out_naive = base, out_blocked = base;
+    solve(linalg::naive_kernels(), out_naive);
+    solve(linalg::blocked_kernels(), out_blocked);
+    const std::string cname =
+        std::string(c.right ? "trsm_right_upper_w" : "trsm_left_unit_lower_w") +
+        std::to_string(c.w) + (c.right ? "_rows" : "_rhs") +
+        std::to_string(c.other);
+    if (c.w <= linalg::kTriBlock) {
+      if (std::memcmp(out_naive.data(), out_blocked.data(),
+                      out_naive.size() * sizeof(double)) != 0) {
+        bench::die("bench_kernels_perf: blocked " + cname +
+                   " is not bitwise the naive solve");
+      }
+    } else {
+      const double diff = linalg::max_abs_diff(out_naive, out_blocked);
+      if (!(diff < 1e-8)) {
+        bench::die("bench_kernels_perf: naive/blocked parity broke on " +
+                   cname + " (max diff " + bench::fmt_d(diff, 3) + ")");
+      }
+    }
+
+    linalg::Matrix<double> out = base;
+    const double t_naive =
+        per_call_s([&] { solve(linalg::naive_kernels(), out); });
+    const double t_blocked =
+        per_call_s([&] { solve(linalg::blocked_kernels(), out); });
+    const std::uint64_t flops = std::uint64_t(c.w) * c.w * c.other;
+    const double gf_naive = double(flops) / t_naive / 1e9;
+    const double gf_blocked = double(flops) / t_blocked / 1e9;
+    report.add(cname, "flops", flops);
+    report.add(cname, "naive_us_wall", t_naive * 1e6);
+    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
+    report.add(cname, "naive_gflops_wall", gf_naive);
+    report.add(cname, "blocked_gflops_wall", gf_blocked);
+    report.add(cname, "speedup_wall", t_naive / t_blocked);
+    table.row({cname, std::to_string(c.w), bench::fmt_d(gf_naive),
+               bench::fmt_d(gf_blocked),
+               bench::fmt_d(t_naive / t_blocked) + "x"});
+  }
+}
+
 void bench_comm_layers(bench::JsonReport& report, bench::Table& table) {
   constexpr std::size_t kRanks = 16, kThreads = 3;
   dist::ThreadedBackend pool(kThreads);
@@ -352,6 +457,7 @@ int main(int argc, char** argv) {
               linalg::kernels(active).name);
   bench::Table table({"case", "n", "naive GF/s", "blocked GF/s", "ratio"});
   bench_local_kernels(report, table);
+  bench_lu_solves(report, table);
   bench_comm_layers(report, table);
   bench_substrates(report, table);
   table.print();

@@ -17,11 +17,6 @@ namespace {
 // takes the same summation order.
 constexpr std::size_t kSmallGemm = 8192;
 
-// Diagonal-block edge for the blocked triangular solves and SYRK: the
-// triangle itself is solved by the reference kernel at this size
-// while everything off-diagonal goes through the blocked GEMM.
-constexpr std::size_t kTriBlock = 64;
-
 void gemm_dispatch(MatrixView<double> C, ConstMatrixView<double> A,
                    ConstMatrixView<double> B, double alpha,
                    bool b_transposed) {
@@ -55,12 +50,159 @@ void gemm_acc_bt_blocked(MatrixView<double> C, ConstMatrixView<double> A,
   gemm_dispatch(C, A, B, alpha, true);
 }
 
+// ---- register-tiled diagonal solves -------------------------------------
+//
+// The left-lower and right-upper solves of width <= kTriBlock, and the
+// diagonal blocks of wider ones.  A tile holds MR x NR outputs in
+// registers, so one load of a solved row of B (left side) or of a row
+// of U (right side) feeds several outputs.  Each output still takes
+// the reference loop's steps (kernels.cpp): start from B, subtract each
+// product in ascending k, divide by the diagonal unless it is unit.
+// With every product rounded on its own (-ffp-contract=off) the
+// results are bitwise the reference loops'.  Ragged edges run the same
+// tile one row or one column wide.
+//
+// The operand that varies across a tile's rows is packed k-major first
+// (L's rows on the left, the solved X of the tile's rows on the right),
+// so the compiler vectorizes across the tile instead of along k.  The
+// tile shapes were chosen by measurement on 32- and 64-wide solves at
+// the default -march and at x86-64-v3; the right side keeps its
+// accumulators column by column, one vector of 8 rows each.
+
+constexpr std::size_t kLeftMR = 2, kLeftNR = 8;
+constexpr std::size_t kRightMR = 8, kRightNR = 2;
+
+/// Rows [i0, i0 + MR) x columns [j0, j0 + NR) of L X = B, with every
+/// row above i0 already solved in place; lp[k * MR + r] = L(i0 + r, k).
+template <std::size_t MR, std::size_t NR>
+void left_lower_tile(ConstMatrixView<double> L, const double* lp,
+                     MatrixView<double> B, std::size_t i0, std::size_t j0,
+                     bool unit) {
+  double acc[MR][NR] = {};
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t q = 0; q < NR; ++q) acc[r][q] = B(i0 + r, j0 + q);
+  }
+  for (std::size_t k = 0; k < i0; ++k) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      for (std::size_t q = 0; q < NR; ++q) {
+        acc[r][q] -= lp[k * MR + r] * B(k, j0 + q);
+      }
+    }
+  }
+  // The tile's own triangle: row r takes the tile rows above it once
+  // they are finished.
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t k = 0; k < r; ++k) {
+      const double l = L(i0 + r, i0 + k);
+      for (std::size_t q = 0; q < NR; ++q) acc[r][q] -= l * acc[k][q];
+    }
+    if (!unit) {
+      const double d = L(i0 + r, i0 + r);
+      for (std::size_t q = 0; q < NR; ++q) acc[r][q] /= d;
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t q = 0; q < NR; ++q) B(i0 + r, j0 + q) = acc[r][q];
+  }
+}
+
+/// Rows [i0, i0 + MR) of L X = B, every column.
+template <std::size_t MR>
+void left_lower_rows(ConstMatrixView<double> L, MatrixView<double> B,
+                     std::size_t i0, bool unit) {
+  double lp[MR * kTriBlock];
+  for (std::size_t k = 0; k < i0; ++k) {
+    for (std::size_t r = 0; r < MR; ++r) lp[k * MR + r] = L(i0 + r, k);
+  }
+  const std::size_t nrhs = B.cols();
+  std::size_t j0 = 0;
+  for (; j0 + kLeftNR <= nrhs; j0 += kLeftNR) {
+    left_lower_tile<MR, kLeftNR>(L, lp, B, i0, j0, unit);
+  }
+  for (; j0 < nrhs; ++j0) left_lower_tile<MR, 1>(L, lp, B, i0, j0, unit);
+}
+
+void left_lower_diag(ConstMatrixView<double> L, MatrixView<double> B,
+                     bool unit) {
+  assert(L.rows() == L.cols() && L.rows() == B.rows() &&
+         L.rows() <= kTriBlock);
+  const std::size_t n = L.rows();
+  std::size_t i0 = 0;
+  for (; i0 + kLeftMR <= n; i0 += kLeftMR) {
+    left_lower_rows<kLeftMR>(L, B, i0, unit);
+  }
+  for (; i0 < n; ++i0) left_lower_rows<1>(L, B, i0, unit);
+}
+
+/// Rows [i0, i0 + MR) x columns [j0, j0 + NR) of X U = B, with every
+/// column left of j0 already solved; xp[k * MR + r] = X(i0 + r, k),
+/// and the tile appends its own columns to it.
+template <std::size_t MR, std::size_t NR>
+void right_upper_tile(ConstMatrixView<double> U, MatrixView<double> B,
+                      std::size_t i0, std::size_t j0, double* xp) {
+  double acc[NR][MR] = {};
+  for (std::size_t q = 0; q < NR; ++q) {
+    for (std::size_t r = 0; r < MR; ++r) acc[q][r] = B(i0 + r, j0 + q);
+  }
+  for (std::size_t k = 0; k < j0; ++k) {
+    for (std::size_t q = 0; q < NR; ++q) {
+      const double u = U(k, j0 + q);
+      for (std::size_t r = 0; r < MR; ++r) acc[q][r] -= xp[k * MR + r] * u;
+    }
+  }
+  // The tile's own triangle: column q takes the tile columns left of
+  // it once they are finished.
+  for (std::size_t q = 0; q < NR; ++q) {
+    for (std::size_t k = 0; k < q; ++k) {
+      const double u = U(j0 + k, j0 + q);
+      for (std::size_t r = 0; r < MR; ++r) acc[q][r] -= acc[k][r] * u;
+    }
+    const double d = U(j0 + q, j0 + q);
+    for (std::size_t r = 0; r < MR; ++r) acc[q][r] /= d;
+  }
+  for (std::size_t q = 0; q < NR; ++q) {
+    for (std::size_t r = 0; r < MR; ++r) {
+      B(i0 + r, j0 + q) = acc[q][r];
+      xp[(j0 + q) * MR + r] = acc[q][r];
+    }
+  }
+}
+
+/// Rows [i0, i0 + MR) of X U = B, left to right.
+template <std::size_t MR>
+void right_upper_rows(ConstMatrixView<double> U, MatrixView<double> B,
+                      std::size_t i0) {
+  double xp[MR * kTriBlock];
+  const std::size_t n = U.rows();
+  std::size_t j0 = 0;
+  for (; j0 + kRightNR <= n; j0 += kRightNR) {
+    right_upper_tile<MR, kRightNR>(U, B, i0, j0, xp);
+  }
+  for (; j0 < n; ++j0) right_upper_tile<MR, 1>(U, B, i0, j0, xp);
+}
+
+void right_upper_diag(ConstMatrixView<double> U, MatrixView<double> B) {
+  assert(U.rows() == U.cols() && U.rows() == B.cols() &&
+         U.rows() <= kTriBlock);
+  const std::size_t m = B.rows();
+  std::size_t i0 = 0;
+  for (; i0 + kRightMR <= m; i0 += kRightMR) {
+    right_upper_rows<kRightMR>(U, B, i0);
+  }
+  for (; i0 < m; ++i0) right_upper_rows<1>(U, B, i0);
+}
+
 // ---- blocked triangular solves ------------------------------------------
 //
-// Each variant peels kTriBlock-wide diagonal blocks (solved by the
-// reference kernel) and pushes the panel updates -- all the O(n^3)
-// work -- through the blocked GEMM.  Summation order differs from the
-// reference back-substitution, covered by the parity tolerances.
+// Each variant peels kTriBlock-wide diagonal blocks and pushes the
+// panel updates -- all the O(n^3) work -- through the blocked GEMM.
+// Left-lower and right-upper solve their diagonal blocks with the
+// tiled solvers above, so up to kTriBlock wide they are bitwise the
+// reference loops; wider, the GEMM reorders the off-diagonal sums,
+// which the parity tolerances cover.  Left-upper and right-lower-
+// transposed keep the reference loops on the diagonal: back
+// substitution sums the nearest, still-unsolved rows first, so a row
+// block cannot share loads without reordering a sum.
 
 void trsm_left_upper_blocked(ConstMatrixView<double> T,
                              MatrixView<double> B) {
@@ -88,7 +230,7 @@ void trsm_left_lower_blocked_impl(ConstMatrixView<double> L,
   assert(L.rows() == L.cols() && L.rows() == B.rows());
   const std::size_t n = L.rows(), nrhs = B.cols();
   if (n <= kTriBlock) {
-    unit ? trsm_left_unit_lower(L, B) : trsm_left_lower(L, B);
+    left_lower_diag(L, B, unit);
     return;
   }
   for (std::size_t i0 = 0; i0 < n; i0 += kTriBlock) {
@@ -97,9 +239,7 @@ void trsm_left_lower_blocked_impl(ConstMatrixView<double> L,
       gemm_dispatch(B.block(i0, 0, sz, nrhs), L.block(i0, 0, sz, i0),
                     B.block(0, 0, i0, nrhs), -1.0, false);
     }
-    auto diag = L.block(i0, i0, sz, sz);
-    auto rhs = B.block(i0, 0, sz, nrhs);
-    unit ? trsm_left_unit_lower(diag, rhs) : trsm_left_lower(diag, rhs);
+    left_lower_diag(L.block(i0, i0, sz, sz), B.block(i0, 0, sz, nrhs), unit);
   }
 }
 
@@ -136,7 +276,7 @@ void trsm_right_upper_blocked(ConstMatrixView<double> U,
   assert(U.rows() == U.cols() && U.rows() == B.cols());
   const std::size_t n = U.rows(), m = B.rows();
   if (n <= kTriBlock) {
-    trsm_right_upper(U, B);
+    right_upper_diag(U, B);
     return;
   }
   for (std::size_t j0 = 0; j0 < n; j0 += kTriBlock) {
@@ -145,7 +285,7 @@ void trsm_right_upper_blocked(ConstMatrixView<double> U,
       gemm_dispatch(B.block(0, j0, m, sz), B.block(0, 0, m, j0),
                     U.block(0, j0, j0, sz), -1.0, false);
     }
-    trsm_right_upper(U.block(j0, j0, sz, sz), B.block(0, j0, m, sz));
+    right_upper_diag(U.block(j0, j0, sz, sz), B.block(0, j0, m, sz));
   }
 }
 

@@ -10,7 +10,9 @@
 //             multiplies them with an L1-resident register block in
 //             the spirit of the paper's Section 4 blocking analyses;
 //             TRSM and SYRK peel their diagonal work and push the
-//             off-diagonal updates through the blocked GEMM; the Gram
+//             off-diagonal updates through the blocked GEMM, and the
+//             left-lower and right-upper solves run their diagonal
+//             blocks through register-tiled solvers; the Gram
 //             kernel computes only one triangle of G = V^T V with the
 //             columns chunked through L1.
 //
@@ -27,6 +29,9 @@
 //     counter-identical.
 //   * gemm/trsm/syrk may reorder summation; naive and blocked results
 //     agree to the tolerances pinned in tests/local_kernels_test.cpp.
+//     The exception: left-lower (unit and non-unit) and right-upper
+//     solves no wider than kTriBlock keep the reference loops' order
+//     per element, so they are bitwise-equal to the naive ones.
 //   * gram_upper_acc is call-granularity invariant: each G(a, c)
 //     entry is accumulated as a single serial chain in ascending i,
 //     so splitting the index range over many calls (as the
@@ -44,6 +49,11 @@
 namespace wa::linalg {
 
 enum class KernelImpl { kNaive, kBlocked };
+
+/// Diagonal-block edge of the blocked triangular solves and SYRK: the
+/// triangle is solved at this size (by a tiled solver or the reference
+/// loops) while everything off-diagonal goes through the blocked GEMM.
+inline constexpr std::size_t kTriBlock = 64;
 
 /// The kernel vtable.  Signatures mirror linalg/kernels.hpp (alpha is
 /// explicit: function pointers cannot carry default arguments).

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -134,32 +137,85 @@ TriOperands tri_operands(std::size_t n) {
 }
 
 TEST(LocalKernels, TrsmParityAllVariants) {
-  for (const std::size_t n : {8u, 64u, 100u, 192u}) {
-    const std::size_t nrhs = n / 2 + 3;
+  // Every variant solves on strided sub-views.  T sits inside a frame
+  // of NaN that also fills the triangle no solve may read, and a unit
+  // diagonal; B sits inside a random frame that must stay bitwise
+  // untouched.  Up to kTriBlock (64) wide the blocked left-lower (unit
+  // and non-unit) and right-upper solves are the reference loops bit
+  // for bit, so there they are compared with memcmp.  Wider solves and
+  // the other two variants reorder sums through the blocked gemm and
+  // keep a tolerance.  Widths and right-hand-side counts are ragged
+  // against both tile shapes (2 x 8 on the left, 8 x 2 on the right).
+  constexpr std::size_t kOff = 3, kPad = 5;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Solve = void (*)(linalg::ConstMatrixView<double>,
+                         linalg::MatrixView<double>);
+  const auto& nk = linalg::naive_kernels();
+  const auto& bk = linalg::blocked_kernels();
+  const struct {
+    const char* who;
+    Solve naive, blocked;
+    bool lower, unit, right, bitwise;
+  } variants[] = {
+      {"left_upper", nk.trsm_left_upper, bk.trsm_left_upper, false, false,
+       false, false},
+      {"left_lower", nk.trsm_left_lower, bk.trsm_left_lower, true, false,
+       false, true},
+      {"left_unit_lower", nk.trsm_left_unit_lower, bk.trsm_left_unit_lower,
+       true, true, false, true},
+      {"right_lower_t", nk.trsm_right_lower_t, bk.trsm_right_lower_t, true,
+       false, true, false},
+      {"right_upper", nk.trsm_right_upper, bk.trsm_right_upper, false, false,
+       true, true},
+  };
+  for (const std::size_t n :
+       {1u, 2u, 3u, 5u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 128u,
+        192u}) {
     const TriOperands ops = tri_operands(n);
-    const linalg::Matrix<double>& u = ops.u;
-    const linalg::Matrix<double>& l = ops.l;
-    const auto check = [&](auto solve_naive, auto solve_blocked,
-                           const linalg::Matrix<double>& t, bool right,
-                           const char* who) {
-      linalg::Matrix<double> b0 = right
-                                      ? linalg::Matrix<double>(nrhs, n)
-                                      : linalg::Matrix<double>(n, nrhs);
-      linalg::fill_random(b0, 11);
-      linalg::Matrix<double> b1 = b0;
-      solve_naive(t.view(), b0.view());
-      solve_blocked(t.view(), b1.view());
-      EXPECT_LT(linalg::max_abs_diff(b0, b1), 1e-9) << who << " n=" << n;
-    };
-    const auto& nk = linalg::naive_kernels();
-    const auto& bk = linalg::blocked_kernels();
-    check(nk.trsm_left_upper, bk.trsm_left_upper, u, false, "left_upper");
-    check(nk.trsm_left_lower, bk.trsm_left_lower, l, false, "left_lower");
-    check(nk.trsm_left_unit_lower, bk.trsm_left_unit_lower, ops.unit_l, false,
-          "left_unit_lower");
-    check(nk.trsm_right_lower_t, bk.trsm_right_lower_t, l, true,
-          "right_lower_t");
-    check(nk.trsm_right_upper, bk.trsm_right_upper, u, true, "right_upper");
+    for (const auto& v : variants) {
+      const linalg::Matrix<double>& t =
+          v.unit ? ops.unit_l : v.lower ? ops.l : ops.u;
+      linalg::Matrix<double> tf(n + kOff + kPad, n + kOff + kPad, nan);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const bool read = v.lower ? j < i : j > i;
+          if (read || (i == j && !v.unit)) tf(kOff + i, kOff + j) = t(i, j);
+        }
+      }
+      const linalg::ConstMatrixView<double> tv = tf.block(kOff, kOff, n, n);
+      for (const std::size_t nrhs : {std::size_t{1}, std::size_t{5},
+                                     std::size_t{13}, n / 2 + 3}) {
+        const std::size_t rows = v.right ? nrhs : n;
+        const std::size_t cols = v.right ? n : nrhs;
+        linalg::Matrix<double> b0(rows + kOff + kPad, cols + kOff + kPad);
+        linalg::fill_random(b0, 11);
+        const linalg::Matrix<double> orig = b0;
+        linalg::Matrix<double> b1 = b0;
+        v.naive(tv, b0.block(kOff, kOff, rows, cols));
+        v.blocked(tv, b1.block(kOff, kOff, rows, cols));
+        const std::string where = std::string(v.who) +
+                                  " n=" + std::to_string(n) +
+                                  " nrhs=" + std::to_string(nrhs);
+        if (v.bitwise && n <= linalg::kTriBlock) {
+          EXPECT_EQ(0, std::memcmp(b0.data(), b1.data(),
+                                   b0.size() * sizeof(double)))
+              << where;
+        }
+        bool close = true, frame_kept = true;
+        for (std::size_t i = 0; i < b1.rows(); ++i) {
+          for (std::size_t j = 0; j < b1.cols(); ++j) {
+            if (i >= kOff && i < kOff + rows && j >= kOff && j < kOff + cols) {
+              close = close && std::abs(b0(i, j) - b1(i, j)) < 1e-9;
+            } else {
+              frame_kept = frame_kept && std::memcmp(&b1(i, j), &orig(i, j),
+                                                     sizeof(double)) == 0;
+            }
+          }
+        }
+        EXPECT_TRUE(close) << where;
+        EXPECT_TRUE(frame_kept) << where;
+      }
+    }
   }
 }
 
