@@ -6,7 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -96,99 +98,7 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
   return out;
 }
 
-/// The partition a solve runs on, plus its ghost and allreduce
-/// plumbing.  Partial dot products are combined in rank order on the
-/// calling thread (deterministic under every backend, and exactly the
-/// full-range sum when P = 1, which is what pins the P = 1 runs
-/// bitwise-equal to the shared-memory solvers).
-///
-/// Every rank's owned rows are flattened into ascending [lo, hi)
-/// global-row runs once here -- from the box geometry for the mesh
-/// partitions (identical to walking the box with for_each_run) or
-/// from GraphPartition's owned runs -- so the O(n) vector phases
-/// (setup, classical CG steps, delta recomputes) iterate one shape
-/// whatever the partition.  The CA-CG basis phases see the partition
-/// kind only where make_plan below picks the streaming chunks' target
-/// rows.
-struct PartRun {
-  Machine& m;
-  const sparse::Csr& A;
-  const Partition& part;
-  const GraphPartition* gp;  // non-null on sparsity-driven partitions
-  std::size_t P;
-  std::vector<std::size_t> group;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> runs;
-  std::vector<std::size_t> own_sz;
-  std::vector<std::size_t> own_nnz;  // A-words of the owned rows
-
-  PartRun(Machine& mm, const sparse::Csr& a, const Partition& pt)
-      : m(mm), A(a), part(pt), gp(pt.graph()), P(pt.ranks()),
-        group(pt.group()), runs(P), own_sz(P), own_nnz(P) {
-    if (pt.ranks() != mm.nprocs()) {
-      throw std::invalid_argument(
-          "dist: partition rank count differs from the machine's P");
-    }
-    if (pt.nodes() != a.n) {
-      throw std::invalid_argument("dist: partition does not cover the matrix");
-    }
-    for (std::size_t p = 0; p < P; ++p) {
-      if (gp != nullptr) {
-        runs[p] = gp->owned_runs(p);
-        own_sz[p] = gp->owned_count(p);
-      } else {
-        const NodeBox o = pt.owned(p);
-        own_sz[p] = o.volume();
-        for_each_run(pt, o, [&](std::size_t lo, std::size_t hi) {
-          runs[p].emplace_back(lo, hi);
-        });
-      }
-      std::size_t words = 0;
-      for (const auto& [lo, hi] : runs[p]) {
-        words += a.row_ptr[hi] - a.row_ptr[lo];
-      }
-      own_nnz[p] = words;
-    }
-  }
-
-  /// fn(lo, hi) over rank @p p's owned row runs, ascending.
-  template <class Fn>
-  void for_runs(std::size_t p, Fn&& fn) const {
-    for (const auto& [lo, hi] : runs[p]) fn(lo, hi);
-  }
-
-  /// Ghost exchange of @p vecs partitioned vectors: owners read the
-  /// shipped boundary nodes from slow memory once, then every
-  /// transfer is a neighbour send charged to both endpoints, all of
-  /// them issued as one batch.  The received nodes stay in the
-  /// consumer's fast memory (charged as L2 transit where they are
-  /// used), so ghosts never inflate W12.
-  void exchange(const std::vector<HaloTransfer>& halos, std::size_t vecs) {
-    if (halos.empty()) return;
-    std::vector<std::size_t> sent(P, 0);
-    std::vector<Transfer> sends;
-    sends.reserve(halos.size());
-    for (const HaloTransfer& t : halos) {
-      sent[t.src] += t.rows * vecs;
-      sends.push_back({t.src, t.dst, t.rows * vecs});
-    }
-    m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
-      detail::charge_l3_read(h, sent[p], m.M2());
-    });
-    m.send_all(sends);
-  }
-
-  /// Charge a binomial-tree allreduce of @p vals among all ranks
-  /// (reduce with per-round combines, then broadcast of the result),
-  /// one word per value.  The caller combines the partials first, so
-  /// under a data-moving transport the values charged are the values
-  /// that travel both trees.
-  void allreduce_charge(std::span<const double> vals) {
-    m.reduce(group, vals.size(), vals.data());
-    m.bcast(group, vals.size(), vals.data());
-  }
-};
-
-// ---- per-solve matrix-powers plans ------------------------------------
+// ---- matrix-powers plans ----------------------------------------------
 //
 // Every CA-CG basis build covers one chunk: its target rows (the
 // rank's owned rows in stored mode, a slice of them when streaming)
@@ -199,11 +109,12 @@ struct PartRun {
 // level l within s-1-l hops.  One walk of A's pattern from the targets
 // (hop_walk) gives every row its hop count, and the plan keeps the
 // rows within k hops as runs of slots, the same way for every
-// partition kind.  The plan is built once per solve; Gram accumulation
-// and recovery then walk every chunk alike.  Each row accumulates in
-// A's stored column order, exactly the kd::row_dot / spmv sum, so at
-// P = 1 (every row a target, every level full) the iterates stay
-// bitwise-identical to the shared-memory solver.
+// partition kind.  The plan is part of a solve's setup (below), built
+// once per key; Gram accumulation and recovery then walk every chunk
+// alike.  Each row accumulates in A's stored column order, exactly the
+// kd::row_dot / spmv sum, so at P = 1 (every row a target, every level
+// full) the iterates stay bitwise-identical to the shared-memory
+// solver.
 
 using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
 
@@ -287,43 +198,43 @@ BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
 ///
 /// At s = 8 fewer lines fit in M2/17 words than the floor holds on the
 /// 2-D and 3-D tiles, so their chunks stay at the floor.
-std::vector<std::vector<BasisChunk>> make_plan(const PartRun& rp,
-                                               std::size_t s, CaCgMode mode,
-                                               std::size_t block_rows,
-                                               std::size_t M2) {
-  if (rp.A.n > std::numeric_limits<std::uint32_t>::max()) {
+std::vector<std::vector<BasisChunk>> make_plan(
+    const Partition& part, const sparse::Csr& A, const std::vector<Runs>& runs,
+    std::size_t s, CaCgMode mode, std::size_t block_rows, std::size_t M2) {
+  if (A.n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "dist::ca_cg: matrix-powers plans need n < 2^32 (32-bit basis "
         "slots)");
   }
-  std::vector<std::vector<BasisChunk>> plan(rp.P);
-  for (std::size_t p = 0; p < rp.P; ++p) {
-    if (rp.own_sz[p] == 0) continue;
+  const GraphPartition* gp = part.graph();
+  std::vector<std::vector<BasisChunk>> plan(runs.size());
+  for (std::size_t p = 0; p < runs.size(); ++p) {
+    if (runs[p].empty()) continue;
     std::vector<std::vector<std::size_t>> seeds;
     if (mode == CaCgMode::kStored) {
       seeds.emplace_back();
-      rp.for_runs(p, [&](std::size_t lo, std::size_t hi) {
+      for (const auto& [lo, hi] : runs[p]) {
         for (std::size_t i = lo; i < hi; ++i) seeds.back().push_back(i);
-      });
-    } else if (rp.gp != nullptr) {
-      const auto& own = rp.gp->owned_rows(p);
+      }
+    } else if (gp != nullptr) {
+      const auto& own = gp->owned_rows(p);
       const std::size_t rows =
-          block_rows != 0 ? block_rows : floor_rows(s, rp.part.radius());
+          block_rows != 0 ? block_rows : floor_rows(s, part.radius());
       for (std::size_t lo = 0; lo < own.size(); lo += rows) {
         const std::size_t hi = std::min(own.size(), lo + rows);
         seeds.emplace_back(own.begin() + lo, own.begin() + hi);
       }
     } else {
       for (const NodeBox& c :
-           stream_chunks(rp.part, rp.part.owned(p), s, block_rows, M2)) {
+           stream_chunks(part, part.owned(p), s, block_rows, M2)) {
         seeds.emplace_back();
-        for_each_run(rp.part, c, [&](std::size_t lo, std::size_t hi) {
+        for_each_run(part, c, [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) seeds.back().push_back(i);
         });
       }
     }
     for (const auto& seed : seeds) {
-      plan[p].push_back(make_chunk(rp.A, rp.runs[p], seed, s));
+      plan[p].push_back(make_chunk(A, runs[p], seed, s));
     }
   }
   return plan;
@@ -346,6 +257,153 @@ std::vector<HaloTransfer> basis_halo(const Partition& part, std::size_t s) {
   }
   return out;
 }
+
+// ---- a solve's setup -----------------------------------------------------
+//
+// Everything a solve derives from its key and nothing else: the
+// partition (by id), A's sparsity pattern, s (0 for classical CG, which
+// needs no basis), the storage mode and block_rows, plus the Machine's P
+// and M2.  A's values and the right-hand sides are not part of it, so a
+// Machine keeps the setup between calls (acquire, below) and a repeat
+// solve on the same operator and partition skips every hop walk.
+
+struct SolveSetup {
+  // The key.  The pattern is a copy, compared exactly on every call.
+  std::uint64_t part_id = 0;
+  std::vector<std::size_t> row_ptr, col_idx;
+  std::size_t s = 0;
+  CaCgMode mode = CaCgMode::kStored;
+  std::size_t block_rows = 0;
+
+  std::size_t P = 0;
+  std::vector<std::size_t> group;
+  // Every rank's owned rows as ascending [lo, hi) global-row runs --
+  // from the box geometry for the mesh partitions (identical to walking
+  // the box with for_each_run) or from GraphPartition's owned runs --
+  // so the O(n) vector phases (setup, classical CG steps, delta
+  // recomputes) iterate one shape whatever the partition.
+  std::vector<Runs> runs;
+  std::vector<std::size_t> own_sz;
+  std::vector<std::size_t> own_nnz;  // A-words of the owned rows
+  // The depth-radius exchange and CA-CG's basis exchange, with the
+  // words each rank receives per vector.
+  std::vector<HaloTransfer> halo1, halo_b;
+  std::vector<std::size_t> recv1, recv_b;
+  // CA-CG's per-rank basis chunks.  The partition kind shows only in
+  // the streaming chunks' target rows (make_plan).
+  std::vector<std::vector<BasisChunk>> plan;
+
+  bool matches(const Partition& part, const sparse::Csr& A, std::size_t s2,
+               CaCgMode mode2, std::size_t block_rows2) const {
+    return part_id == part.id() && s == s2 && mode == mode2 &&
+           block_rows == block_rows2 && row_ptr == A.row_ptr &&
+           col_idx == A.col_idx;
+  }
+};
+
+/// The setup of a solve of @p A on @p part with @p s-step bases
+/// (none when s = 0).  Refuses a partition for another machine size,
+/// another row count, or whose halos do not serve A (a graph partition
+/// of another pattern, a box A's entries reach past).
+SolveSetup build_setup(const Machine& m, const Partition& part,
+                       const sparse::Csr& A, std::size_t s, CaCgMode mode,
+                       std::size_t block_rows) {
+  if (part.ranks() != m.nprocs()) {
+    throw std::invalid_argument(
+        "dist: partition rank count differs from the machine's P");
+  }
+  if (part.nodes() != A.n) {
+    throw std::invalid_argument("dist: partition does not cover the matrix");
+  }
+  part.check_matrix(A);
+  SolveSetup su;
+  su.part_id = part.id();
+  su.row_ptr = A.row_ptr;
+  su.col_idx = A.col_idx;
+  su.s = s;
+  su.mode = mode;
+  su.block_rows = block_rows;
+
+  const std::size_t P = part.ranks();
+  const GraphPartition* gp = part.graph();
+  su.P = P;
+  su.group = part.group();
+  su.runs.resize(P);
+  su.own_sz.resize(P);
+  su.own_nnz.resize(P);
+  for (std::size_t p = 0; p < P; ++p) {
+    if (gp != nullptr) {
+      su.runs[p] = gp->owned_runs(p);
+      su.own_sz[p] = gp->owned_count(p);
+    } else {
+      const NodeBox o = part.owned(p);
+      su.own_sz[p] = o.volume();
+      for_each_run(part, o, [&](std::size_t lo, std::size_t hi) {
+        su.runs[p].emplace_back(lo, hi);
+      });
+    }
+    for (const auto& [lo, hi] : su.runs[p]) {
+      su.own_nnz[p] += A.row_ptr[hi] - A.row_ptr[lo];
+    }
+  }
+  su.halo1 = part.halo(part.radius());
+  su.recv1 = recv_rows(su.halo1, P);
+  if (s > 0) {
+    su.halo_b = basis_halo(part, s);
+    su.recv_b = recv_rows(su.halo_b, P);
+    su.plan = make_plan(part, A, su.runs, s, mode, block_rows, m.M2());
+  }
+  return su;
+}
+
+/// One call's view of a setup: the Machine it charges and the A whose
+/// values it reads, plus the ghost and allreduce plumbing.  Partial dot
+/// products are combined in rank order on the calling thread
+/// (deterministic under every backend, and exactly the full-range sum
+/// when P = 1, which is what pins the P = 1 runs bitwise-equal to the
+/// shared-memory solvers).
+struct PartRun {
+  Machine& m;
+  const sparse::Csr& A;
+  const SolveSetup& su;
+
+  /// fn(lo, hi) over rank @p p's owned row runs, ascending.
+  template <class Fn>
+  void for_runs(std::size_t p, Fn&& fn) const {
+    for (const auto& [lo, hi] : su.runs[p]) fn(lo, hi);
+  }
+
+  /// Ghost exchange of @p vecs partitioned vectors: owners read the
+  /// shipped boundary nodes from slow memory once, then every
+  /// transfer is a neighbour send charged to both endpoints, all of
+  /// them issued as one batch.  The received nodes stay in the
+  /// consumer's fast memory (charged as L2 transit where they are
+  /// used), so ghosts never inflate W12.
+  void exchange(const std::vector<HaloTransfer>& halos, std::size_t vecs) {
+    if (halos.empty()) return;
+    std::vector<std::size_t> sent(su.P, 0);
+    std::vector<Transfer> sends;
+    sends.reserve(halos.size());
+    for (const HaloTransfer& t : halos) {
+      sent[t.src] += t.rows * vecs;
+      sends.push_back({t.src, t.dst, t.rows * vecs});
+    }
+    m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
+      detail::charge_l3_read(h, sent[p], m.M2());
+    });
+    m.send_all(sends);
+  }
+
+  /// Charge a binomial-tree allreduce of @p vals among all ranks
+  /// (reduce with per-round combines, then broadcast of the result),
+  /// one word per value.  The caller combines the partials first, so
+  /// under a data-moving transport the values charged are the values
+  /// that travel both trees.
+  void allreduce_charge(std::span<const double> vals) {
+    m.reduce(su.group, vals.size(), vals.data());
+    m.bcast(su.group, vals.size(), vals.data());
+  }
+};
 
 // ---- the row kernel ---------------------------------------------------------
 //
@@ -414,7 +472,7 @@ void spmv_owned(const PartRun& rp, std::size_t rank,
       in[k - g0] = v(js[k]);
       out[k - g0] = w[js[k]].data();
     }
-    walk_rows(rp.A, rp.runs[rank], g1 - g0, same, same, in.data(),
+    walk_rows(rp.A, rp.su.runs[rank], g1 - g0, same, same, in.data(),
               [&](std::size_t i, std::size_t k, double t) { out[k][i] = t; });
   });
 }
@@ -503,12 +561,13 @@ void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
 }
 
 /// Recovery over the chunk's target rows:
-/// [pout, rout, x] = [W] [ph, rh, xh] + [0, 0, x], scattered to the
+/// [pout, rout, xout] = [W] [ph, rh, xh] + [0, 0, x], scattered to the
 /// target rows' global indices.
 void recover(const BasisChunk& ck, std::size_t mm, const Basis& W,
              const std::vector<double>& ph, const std::vector<double>& rh,
-             const std::vector<double>& xh, std::span<double> x,
-             std::vector<double>& pout, std::vector<double>& rout) {
+             const std::vector<double>& xh, const std::vector<double>& x,
+             std::vector<double>& pout, std::vector<double>& rout,
+             std::vector<double>& xout) {
   for (const auto& [llo, lhi] : ck.lvl[0]) {
     for (std::size_t li = llo; li < lhi; ++li) {
       const std::size_t i = ck.ext[li];
@@ -520,9 +579,70 @@ void recover(const BasisChunk& ck, std::size_t mm, const Basis& W,
       }
       pout[i] = np;
       rout[i] = nr;
-      x[i] = nx2;
+      xout[i] = nx2;
     }
   }
+}
+
+// ---- what a Machine keeps between solves -----------------------------------
+
+/// A solve's work vectors, kept with its setup and grown to the widest
+/// batch seen.  Every call writes each entry it reads first: the setup
+/// phase fills x, r, p and w over all n rows, recovery fills xn, pn
+/// and rn before they are swapped in, and build_basis and the Gram
+/// phase write what they read.
+struct Workspace {
+  // Per RHS, n words each.  Recovery writes the new x, p and r aside
+  // into xn, pn and rn: later streaming chunks still read the old p and
+  // r, and a rolled-back RHS swaps all three back.
+  std::vector<std::vector<double>> x, r, p, w, xn, pn, rn;
+  // Per rank: basis blocks (one per RHS when stored, one per group lane
+  // when streaming) and one Gram partial per RHS.
+  std::vector<std::vector<Basis>> V;
+  std::vector<std::vector<kd::Small>> gpart;
+
+  /// Room for @p nrhs RHS of @p n rows; for CA-CG (@p mm = 2s+1 > 0)
+  /// also the recovery buffers, @p slots basis blocks per rank and the
+  /// Gram partials.  Grow-only.
+  void reserve(std::size_t n, std::size_t nrhs, std::size_t P,
+               std::size_t mm, std::size_t slots) {
+    const auto grow = [](auto& v, std::size_t count, auto make) {
+      while (v.size() < count) v.push_back(make());
+    };
+    const auto vec = [n] { return std::vector<double>(n); };
+    for (auto* v : {&x, &r, &p, &w}) grow(*v, nrhs, vec);
+    if (mm == 0) return;
+    for (auto* v : {&xn, &pn, &rn}) grow(*v, nrhs, vec);
+    V.resize(P);
+    gpart.resize(P);
+    for (std::size_t q = 0; q < P; ++q) {
+      grow(V[q], slots, [] { return Basis(); });
+      grow(gpart[q], nrhs, [mm] { return kd::Small(mm); });
+    }
+  }
+};
+
+/// The Machine slot's content: the last solve's setup and workspace.
+struct SolveState final : Machine::Kept {
+  explicit SolveState(SolveSetup s) : setup(std::move(s)) {}
+  SolveSetup setup;
+  Workspace ws;
+};
+
+/// The state for a solve of @p A on @p part on @p m: the slot's, when
+/// it holds a setup for the same key (no checks rerun: the key already
+/// matched the pattern), else a new setup, built completely before it
+/// replaces the slot's content, so a throw leaves the slot as it was.
+SolveState& acquire(Machine& m, const Partition& part, const sparse::Csr& A,
+                    std::size_t s, CaCgMode mode, std::size_t block_rows) {
+  auto* st = dynamic_cast<SolveState*>(m.slot().get());
+  if (st == nullptr || !st->setup.matches(part, A, s, mode, block_rows)) {
+    auto fresh = std::make_unique<SolveState>(
+        build_setup(m, part, A, s, mode, block_rows));
+    st = fresh.get();
+    m.slot() = std::move(fresh);
+  }
+  return *st;
 }
 
 // ---- the solvers ----------------------------------------------------------
@@ -574,40 +694,46 @@ struct BatchSetupResult {
 /// walk of A per group (charged once) serves every r = b - A x and
 /// p = r, the nrhs deltas = <r, r> travel in one allreduce event, and
 /// <b, b> for the stopping thresholds (rank-ordered but uncharged
-/// reads) in another.
-BatchSetupResult residual_setup_batch(
-    PartRun& rp, const std::vector<HaloTransfer>& halo1,
-    const std::vector<std::size_t>& recv1, std::span<const double> B,
-    std::span<double> X, std::vector<std::vector<double>>& r,
-    std::vector<std::vector<double>>& p, std::vector<std::vector<double>>& w,
-    std::size_t nrhs) {
+/// reads) in another.  Each rank also copies its rows of the caller's
+/// X into the workspace's x, which the solve updates from then on; X
+/// itself is written once, at the end (store_x).
+BatchSetupResult residual_setup_batch(PartRun& rp, std::span<const double> B,
+                                      std::span<const double> X,
+                                      Workspace& ws, std::size_t nrhs) {
   Machine& m = rp.m;
+  const SolveSetup& su = rp.su;
   const std::size_t n = rp.A.n;
+  auto& x = ws.x;
+  auto& r = ws.r;
+  auto& p = ws.p;
 
   BatchSetupResult out;
   out.bb.assign(nrhs, 0.0);
   std::vector<std::vector<double>> partj(nrhs,
-                                         std::vector<double>(rp.P, 0.0));
+                                         std::vector<double>(su.P, 0.0));
   std::vector<std::size_t> all(nrhs);
   std::iota(all.begin(), all.end(), std::size_t(0));
 
-  rp.exchange(halo1, nrhs);
+  rp.exchange(su.halo1, nrhs);
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
     spmv_owned(rp, rank, all,
-               [&](std::size_t j) { return X.data() + j * n; }, w);
+               [&](std::size_t j) { return X.data() + j * n; }, ws.w);
     for (std::size_t j = 0; j < nrhs; ++j) {
       const auto bj = B.subspan(j * n, n);
+      const auto xj = X.subspan(j * n, n);
+      const auto& wj = ws.w[j];
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-          r[j][i] = bj[i] - w[j][i];
+          x[j][i] = xj[i];
+          r[j][i] = bj[i] - wj[i];
           p[j][i] = r[j][i];
         }
       });
     }
-    detail::charge_l2_transit(h, nrhs * recv1[rank], m.M2(), 0);
+    detail::charge_l2_transit(h, nrhs * su.recv1[rank], m.M2(), 0);
     detail::charge_l3_read(
-        h, rp.own_nnz[rank] + nrhs * 3 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, nrhs * 2 * rp.own_sz[rank], m.M2());
+        h, su.own_nnz[rank] + nrhs * 3 * su.own_sz[rank], m.M2());
+    detail::charge_l3_write(h, nrhs * 2 * su.own_sz[rank], m.M2());
   });
 
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
@@ -620,7 +746,7 @@ BatchSetupResult residual_setup_batch(
       });
       partj[j][rank] = sum;
     }
-    detail::charge_l3_read(h, nrhs * 2 * rp.own_sz[rank], m.M2());
+    detail::charge_l3_read(h, nrhs * 2 * su.own_sz[rank], m.M2());
   });
   out.delta = combine(partj, all);
   rp.allreduce_charge(out.delta);
@@ -628,7 +754,7 @@ BatchSetupResult residual_setup_batch(
   for (std::size_t j = 0; j < nrhs; ++j) {
     const auto bj = B.subspan(j * n, n);
     double bb = 0.0;
-    for (std::size_t q = 0; q < rp.P; ++q) {
+    for (std::size_t q = 0; q < su.P; ++q) {
       double sum = 0.0;
       rp.for_runs(q, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) sum += bj[i] * bj[i];
@@ -641,6 +767,14 @@ BatchSetupResult residual_setup_batch(
   return out;
 }
 
+/// X = the workspace's x for the first @p nrhs RHS.
+void store_x(const Workspace& ws, std::span<double> X, std::size_t nrhs) {
+  for (std::size_t j = 0; j < nrhs; ++j) {
+    const std::vector<double>& xj = ws.x[j];
+    std::copy(xj.begin(), xj.end(), X.subspan(j * xj.size()).begin());
+  }
+}
+
 /// One classical CG step over the RHS set @p act, charged at the
 /// classical per-step rates (reads A + O(n)/P, writes 4n/P per rank
 /// per RHS) with one exchange event, one walk of A per group (charged
@@ -649,23 +783,22 @@ BatchSetupResult residual_setup_batch(
 /// non-finite den retires that RHS after phase 1 (marked in @p broke,
 /// no phase 2/3 work or charges, no delta update); classical CG
 /// divides unconditionally.
-void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
-                   const std::vector<std::size_t>& recv1,
-                   std::span<double> X, std::vector<std::vector<double>>& r,
-                   std::vector<std::vector<double>>& p,
-                   std::vector<std::vector<double>>& w,
-                   std::vector<double>& delta,
+void cg_step_batch(PartRun& rp, Workspace& ws, std::vector<double>& delta,
                    const std::vector<std::size_t>& act, bool check_den,
                    std::vector<char>* broke) {
   Machine& m = rp.m;
-  const std::size_t n = rp.A.n;
+  const SolveSetup& su = rp.su;
+  auto& x = ws.x;
+  auto& r = ws.r;
+  auto& p = ws.p;
+  auto& w = ws.w;
   const std::uint64_t na = act.size();
   std::vector<std::vector<double>> partj(act.size(),
-                                         std::vector<double>(rp.P, 0.0));
+                                         std::vector<double>(su.P, 0.0));
   std::vector<std::size_t> all(act.size());
   std::iota(all.begin(), all.end(), std::size_t(0));
 
-  rp.exchange(halo1, na);  // all active p panels travel together
+  rp.exchange(su.halo1, na);  // all active p panels travel together
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
     spmv_owned(rp, rank, act, [&](std::size_t j) { return p[j].data(); },
                w);
@@ -677,10 +810,10 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
       });
       partj[idx][rank] = sum;
     }
-    detail::charge_l2_transit(h, na * recv1[rank], m.M2(), 0);
+    detail::charge_l2_transit(h, na * su.recv1[rank], m.M2(), 0);
     detail::charge_l3_read(
-        h, rp.own_nnz[rank] + na * 3 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, na * rp.own_sz[rank], m.M2());  // w
+        h, su.own_nnz[rank] + na * 3 * su.own_sz[rank], m.M2());
+    detail::charge_l3_write(h, na * su.own_sz[rank], m.M2());  // w
   });
   const std::vector<double> den = combine(partj, all);
   rp.allreduce_charge(den);
@@ -702,17 +835,16 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
     for (const std::size_t idx : live) {
       const std::size_t j = act[idx];
-      const auto xj = X.subspan(j * n, n);
       double sum = 0.0;
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) xj[i] += alpha[idx] * p[j][i];
+        for (std::size_t i = lo; i < hi; ++i) x[j][i] += alpha[idx] * p[j][i];
         for (std::size_t i = lo; i < hi; ++i) r[j][i] -= alpha[idx] * w[j][i];
         for (std::size_t i = lo; i < hi; ++i) sum += r[j][i] * r[j][i];
       });
       partj[idx][rank] = sum;
     }
-    detail::charge_l3_read(h, nl * 6 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, nl * 2 * rp.own_sz[rank], m.M2());  // x, r
+    detail::charge_l3_read(h, nl * 6 * su.own_sz[rank], m.M2());
+    detail::charge_l3_write(h, nl * 2 * su.own_sz[rank], m.M2());  // x, r
   });
   const std::vector<double> delta_new = combine(partj, live);
   rp.allreduce_charge(delta_new);
@@ -732,8 +864,8 @@ void cg_step_batch(PartRun& rp, const std::vector<HaloTransfer>& halo1,
         }
       });
     }
-    detail::charge_l3_read(h, nl * 2 * rp.own_sz[rank], m.M2());
-    detail::charge_l3_write(h, nl * rp.own_sz[rank], m.M2());  // p
+    detail::charge_l3_read(h, nl * 2 * su.own_sz[rank], m.M2());
+    detail::charge_l3_write(h, nl * su.own_sz[rank], m.M2());  // p
   });
 }
 
@@ -745,20 +877,16 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
                            std::size_t max_iters, double tol) {
   const std::size_t n = A.n;
   check_batch_panels(n, nrhs, B.size(), X.size(), "dist::cg_batch");
-  PartRun rp(m, A, part);
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, rp.P);
+  SolveState& st = acquire(m, part, A, 0, CaCgMode::kStored, 0);
+  PartRun rp{m, A, st.setup};
 
   KrylovBatchResult out;
   out.rhs.resize(nrhs);
   if (nrhs == 0) return out;
 
-  std::vector<std::vector<double>> r(nrhs, std::vector<double>(n));
-  std::vector<std::vector<double>> p(nrhs, std::vector<double>(n));
-  std::vector<std::vector<double>> w(nrhs, std::vector<double>(n));
-
-  const BatchSetupResult init =
-      residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
+  Workspace& ws = st.ws;
+  ws.reserve(n, nrhs, st.setup.P, 0, 0);
+  const BatchSetupResult init = residual_setup_batch(rp, B, X, ws, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = tol * tol * init.bb[j];
@@ -777,11 +905,11 @@ KrylovBatchResult cg_batch(Machine& m, const Partition& part,
       }
     }
     if (act.empty()) break;
-    cg_step_batch(rp, halo1, recv1, X, r, p, w, delta, act,
-                  /*check_den=*/false, nullptr);
+    cg_step_batch(rp, ws, delta, act, /*check_den=*/false, nullptr);
     for (const std::size_t j : act) ++out.rhs[j].iterations;
   }
 
+  store_x(ws, X, nrhs);
   kd::finish_rhs(A, B, X, tol, 1.0, out.rhs);
   return out;
 }
@@ -799,23 +927,26 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   const kd::BasisCoeffs bc =
       kd::make_basis(A, s, opt.basis == CaCgBasis::kNewton);
 
-  PartRun rp(m, A, part);
-  const std::size_t P = rp.P;
-  const auto halo1 = part.halo(part.radius());
-  const auto recv1 = recv_rows(halo1, P);
-  const auto halo_b = basis_halo(part, s);
-  const auto recv_b = recv_rows(halo_b, P);
+  SolveState& st = acquire(m, part, A, s, opt.mode, opt.block_rows);
+  const SolveSetup& su = st.setup;
+  PartRun rp{m, A, su};
+  const std::size_t P = su.P;
 
   KrylovBatchResult out;
   out.rhs.resize(nrhs);
   if (nrhs == 0) return out;
 
-  std::vector<std::vector<double>> r(nrhs, std::vector<double>(n));
-  std::vector<std::vector<double>> p(nrhs, std::vector<double>(n));
-  std::vector<std::vector<double>> w(nrhs, std::vector<double>(n));
+  // The stored mode keeps every RHS's chunk basis alive until recovery
+  // (rank x RHS slots); the streaming mode rebuilds chunkwise, so one
+  // group's basis blocks per rank (rank x kRhsGroup slots) are recycled
+  // across chunks and groups.
+  Workspace& ws = st.ws;
+  ws.reserve(n, nrhs, P, mm, stored ? nrhs : std::min(nrhs, kRhsGroup));
+  auto& x = ws.x;
+  auto& r = ws.r;
+  auto& p = ws.p;
 
-  const BatchSetupResult init =
-      residual_setup_batch(rp, halo1, recv1, B, X, r, p, w, nrhs);
+  const BatchSetupResult init = residual_setup_batch(rp, B, X, ws, nrhs);
   std::vector<double> delta = init.delta, stop(nrhs), delta_enter(nrhs, 0.0);
   for (std::size_t j = 0; j < nrhs; ++j) {
     stop[j] = opt.tol * opt.tol * init.bb[j];
@@ -825,20 +956,6 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
   constexpr std::size_t kMaxRestarts = 25;
   std::vector<char> finished(nrhs, 0);
 
-  // X is the caller's buffer, so an outer iteration that rolls back
-  // restores x from a snapshot; recovery writes the new p and r aside
-  // into pn and rn, so the entry p and r survive it to be swapped back.
-  std::vector<std::vector<double>> x_snap(nrhs), pn(nrhs), rn(nrhs);
-
-  // Per-rank scratch: the stored mode keeps every RHS's chunk basis
-  // alive until recovery (rank x RHS slots); the streaming mode
-  // rebuilds chunkwise, so one group's basis blocks per rank (rank x
-  // kRhsGroup slots) are recycled across chunks and groups.  Gram
-  // partials are per rank per RHS.
-  std::vector<std::vector<Basis>> Vloc(
-      P, std::vector<Basis>(stored ? nrhs : std::min(nrhs, kRhsGroup)));
-  std::vector<std::vector<kd::Small>> gpart(
-      P, std::vector<kd::Small>(nrhs, kd::Small(mm)));
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(P, 0.0));
   // Group js[g0, g1) on rank @p rank: its heads and basis blocks.
@@ -851,13 +968,10 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       const std::size_t j = js[g0 + k];
       g.p[k] = p[j].data();
       g.r[k] = r[j].data();
-      g.W[k] = &Vloc[rank][stored ? j : k];
+      g.W[k] = &ws.V[rank][stored ? j : k];
     }
     return g;
   };
-
-  const std::vector<std::vector<BasisChunk>> plan =
-      make_plan(rp, s, opt.mode, opt.block_rows, m.M2());
 
   for (std::size_t outer = 0; outer < opt.max_outer; ++outer) {
     std::vector<std::size_t> act;
@@ -873,23 +987,19 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     if (act.empty()) break;
     const std::uint64_t na = act.size();
 
-    for (const std::size_t j : act) {
-      delta_enter[j] = delta[j];
-      const auto xj = X.subspan(j * n, n);
-      x_snap[j].assign(xj.begin(), xj.end());
-    }
+    for (const std::size_t j : act) delta_enter[j] = delta[j];
 
     std::vector<kd::Small> G(nrhs, kd::Small(mm));
     for (std::size_t q = 0; q < P; ++q) {
       for (const std::size_t j : act) {
-        std::fill(gpart[q][j].a.begin(), gpart[q][j].a.end(), 0.0);
+        std::fill(ws.gpart[q][j].a.begin(), ws.gpart[q][j].a.end(), 0.0);
       }
     }
 
     // One ghost exchange covers every basis column of the outer
     // iteration (the matrix-powers optimization): p at depth s*radius
     // and r at (s-1)*radius, in one event for every active RHS.
-    rp.exchange(halo_b, na);
+    rp.exchange(su.halo_b, na);
 
     // ---- basis + Gram: per chunk, each group of active RHS builds
     // its bases in one walk of A per level, then each RHS accumulates
@@ -899,15 +1009,15 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // stored-basis write stream); streaming discards its fast blocks
     // chunk by chunk and writes nothing.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-      if (rp.own_sz[rank] == 0) return;
-      detail::charge_l2_transit(h, na * recv_b[rank], m.M2(), 0);
-      for (const BasisChunk& ck : plan[rank]) {
+      if (su.own_sz[rank] == 0) return;
+      detail::charge_l2_transit(h, na * su.recv_b[rank], m.M2(), 0);
+      for (const BasisChunk& ck : su.plan[rank]) {
         const std::size_t tsz = ck.targets();
         for_each_group(act.size(), [&](std::size_t g0, std::size_t g1) {
           const BasisGroup g = group_of(rank, act, g0, g1);
           build_basis(A, ck, bc, s, g);
           for (std::size_t k = 0; k < g.size; ++k) {
-            gram_partial(ck, gpart[rank][act[g0 + k]], mm, *g.W[k]);
+            gram_partial(ck, ws.gpart[rank][act[g0 + k]], mm, *g.W[k]);
           }
         });
         detail::charge_l3_read(h, na * ck.own_heads, m.M2());
@@ -929,7 +1039,9 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     for (const std::size_t j : act) {
       for (std::size_t q = 0; q < P; ++q) {
         for (std::size_t a = 0; a < mm; ++a) {
-          for (std::size_t c = a; c < mm; ++c) G[j](a, c) += gpart[q][j](a, c);
+          for (std::size_t c = a; c < mm; ++c) {
+            G[j](a, c) += ws.gpart[q][j](a, c);
+          }
         }
       }
       for (std::size_t a = 0; a < mm; ++a) {
@@ -966,24 +1078,19 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     // Stored mode reads its kept basis; streaming recomputes the basis
     // chunkwise, one walk of A per level for each group, and fuses the
     // recovery (the <= 2x flop doubling the paper trades for the
-    // Theta(s) write reduction).  Both write the new p and r aside:
-    // later streaming chunks still read the old ones, and a rolled-back
-    // RHS swaps them back.
-    for (const std::size_t j : act2) {
-      pn[j].resize(n);
-      rn[j].resize(n);
-    }
+    // Theta(s) write reduction).  Both write the new p, r and x aside
+    // (Workspace), then swap them in.
     m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
-      if (rp.own_sz[rank] == 0) return;
-      for (const BasisChunk& ck : plan[rank]) {
+      if (su.own_sz[rank] == 0) return;
+      for (const BasisChunk& ck : su.plan[rank]) {
         const std::size_t tsz = ck.targets();
         for_each_group(act2.size(), [&](std::size_t g0, std::size_t g1) {
           const BasisGroup g = group_of(rank, act2, g0, g1);
           if (!stored) build_basis(A, ck, bc, s, g);
           for (std::size_t k = 0; k < g.size; ++k) {
             const std::size_t j = act2[g0 + k];
-            recover(ck, mm, *g.W[k], ph[j], rh[j], xh[j],
-                    X.subspan(j * n, n), pn[j], rn[j]);
+            recover(ck, mm, *g.W[k], ph[j], rh[j], xh[j], x[j], ws.pn[j],
+                    ws.rn[j], ws.xn[j]);
           }
         });
         if (stored) {
@@ -997,8 +1104,9 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
       }
     });
     for (const std::size_t j : act2) {
-      p[j].swap(pn[j]);
-      r[j].swap(rn[j]);
+      p[j].swap(ws.pn[j]);
+      r[j].swap(ws.rn[j]);
+      x[j].swap(ws.xn[j]);
     }
 
     // Recompute delta from the *recovered* residual; a large
@@ -1011,7 +1119,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
         });
         partj[j][rank] = sum;
       }
-      detail::charge_l3_read(h, na2 * 2 * rp.own_sz[rank], m.M2());
+      detail::charge_l3_read(h, na2 * 2 * su.own_sz[rank], m.M2());
     });
     const std::vector<double> delta_true = combine(partj, act2);
     rp.allreduce_charge(delta_true);
@@ -1028,10 +1136,9 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           continue;
         }
         out.rhs[j].iterations -= s;
-        const auto xj = X.subspan(j * n, n);
-        std::copy(x_snap[j].begin(), x_snap[j].end(), xj.begin());
-        p[j].swap(pn[j]);  // the entry p and r, set aside by recovery
-        r[j].swap(rn[j]);
+        p[j].swap(ws.pn[j]);  // the entry p, r and x, set aside by recovery
+        r[j].swap(ws.rn[j]);
+        x[j].swap(ws.xn[j]);
         delta[j] = delta_enter[j];
         restart_set.push_back(j);
       } else {
@@ -1051,8 +1158,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
           if (!fb_broke[j] && delta[j] > stop[j]) R.push_back(j);
         }
         if (R.empty()) break;
-        cg_step_batch(rp, halo1, recv1, X, r, p, w, delta, R,
-                      /*check_den=*/true, &fb_broke);
+        cg_step_batch(rp, ws, delta, R, /*check_den=*/true, &fb_broke);
         for (const std::size_t j : R) {
           if (!fb_broke[j]) ++out.rhs[j].iterations;
         }
@@ -1060,6 +1166,7 @@ KrylovBatchResult ca_cg_batch(Machine& m, const Partition& part,
     }
   }
 
+  store_x(ws, X, nrhs);
   kd::finish_rhs(A, B, X, opt.tol, 10.0, out.rhs);
   return out;
 }

@@ -34,7 +34,7 @@
 // Each method has one body, the batched solver: cg and ca_cg are
 // cg_batch and ca_cg_batch at nrhs = 1, so they agree with the batch
 // at b = 1 -- iterates and every counter -- by construction.  CA-CG's
-// matrix-powers work goes through a per-solve plan of basis chunks
+// matrix-powers work goes through a plan of basis chunks
 // (the owned rows when stored; when streaming, slices of them sized so
 // a chunk's basis fits in the Machine's L2, and no smaller than
 // max(4 s radius, 256) rows), each holding the rows within k hops of
@@ -45,6 +45,19 @@
 // a group of up to kRhsGroup active RHS (below).  Every allreduce
 // carries the values it charges (dot products, packed Gram triangles)
 // as its payload.
+//
+// Plan once, solve many: the plan, the owned row runs and the halo
+// lists depend only on the partition, A's sparsity pattern, s, the
+// mode and block_rows (with the Machine's P and M2), so the Machine
+// keeps them between calls (Machine::slot), together with the solve's
+// work vectors, grown to the widest batch seen.  A call with the same
+// partition (by Partition::id), the same pattern (compared exactly),
+// s, mode and block_rows reuses both; any other call rebuilds them and
+// replaces what the Machine held.  A's values are read afresh on every
+// call.  Building charges nothing, so a reused setup moves no counter
+// and no bit.  Building a setup refuses a partition whose halos do not
+// serve A (std::invalid_argument): a graph partition of another
+// pattern, or a box partition A's entries reach past.
 //
 // The paper's W12 (words written to slow memory per CG step) maps to
 // the per-rank l3_write channel here and is partition-independent

@@ -334,10 +334,22 @@ class Machine {
     return procs_[arg];
   }
 
-  /// Zero all counters (geometry and HwParams are kept).
+  /// Zero all counters (geometry, HwParams and slot() are kept).
   void reset() {
     for (auto& t : procs_) t = ProcTraffic{};
   }
+
+  /// What a solver keeps on this Machine between calls, opaque to the
+  /// Machine: the distributed Krylov solvers (dist/krylov.cpp) hold
+  /// their last setup and work vectors here, so repeat solves on one
+  /// operator and partition skip rebuilding them.  One slot: a solver
+  /// that needs something else replaces its content.  It is freed with
+  /// the Machine and touched only from the orchestration thread.
+  class Kept {
+   public:
+    virtual ~Kept() = default;
+  };
+  std::unique_ptr<Kept>& slot() { return slot_; }
 
  private:
   /// Accumulates elapsed wall-clock into @p out on destruction --
@@ -405,6 +417,7 @@ class Machine {
   std::vector<ProcTraffic> procs_;
   std::unique_ptr<Backend> backend_;
   std::unique_ptr<Transport> transport_;
+  std::unique_ptr<Kept> slot_;
   double wall_seconds_ = 0.0;
   double comm_wall_seconds_ = 0.0;
   std::atomic<int> local_timer_depth_{0};

@@ -1,6 +1,42 @@
 #include "dist/partition.hpp"
 
+#include <atomic>
+
 namespace wa::dist {
+
+std::uint64_t Partition::next_id() {
+  static std::atomic<std::uint64_t> last{0};
+  return ++last;
+}
+
+void check_stencil_reach(const sparse::Csr& A, std::size_t nx,
+                         std::size_t ny, std::size_t radius, bool cross,
+                         const std::string& who) {
+  const auto apart = [](std::size_t a, std::size_t b) {
+    return a > b ? a - b : b - a;
+  };
+  const std::size_t plane = nx * ny;
+  for (std::size_t i = 0; i < A.n; ++i) {
+    const std::size_t iz = i / plane, irem = i - iz * plane;
+    const std::size_t iy = irem / nx, ix = irem - iy * nx;
+    for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
+      const std::size_t j = A.col_idx[q];
+      const std::size_t jz = j / plane, jrem = j - jz * plane;
+      const std::size_t jy = jrem / nx, jx = jrem - jy * nx;
+      if (apart(ix, jx) > radius || apart(iy, jy) > radius ||
+          apart(iz, jz) > radius) {
+        throw std::invalid_argument(
+            who + ": matrix entries reach beyond the declared stencil radius");
+      }
+      if (cross && int(ix != jx) + int(iy != jy) + int(iz != jz) > 1) {
+        throw std::invalid_argument(
+            who +
+            ": a cross stencil's entries must couple nodes along one axis "
+            "only");
+      }
+    }
+  }
+}
 
 GraphPartition::GraphPartition(ProcessGrid g, const sparse::Csr& A)
     : Partition(std::move(g)), n_(A.n), rp_(A.row_ptr), ci_(A.col_idx) {

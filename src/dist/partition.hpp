@@ -38,9 +38,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -75,16 +77,37 @@ HopSet hop_walk(std::span<const std::size_t> row_ptr,
                 std::span<const std::size_t> col_idx,
                 const std::vector<std::size_t>& seed, std::size_t depth);
 
+/// Throw std::invalid_argument, prefixed by @p who, unless every
+/// stored entry of @p A couples nodes of the row-major nx x ny (x nz)
+/// mesh at most @p radius apart per axis and, when @p cross, along one
+/// axis only -- the reach a halo of that radius ships.  O(nnz).
+void check_stencil_reach(const sparse::Csr& A, std::size_t nx,
+                         std::size_t ny, std::size_t radius, bool cross,
+                         const std::string& who);
+
 class GraphPartition;
 
 /// Which mesh nodes each rank owns, and what a ghost exchange costs.
 class Partition {
  public:
-  explicit Partition(ProcessGrid g) : g_(std::move(g)) {}
+  explicit Partition(ProcessGrid g) : g_(std::move(g)), id_(next_id()) {}
   virtual ~Partition() = default;
 
   const ProcessGrid& grid() const { return g_; }
   std::size_t ranks() const { return g_.size(); }
+
+  /// Process-unique identity, fixed at construction: what a solver
+  /// derives from a partition is kept under its id, never its address
+  /// (a freed partition's address comes back for the next one).
+  /// Partitions are immutable, so a copy shares the id.
+  std::uint64_t id() const { return id_; }
+
+  /// Throw std::invalid_argument unless @p A, whose rows this
+  /// partition covers (nodes() == A.n), is a matrix its halos serve:
+  /// a box partition needs every entry within radius() per axis of
+  /// its mesh (one axis only under a cross halo), the graph partition
+  /// A's exact sparsity pattern.  O(nnz).
+  virtual void check_matrix(const sparse::Csr& A) const = 0;
 
   /// Mesh dims; nx*ny*nz == n.  The 1-D row split and the graph
   /// partition view the rows as a linear nx = n mesh whatever the
@@ -122,7 +145,10 @@ class Partition {
   virtual const GraphPartition* graph() const { return nullptr; }
 
  private:
+  static std::uint64_t next_id();
+
   ProcessGrid g_;
+  std::uint64_t id_;
 };
 
 /// ProcessGrid tiles over the nx x ny mesh, each tile owning its full
@@ -160,6 +186,10 @@ class BlockPartition2D final : public Partition {
   }
 
   bool cross_halo() const { return cross_halo_; }
+
+  void check_matrix(const sparse::Csr& A) const override {
+    check_stencil_reach(A, nx_, ny_, radius_, cross_halo_, "dist");
+  }
 
  private:
   std::size_t nx_, ny_, nz_, radius_;
@@ -215,6 +245,14 @@ class GraphPartition final : public Partition {
   std::vector<HaloTransfer> halo(std::size_t depth) const override;
 
   const GraphPartition* graph() const override { return this; }
+
+  void check_matrix(const sparse::Csr& A) const override {
+    if (A.row_ptr != rp_ || A.col_idx != ci_) {
+      throw std::invalid_argument(
+          "dist: the graph partition was built for another sparsity "
+          "pattern");
+    }
+  }
 
   /// Global rows owned by rank @p p, sorted ascending.
   const std::vector<std::size_t>& owned_rows(std::size_t p) const {
@@ -286,30 +324,7 @@ inline void check_mesh_geometry(const sparse::Csr& A) {
     throw std::invalid_argument(
         "make_partition: mesh dims do not cover the matrix");
   }
-  const auto apart = [](std::size_t a, std::size_t b) {
-    return a > b ? a - b : b - a;
-  };
-  const std::size_t plane = A.nx * A.ny;
-  for (std::size_t i = 0; i < A.n; ++i) {
-    const std::size_t iz = i / plane, irem = i - iz * plane;
-    const std::size_t iy = irem / A.nx, ix = irem - iy * A.nx;
-    for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
-      const std::size_t j = A.col_idx[q];
-      const std::size_t jz = j / plane, jrem = j - jz * plane;
-      const std::size_t jy = jrem / A.nx, jx = jrem - jy * A.nx;
-      if (apart(ix, jx) > A.radius || apart(iy, jy) > A.radius ||
-          apart(iz, jz) > A.radius) {
-        throw std::invalid_argument(
-            "make_partition: matrix entries reach beyond the declared "
-            "stencil radius");
-      }
-      if (A.cross && int(ix != jx) + int(iy != jy) + int(iz != jz) > 1) {
-        throw std::invalid_argument(
-            "make_partition: a cross stencil's entries must couple nodes "
-            "along one axis only");
-      }
-    }
-  }
+  check_stencil_reach(A, A.nx, A.ny, A.radius, A.cross, "make_partition");
 }
 
 enum class PartitionKind {

@@ -153,10 +153,13 @@ static void gemm_blocked(MatrixView<double> C, ConstMatrixView<double> A,
   static_assert(kMC % MR == 0, "A block must hold whole micro-panels");
   const std::size_t m = C.rows(), n = C.cols(), kdim = A.cols();
   // 64-byte-aligned pack buffers: every full B panel slice is then a
-  // cache-line-aligned vector load in the micro-kernel.
-  std::vector<double> astore, bstore;
+  // cache-line-aligned vector load in the micro-kernel.  One grow-only
+  // pair per thread, kept across calls, so a call neither zero-fills
+  // nor page-faults its buffers: pack_a / pack_b write every element a
+  // call reads, padding included.
+  thread_local std::vector<double> astore, bstore;
   const auto aligned = [](std::vector<double>& v, std::size_t need) {
-    v.resize(need + 8);
+    if (v.size() < need + 8) v.resize(need + 8);
     // Pointer-to-integer probe for cache-line alignment only; the
     // integer is never converted back to a pointer.
     // NOLINT(wa-cast): alignment probe, no type-punned access
