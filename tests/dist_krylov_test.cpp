@@ -1168,6 +1168,58 @@ TEST(KrylovKnownAnswers, EveryChannelOnEveryPartitionKind) {
 #endif
 }
 
+TEST(KrylovKnownAnswers, MultiChunkStreamingOnLayered3D) {
+  // Streaming CA-CG on layered 3-D tiles that each stream in several
+  // chunks at the default cut: poisson_3d(24, 24, 8) on P = 4 gives
+  // 12 x 12 x 8 tiles, which M2 = 16,384 words cuts into two 6-line
+  // chunks (Partition2D.KnownAnswersOnNonLinearExtents streams one
+  // chunk per tile).  x bits and all five per-rank channels are pinned
+  // for both bases, so a change to how a chunk's basis, Gram partial
+  // or recovery is laid out shows here even when every path moves
+  // alike.  The values assume IEEE doubles with no FMA contraction
+  // (the x86-64 baseline codegen).
+  const auto prob = make_problem_2d(sparse::poisson_3d(24, 24, 8), 131);
+  const std::size_t P = 4;
+  const auto part = make_partition(P, prob.A);
+  ASSERT_EQ(part->owned(0).dx(), 12u);
+  ASSERT_EQ(part->owned(0).dy(), 12u);
+  const auto solve = [&](Machine& m, CaCgBasis basis,
+                         std::size_t block_rows, std::vector<double>& x) {
+    CaCgOptions opt = known_answer_opts(CaCgMode::kStreaming);
+    opt.basis = basis;
+    opt.block_rows = block_rows;
+    x.assign(prob.A.n, 0.0);
+    EXPECT_TRUE(dist::ca_cg(m, *part, prob.A, prob.b, x, opt).converged);
+  };
+  std::vector<std::uint64_t> got, got_x;
+  for (auto basis : {CaCgBasis::kMonomial, CaCgBasis::kNewton}) {
+    Machine m(P, 192, 16384, 1 << 24, HwParams{});
+    Machine m1(P, 192, 16384, 1 << 24, HwParams{});
+    std::vector<double> x, x1;
+    solve(m, basis, 0, x);
+    got.push_back(channel_digest(m, x));
+    got_x.push_back(x_digest(x));
+    // The tiles did stream in several chunks: one chunk per tile
+    // re-reads no shared hop rows, so it reads less.
+    solve(m1, basis, 12 * 12 * 8, x1);
+    EXPECT_LT(m1.proc(0).l3_read.words, m.proc(0).l3_read.words);
+  }
+  const std::vector<std::uint64_t> want = {0xc9e42e667620e089ull,
+                                           0xf4d9997e31228e76ull};
+  const std::vector<std::uint64_t> want_x = {0xa2f559447f910a71ull,
+                                             0x9a83c0550ffef64eull};
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got_x.size(), want_x.size());
+#if defined(__x86_64__)
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << "basis " << k << std::hex << " got 0x"
+                               << got[k];
+    EXPECT_EQ(got_x[k], want_x[k]) << "basis " << k << std::hex
+                                   << " x bits 0x" << got_x[k];
+  }
+#endif
+}
+
 TEST(KrylovKnownAnswers, EmptyMatrixOnExplicitRows) {
   // n = 0: explicit 1-D rows build an empty partition, and CG converges
   // before its first step.  Only the setup's two allreduces are charged:
