@@ -26,6 +26,7 @@
 // and prints the wall-clock comparison.
 // --json PATH dumps every counter for CI's baseline drift check.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -90,6 +91,61 @@ int main(int argc, char** argv) {
     json.add(key, "nw_messages", cp.nw.messages);
     json.add(key, "l2_write_words", cp.l2_write.words);
     json.add(key, "wall_seconds", m.local_wall_seconds());
+  };
+
+  // A repeat rung: call() solves into X on Machine m, twice.  The
+  // Machine keeps the first call's setup (halo lists, matrix-powers
+  // plan) and work vectors, so the repeat skips rebuilding them; it
+  // must charge exactly what the first call charged and return the
+  // same bits.  The walls are reported ungated, the repeat's critical
+  // path counters gated.
+  const auto repeat_rung = [&json](const std::string& key,
+                                   const std::string& what, Machine& m,
+                                   std::vector<double>& X,
+                                   const auto& call) {
+    const auto solve = [&] {
+      std::fill(X.begin(), X.end(), 0.0);
+      m.reset();
+      const auto t0 = std::chrono::steady_clock::now();
+      call();
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
+    const double first = solve();
+    std::vector<ProcTraffic> first_procs;
+    for (std::size_t p = 0; p < m.nprocs(); ++p) {
+      first_procs.push_back(m.proc(p));
+    }
+    const std::vector<double> first_x = X;
+    const double repeat = solve();
+    const auto same = [](const ChanCount& a, const ChanCount& b) {
+      return a.words == b.words && a.messages == b.messages;
+    };
+    for (std::size_t p = 0; p < m.nprocs(); ++p) {
+      const ProcTraffic& a = first_procs[p];
+      const ProcTraffic& c = m.proc(p);
+      if (!same(a.nw, c.nw) || !same(a.l3_read, c.l3_read) ||
+          !same(a.l3_write, c.l3_write) || !same(a.l2_read, c.l2_read) ||
+          !same(a.l2_write, c.l2_write)) {
+        bench::die("repeat solve: the reused setup moved a counter");
+      }
+    }
+    if (std::memcmp(first_x.data(), X.data(), X.size() * sizeof(double)) !=
+        0) {
+      bench::die("repeat solve: the reused setup moved a bit of x");
+    }
+    std::printf("\nRepeat solve on one Machine (%s): first %.4f s, repeat "
+                "%.4f s, counters identical\n",
+                what.c_str(), first, repeat);
+    const auto& cp = m.critical_path();
+    json.add(key, "first_wall_seconds", first);
+    json.add(key, "repeat_wall_seconds", repeat);
+    json.add(key, "l3_write_words", cp.l3_write.words);
+    json.add(key, "l3_read_words", cp.l3_read.words);
+    json.add(key, "nw_words", cp.nw.words);
+    json.add(key, "nw_messages", cp.nw.messages);
+    json.add(key, "l2_write_words", cp.l2_write.words);
   };
 
   {
@@ -530,10 +586,7 @@ int main(int argc, char** argv) {
     tt.print();
 
     // Repeat solve: the b = 16 stored fixed-work solve twice on one
-    // Machine.  The Machine keeps the first call's setup (halo lists,
-    // matrix-powers plan) and work vectors, so the repeat skips
-    // rebuilding them; it must charge exactly what the first call
-    // charged and return the same bits.
+    // Machine.
     {
       const std::size_t bsz = 16;
       Machine m(P, kM1, kM2, kM3, HwParams{}, bench::env_backend());
@@ -548,49 +601,35 @@ int main(int argc, char** argv) {
       opt.mode = CaCgMode::kStored;
       opt.tol = 0.0;
       opt.max_outer = outers;
-      const auto solve = [&] {
-        std::fill(X.begin(), X.end(), 0.0);
-        m.reset();
-        const auto t0 = std::chrono::steady_clock::now();
-        dist::ca_cg_batch(m, *partb, Ab, B, X, bsz, opt);
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-      };
-      const double first = solve();
-      std::vector<ProcTraffic> first_procs;
-      for (std::size_t p = 0; p < P; ++p) first_procs.push_back(m.proc(p));
-      const std::vector<double> first_x = X;
-      const double repeat = solve();
-      const auto same = [](const ChanCount& a, const ChanCount& b) {
-        return a.words == b.words && a.messages == b.messages;
-      };
-      for (std::size_t p = 0; p < P; ++p) {
-        const ProcTraffic& a = first_procs[p];
-        const ProcTraffic& c = m.proc(p);
-        if (!same(a.nw, c.nw) || !same(a.l3_read, c.l3_read) ||
-            !same(a.l3_write, c.l3_write) || !same(a.l2_read, c.l2_read) ||
-            !same(a.l2_write, c.l2_write)) {
-          bench::die("repeat solve: the reused setup moved a counter");
-        }
-      }
-      if (std::memcmp(first_x.data(), X.data(), X.size() * sizeof(double)) !=
-          0) {
-        bench::die("repeat solve: the reused setup moved a bit of x");
-      }
-      std::printf("\nRepeat solve on one Machine (b=%zu, stored, %zu outers):"
-                  " first %.4f s, repeat %.4f s, counters identical\n",
-                  bsz, outers, first, repeat);
-      const auto& cp = m.critical_path();
-      const std::string key = "repeat_b16_stored";
-      json.add(key, "first_wall_seconds", first);
-      json.add(key, "repeat_wall_seconds", repeat);
-      json.add(key, "l3_write_words", cp.l3_write.words);
-      json.add(key, "l3_read_words", cp.l3_read.words);
-      json.add(key, "nw_words", cp.nw.words);
-      json.add(key, "nw_messages", cp.nw.messages);
-      json.add(key, "l2_write_words", cp.l2_write.words);
+      repeat_rung("repeat_b16_stored",
+                  "b=16, stored, " + std::to_string(outers) + " outers", m,
+                  X, [&] { dist::ca_cg_batch(m, *partb, Ab, B, X, bsz, opt); });
     }
+  }
+
+  // Repeat solve on the streaming box path: a layered 3-D mesh on
+  // P = 16 whose 8 x 8 x 4 tiles each stream 4 chunks of 2 mesh lines
+  // (block_rows 64), solved twice on one Machine.  Fixed size and P,
+  // whatever WA_SCALE and WA_PROCS say.
+  {
+    const std::size_t Pr = 16, outers = 6;
+    const auto Ar = sparse::poisson_3d(32, 32, 4);
+    const auto partr = make_partition(Pr, Ar);
+    std::vector<double> br(Ar.n), X(Ar.n);
+    std::mt19937_64 rr(43);
+    std::uniform_real_distribution<double> dr(-1, 1);
+    for (auto& v : br) v = dr(rr);
+    Machine m(Pr, kM1, kM2, kM3, HwParams{}, bench::env_backend());
+    CaCgOptions opt;
+    opt.s = 4;
+    opt.mode = CaCgMode::kStreaming;
+    opt.block_rows = 64;
+    opt.tol = 0.0;
+    opt.max_outer = outers;
+    repeat_rung("repeat_p3d32_streaming",
+                "poisson_3d(32,32,4), P=16, streaming, " +
+                    std::to_string(outers) + " outers",
+                m, X, [&] { dist::ca_cg(m, *partr, Ar, br, X, opt); });
   }
 
   // Execution-backend comparison: the per-rank basis/recovery phases

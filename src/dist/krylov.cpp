@@ -107,58 +107,67 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 // columns, so the targets' last p level needs p's level l within s-l
 // hops of the targets, and r, which stops at level s-1, needs its
 // level l within s-1-l hops.  One walk of A's pattern from the targets
-// (hop_walk) gives every row its hop count, and the plan keeps the
-// rows within k hops as runs of slots, the same way for every
-// partition kind.  The plan is part of a solve's setup (below), built
-// once per key; Gram accumulation and recovery then walk every chunk
-// alike.  Each row accumulates in A's stored column order, exactly the
-// kd::row_dot / spmv sum, so at P = 1 (every row a target, every level
-// full) the iterates stay bitwise-identical to the shared-memory
-// solver.
+// (hop_walk) gives every row its hop count.  The chunk compiles those
+// rows into a local matrix once per setup, the same way for every
+// partition kind (the matrix-powers kernel of Demmel, Hoemmen,
+// Mohiyuddin and Yelick, IPDPS 2008, and Mohiyuddin et al., SC09):
+// slots in (hop count, global row) order, so the rows within k hops
+// are a slot prefix, and each nonzero's column as a 32-bit slot.
+// Every level, Gram accumulation and recovery then walk a prefix.
+// Each row accumulates in A's stored column order, exactly the
+// kd::row_dot / spmv sum, and the targets come first in ascending
+// global order, so at P = 1 (every row a target, every level full) the
+// iterates stay bitwise-identical to the shared-memory solver.
 
 using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
 
 struct BasisChunk {
-  // The rows within s hops of the targets, sorted; basis slot li holds
-  // global row ext[li].
+  // The rows within s hops of the targets in (hop count, global row)
+  // order: basis slot li holds global row ext[li], and the rows within
+  // k hops are the slots [0, cnt[k]), k = 0..s.  [0, cnt[0]) are the
+  // targets, ascending.  p's level l lives on [0, cnt[s - l]), r's on
+  // [0, cnt[s - 1 - l]).
   std::vector<std::uint32_t> ext;
-  // lvl[k], k = 0..s: the [lo, hi) slot runs of the rows within k
-  // hops.  lvl[0] is the targets; p's level l runs over lvl[s - l],
-  // r's over lvl[s - 1 - l].
-  std::vector<Runs> lvl;
+  std::vector<std::size_t> cnt;
+  // The local matrix: each nonzero's column as a slot, for the slots
+  // [0, cnt[s - 1]) (the only rows a level advances), rows in slot
+  // order, each in A's stored order.  Row lengths come from A.row_ptr,
+  // which the setup's key pins; values are read from A on every walk.
+  std::vector<std::uint32_t> cols;
   // A words (values + cols) one build reads, and the heads the rank
-  // reads from slow memory: p over lvl[s] plus r over lvl[s - 1], owned
+  // reads from slow memory: p within s hops plus r within s - 1, owned
   // rows only (ghosts arrive by network).
   std::uint64_t a_words = 0;
   std::size_t own_heads = 0;
 
-  std::size_t targets() const {
-    std::size_t t = 0;
-    for (const auto& [lo, hi] : lvl[0]) t += hi - lo;
-    return t;
-  }
+  std::size_t targets() const { return cnt[0]; }
 };
 
 /// The chunk of a rank owning the row runs @p own, targeting the
-/// sorted rows @p seed.
+/// sorted rows @p seed.  @p slot_of is n words of scratch; the entries
+/// of this chunk's rows are overwritten.
 BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
-                      const std::vector<std::size_t>& seed, std::size_t s) {
+                      const std::vector<std::size_t>& seed, std::size_t s,
+                      std::vector<std::uint32_t>& slot_of) {
   const HopSet hs = hop_walk(A.row_ptr, A.col_idx, seed, s);
   const std::size_t len = hs.rows.size();
+  // Per hop count: the rows, their A nonzeros and how many the rank
+  // owns (both row lists ascend, so one merge walk finds the owned
+  // ones); then within k hops.
   BasisChunk ck;
-  ck.ext.assign(hs.rows.begin(), hs.rows.end());
-  // Per hop count: the rows' A nonzeros and how many the rank owns
-  // (both row lists ascend, so one merge walk finds the owned ones).
+  ck.cnt.assign(s + 1, 0);
   std::vector<std::uint64_t> nnz(s + 1, 0);
   std::vector<std::size_t> owned(s + 1, 0);
   auto run = own.begin();
   for (std::size_t li = 0; li < len; ++li) {
     const std::size_t i = hs.rows[li];
+    ++ck.cnt[hs.hops[li]];
     nnz[hs.hops[li]] += A.row_ptr[i + 1] - A.row_ptr[i];
     while (run != own.end() && run->second <= i) ++run;
     if (run != own.end() && run->first <= i) ++owned[hs.hops[li]];
   }
   for (std::size_t k = 1; k <= s; ++k) {
+    ck.cnt[k] += ck.cnt[k - 1];
     nnz[k] += nnz[k - 1];
     owned[k] += owned[k - 1];
   }
@@ -166,17 +175,23 @@ BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
   for (std::size_t l = 1; l < s; ++l) ck.a_words += 2 * nnz[s - 1 - l];
   ck.own_heads = owned[s] + owned[s - 1];
 
-  ck.lvl.resize(s + 1);
-  for (std::size_t k = 0; k <= s; ++k) {
-    for (std::size_t li = 0; li < len;) {
-      if (hs.hops[li] > k) {
-        ++li;
-        continue;
-      }
-      std::size_t e = li + 1;
-      while (e < len && hs.hops[e] <= k) ++e;
-      ck.lvl[k].emplace_back(li, e);
-      li = e;
+  // Slots: a counting sort by hop count keeps each hop's rows in
+  // ascending global order.
+  std::vector<std::size_t> next(s + 1, 0);
+  for (std::size_t k = 1; k <= s; ++k) next[k] = ck.cnt[k - 1];
+  ck.ext.resize(len);
+  for (std::size_t li = 0; li < len; ++li) {
+    const std::size_t slot = next[hs.hops[li]]++;
+    ck.ext[slot] = std::uint32_t(hs.rows[li]);
+    slot_of[hs.rows[li]] = std::uint32_t(slot);
+  }
+  // A row within s - 1 hops has every column within s hops.
+  ck.cols.resize(nnz[s - 1]);
+  std::uint32_t* c = ck.cols.data();
+  for (std::size_t li = 0; li < ck.cnt[s - 1]; ++li) {
+    const std::size_t i = ck.ext[li];
+    for (std::size_t q = A.row_ptr[i]; q < A.row_ptr[i + 1]; ++q) {
+      *c++ = slot_of[A.col_idx[q]];
     }
   }
   return ck;
@@ -198,6 +213,17 @@ BasisChunk make_chunk(const sparse::Csr& A, const Runs& own,
 ///
 /// At s = 8 fewer lines fit in M2/17 words than the floor holds on the
 /// 2-D and 3-D tiles, so their chunks stay at the floor.
+///
+/// Each chunk is compiled into its local matrix here (make_chunk): slots
+/// in (hop count, global row) order and a 32-bit slot per nonzero of
+/// the rows within s - 1 hops, 4 bytes per nonzero with no offset
+/// table.  Basis columns are sized to their level's prefix, so a basis
+/// holds sum_l cnt[s - l] + sum_l cnt[s - 1 - l] words, not (2s+1)
+/// times the s-hop set.  On the e2e workloads (P = 16, s = 4) the local
+/// columns take 1.39 MiB over 48 chunks of poisson_3d(48, 48, 8)
+/// (streaming) and 0.85 MiB over 16 of the small-world graph (stored),
+/// and the bases shrink by 42% and 38%: 613,440 -> 354,112 and
+/// 478,170 -> 297,034 words over all chunks, per RHS.
 std::vector<std::vector<BasisChunk>> make_plan(
     const Partition& part, const sparse::Csr& A, const std::vector<Runs>& runs,
     std::size_t s, CaCgMode mode, std::size_t block_rows, std::size_t M2) {
@@ -207,6 +233,7 @@ std::vector<std::vector<BasisChunk>> make_plan(
         "slots)");
   }
   const GraphPartition* gp = part.graph();
+  std::vector<std::uint32_t> slot_of(A.n);
   std::vector<std::vector<BasisChunk>> plan(runs.size());
   for (std::size_t p = 0; p < runs.size(); ++p) {
     if (runs[p].empty()) continue;
@@ -234,7 +261,7 @@ std::vector<std::vector<BasisChunk>> make_plan(
       }
     }
     for (const auto& seed : seeds) {
-      plan[p].push_back(make_chunk(A, runs[p], seed, s));
+      plan[p].push_back(make_chunk(A, runs[p], seed, s, slot_of));
     }
   }
   return plan;
@@ -412,7 +439,10 @@ struct PartRun {
 // in A's stored column order from +0, exactly the kd::row_dot / spmv
 // sum, so every lane is bitwise the per-RHS product whatever the group
 // holds.  The lane count is a template argument of the walk, so each
-// width keeps its sums and column pointers in registers.
+// width keeps its sums and column pointers in registers.  Two row
+// sources feed the one per-nonzero loop: a rank's owned runs with A's
+// global columns (owned_rows), and a chunk's slot prefix with its
+// local columns (chunk_rows).
 
 /// fn(first, last) over [0, count) in consecutive groups of at most
 /// kRhsGroup.
@@ -423,38 +453,61 @@ void for_each_group(std::size_t count, Fn&& fn) {
   }
 }
 
-template <std::size_t L, class Row, class Slot, class Done>
-void walk_rows_of(const sparse::Csr& A, const Runs& rows, Row row,
-                  Slot slot, const double* const* in, Done& done) {
-  const std::size_t* rptr = A.row_ptr.data();
-  const std::size_t* cols = A.col_idx.data();
-  const double* vals = A.values.data();
-  std::array<const double*, L> x{};
-  std::copy_n(in, L, x.begin());
-  for (const auto& [lo, hi] : rows) {
-    for (std::size_t li = lo; li < hi; ++li) {
-      const std::size_t i = row(li);
-      std::array<double, L> t{};
-      for (std::size_t q = rptr[i]; q < rptr[i + 1]; ++q) {
-        const double a = vals[q];
-        const std::size_t c = slot(cols[q]);
-        for (std::size_t k = 0; k < L; ++k) t[k] += a * x[k][c];
+/// Row source: fn(i, vals, cols, len) for each row i of rank-owned
+/// @p runs, with A's global columns.
+auto owned_rows(const sparse::Csr& A, const Runs& runs) {
+  return [&A, &runs](auto&& fn) {
+    const std::size_t* rptr = A.row_ptr.data();
+    for (const auto& [lo, hi] : runs) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        fn(i, A.values.data() + rptr[i], A.col_idx.data() + rptr[i],
+           rptr[i + 1] - rptr[i]);
       }
-      for (std::size_t k = 0; k < L; ++k) done(li, k, t[k]);
     }
-  }
+  };
 }
 
-/// For each slot li of @p rows and each lane k < g (1 <= g <=
-/// kRhsGroup): the sum t = sum_q A(row(li), q) * in[k][slot(q)],
+/// Row source: fn(li, vals, cols, len) for each slot li < @p count of
+/// chunk @p ck (count <= cnt[s - 1]), with the chunk's local columns.
+auto chunk_rows(const sparse::Csr& A, const BasisChunk& ck,
+                std::size_t count) {
+  return [&A, &ck, count](auto&& fn) {
+    const std::size_t* rptr = A.row_ptr.data();
+    const std::uint32_t* ext = ck.ext.data();
+    const std::uint32_t* cols = ck.cols.data();
+    for (std::size_t li = 0; li < count; ++li) {
+      const std::size_t i = ext[li];
+      const std::size_t len = rptr[i + 1] - rptr[i];
+      fn(li, A.values.data() + rptr[i], cols, len);
+      cols += len;
+    }
+  };
+}
+
+template <std::size_t L, class Rows, class Done>
+void walk_rows_of(const Rows& rows, const double* const* in, Done& done) {
+  std::array<const double*, L> x{};
+  std::copy_n(in, L, x.begin());
+  rows([&](std::size_t li, const double* vals, const auto* cols,
+           std::size_t len) {
+    std::array<double, L> t{};
+    for (std::size_t q = 0; q < len; ++q) {
+      const double a = vals[q];
+      const std::size_t c = cols[q];
+      for (std::size_t k = 0; k < L; ++k) t[k] += a * x[k][c];
+    }
+    for (std::size_t k = 0; k < L; ++k) done(li, k, t[k]);
+  });
+}
+
+/// For each row li of the row source @p rows and each lane k < g
+/// (1 <= g <= kRhsGroup): the sum t = sum_q vals[q] * in[k][cols[q]],
 /// handed to done(li, k, t).
-template <class Row, class Slot, class Done>
-void walk_rows(const sparse::Csr& A, const Runs& rows, std::size_t g,
-               Row row, Slot slot, const double* const* in, Done done) {
+template <class Rows, class Done>
+void walk_rows(const Rows& rows, std::size_t g, const double* const* in,
+               Done done) {
   [&]<std::size_t... I>(std::index_sequence<I...>) {
-    ((g == I + 1 &&
-      (walk_rows_of<I + 1>(A, rows, row, slot, in, done), true)) ||
-     ...);
+    ((g == I + 1 && (walk_rows_of<I + 1>(rows, in, done), true)) || ...);
   }(std::make_index_sequence<kRhsGroup>{});
 }
 
@@ -464,7 +517,7 @@ template <class V>
 void spmv_owned(const PartRun& rp, std::size_t rank,
                 const std::vector<std::size_t>& js, V v,
                 std::vector<std::vector<double>>& w) {
-  const auto same = [](std::size_t i) { return i; };
+  const auto rows = owned_rows(rp.A, rp.su.runs[rank]);
   for_each_group(js.size(), [&](std::size_t g0, std::size_t g1) {
     std::array<const double*, kRhsGroup> in{};
     std::array<double*, kRhsGroup> out{};
@@ -472,12 +525,13 @@ void spmv_owned(const PartRun& rp, std::size_t rank,
       in[k - g0] = v(js[k]);
       out[k - g0] = w[js[k]].data();
     }
-    walk_rows(rp.A, rp.su.runs[rank], g1 - g0, same, same, in.data(),
+    walk_rows(rows, g1 - g0, in.data(),
               [&](std::size_t i, std::size_t k, double t) { out[k][i] = t; });
   });
 }
 
-/// One chunk's 2s+1 basis columns, one per slot.
+/// One chunk's 2s+1 basis columns: p's column l over the slots
+/// [0, cnt[s - l]), then r's column l over [0, cnt[s - 1 - l]).
 using Basis = std::vector<std::vector<double>>;
 
 /// One group's operands for build_basis: lane k builds basis *W[k]
@@ -489,78 +543,68 @@ struct BasisGroup {
 };
 
 /// Fill every lane's basis with the 2s+1 columns of chunk @p ck: p's
-/// heads over every slot and r's over lvl[s-1], then the shifted
-/// recurrence with each level over its hop set, one walk of A per
-/// level for the whole group.  One definition serves the stored phase
-/// and both streaming passes, so their arithmetic -- and the bitwise
-/// pins built on it -- cannot drift apart.
-///
-/// Neighbours are gathered through a slot map: loc[j] is the slot of
-/// global row j, filled with the heads.  Every column of a row within
-/// k hops lies within k+1 hops, so each level reads only slots the
-/// level below wrote; the caller's buffers and the per-worker map are
-/// recycled, and what earlier calls left in them is never read
-/// (Gram and recovery read the targets only, set in every column).
+/// heads within s hops and r's within s - 1, gathered through ext,
+/// then the shifted recurrence, level l over its slot prefix, one walk
+/// of the chunk's local matrix per level for the whole group.  One
+/// definition serves the stored phase and both streaming passes, so
+/// their arithmetic -- and the bitwise pins built on it -- cannot
+/// drift apart.  Each column holds exactly the slots its level writes
+/// and the next level reads (every column of a row within k hops lies
+/// within k + 1 hops); the caller's buffers are recycled, and every
+/// slot is written before it is read.
 void build_basis(const sparse::Csr& A, const BasisChunk& ck,
                  const kd::BasisCoeffs& bc, std::size_t s,
                  const BasisGroup& grp) {
-  const std::size_t len = ck.ext.size();
-  thread_local std::vector<std::uint32_t> loc;
-  if (loc.size() < A.n) loc.resize(A.n);
   const std::uint32_t* ext = ck.ext.data();
-  std::uint32_t* lp = loc.data();
-  for (std::size_t li = 0; li < len; ++li) lp[ext[li]] = std::uint32_t(li);
   for (std::size_t k = 0; k < grp.size; ++k) {
     Basis& W = *grp.W[k];
     W.resize(2 * s + 1);
-    for (auto& col : W) col.resize(len);
+    for (std::size_t l = 0; l <= s; ++l) W[l].resize(ck.cnt[s - l]);
+    for (std::size_t l = 0; l < s; ++l) {
+      W[s + 1 + l].resize(ck.cnt[s - 1 - l]);
+    }
     double* p0 = W[0].data();
-    for (std::size_t li = 0; li < len; ++li) p0[li] = grp.p[k][ext[li]];
+    for (std::size_t li = 0; li < ck.cnt[s]; ++li) p0[li] = grp.p[k][ext[li]];
     double* r0 = W[s + 1].data();
-    for (const auto& [lo, hi] : ck.lvl[s - 1]) {
-      for (std::size_t li = lo; li < hi; ++li) r0[li] = grp.r[k][ext[li]];
+    for (std::size_t li = 0; li < ck.cnt[s - 1]; ++li) {
+      r0[li] = grp.r[k][ext[li]];
     }
   }
 
-  const auto row = [ext](std::size_t li) { return std::size_t(ext[li]); };
-  const auto slot = [lp](std::size_t j) { return std::size_t(lp[j]); };
   const double sigma = bc.sigma;
   const auto advance = [&](std::size_t from, std::size_t to,
-                           const Runs& rows, double theta) {
+                           std::size_t rows, double theta) {
     std::array<const double*, kRhsGroup> fc{};
     std::array<double*, kRhsGroup> tc{};
     for (std::size_t k = 0; k < grp.size; ++k) {
       fc[k] = (*grp.W[k])[from].data();
       tc[k] = (*grp.W[k])[to].data();
     }
-    walk_rows(A, rows, grp.size, row, slot, fc.data(),
+    walk_rows(chunk_rows(A, ck, rows), grp.size, fc.data(),
               [&](std::size_t li, std::size_t k, double t) {
                 tc[k][li] = (t - theta * fc[k][li]) / sigma;
               });
   };
   for (std::size_t l = 1; l <= s; ++l) {
-    advance(l - 1, l, ck.lvl[s - l], bc.theta[l - 1]);
+    advance(l - 1, l, ck.cnt[s - l], bc.theta[l - 1]);
   }
   for (std::size_t l = 1; l < s; ++l) {
-    advance(s + l, s + 1 + l, ck.lvl[s - 1 - l], bc.theta[l - 1]);
+    advance(s + l, s + 1 + l, ck.cnt[s - 1 - l], bc.theta[l - 1]);
   }
 }
 
-/// Gram partial over the chunk's target runs (one gram_upper_acc call
-/// per run: the whole-vs-split bitwise invariance of the kernel keeps
-/// P = 1, with its single [0, n) run, equal to the shared-memory
-/// solver's one call).
+/// Gram partial over the chunk's targets, one gram_upper_acc call: the
+/// targets lead every column in ascending global order, so the entries
+/// sum in the order of the shared-memory solver's one call at P = 1.
 void gram_partial(const BasisChunk& ck, kd::Small& gacc, std::size_t mm,
                   const Basis& W) {
   std::vector<const double*> wp(mm);
   for (std::size_t a = 0; a < mm; ++a) wp[a] = W[a].data();
-  for (const auto& [llo, lhi] : ck.lvl[0]) {
-    linalg::active_kernels().gram_upper_acc(gacc.a.data(), mm, wp.data(),
-                                            llo, lhi);
-  }
+  linalg::active_kernels().gram_upper_acc(gacc.a.data(), mm, wp.data(), 0,
+                                          ck.targets());
 }
 
-/// Recovery over the chunk's target rows:
+/// Recovery over the chunk's targets:
 /// [pout, rout, xout] = [W] [ph, rh, xh] + [0, 0, x], scattered to the
 /// target rows' global indices.
 void recover(const BasisChunk& ck, std::size_t mm, const Basis& W,
@@ -568,19 +612,17 @@ void recover(const BasisChunk& ck, std::size_t mm, const Basis& W,
              const std::vector<double>& xh, const std::vector<double>& x,
              std::vector<double>& pout, std::vector<double>& rout,
              std::vector<double>& xout) {
-  for (const auto& [llo, lhi] : ck.lvl[0]) {
-    for (std::size_t li = llo; li < lhi; ++li) {
-      const std::size_t i = ck.ext[li];
-      double np = 0, nr = 0, nx2 = x[i];
-      for (std::size_t a = 0; a < mm; ++a) {
-        np += W[a][li] * ph[a];
-        nr += W[a][li] * rh[a];
-        nx2 += W[a][li] * xh[a];
-      }
-      pout[i] = np;
-      rout[i] = nr;
-      xout[i] = nx2;
+  for (std::size_t li = 0; li < ck.targets(); ++li) {
+    const std::size_t i = ck.ext[li];
+    double np = 0, nr = 0, nx2 = x[i];
+    for (std::size_t a = 0; a < mm; ++a) {
+      np += W[a][li] * ph[a];
+      nr += W[a][li] * rh[a];
+      nx2 += W[a][li] * xh[a];
     }
+    pout[i] = np;
+    rout[i] = nr;
+    xout[i] = nx2;
   }
 }
 
@@ -693,8 +735,8 @@ struct BatchSetupResult {
 /// Shared solve setup: one exchange event ships all nrhs x panels, one
 /// walk of A per group (charged once) serves every r = b - A x and
 /// p = r, the nrhs deltas = <r, r> travel in one allreduce event, and
-/// <b, b> for the stopping thresholds (rank-ordered but uncharged
-/// reads) in another.  Each rank also copies its rows of the caller's
+/// <b, b> for the stopping thresholds (partials formed in the <r, r>
+/// job from uncharged reads, combined in rank order) in another.  Each rank also copies its rows of the caller's
 /// X into the workspace's x, which the solve updates from then on; X
 /// itself is written once, at the end (store_x).
 BatchSetupResult residual_setup_batch(PartRun& rp, std::span<const double> B,
@@ -708,9 +750,9 @@ BatchSetupResult residual_setup_batch(PartRun& rp, std::span<const double> B,
   auto& p = ws.p;
 
   BatchSetupResult out;
-  out.bb.assign(nrhs, 0.0);
   std::vector<std::vector<double>> partj(nrhs,
                                          std::vector<double>(su.P, 0.0));
+  std::vector<std::vector<double>> partb = partj;
   std::vector<std::size_t> all(nrhs);
   std::iota(all.begin(), all.end(), std::size_t(0));
 
@@ -738,31 +780,22 @@ BatchSetupResult residual_setup_batch(PartRun& rp, std::span<const double> B,
 
   m.run_local_each([&](std::size_t rank, memsim::Hierarchy& h) {
     for (std::size_t j = 0; j < nrhs; ++j) {
-      double sum = 0.0;
+      const auto bj = B.subspan(j * n, n);
+      double sum = 0.0, bsum = 0.0;
       rp.for_runs(rank, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           sum += r[j][i] * r[j][i];
         }
+        for (std::size_t i = lo; i < hi; ++i) bsum += bj[i] * bj[i];
       });
       partj[j][rank] = sum;
+      partb[j][rank] = bsum;
     }
     detail::charge_l3_read(h, nrhs * 2 * su.own_sz[rank], m.M2());
   });
   out.delta = combine(partj, all);
   rp.allreduce_charge(out.delta);
-
-  for (std::size_t j = 0; j < nrhs; ++j) {
-    const auto bj = B.subspan(j * n, n);
-    double bb = 0.0;
-    for (std::size_t q = 0; q < su.P; ++q) {
-      double sum = 0.0;
-      rp.for_runs(q, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) sum += bj[i] * bj[i];
-      });
-      bb += sum;
-    }
-    out.bb[j] = bb;
-  }
+  out.bb = combine(partb, all);
   rp.allreduce_charge(out.bb);
   return out;
 }

@@ -37,14 +37,22 @@
 // matrix-powers work goes through a plan of basis chunks
 // (the owned rows when stored; when streaming, slices of them sized so
 // a chunk's basis fits in the Machine's L2, and no smaller than
-// max(4 s radius, 256) rows), each holding the rows within k hops of
-// its targets for k = 0..s, found by one walk of A's pattern on every
-// partition kind; one basis builder, one basis+Gram phase and one
-// recovery phase serve both storage modes on every partition.  One row
-// kernel reads A for every phase: each walk of a row's nonzeros serves
-// a group of up to kRhsGroup active RHS (below).  Every allreduce
-// carries the values it charges (dot products, packed Gram triangles)
-// as its payload.
+// max(4 s radius, 256) rows), each holding the rows within s hops of
+// its targets, found by one walk of A's pattern on every partition
+// kind.  Each chunk is a local matrix built once per setup: its rows
+// in (hop count, global row) order, so the rows within k hops are a
+// prefix and the targets lead in ascending global order, and each
+// nonzero's column as a 32-bit local slot (4 bytes per nonzero, for
+// the rows within s-1 hops only; values are read from A on every
+// call).  Basis column l of p holds the rows within s-l hops and of r
+// those within s-1-l, exactly what its level writes and the next
+// reads.  One basis builder, one basis+Gram phase and one recovery
+// phase serve both storage modes on every partition.  One row kernel
+// reads A for every phase: each walk of a row's nonzeros serves a
+// group of up to kRhsGroup active RHS (below), over a rank's owned
+// rows with A's columns or over a chunk's prefix with its local ones.
+// Every allreduce carries the values it charges (dot products, packed
+// Gram triangles) as its payload.
 //
 // Plan once, solve many: the plan, the owned row runs and the halo
 // lists depend only on the partition, A's sparsity pattern, s, the
