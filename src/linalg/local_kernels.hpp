@@ -35,7 +35,7 @@
 //   * gram_upper_acc is call-granularity invariant: each G(a, c)
 //     entry is accumulated as a single serial chain in ascending i,
 //     so splitting the index range over many calls (as the
-//     distributed CA-CG does per mesh-line run) is bitwise-equal to
+//     distributed CA-CG does per streaming chunk) is bitwise-equal to
 //     one call over the union.  Both implementations honor this, so
 //     the P = 1 bitwise pins against the shared-memory solvers hold
 //     under either choice.
