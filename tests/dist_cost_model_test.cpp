@@ -483,29 +483,54 @@ void expect_cacg_writes(const Machine& m, const Partition& part,
   }
 }
 
-TEST_P(KrylovModelRegression, CaCgPerRankW12MatchesSection8ClosedForm) {
-  const krylov::CaCgMode mode = GetParam();
-  const std::size_t n = 1 << 12, s = 4;
-  const auto A = sparse::stencil_1d(n, 1);
-  std::mt19937_64 rng(7);
+/// The operators of the per-rank W12 regressions: a 1-D stencil (the
+/// row-split partition) and two graphs without mesh geometry (the
+/// graph partition, whose owned sets are index sets, not boxes).
+struct W12Case {
+  const char* name;
+  sparse::Csr A;
+};
+
+std::vector<W12Case> w12_cases() {
+  const std::size_t n = 1 << 12;
+  std::vector<W12Case> cases;
+  cases.push_back({"stencil_1d", sparse::stencil_1d(n, 1)});
+  cases.push_back({"small_world", sparse::small_world_graph(n, 2, 64, 1)});
+  cases.push_back({"random_spd", sparse::random_spd_graph(n, 6, 3)});
+  return cases;
+}
+
+/// b = A x for a seeded random x.
+std::vector<double> w12_rhs(const sparse::Csr& A, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> dist(-1, 1);
-  std::vector<double> xs(n), b(n);
+  std::vector<double> xs(A.n), b(A.n);
   for (auto& v : xs) v = dist(rng);
   sparse::spmv(A, xs, b);
+  return b;
+}
 
-  for (std::size_t P : {1, 4, 6}) {
-    Machine m(P, 192, 4096, 1 << 24);
-    const auto part = make_partition(P, A);
-    std::vector<double> x(n, 0.0);
-    krylov::CaCgOptions opt;
-    opt.s = s;
-    opt.mode = mode;
-    opt.tol = 1e-9;
-    const auto res = ca_cg(m, *part, A, b, x, opt);
-    ASSERT_TRUE(res.converged) << "P=" << P;
-    ASSERT_GT(res.iterations, 0u);
-    ASSERT_EQ(res.iterations % s, 0u) << "a restart would skew the model";
-    expect_cacg_writes(m, *part, mode, s, res.iterations);
+TEST_P(KrylovModelRegression, CaCgPerRankW12MatchesSection8ClosedForm) {
+  const krylov::CaCgMode mode = GetParam();
+  const std::size_t s = 4;
+  for (const W12Case& c : w12_cases()) {
+    const sparse::Csr& A = c.A;
+    const std::vector<double> b = w12_rhs(A, 7);
+    for (std::size_t P : {1, 4, 6}) {
+      SCOPED_TRACE(std::string(c.name) + " P=" + std::to_string(P));
+      Machine m(P, 192, 4096, 1 << 24);
+      const auto part = make_partition(P, A);
+      std::vector<double> x(A.n, 0.0);
+      krylov::CaCgOptions opt;
+      opt.s = s;
+      opt.mode = mode;
+      opt.tol = 1e-9;
+      const auto res = ca_cg(m, *part, A, b, x, opt);
+      ASSERT_TRUE(res.converged);
+      ASSERT_GT(res.iterations, 0u);
+      ASSERT_EQ(res.iterations % s, 0u) << "a restart would skew the model";
+      expect_cacg_writes(m, *part, mode, s, res.iterations);
+    }
   }
 }
 
@@ -585,29 +610,27 @@ INSTANTIATE_TEST_SUITE_P(Modes, KrylovModelRegression2D,
                          });
 
 TEST(ModelRegression, DistCgPerRankW12MatchesClassicalRate) {
-  const std::size_t n = 1 << 12;
-  const auto A = sparse::stencil_1d(n, 1);
-  std::mt19937_64 rng(8);
-  std::uniform_real_distribution<double> dist(-1, 1);
-  std::vector<double> xs(n), b(n);
-  for (auto& v : xs) v = dist(rng);
-  sparse::spmv(A, xs, b);
-
-  for (std::size_t P : {1, 4, 6}) {
-    Machine m(P, 192, 4096, 1 << 24);
-    const auto part = make_partition(P, A);
-    std::vector<double> x(n, 0.0);
-    const auto res = cg(m, *part, A, b, x, 4000, 1e-9);
-    ASSERT_TRUE(res.converged) << "P=" << P;
-    const std::uint64_t steps = res.iterations;
-    for (std::size_t p = 0; p < P; ++p) {
-      const std::uint64_t own = part->owned_words(p);
-      const std::uint64_t w = m.proc(p).l3_write.words;
-      EXPECT_EQ(w, 2 * own + steps * 4 * own) << "P=" << P << " rank " << p;
-      if (own * P == n) {
-        EXPECT_EQ(double(w - 2 * own),
-                  cg_model_writes_per_step(n, P) * double(steps))
-            << "P=" << P << " rank " << p;
+  for (const W12Case& c : w12_cases()) {
+    const sparse::Csr& A = c.A;
+    const std::size_t n = A.n;
+    const std::vector<double> b = w12_rhs(A, 8);
+    for (std::size_t P : {1, 4, 6}) {
+      SCOPED_TRACE(std::string(c.name) + " P=" + std::to_string(P));
+      Machine m(P, 192, 4096, 1 << 24);
+      const auto part = make_partition(P, A);
+      std::vector<double> x(n, 0.0);
+      const auto res = cg(m, *part, A, b, x, 4000, 1e-9);
+      ASSERT_TRUE(res.converged);
+      const std::uint64_t steps = res.iterations;
+      for (std::size_t p = 0; p < P; ++p) {
+        const std::uint64_t own = part->owned_words(p);
+        const std::uint64_t w = m.proc(p).l3_write.words;
+        EXPECT_EQ(w, 2 * own + steps * 4 * own) << "rank " << p;
+        if (own * P == n) {
+          EXPECT_EQ(double(w - 2 * own),
+                    cg_model_writes_per_step(n, P) * double(steps))
+              << "rank " << p;
+        }
       }
     }
   }
