@@ -359,13 +359,11 @@ SolveSetup build_setup(const Machine& m, const Partition& part,
   su.own_sz.resize(P);
   su.own_nnz.resize(P);
   for (std::size_t p = 0; p < P; ++p) {
+    su.own_sz[p] = part.owned_count(p);
     if (gp != nullptr) {
       su.runs[p] = gp->owned_runs(p);
-      su.own_sz[p] = gp->owned_count(p);
     } else {
-      const NodeBox o = part.owned(p);
-      su.own_sz[p] = o.volume();
-      for_each_run(part, o, [&](std::size_t lo, std::size_t hi) {
+      for_each_run(part, part.owned(p), [&](std::size_t lo, std::size_t hi) {
         su.runs[p].emplace_back(lo, hi);
       });
     }

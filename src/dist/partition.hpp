@@ -128,7 +128,11 @@ class Partition {
   /// element (`rows` already counts the layered nz pencils).
   virtual std::vector<HaloTransfer> halo(std::size_t depth) const = 0;
 
-  std::size_t owned_words(std::size_t p) const { return owned(p).volume(); }
+  /// How many rows rank @p p owns: its box's volume, or its owned
+  /// index set's size on the graph partition.
+  virtual std::size_t owned_count(std::size_t p) const {
+    return owned(p).volume();
+  }
 
   /// Global row of mesh node (x, y, z).
   std::size_t global_index(std::size_t x, std::size_t y,
@@ -266,7 +270,9 @@ class GraphPartition final : public Partition {
     return runs_[p];
   }
 
-  std::size_t owned_count(std::size_t p) const { return owned_[p].size(); }
+  std::size_t owned_count(std::size_t p) const override {
+    return owned_[p].size();
+  }
   std::size_t owner_of(std::size_t row) const { return owner_[row]; }
 
   /// @p seed (duplicate-free) plus every row within @p depth

@@ -471,7 +471,7 @@ void expect_cacg_writes(const Machine& m, const Partition& part,
       mode == krylov::CaCgMode::kStored ? 2 * s + 4 : 3;
   const std::size_t n = part.nodes(), P = part.ranks();
   for (std::size_t p = 0; p < P; ++p) {
-    const std::uint64_t own = part.owned_words(p);
+    const std::uint64_t own = part.owned_count(p);
     const std::uint64_t w = m.proc(p).l3_write.words;
     EXPECT_EQ(w, 2 * own + steps / s * per_outer * own)
         << "P=" << P << " rank " << p;
@@ -623,7 +623,7 @@ TEST(ModelRegression, DistCgPerRankW12MatchesClassicalRate) {
       ASSERT_TRUE(res.converged);
       const std::uint64_t steps = res.iterations;
       for (std::size_t p = 0; p < P; ++p) {
-        const std::uint64_t own = part->owned_words(p);
+        const std::uint64_t own = part->owned_count(p);
         const std::uint64_t w = m.proc(p).l3_write.words;
         EXPECT_EQ(w, 2 * own + steps * 4 * own) << "rank " << p;
         if (own * P == n) {
