@@ -42,11 +42,6 @@ inline double trsm_traffic_lb(std::size_t n, std::size_t M) {
   return 0.5 * double(n) * double(n) * double(n) / std::sqrt(double(M));
 }
 
-/// Load/store lower bound for n-by-n Cholesky.
-inline double cholesky_traffic_lb(std::size_t n, std::size_t M) {
-  return double(n) * double(n) * double(n) / (6.0 * std::sqrt(double(M)));
-}
-
 // ---------------------------------------------------------------------
 // Direct N-body: W = Omega(N^k / M^(k-1))  [DGKSY13, CDKSY13].
 
@@ -104,13 +99,6 @@ inline double parallel_w2(std::size_t n, std::size_t P, double c) {
 inline double parallel_w3(std::size_t n, std::size_t P, std::size_t M1) {
   return double(n) * double(n) * double(n) / double(P) /
          std::sqrt(double(M1));
-}
-
-/// W3': writes to L2 from L3-or-network, Omega((n^3/P)/sqrt(M2)).
-inline double parallel_w3_prime(std::size_t n, std::size_t P,
-                                std::size_t M2) {
-  return double(n) * double(n) * double(n) / double(P) /
-         std::sqrt(double(M2));
 }
 
 /// Theorem 4: if interprocessor traffic attains W2, then writes to L3

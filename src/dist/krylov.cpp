@@ -115,7 +115,7 @@ std::vector<NodeBox> stream_chunks(const Partition& part, const NodeBox& o,
 // are a slot prefix, and each nonzero's column as a 32-bit slot.
 // Every level, Gram accumulation and recovery then walk a prefix.
 // Each row accumulates in A's stored column order, exactly the
-// kd::row_dot / spmv sum, and the targets come first in ascending
+// sparse::spmv sum, and the targets come first in ascending
 // global order, so at P = 1 (every row a target, every level full) the
 // iterates stay bitwise-identical to the shared-memory solver.
 
@@ -434,8 +434,8 @@ struct PartRun {
 //
 // Every phase that reads A walks it here: each row's nonzeros once for
 // a group of up to kRhsGroup right-hand sides (lanes).  Each lane sums
-// in A's stored column order from +0, exactly the kd::row_dot / spmv
-// sum, so every lane is bitwise the per-RHS product whatever the group
+// in A's stored column order from +0, exactly the sparse::spmv sum, so
+// every lane is bitwise the per-RHS product whatever the group
 // holds.  The lane count is a template argument of the walk, so each
 // width keeps its sums and column pointers in registers.  Two row
 // sources feed the one per-nonzero loop: a rank's owned runs with A's

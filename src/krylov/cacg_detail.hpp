@@ -142,19 +142,6 @@ inline void apply_h(std::size_t s, const BasisCoeffs& bc,
   }
 }
 
-/// One sparse row times a basis column, restricted reads.  The
-/// accumulation order matches sparse::spmv exactly, so a column
-/// produced row-by-row here is bitwise-equal to one produced by a
-/// full spmv.
-inline double row_dot(const sparse::Csr& A, std::size_t i, const double* col,
-                      std::ptrdiff_t off) {
-  double t = 0;
-  for (std::size_t p = A.row_ptr[i]; p < A.row_ptr[i + 1]; ++p) {
-    t += A.values[p] * col[std::ptrdiff_t(A.col_idx[p]) + off];
-  }
-  return t;
-}
-
 /// Inner s-step loop shared by both modes and both solvers.  Returns
 /// delta after the last step; coordinate vectors are updated in place.
 struct InnerResult {
