@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "linalg/kernels.hpp"
+#include "linalg/matrix.hpp"
 #include "memsim/hierarchy.hpp"
 
 namespace wa::dist::detail {
@@ -135,20 +136,31 @@ inline void charge_l2_transit(memsim::Hierarchy& h, std::size_t words,
   }
 }
 
-/// Pack a (possibly strided) matrix block contiguously into @p
-/// scratch, row-major, and return the packed pointer.  Used to hand
-/// real payload bytes to a data-moving Transport when a collective is
-/// charged; callers skip the pack entirely when
-/// machine.transport().moves_data() is false.
-inline const double* pack_block(linalg::ConstMatrixView<double> block,
-                                std::vector<double>& scratch) {
-  scratch.resize(block.rows() * block.cols());
-  for (std::size_t i = 0; i < block.rows(); ++i) {
-    for (std::size_t j = 0; j < block.cols(); ++j) {
-      scratch[i * block.cols() + j] = block(i, j);
-    }
+/// Views covering words [@p off, @p off + @p w) of @p block in
+/// row-major order, for a collective that carries part of a block:
+/// the rest of one row, then whole rows, then the start of a row (at
+/// most three views, none empty; none at all when @p w is zero).
+inline std::vector<linalg::ConstMatrixView<double>> word_range(
+    linalg::ConstMatrixView<double> block, std::size_t off, std::size_t w) {
+  const std::size_t cols = block.cols();
+  if (off + w > block.rows() * cols) {
+    throw std::out_of_range("word_range: words past the end of the block");
   }
-  return scratch.data();
+  std::vector<linalg::ConstMatrixView<double>> views;
+  if (w == 0) return views;
+  std::size_t r = off / cols;
+  if (const std::size_t c = off % cols; c > 0) {
+    const std::size_t head = std::min(cols - c, w);
+    views.push_back(block.block(r++, c, 1, head));
+    w -= head;
+  }
+  if (w >= cols) {
+    views.push_back(block.block(r, 0, w / cols, cols));
+    r += w / cols;
+    w %= cols;
+  }
+  if (w > 0) views.push_back(block.block(r, 0, 1, w));
+  return views;
 }
 
 /// Split @p words into @p pieces sizes differing by at most one word

@@ -64,16 +64,19 @@ inline std::vector<BlockRange> cyclic_blocks(std::size_t n, std::size_t b,
   return out;
 }
 
+/// Total size of @p blocks.
+inline std::size_t block_words(const std::vector<BlockRange>& blocks) {
+  std::size_t words = 0;
+  for (const BlockRange& r : blocks) words += r.sz;
+  return words;
+}
+
 /// Total size of @p owner's cyclic_blocks of [lo, n) -- the word count
 /// behind every per-rank LU charge.
 inline std::size_t cyclic_words(std::size_t n, std::size_t b,
                                 std::size_t parts, std::size_t owner,
                                 std::size_t lo = 0) {
-  std::size_t words = 0;
-  for (const BlockRange& r : cyclic_blocks(n, b, parts, owner, lo)) {
-    words += r.sz;
-  }
-  return words;
+  return block_words(cyclic_blocks(n, b, parts, owner, lo));
 }
 
 /// 2-D process topology: pr x pc ranks in row-major order.

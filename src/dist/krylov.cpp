@@ -425,8 +425,11 @@ struct PartRun {
   /// under a data-moving transport the values charged are the values
   /// that travel both trees.
   void allreduce_charge(std::span<const double> vals) {
-    m.reduce(su.group, vals.size(), vals.data());
-    m.bcast(su.group, vals.size(), vals.data());
+    const Machine::Tiles row = {
+        linalg::ConstMatrixView<double>(vals.data(), 1, vals.size(),
+                                        vals.size())};
+    m.reduce(su.group, row);
+    m.bcast(su.group, row);
   }
 };
 

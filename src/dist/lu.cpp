@@ -36,29 +36,6 @@ std::vector<std::size_t> cross_group(const ProcessGrid& g, std::size_t i,
   return ranks;
 }
 
-std::size_t sum_sizes(const std::vector<BlockRange>& blocks) {
-  std::size_t words = 0;
-  for (const BlockRange& r : blocks) words += r.sz;
-  return words;
-}
-
-// Pack a list of (possibly strided) tiles back-to-back into
-// @p scratch: the payload of one batched panel broadcast.
-const double* pack_tiles(
-    const std::vector<linalg::ConstMatrixView<double>>& tiles,
-    std::vector<double>& scratch) {
-  std::size_t total = 0;
-  for (const auto& t : tiles) total += t.rows() * t.cols();
-  scratch.resize(total);
-  std::size_t off = 0;
-  for (const auto& t : tiles) {
-    for (std::size_t i = 0; i < t.rows(); ++i) {
-      for (std::size_t j = 0; j < t.cols(); ++j) scratch[off++] = t(i, j);
-    }
-  }
-  return scratch.data();
-}
-
 }  // namespace
 
 void lu_right_looking(Machine& m, linalg::MatrixView<double> A,
@@ -66,8 +43,6 @@ void lu_right_looking(Machine& m, linalg::MatrixView<double> A,
   const ProcessGrid g = validate_lu(m, A, b);
   const std::size_t n = A.rows();
   const std::size_t b1 = detail::l1_tile(m.M1());
-  const bool move = m.transport().moves_data();
-  std::vector<double> scratch;
 
   for (std::size_t k0 = 0; k0 < n; k0 += b) {
     const std::size_t kb = k0 / b;
@@ -89,11 +64,10 @@ void lu_right_looking(Machine& m, linalg::MatrixView<double> A,
     // The factored diagonal goes only to the ranks solving the two
     // panels: its grid row (U row-panel) and grid column (L column-
     // panel) -- not all_procs.  It was factored just above, so the
-    // real L11/U11 bytes are available to move.
-    const double* diag =
-        move ? detail::pack_block(A.block(k0, k0, bs, bs), scratch) : nullptr;
-    m.bcast(g.row_group(or_), bs * bs, diag);
-    m.bcast(g.col_group(oc), bs * bs, diag);
+    // broadcasts carry the real L11/U11 tile.
+    const Machine::Tiles diag = {A.block(k0, k0, bs, bs)};
+    m.bcast(g.row_group(or_), diag);
+    m.bcast(g.col_group(oc), diag);
 
     // Panel solves: rank (or_, j) owns the U tiles of block row kb in
     // its cyclic trailing columns; rank (i, oc) owns the L tiles of
@@ -131,30 +105,18 @@ void lu_right_looking(Machine& m, linalg::MatrixView<double> A,
     // The panels were just solved, so the batched broadcasts carry the
     // real concatenated tiles.
     for (std::size_t i = 0; i < g.rows(); ++i) {
-      const std::size_t words = g.cyclic_row_words(n, b, i, lo) * bs;
-      if (words == 0) continue;
-      const double* payload = nullptr;
-      if (move) {
-        std::vector<linalg::ConstMatrixView<double>> tiles;
-        for (const BlockRange& rb : g.cyclic_row_blocks(n, b, i, lo)) {
-          tiles.push_back(A.block(rb.off, k0, rb.sz, bs));
-        }
-        payload = pack_tiles(tiles, scratch);
+      Machine::Tiles tiles;
+      for (const BlockRange& rb : g.cyclic_row_blocks(n, b, i, lo)) {
+        tiles.push_back(A.block(rb.off, k0, rb.sz, bs));
       }
-      m.bcast(g.row_group(i), words, payload);
+      m.bcast(g.row_group(i), tiles);
     }
     for (std::size_t j = 0; j < g.cols(); ++j) {
-      const std::size_t words = bs * g.cyclic_col_words(n, b, j, lo);
-      if (words == 0) continue;
-      const double* payload = nullptr;
-      if (move) {
-        std::vector<linalg::ConstMatrixView<double>> tiles;
-        for (const BlockRange& cb : g.cyclic_col_blocks(n, b, j, lo)) {
-          tiles.push_back(A.block(k0, cb.off, bs, cb.sz));
-        }
-        payload = pack_tiles(tiles, scratch);
+      Machine::Tiles tiles;
+      for (const BlockRange& cb : g.cyclic_col_blocks(n, b, j, lo)) {
+        tiles.push_back(A.block(k0, cb.off, bs, cb.sz));
       }
-      m.bcast(g.col_group(j), words, payload);
+      m.bcast(g.col_group(j), tiles);
     }
 
     // Trailing update: every rank streams its own cyclic tiles of the
@@ -164,8 +126,8 @@ void lu_right_looking(Machine& m, linalg::MatrixView<double> A,
     m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
       const auto rbs = g.cyclic_row_blocks(n, b, g.row_of(p), lo);
       const auto cbs = g.cyclic_col_blocks(n, b, g.col_of(p), lo);
-      const std::size_t own_rows = sum_sizes(rbs);
-      const std::size_t own_cols = sum_sizes(cbs);
+      const std::size_t own_rows = block_words(rbs);
+      const std::size_t own_cols = block_words(cbs);
       detail::charge_l2_transit(h, (own_rows + own_cols) * bs, m.M2(), 0);
       detail::charge_l3_read(h, own_rows * own_cols, m.M2());
       for (const BlockRange& rb : rbs) {
@@ -187,8 +149,6 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
   if (s == 0) throw std::invalid_argument("lu: s must be positive");
   const std::size_t n = A.rows();
   const std::size_t b1 = detail::l1_tile(m.M1());
-  const bool move = m.transport().moves_data();
-  std::vector<double> scratch;
 
   for (std::size_t j0 = 0; j0 < n; j0 += b) {
     const std::size_t jb = j0 / b;
@@ -199,20 +159,11 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
     // Prior-panel refetch, the LL re-communication: every rank reads
     // the L tiles it owns in block columns < jb from its NVM and
     // ships them along its grid row to the column group factoring
-    // block column jb.  @p s batches the shipments into s-panel
-    // groups (fewer, larger messages; the words are unchanged).  The
+    // block column jb (the group's own tiles ship to themselves, read
+    // but not sent).  @p s batches the shipments into s-panel groups
+    // (fewer, larger messages; the words are unchanged).  The
     // shipments are independent, so they go out as one batch.
     if (j0 > 0) {
-      m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
-        const std::size_t i = g.row_of(p), j = g.col_of(p);
-        std::size_t words = 0;
-        for (std::size_t q0 = 0; q0 < j0; q0 += b) {
-          if (g.cyclic_col_owner(q0 / b) != j) continue;
-          const std::size_t qw = std::min(b, j0 - q0);
-          words += g.cyclic_row_words(n, b, i, q0 + qw) * qw;
-        }
-        detail::charge_l3_read(h, words, m.M2());
-      });
       std::vector<Transfer> refetch;
       for (std::size_t i = 0; i < g.rows(); ++i) {
         for (std::size_t j = 0; j < g.cols(); ++j) {
@@ -234,6 +185,11 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
           }
         }
       }
+      std::vector<std::size_t> shipped(m.nprocs(), 0);
+      for (const Transfer& t : refetch) shipped[t.src] += t.words;
+      m.run_local_each([&](std::size_t p, memsim::Hierarchy& h) {
+        detail::charge_l3_read(h, shipped[p], m.M2());
+      });
       m.send_all(refetch);
     }
 
@@ -260,9 +216,7 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
         detail::charge_local_solve(h, kw, w, kw, b1);
       });
       // The fresh U block feeds every later block of the column.
-      m.bcast(colg, kw * w,
-              move ? detail::pack_block(A.block(k0, j0, kw, w), scratch)
-                   : nullptr);
+      m.bcast(colg, {A.block(k0, j0, kw, w)});
     }
 
     // Below-diagonal update: each rank of the column group applies
@@ -271,7 +225,7 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
     // write below -- no intermediate write-back).
     m.run_local_on(colg, [&](std::size_t p, memsim::Hierarchy& h) {
       const auto rbs = g.cyclic_row_blocks(n, b, g.row_of(p), j0);
-      const std::size_t own_rows = sum_sizes(rbs);
+      const std::size_t own_rows = block_words(rbs);
       detail::charge_l3_read(h, own_rows * w, m.M2());
       detail::charge_l2_transit(h, own_rows * j0 + j0 * w, m.M2(), 0);
       for (const BlockRange& rb : rbs) {
@@ -292,9 +246,7 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
                      linalg::lu_nopivot_unblocked(A.block(j0, j0, w, w));
                      detail::charge_local_solve(h, w, w, w, b1);
                    });
-    m.bcast(colg, w * w,
-            move ? detail::pack_block(A.block(j0, j0, w, w), scratch)
-                 : nullptr);
+    m.bcast(colg, {A.block(j0, j0, w, w)});
 
     // Solve below the diagonal and write the finished block column to
     // NVM exactly once -- the WA schedule's defining property.  Each

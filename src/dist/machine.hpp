@@ -35,6 +35,13 @@
 // per-rank heap arenas through digest-checked heap messages.  Charging
 // always happens first and never depends on the transport, so the
 // counters are byte-identical across transports by construction.
+// The collectives take the data they carry: Machine::Tiles, views
+// whose words the Machine charges and which it packs row-major, back
+// to back, only when the transport moves data; or a bare word count
+// for data that does not exist yet at charge time, for which the
+// transport moves a synthetic pattern.  So the Machine alone decides
+// which bytes move: outside the transports it is the only code that
+// asks moves_data() (tools/wa_lint.py's wa-payload rule).
 //
 // This header is the *only* place allowed to mutate the ChanCount
 // channels directly (tools/wa_lint.py enforces this as its wa-counter
@@ -59,6 +66,7 @@
 
 #include "dist/backend.hpp"
 #include "dist/transport.hpp"
+#include "linalg/matrix.hpp"
 #include "memsim/hierarchy.hpp"
 
 namespace wa::dist {
@@ -217,41 +225,36 @@ class Machine {
     return r;
   }
 
-  /// Binomial-tree broadcast of @p words among @p group: every
-  /// participant is charged ceil(log2 |group|) rounds of @p words
-  /// (none when @p words is zero).  Under a data-moving transport the
-  /// root's payload is fanned out hop by hop along the same binomial
-  /// tree.
-  void bcast(const std::vector<std::size_t>& group, std::size_t words,
-             const double* payload = nullptr) {
-    for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
-    const std::uint64_t rounds = bcast_rounds(group.size());
-    if (rounds == 0 || words == 0) return;
-    for (std::size_t p : group) procs_[p].nw.add(rounds * words, rounds);
-    if (transport_->moves_data()) {
-      const Timer t(comm_wall_seconds_, comm_timer_depth_);
-      transport_->bcast(group, words, payload);
-    }
+  /// What a collective carries: views into matrices, taken row-major
+  /// and back to back.  A one-tile list {A.block(...)} is the common
+  /// case.
+  using Tiles = std::vector<linalg::ConstMatrixView<double>>;
+
+  /// Binomial-tree broadcast among @p group, rooted at group.front():
+  /// every participant is charged ceil(log2 |group|) rounds of the
+  /// words (none when there are none).  Under a data-moving transport
+  /// the bytes are fanned out hop by hop along the same binomial tree:
+  /// the transport's synthetic pattern for @p words, which names data
+  /// that does not exist yet at charge time, or the concatenated
+  /// @p tiles.
+  void bcast(const std::vector<std::size_t>& group, std::size_t words) {
+    collective(group, words, nullptr, /*combine=*/false);
+  }
+  void bcast(const std::vector<std::size_t>& group, const Tiles& tiles) {
+    collective(group, tile_words(tiles), &tiles, /*combine=*/false);
   }
 
-  /// Binomial-tree reduction: the network cost of a broadcast, plus
-  /// each round's combine -- merging the received partial into the
-  /// local one writes @p words from L1 back to L2 per round (none
-  /// when @p words is zero).  Under a data-moving transport partials
-  /// are really combined elementwise at every hop of the gather tree.
-  void reduce(const std::vector<std::size_t>& group, std::size_t words,
-              const double* payload = nullptr) {
-    for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
-    const std::uint64_t rounds = bcast_rounds(group.size());
-    if (rounds == 0 || words == 0) return;
-    for (std::size_t p : group) {
-      procs_[p].nw.add(rounds * words, rounds);
-      procs_[p].l2_write.add(rounds * words, rounds);
-    }
-    if (transport_->moves_data()) {
-      const Timer t(comm_wall_seconds_, comm_timer_depth_);
-      transport_->reduce(group, words, payload);
-    }
+  /// Binomial-tree reduction onto group.front(): the network cost of
+  /// a broadcast, plus each round's combine -- merging the received
+  /// partial into the local one writes its words from L1 back to L2
+  /// per round.  Under a data-moving transport partials are really
+  /// combined elementwise at every hop of the gather tree, each rank
+  /// contributing the same bytes bcast would move.
+  void reduce(const std::vector<std::size_t>& group, std::size_t words) {
+    collective(group, words, nullptr, /*combine=*/true);
+  }
+  void reduce(const std::vector<std::size_t>& group, const Tiles& tiles) {
+    collective(group, tile_words(tiles), &tiles, /*combine=*/true);
   }
 
   /// Run a local phase on processor @p p: @p fn receives a fresh
@@ -402,6 +405,53 @@ class Machine {
     if (p >= P_) throw std::out_of_range("Machine: processor out of range");
   }
 
+  static std::size_t tile_words(const Tiles& tiles) {
+    std::size_t words = 0;
+    for (const auto& t : tiles) words += t.rows() * t.cols();
+    return words;
+  }
+
+  /// The bytes of @p tiles as one contiguous buffer: a single
+  /// contiguous tile as it is, anything else packed row-major, back to
+  /// back, into pack_.
+  const double* pack(const Tiles& tiles) {
+    if (tiles.size() == 1 &&
+        (tiles[0].rows() <= 1 || tiles[0].stride() == tiles[0].cols())) {
+      return tiles[0].data();
+    }
+    pack_.resize(tile_words(tiles));
+    double* out = pack_.data();
+    for (const auto& t : tiles) {
+      for (std::size_t i = 0; i < t.rows(); ++i) {
+        out = std::copy_n(t.data() + i * t.stride(), t.cols(), out);
+      }
+    }
+    return pack_.data();
+  }
+
+  /// Charge and move one bcast (@p combine false) or reduce of
+  /// @p words among @p group: the tiles' bytes when @p tiles is
+  /// non-null, the transport's synthetic pattern otherwise.  Every
+  /// member is checked before anything is charged.
+  void collective(const std::vector<std::size_t>& group, std::size_t words,
+                  const Tiles* tiles, bool combine) {
+    for (std::size_t p : group) check_proc(p);  // all-or-nothing charging
+    const std::uint64_t rounds = bcast_rounds(group.size());
+    if (rounds == 0 || words == 0) return;
+    for (std::size_t p : group) {
+      procs_[p].nw.add(rounds * words, rounds);
+      if (combine) procs_[p].l2_write.add(rounds * words, rounds);
+    }
+    if (!transport_->moves_data()) return;
+    const double* payload = tiles != nullptr ? pack(*tiles) : nullptr;
+    const Timer t(comm_wall_seconds_, comm_timer_depth_);
+    if (combine) {
+      transport_->reduce(group, words, payload);
+    } else {
+      transport_->bcast(group, words, payload);
+    }
+  }
+
   /// Charge a checked point-to-point transfer to both endpoints; a
   /// self or zero-word transfer crosses no network and is charged
   /// nothing.  Returns whether anything was charged.
@@ -418,6 +468,7 @@ class Machine {
   std::unique_ptr<Backend> backend_;
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<Kept> slot_;
+  std::vector<double> pack_;  // collective(): packed tiles
   double wall_seconds_ = 0.0;
   double comm_wall_seconds_ = 0.0;
   std::atomic<int> local_timer_depth_{0};

@@ -172,8 +172,6 @@ void step_loop(Machine& m, const char* who, std::size_t c,
   // chunked: the same words in more, smaller broadcasts.  Ceiling
   // division so a chunk_c2 that does not divide c still broadcasts in
   // pieces no coarser than chunk_c2 layer units.
-  const bool move = m.transport().moves_data();
-  std::vector<double> scratch, scratch_b;
   if (c > 1) {
     const std::size_t chunk = std::min(chunk_c2 == 0 ? c : chunk_c2, c);
     for (std::size_t i = 0; i < lg.rows(); ++i) {
@@ -185,20 +183,14 @@ void step_loop(Machine& m, const char* who, std::size_t c,
         const auto fiber = g.fiber_group(i, j);
         const auto pieces =
             detail::split_words(blk, (c + chunk - 1) / chunk);
-        // Real replicas move piecewise: pack the owned A/B blocks once
-        // and fan out each chunk with a running offset.
-        const double* a_pay =
-            move ? detail::pack_block(
-                       A.block(rb.off, cb.off, rb.sz, cb.sz), scratch)
-                 : nullptr;
-        const double* b_pay =
-            move ? detail::pack_block(
-                       B.block(rb.off, cb.off, rb.sz, cb.sz), scratch_b)
-                 : nullptr;
+        // Replicas move piecewise: each piece carries the next words of
+        // the owned A and B blocks, row-major.
+        const auto a_blk = A.block(rb.off, cb.off, rb.sz, cb.sz);
+        const auto b_blk = B.block(rb.off, cb.off, rb.sz, cb.sz);
         std::size_t off = 0;
         for (std::size_t w : pieces) {
-          m.bcast(fiber, w, a_pay != nullptr ? a_pay + off : nullptr);
-          m.bcast(fiber, w, b_pay != nullptr ? b_pay + off : nullptr);
+          m.bcast(fiber, detail::word_range(a_blk, off, w));
+          m.bcast(fiber, detail::word_range(b_blk, off, w));
           off += w;
         }
         // The partial C blocks do not exist yet at charge time; the
@@ -218,23 +210,13 @@ void step_loop(Machine& m, const char* who, std::size_t c,
       const BlockRange& panel = panels[t];
       for (std::size_t i = 0; i < lg.rows(); ++i) {
         const BlockRange rb = lg.row_block(n, i);
-        const std::size_t words = rb.sz * panel.sz;
-        if (words == 0) continue;
-        const double* payload =
-            move ? detail::pack_block(
-                       A.block(rb.off, panel.off, rb.sz, panel.sz), scratch)
-                 : nullptr;
-        m.bcast(g.row_group(i, l), words, payload);
+        m.bcast(g.row_group(i, l),
+                {A.block(rb.off, panel.off, rb.sz, panel.sz)});
       }
       for (std::size_t j = 0; j < lg.cols(); ++j) {
         const BlockRange cb = lg.col_block(n, j);
-        const std::size_t words = panel.sz * cb.sz;
-        if (words == 0) continue;
-        const double* payload =
-            move ? detail::pack_block(
-                       B.block(panel.off, cb.off, panel.sz, cb.sz), scratch)
-                 : nullptr;
-        m.bcast(g.col_group(j, l), words, payload);
+        m.bcast(g.col_group(j, l),
+                {B.block(panel.off, cb.off, panel.sz, cb.sz)});
       }
     }
   }

@@ -18,7 +18,11 @@
 //              in layer units: chunk_c2 = c sends each replica whole;
 //              chunk_c2 = 1 sends c chunks of 1/c size (same words,
 //              more messages).  A value not dividing c rounds to
-//              ceil(c / chunk_c2) pieces.  0 means whole.
+//              ceil(c / chunk_c2) pieces.  0 means whole.  Each piece
+//              carries the next words of the owned block, row-major.
+//              bench_table1 sets it, positionally, for its 2.5DMML3
+//              row: Mm25dOptions{c3, true, false, c2}, chunk_c2 being
+//              the 2.5DMML2 row's replication factor c2.
 //
 // The geometry is ProcessGrid3D(P, c) (dist/grid.hpp): c must divide
 // P, but P/c no longer has to be a perfect square (it is factored into

@@ -148,39 +148,10 @@ void ShmTransport::stage(std::size_t src, std::size_t words,
   }
 }
 
-ShmTransport::Msg ShmTransport::package(std::size_t src,
-                                        std::size_t words) const {
-  Msg msg;
-  msg.data.assign(arenas_[src].data(), arenas_[src].data() + words);
-  msg.digest = detail::payload_digest(msg.data.data(), words);
-  return msg;
-}
-
-bool ShmTransport::land(std::size_t dst, const Msg& got, std::size_t words,
-                        bool combine) {
-  if (!detail::land_verified(arenas_[dst], got.data.data(), words,
-                             got.digest, combine)) {
-    return false;
-  }
-  const MutexLock lock(stats_mu_);
-  stats_.messages += 1;
-  stats_.words += words;
-  stats_.verified += words;
-  return true;
-}
-
-void ShmTransport::hop(std::size_t src, std::size_t dst, std::size_t words,
-                       bool combine) {
-  // Sender side: the rank-private source bytes leave src's arena
-  // through a heap message (one real copy); receiver side: verify and
-  // land them in dst's arena (a second real copy).
-  if (!land(dst, package(src, words), words, combine)) throw_corrupted();
-}
-
-void ShmTransport::deliver(const Transfer& t, Msg& msg) {
-  // Sender side: the sender's bytes go straight into the heap message
-  // (one real copy, or the pattern written there); receiver side:
-  // verify and land them in dst's arena (a second real copy).
+void ShmTransport::deliver(const Transfer& t, bool combine, Msg& msg) {
+  // Sender side: the sender's bytes go into the heap message (one real
+  // copy, or the pattern written there); receiver side: verify and
+  // land them in dst's arena (a second real copy, or the add).
   msg.data.resize(t.words);
   if (t.payload != nullptr) {
     std::memcpy(msg.data.data(), t.payload, t.words * sizeof(double));
@@ -188,7 +159,14 @@ void ShmTransport::deliver(const Transfer& t, Msg& msg) {
     synthetic_payload(t.src, msg.data.data(), t.words);
   }
   msg.digest = detail::payload_digest(msg.data.data(), t.words);
-  if (!land(t.dst, msg, t.words, /*combine=*/false)) throw_corrupted();
+  if (!detail::land_verified(arenas_[t.dst], msg.data.data(), t.words,
+                             msg.digest, combine)) {
+    throw_corrupted();
+  }
+  const MutexLock lock(stats_mu_);
+  stats_.messages += 1;
+  stats_.words += t.words;
+  stats_.verified += t.words;
 }
 
 void ShmTransport::send(std::size_t src, std::size_t dst, std::size_t words,
@@ -198,7 +176,7 @@ void ShmTransport::send(std::size_t src, std::size_t dst, std::size_t words,
   if (words == 0 || src == dst) return;
   const OpTimer t(*this);
   Msg msg;
-  deliver(Transfer{src, dst, words, payload}, msg);
+  deliver(Transfer{src, dst, words, payload}, /*combine=*/false, msg);
 }
 
 void ShmTransport::send_all(const std::vector<Transfer>& transfers,
@@ -226,7 +204,9 @@ void ShmTransport::send_all(const std::vector<Transfer>& transfers,
       dsts, uncharged,
       [this, &inbox](std::size_t dst, memsim::Hierarchy&) {
         Msg msg;
-        for (const Transfer* t : inbox[dst]) deliver(*t, msg);
+        for (const Transfer* t : inbox[dst]) {
+          deliver(*t, /*combine=*/false, msg);
+        }
       },
       [](std::size_t, const memsim::Hierarchy&) {});
 }
@@ -240,9 +220,14 @@ void ShmTransport::bcast(const std::vector<std::size_t>& group,
   stage(group.front(), words, payload);
   // The binomial tree the Machine charges: in round r every rank with
   // group index < 2^r that has the data forwards it to index + 2^r.
+  // A round's senders and receivers are disjoint, so each hop reads
+  // bytes no hop of its round writes.
+  Msg msg;
   for (std::size_t step = 1; step < g; step *= 2) {
     for (std::size_t i = 0; i < step && i + step < g; ++i) {
-      hop(group[i], group[i + step], words, /*combine=*/false);
+      const std::size_t src = group[i];
+      deliver({src, group[i + step], words, arenas_[src].data()},
+              /*combine=*/false, msg);
     }
   }
 }
@@ -258,9 +243,12 @@ void ShmTransport::reduce(const std::vector<std::size_t>& group,
   // hop performs the real elementwise combine the Machine charges as
   // L1 -> L2 merge traffic.
   for (std::size_t p : group) stage(p, words, payload);
+  Msg msg;
   for (std::size_t step = 1; step < g; step *= 2) {
     for (std::size_t i = 0; i + step < g; i += 2 * step) {
-      hop(group[i + step], group[i], words, /*combine=*/true);
+      const std::size_t src = group[i + step];
+      deliver({src, group[i], words, arenas_[src].data()},
+              /*combine=*/true, msg);
     }
   }
 }

@@ -11,21 +11,26 @@
 //
 //   ShmTransport  every modelled transfer really moves its payload:
 //                 each rank owns a private heap arena, and every
-//                 delivery builds a digested heap message from the
-//                 sender's bytes (the payload, or a synthetic pattern
-//                 of the same size), then verifies and copies it into
-//                 the receiver's arena.  A batch of point-to-point
-//                 sends (send_all: a halo exchange, LL-LU's refetch)
-//                 runs as one backend job whose ranks are the
-//                 batch's destinations: each destination lands its
-//                 own deliveries in list order, so under a
-//                 ThreadedBackend the pool's workers move the bytes
-//                 while every arena and every count ends exactly as
-//                 after the same sends issued one at a time.
+//                 delivery -- a send or one hop of a bcast or reduce
+//                 tree -- goes through one routine that builds a
+//                 digested heap message from the sender's bytes (the
+//                 payload, the sender's arena on a tree hop, or a
+//                 synthetic pattern of the same size when there is no
+//                 payload), then verifies it and copies it into the
+//                 receiver's arena, or adds it there on a reduce hop.
+//                 A batch of point-to-point sends (send_all: a halo
+//                 exchange, LL-LU's refetch) runs as one backend job
+//                 whose ranks are the batch's destinations: each
+//                 destination lands its own deliveries in list order,
+//                 so under a ThreadedBackend the pool's workers move
+//                 the bytes while every arena and every count ends
+//                 exactly as after the same sends issued one at a
+//                 time.
 //                 Broadcasts and reductions execute the same binomial
 //                 trees the Machine charges, hop by hop on the
-//                 calling thread, with real memcpys (and real
-//                 elementwise combines for reduce).  Every delivery
+//                 calling thread, reusing one message per call; a
+//                 round's senders and receivers are disjoint, so a
+//                 hop reads no bytes its round writes.  Every delivery
 //                 is digested end-to-end (dist/payload_digest.hpp: a
 //                 4-lane word-parallel digest that any corruption
 //                 confined to one word always changes), and the
@@ -96,8 +101,10 @@ class Transport {
   virtual ~Transport() = default;
   virtual const char* name() const = 0;
 
-  /// True when payload bytes physically move.  Callers use this to
-  /// skip packing payloads for a charge-only transport.
+  /// True when payload bytes physically move.  The Machine reads it
+  /// to skip packing a collective's tiles, and calling the transport
+  /// at all, under a charge-only transport; algorithms never do
+  /// (tools/wa_lint.py's wa-payload rule).
   virtual bool moves_data() const = 0;
 
   /// Size the per-rank address spaces for a P-rank machine.  Called
@@ -191,25 +198,14 @@ class ShmTransport final : public Transport {
   // Stage @p words from @p payload (or the synthetic pattern) into
   // rank @p src's arena, the start of a bcast or reduce tree.
   void stage(std::size_t src, std::size_t words, const double* payload);
-  // Sender side of a hop: copy @p words of src's arena into a digested
-  // heap message.
-  Msg package(std::size_t src, std::size_t words) const;
-  // One point-to-point delivery: build @p t's message in @p msg
-  // straight from the sender's bytes (payload or synthetic pattern;
-  // no arena is read), then land it in t.dst's arena; throws on a
-  // digest mismatch.  @p msg is reused across one destination's
-  // deliveries.
-  void deliver(const Transfer& t, Msg& msg);
-  // Receiver side of a hop: detail::land_verified into dst's arena
-  // (@p combine adds instead of overwriting: the reduce hop), counting
-  // the delivery.  Returns false, with the arena untouched, on a
-  // digest mismatch.
-  bool land(std::size_t dst, const Msg& got, std::size_t words,
-            bool combine);
-  // One hop: src's arena -> heap message -> dst's arena; throws on a
-  // digest mismatch.
-  void hop(std::size_t src, std::size_t dst, std::size_t words,
-           bool combine);
+  // Every delivery, point-to-point or a tree hop: build @p t's message
+  // in @p msg from the sender's bytes (t.payload -- a tree hop passes
+  // the sender's arena -- or the synthetic pattern when it is null),
+  // then land it in t.dst's arena, adding instead of overwriting when
+  // @p combine is set (the reduce hop), and count it; throws, with the
+  // arena untouched, on a digest mismatch.  @p msg is reused across
+  // one caller's deliveries.
+  void deliver(const Transfer& t, bool combine, Msg& msg);
   void check_rank(std::size_t p) const;
 
   std::size_t P_ = 0;

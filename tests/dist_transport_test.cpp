@@ -9,15 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "dist/calibrate.hpp"
+#include "dist/detail.hpp"
 #include "dist/krylov.hpp"
 #include "dist/lu.hpp"
 #include "dist/machine.hpp"
@@ -318,11 +321,13 @@ TEST(ShmSendAllTest, OutOfRangeRankChargesAndMovesNothing) {
   Machine ms[] = {shm_machine(std::make_unique<SerialSimBackend>()),
                   shm_machine(std::make_unique<ThreadedBackend>(3))};
   std::vector<double> payload(8, 1.0);
+  const Machine::Tiles tile = {
+      linalg::ConstMatrixView<double>(payload.data(), 1, 8, 8)};
   for (Machine& m : ms) {
     EXPECT_THROW(m.bcast({6}, 8), std::out_of_range) << m.backend().name();
     EXPECT_THROW(m.reduce({7}, 8), std::out_of_range) << m.backend().name();
-    m.bcast({5}, 8, payload.data());
-    m.reduce({5}, 8, payload.data());
+    m.bcast({5}, tile);
+    m.reduce({5}, tile);
     expect_untouched(m);
   }
 }
@@ -504,6 +509,209 @@ TEST(MachineTransportTest, SetTransportAttachesToMachineWidth) {
   EXPECT_EQ(dynamic_cast<const ShmTransport*>(&m.transport())->stats().words,
             14u);
   EXPECT_THROW(m.set_transport(nullptr), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Movement tied to charging: under ShmTransport every charged event
+// moves a closed-form number of words, (g-1) w for a collective among
+// g ranks and w for a send, and a collective's tiles land row-major,
+// back to back.
+
+/// A Machine of 9 ranks over ShmTransport on @p backend.
+Machine shm_machine9(std::unique_ptr<Backend> backend) {
+  return Machine(9, 32, 64, 128, HwParams{}, std::move(backend),
+                 std::make_unique<ShmTransport>());
+}
+
+/// Ensures what one collective call charged and moved: every member
+/// @p rounds rounds of @p w words (and, for a reduce, as many L1 -> L2
+/// combine words), no other rank anything, and g-1 deliveries of w.
+void expect_moved_as_charged(const Machine& m, const ProcTraffic* before,
+                             const TransportStats& moved_before,
+                             const std::vector<std::size_t>& group,
+                             std::size_t w, bool reduce, const char* what) {
+  const std::size_t g = group.size();
+  const std::uint64_t rounds = Machine::bcast_rounds(g);
+  const TransportStats st = shm_of(m).stats();
+  EXPECT_EQ(st.messages - moved_before.messages, g - 1) << what;
+  EXPECT_EQ(st.words - moved_before.words, (g - 1) * w) << what;
+  EXPECT_EQ(st.verified - moved_before.verified, (g - 1) * w) << what;
+  for (std::size_t p = 0; p < m.nprocs(); ++p) {
+    const bool member = std::find(group.begin(), group.end(), p) != group.end();
+    const std::uint64_t words = member ? rounds * w : 0;
+    const std::uint64_t msgs = member ? rounds : 0;
+    const ProcTraffic& t = m.proc(p);
+    EXPECT_EQ(t.nw.words - before[p].nw.words, words) << what << " rank " << p;
+    EXPECT_EQ(t.nw.messages - before[p].nw.messages, msgs)
+        << what << " rank " << p;
+    EXPECT_EQ(t.l2_write.words - before[p].l2_write.words,
+              reduce ? words : 0)
+        << what << " rank " << p;
+    EXPECT_EQ(t.l2_write.messages - before[p].l2_write.messages,
+              reduce ? msgs : 0)
+        << what << " rank " << p;
+  }
+}
+
+TEST(MachineMovementTest, EveryCollectiveMovesWhatItCharges) {
+  for (const bool pool : {false, true}) {
+    Machine m = shm_machine9(
+        pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
+             : std::make_unique<SerialSimBackend>());
+    for (std::size_t g = 1; g <= 9; ++g) {
+      // A scrambled group, so the root is not rank 0 and the members
+      // are not a prefix.
+      std::vector<std::size_t> group(g);
+      for (std::size_t i = 0; i < g; ++i) group[i] = (2 * i + 5) % 9;
+      for (const std::size_t w : {std::size_t{1}, std::size_t{37}}) {
+        // The tile form carries a strided column of a w x 3 matrix.
+        Matrix<double> src(w, 3);
+        for (std::size_t i = 0; i < w; ++i) {
+          for (std::size_t j = 0; j < 3; ++j) src(i, j) = double(3 * i + j);
+        }
+        const Machine::Tiles tiles = {src.block(0, 1, w, 1)};
+        for (int call = 0; call < 4; ++call) {
+          const bool reduce = call >= 2;
+          const bool tiled = call % 2 == 1;
+          const std::string what =
+              std::string(m.backend().name()) + (reduce ? " reduce" : " bcast") +
+              (tiled ? " tiles" : " words") + " g=" + std::to_string(g) +
+              " w=" + std::to_string(w);
+          std::vector<ProcTraffic> before(m.nprocs());
+          for (std::size_t p = 0; p < m.nprocs(); ++p) before[p] = m.proc(p);
+          const TransportStats moved = shm_of(m).stats();
+          if (reduce) {
+            tiled ? m.reduce(group, tiles) : m.reduce(group, w);
+          } else {
+            tiled ? m.bcast(group, tiles) : m.bcast(group, w);
+          }
+          expect_moved_as_charged(m, before.data(), moved, group, w, reduce,
+                                  what.c_str());
+        }
+      }
+    }
+  }
+}
+
+TEST(MachineMovementTest, SendAllMovesOnlyWhatItCharges) {
+  std::vector<double> payload(23, 0.25);
+  const std::vector<Transfer> batch = {
+      {0, 1, 10},  {1, 0, 10},  // a pair in both directions
+      {2, 2, 40},                // self: charged and moved nothing
+      {3, 4, 0},                 // zero words: nothing
+      {0, 1, 7},                 // the same endpoints again
+      {5, 1, 23, payload.data()},
+      {8, 8, 0},                 // self and empty
+      {6, 7, 3},
+  };
+  std::vector<std::uint64_t> want(9, 0);
+  std::uint64_t messages = 0, words = 0;
+  for (const Transfer& t : batch) {
+    if (t.src == t.dst || t.words == 0) continue;
+    want[t.src] += t.words;
+    want[t.dst] += t.words;
+    messages += 1;
+    words += t.words;
+  }
+  ASSERT_EQ(messages, 5u);
+  ASSERT_EQ(words, 53u);
+  for (const bool pool : {false, true}) {
+    Machine m = shm_machine9(
+        pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
+             : std::make_unique<SerialSimBackend>());
+    m.send_all(batch);
+    const TransportStats st = shm_of(m).stats();
+    EXPECT_EQ(st.messages, messages) << m.backend().name();
+    EXPECT_EQ(st.words, words) << m.backend().name();
+    EXPECT_EQ(st.verified, words) << m.backend().name();
+    for (std::size_t p = 0; p < m.nprocs(); ++p) {
+      EXPECT_EQ(m.proc(p).nw.words, want[p]) << m.backend().name() << " " << p;
+    }
+  }
+}
+
+/// @p tiles concatenated row-major, back to back.
+std::vector<double> row_major(const Machine::Tiles& tiles) {
+  std::vector<double> out;
+  for (const auto& t : tiles) {
+    for (std::size_t i = 0; i < t.rows(); ++i) {
+      for (std::size_t j = 0; j < t.cols(); ++j) out.push_back(t(i, j));
+    }
+  }
+  return out;
+}
+
+/// Small integers, so sums of a few of them are exact.
+Matrix<double> numbered(std::size_t rows, std::size_t cols, double base) {
+  Matrix<double> a(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) a(i, j) = base + double(i * cols + j);
+  }
+  return a;
+}
+
+TEST(MachineMovementTest, TilesLandRowMajorBackToBack) {
+  const Matrix<double> a = numbered(7, 9, 1.0);
+  const Matrix<double> b = numbered(6, 5, 100.0);
+  const std::vector<std::size_t> group = {4, 0, 7, 2, 5};
+  struct Case {
+    const char* name;
+    Machine::Tiles tiles;
+  };
+  const Case cases[] = {
+      // Two strided views into larger matrices.
+      {"two strided tiles", {a.block(1, 2, 3, 4), b.block(2, 1, 4, 3)}},
+      // One contiguous tile goes to the transport unpacked.
+      {"one contiguous tile", {b.view()}},
+  };
+  for (const Case& c : cases) {
+    const std::vector<double> want = row_major(c.tiles);
+    for (const bool pool : {false, true}) {
+      Machine m = shm_machine9(
+          pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
+               : std::make_unique<SerialSimBackend>());
+      m.bcast(group, c.tiles);
+      for (std::size_t p : group) {
+        const std::vector<double>& got = shm_of(m).arena(p);
+        ASSERT_EQ(got.size(), want.size()) << c.name << " rank " << p;
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(double)))
+            << c.name << " rank " << p;
+      }
+      // A reduce stages the same bytes on every member and adds them
+      // up the tree: the root ends with |group| times the tiles.
+      m.reduce(group, c.tiles);
+      const std::vector<double>& root = shm_of(m).arena(group.front());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(root[i], double(group.size()) * want[i])
+            << c.name << " word " << i;
+      }
+    }
+  }
+}
+
+TEST(WordRangeTest, ViewsCoverExactlyTheWordRange) {
+  // Blocks of every shape up to 5 x 5, strided inside a larger matrix.
+  const Matrix<double> big = numbered(8, 9, 0.5);
+  for (std::size_t rows = 1; rows <= 5; ++rows) {
+    for (std::size_t cols = 1; cols <= 5; ++cols) {
+      const auto blk = big.block(2, 3, rows, cols);
+      const std::vector<double> all = row_major({blk});
+      for (std::size_t off = 0; off <= rows * cols; ++off) {
+        for (std::size_t w = 0; off + w <= rows * cols; ++w) {
+          const Machine::Tiles views = detail::word_range(blk, off, w);
+          EXPECT_LE(views.size(), 3u);
+          for (const auto& v : views) EXPECT_GT(v.rows() * v.cols(), 0u);
+          const std::vector<double> got = row_major(views);
+          const std::vector<double> want(all.begin() + off,
+                                         all.begin() + off + w);
+          EXPECT_EQ(got, want) << rows << "x" << cols << " [" << off << ", "
+                               << off + w << ")";
+        }
+      }
+      EXPECT_THROW(detail::word_range(blk, 1, rows * cols), std::out_of_range);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,12 @@ contract before any memcmp pin can catch them:
                  anywhere in src/ outside src/dist/backend.{hpp,cpp}:
                  ThreadedBackend's persistent pool is the library's only
                  thread launcher, so concurrent work runs on it.
+  wa-payload     a moves_data() call anywhere in src/ outside
+                 src/dist/machine.hpp and the transport files
+                 (src/dist/transport.{hpp,cpp}, transport_mpi.cpp): the
+                 Machine alone decides which bytes move, so algorithms
+                 hand it their tiles or word counts and never branch on
+                 the transport.
 
 Suppression: a `NOLINT(wa-<rule>): <reason>` comment on the finding's
 line or one of the two lines above silences that rule there; the reason
@@ -50,6 +56,12 @@ LIBRARY_DIRS = ("src",)
 RULE_HOMES = {
     "wa-counter": ("src/dist/machine.hpp",),  # mutates counter channels
     "wa-thread": ("src/dist/backend.hpp", "src/dist/backend.cpp"),  # the pool
+    "wa-payload": (  # the Machine packs; the transports move
+        "src/dist/machine.hpp",
+        "src/dist/transport.hpp",
+        "src/dist/transport.cpp",
+        "src/dist/transport_mpi.cpp",
+    ),
 }
 
 CHANNELS = r"(?:nw|l3_read|l3_write|l2_read|l2_write)"
@@ -108,6 +120,13 @@ RULES = [
         ),
         "thread launch outside src/dist/backend.{hpp,cpp}; run the work "
         "on the ThreadedBackend pool",
+    ),
+    (
+        "wa-payload",
+        LIBRARY_DIRS,
+        re.compile(r"\bmoves_data\s*\("),
+        "moves_data() outside the Machine and the transports; pass the "
+        "collective its tiles (Machine::Tiles) or a word count instead",
     ),
 ]
 
