@@ -470,8 +470,10 @@ void expect_cacg_writes(const Machine& m, const Partition& part,
   const std::uint64_t per_outer =
       mode == krylov::CaCgMode::kStored ? 2 * s + 4 : 3;
   const std::size_t n = part.nodes(), P = part.ranks();
+  std::size_t rows = 0;  // the owned counts must tile the rows
   for (std::size_t p = 0; p < P; ++p) {
     const std::uint64_t own = part.owned_count(p);
+    rows += own;
     const std::uint64_t w = m.proc(p).l3_write.words;
     EXPECT_EQ(w, 2 * own + steps / s * per_outer * own)
         << "P=" << P << " rank " << p;
@@ -481,6 +483,7 @@ void expect_cacg_writes(const Machine& m, const Partition& part,
           << "P=" << P << " rank " << p;
     }
   }
+  EXPECT_EQ(rows, n) << "P=" << P;
 }
 
 /// The operators of the per-rank W12 regressions: a 1-D stencil (the
@@ -622,8 +625,10 @@ TEST(ModelRegression, DistCgPerRankW12MatchesClassicalRate) {
       const auto res = cg(m, *part, A, b, x, 4000, 1e-9);
       ASSERT_TRUE(res.converged);
       const std::uint64_t steps = res.iterations;
+      std::size_t rows = 0;  // the owned counts must tile the rows
       for (std::size_t p = 0; p < P; ++p) {
         const std::uint64_t own = part->owned_count(p);
+        rows += own;
         const std::uint64_t w = m.proc(p).l3_write.words;
         EXPECT_EQ(w, 2 * own + steps * 4 * own) << "rank " << p;
         if (own * P == n) {
@@ -632,6 +637,7 @@ TEST(ModelRegression, DistCgPerRankW12MatchesClassicalRate) {
               << "rank " << p;
         }
       }
+      EXPECT_EQ(rows, n);
     }
   }
 }
