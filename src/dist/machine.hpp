@@ -247,9 +247,10 @@ class Machine {
   /// Binomial-tree reduction onto group.front(): the network cost of
   /// a broadcast, plus each round's combine -- merging the received
   /// partial into the local one writes its words from L1 back to L2
-  /// per round.  Under a data-moving transport partials are really
-  /// combined elementwise at every hop of the gather tree, each rank
-  /// contributing the same bytes bcast would move.
+  /// per round.  Under a data-moving transport every member stages
+  /// the same bytes (the tiles, or the synthetic pattern) and the
+  /// partials are really combined elementwise at every hop of the
+  /// gather tree.
   void reduce(const std::vector<std::size_t>& group, std::size_t words) {
     collective(group, words, nullptr, /*combine=*/true);
   }

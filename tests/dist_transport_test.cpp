@@ -517,15 +517,24 @@ TEST(MachineTransportTest, SetTransportAttachesToMachineWidth) {
 // g ranks and w for a send, and a collective's tiles land row-major,
 // back to back.
 
-/// A Machine of 9 ranks over ShmTransport on @p backend.
-Machine shm_machine9(std::unique_ptr<Backend> backend) {
+/// A Machine of 9 ranks over ShmTransport, on ThreadedBackend(3) when
+/// @p pool is set and on SerialSimBackend otherwise.
+Machine shm_machine9(bool pool) {
+  std::unique_ptr<Backend> backend;
+  if (pool) {
+    backend = std::make_unique<ThreadedBackend>(3);
+  } else {
+    backend = std::make_unique<SerialSimBackend>();
+  }
   return Machine(9, 32, 64, 128, HwParams{}, std::move(backend),
                  std::make_unique<ShmTransport>());
 }
 
-/// Ensures what one collective call charged and moved: every member
-/// @p rounds rounds of @p w words (and, for a reduce, as many L1 -> L2
-/// combine words), no other rank anything, and g-1 deliveries of w.
+/// Checks what one collective call among @p group charged and moved,
+/// from the counters @p before and the stats @p moved_before it: each
+/// member ceil(log2 g) rounds of @p w words (and, for a reduce, as
+/// many L1 -> L2 combine words), no other rank anything, and g-1
+/// deliveries of @p w words.
 void expect_moved_as_charged(const Machine& m, const ProcTraffic* before,
                              const TransportStats& moved_before,
                              const std::vector<std::size_t>& group,
@@ -555,9 +564,7 @@ void expect_moved_as_charged(const Machine& m, const ProcTraffic* before,
 
 TEST(MachineMovementTest, EveryCollectiveMovesWhatItCharges) {
   for (const bool pool : {false, true}) {
-    Machine m = shm_machine9(
-        pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
-             : std::make_unique<SerialSimBackend>());
+    Machine m = shm_machine9(pool);
     for (std::size_t g = 1; g <= 9; ++g) {
       // A scrambled group, so the root is not rank 0 and the members
       // are not a prefix.
@@ -573,10 +580,11 @@ TEST(MachineMovementTest, EveryCollectiveMovesWhatItCharges) {
         for (int call = 0; call < 4; ++call) {
           const bool reduce = call >= 2;
           const bool tiled = call % 2 == 1;
-          const std::string what =
-              std::string(m.backend().name()) + (reduce ? " reduce" : " bcast") +
-              (tiled ? " tiles" : " words") + " g=" + std::to_string(g) +
-              " w=" + std::to_string(w);
+          const std::string what = std::string(m.backend().name()) +
+                                   (reduce ? " reduce" : " bcast") +
+                                   (tiled ? " tiles" : " words") +
+                                   " g=" + std::to_string(g) +
+                                   " w=" + std::to_string(w);
           std::vector<ProcTraffic> before(m.nprocs());
           for (std::size_t p = 0; p < m.nprocs(); ++p) before[p] = m.proc(p);
           const TransportStats moved = shm_of(m).stats();
@@ -616,9 +624,7 @@ TEST(MachineMovementTest, SendAllMovesOnlyWhatItCharges) {
   ASSERT_EQ(messages, 5u);
   ASSERT_EQ(words, 53u);
   for (const bool pool : {false, true}) {
-    Machine m = shm_machine9(
-        pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
-             : std::make_unique<SerialSimBackend>());
+    Machine m = shm_machine9(pool);
     m.send_all(batch);
     const TransportStats st = shm_of(m).stats();
     EXPECT_EQ(st.messages, messages) << m.backend().name();
@@ -645,7 +651,9 @@ std::vector<double> row_major(const Machine::Tiles& tiles) {
 Matrix<double> numbered(std::size_t rows, std::size_t cols, double base) {
   Matrix<double> a(rows, cols);
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < cols; ++j) a(i, j) = base + double(i * cols + j);
+    for (std::size_t j = 0; j < cols; ++j) {
+      a(i, j) = base + double(i * cols + j);
+    }
   }
   return a;
 }
@@ -667,9 +675,7 @@ TEST(MachineMovementTest, TilesLandRowMajorBackToBack) {
   for (const Case& c : cases) {
     const std::vector<double> want = row_major(c.tiles);
     for (const bool pool : {false, true}) {
-      Machine m = shm_machine9(
-          pool ? std::unique_ptr<Backend>(std::make_unique<ThreadedBackend>(3))
-               : std::make_unique<SerialSimBackend>());
+      Machine m = shm_machine9(pool);
       m.bcast(group, c.tiles);
       for (std::size_t p : group) {
         const std::vector<double>& got = shm_of(m).arena(p);
