@@ -23,6 +23,7 @@
 #include "dist/lu.hpp"
 #include "dist/machine.hpp"
 #include "dist/summa.hpp"
+#include "dist/transport.hpp"
 #include "krylov/cacg.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/local_kernels.hpp"
@@ -624,6 +625,81 @@ TEST(LocalKernelsKnownAnswers, LuAtEndToEndPanelWidths) {
     const char* who = tc.left ? "lu_left_looking" : "lu_right_looking";
     EXPECT_EQ(bits.value(), on_this_leg(tc.bits)) << who;
     EXPECT_EQ(counters.value(), tc.counters) << who;
+  }
+}
+
+TEST(LocalKernelsKnownAnswers, LeftLookingLuOnGridShapesAndRaggedPanels) {
+  // LL-LU on 1-, 4-, 6-, 7-, 9-, 12- and 16-rank grids, with ragged
+  // last panels and s = 1, on both backends over the data-moving
+  // transport.  Each case pins the output bits (they depend only on
+  // n and b), and every rank's five channels together with the
+  // transport's movement stats.
+  KernelGuard guard(linalg::KernelImpl::kBlocked);
+  const struct {
+    std::size_t n, b, P, s;
+    PerLeg bits;
+    std::uint64_t counters;
+  } cases[] = {
+      {77, 8, 6, 3,
+       {10439572239314505407ull, 10439572239314505407ull},
+       7896561698498492029ull},
+      {77, 8, 7, 1,
+       {10439572239314505407ull, 10439572239314505407ull},
+       14137159903383895983ull},
+      {100, 32, 16, 4,
+       {11634822055562738917ull, 17112558439577097950ull},
+       3474205482569051352ull},
+      {100, 7, 4, 2,
+       {13876021269872972467ull, 13876021269872972467ull},
+       11276942351278680786ull},
+      {256, 32, 16, 4,
+       {10766823911157236784ull, 7733275028971406438ull},
+       16444264879631606053ull},
+      {64, 8, 1, 2,
+       {17906051060541263463ull, 17906051060541263463ull},
+       14338555919535136889ull},
+      {131, 16, 12, 5,
+       {8432400038405228098ull, 8432400038405228098ull},
+       10799306679363415436ull},
+      {50, 3, 9, 2,
+       {1577938265635398215ull, 1577938265635398215ull},
+       3552760655546220244ull},
+  };
+  for (const auto& tc : cases) {
+    const linalg::Matrix<double> a0 = linalg::random_spd(tc.n, 41);
+    for (const bool threaded : {false, true}) {
+      std::unique_ptr<dist::Backend> be;
+      if (threaded) {
+        be = std::make_unique<dist::ThreadedBackend>(3);
+      } else {
+        be = std::make_unique<dist::SerialSimBackend>();
+      }
+      linalg::Matrix<double> a = a0;
+      dist::Machine m(tc.P, 3072, 65536, 1 << 24, dist::HwParams{},
+                      std::move(be), std::make_unique<dist::ShmTransport>());
+      dist::lu_left_looking(m, a.view(), tc.b, tc.s);
+      Fnv bits, counters;
+      bits.add_bits(a);
+      for (std::size_t p = 0; p < m.nprocs(); ++p) {
+        const dist::ProcTraffic& t = m.proc(p);
+        for (const dist::ChanCount* ch :
+             {&t.nw, &t.l3_read, &t.l3_write, &t.l2_read, &t.l2_write}) {
+          counters.add(ch->words);
+          counters.add(ch->messages);
+        }
+      }
+      const dist::TransportStats ts = m.transport().stats();
+      counters.add(ts.messages);
+      counters.add(ts.words);
+      counters.add(ts.verified);
+      const std::string who = "n=" + std::to_string(tc.n) +
+                              " b=" + std::to_string(tc.b) +
+                              " P=" + std::to_string(tc.P) +
+                              " s=" + std::to_string(tc.s) + " " +
+                              m.backend().name();
+      EXPECT_EQ(bits.value(), on_this_leg(tc.bits)) << who;
+      EXPECT_EQ(counters.value(), tc.counters) << who;
+    }
   }
 }
 
