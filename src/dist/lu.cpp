@@ -193,30 +193,55 @@ void lu_left_looking(Machine& m, linalg::MatrixView<double> A, std::size_t b,
       m.send_all(refetch);
     }
 
-    // Top-triangle chain: the U blocks of column jb are produced in
-    // block-row order; each owner pulls every pending panel update
-    // into its tile, then solves against the stored unit-lower
-    // diagonal -- the forward-substitution dependency that makes this
-    // the sequential spine of LL.
-    for (std::size_t k0 = 0; k0 < j0; k0 += b) {
-      const std::size_t kw = std::min(b, j0 - k0);
-      const std::size_t uowner = g.rank(g.cyclic_row_owner(k0 / b), jc);
-      m.run_local_on({uowner}, [&](std::size_t, memsim::Hierarchy& h) {
-        detail::charge_l3_read(h, kw * w, m.M2());  // own U tile, once
-        // Received L row tiles and earlier U blocks pass through L2.
-        detail::charge_l2_transit(h, k0 * kw + k0 * w, m.M2(), 0);
-        for (std::size_t q0 = 0; q0 < k0; q0 += b) {
-          const std::size_t qw = std::min(b, k0 - q0);
-          linalg::active_kernels().gemm_acc(A.block(k0, j0, kw, w), A.block(k0, q0, kw, qw),
-                           A.block(q0, j0, qw, w), -1.0);
-        }
-        linalg::active_kernels().trsm_left_unit_lower(A.block(k0, k0, kw, kw),
-                                     A.block(k0, j0, kw, w));
-        detail::charge_local_gemm(h, kw, w, k0, b1);
-        detail::charge_local_solve(h, kw, w, kw, b1);
+    // Top-triangle chain: the U tiles of column jb in block-row order.
+    // Each tile pulls every earlier tile's update into itself, then
+    // solves against the stored unit-lower diagonal -- the forward-
+    // substitution dependency that makes this the sequential spine of
+    // LL.  It runs right-looking on the column group: once U(q) is
+    // solved and broadcast, every group rank applies it to its own
+    // later tiles in one job, and the owner of tile q + 1 solves that
+    // tile at the end of the same job.  Each tile still takes the same
+    // gemms, in ascending q, and the same solve, and its owner is
+    // charged for it in one phase.  j0 is a multiple of b, so every
+    // top tile is b tall.
+    const auto solve_u = [&](std::size_t k0, memsim::Hierarchy& h) {
+      detail::charge_l3_read(h, b * w, m.M2());  // own U tile, once
+      // Received L row tiles and earlier U blocks pass through L2.
+      detail::charge_l2_transit(h, k0 * b + k0 * w, m.M2(), 0);
+      linalg::active_kernels().trsm_left_unit_lower(A.block(k0, k0, b, b),
+                                                    A.block(k0, j0, b, w));
+      detail::charge_local_gemm(h, b, w, k0, b1);
+      detail::charge_local_solve(h, b, w, b, b1);
+    };
+    const auto u_owner = [&](std::size_t k0) {
+      return g.rank(g.cyclic_row_owner(k0 / b), jc);
+    };
+    if (j0 > 0) {
+      m.run_local_on({u_owner(0)}, [&](std::size_t, memsim::Hierarchy& h) {
+        solve_u(0, h);
       });
-      // The fresh U block feeds every later block of the column.
-      m.bcast(colg, {A.block(k0, j0, kw, w)});
+    }
+    std::vector<std::size_t> later_owners;  // of a tile in [next, j0)
+    for (std::size_t q0 = 0; q0 < j0; q0 += b) {
+      // The fresh U tile feeds every later tile of the column.
+      m.bcast(colg, {A.block(q0, j0, b, w)});
+      const std::size_t next = q0 + b;
+      if (next >= j0) break;
+      later_owners.clear();
+      for (std::size_t p : colg) {
+        if (g.cyclic_row_words(j0, b, g.row_of(p), next) > 0) {
+          later_owners.push_back(p);
+        }
+      }
+      m.run_local_on(later_owners, [&](std::size_t p, memsim::Hierarchy& h) {
+        for (const BlockRange& rb :
+             g.cyclic_row_blocks(j0, b, g.row_of(p), next)) {
+          linalg::active_kernels().gemm_acc(A.block(rb.off, j0, rb.sz, w),
+                                            A.block(rb.off, q0, rb.sz, b),
+                                            A.block(q0, j0, b, w), -1.0);
+        }
+        if (p == u_owner(next)) solve_u(next, h);
+      });
     }
 
     // Below-diagonal update: each rank of the column group applies

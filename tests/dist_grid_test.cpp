@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -656,6 +657,50 @@ INSTANTIATE_TEST_SUITE_P(
                       LuBackendCase{6, 26, "P6_rectangular"},
                       LuBackendCase{7, 23, "prime_P"}),
     [](const auto& info) { return info.param.name; });
+
+/// Runs jobs as SerialSimBackend does and records each job's rank
+/// count.
+class RecordingBackend final : public Backend {
+ public:
+  const char* name() const override { return "recording"; }
+  void run(const std::vector<std::size_t>& ranks,
+           const std::vector<std::size_t>& capacities, const LocalFn& fn,
+           const Sink& sink) override {
+    widths.push_back(ranks.size());
+    run_serially(ranks, capacities, fn, sink);
+  }
+  std::vector<std::size_t> widths;
+};
+
+TEST(LuSchedule, LeftLookingChainStepsRunOnTheColumnGroup) {
+  // P = 16 (4 x 4), n = 256, b = 32: eight block columns on 4-rank
+  // column groups.  Block column jb runs the 16-rank refetch (jb > 0),
+  // then its U chain: the one-rank solve of tile 0, then one step per
+  // tile q < jb - 1 on the ranks owning a tile in (q, jb), which is
+  // min(jb - 1 - q, 4) of them; then the 4-rank below update, the
+  // one-rank diagonal factor and the 4-rank solve.  So one-rank jobs
+  // come only from the first tile's solve, the last step and the
+  // diagonal factor.  The charge-only transport runs no job of its
+  // own.
+  auto recording = std::make_unique<RecordingBackend>();
+  const RecordingBackend& rec = *recording;
+  Machine m(16, 192, 4096, 1 << 22, HwParams{}, std::move(recording),
+            std::make_unique<SimTransport>());
+  auto a = linalg::random_spd(256, 5);
+  lu_left_looking(m, a.view(), 32, 4);
+
+  std::vector<std::size_t> want;
+  for (std::size_t jb = 0; jb < 8; ++jb) {
+    if (jb > 0) want.insert(want.end(), {16, 1});
+    for (std::size_t q = 0; q + 1 < jb; ++q) {
+      want.push_back(std::min<std::size_t>(jb - 1 - q, 4));
+    }
+    want.insert(want.end(), {4, 1, 4});
+  }
+  EXPECT_EQ(rec.widths, want);
+  EXPECT_EQ(rec.widths.size(), 59u);
+  EXPECT_EQ(std::count(rec.widths.begin(), rec.widths.end(), 1u), 21);
+}
 
 TEST(Backends, ErrorPathChargesTheSameRanksAsSerial) {
   // Rank 5 of 8 throws: both backends must have charged exactly the
