@@ -313,27 +313,31 @@ void bench_comm_layers(bench::JsonReport& report, bench::Table& table) {
   dist::ThreadedBackend pool(kThreads);
   std::vector<std::size_t> ranks(kRanks);
   std::iota(ranks.begin(), ranks.end(), std::size_t{0});
-  // The pool's empty-job round trip: wake the workers, claim 16
-  // ranks that do nothing, check in.  Every local phase and every
-  // send_all batch pays at least this.
-  {
+  // The pool's empty-job round trip: wake the workers, claim ranks
+  // that do nothing, check in.  Every local phase and every send_all
+  // batch pays at least this; 16 ranks is a whole-machine phase, 4 a
+  // column-group phase (LL-LU's chain steps).
+  const auto empty_jobs = [&](const char* name, std::size_t width) {
+    const std::vector<std::size_t> job(ranks.begin(), ranks.begin() + width);
     const std::vector<std::size_t> caps = {1, 2};
     const dist::Backend::LocalFn empty = [](std::size_t, memsim::Hierarchy&) {};
     const dist::Backend::Sink drop = [](std::size_t,
                                         const memsim::Hierarchy&) {};
     const std::size_t jobs = 2000;
-    pool.run(ranks, caps, empty, drop);  // starts the workers
+    pool.run(job, caps, empty, drop);  // starts the workers
     const double t = best_of(3, [&] {
-      for (std::size_t j = 0; j < jobs; ++j) pool.run(ranks, caps, empty, drop);
+      for (std::size_t j = 0; j < jobs; ++j) pool.run(job, caps, empty, drop);
     });
     const double us = t / double(jobs) * 1e6;
-    report.add("pool_empty_job", "ranks", std::uint64_t(kRanks));
-    report.add("pool_empty_job", "threads", std::uint64_t(kThreads));
-    report.add("pool_empty_job", "jobs", std::uint64_t(jobs));
-    report.add("pool_empty_job", "us_per_job_wall", us);
-    table.row({"pool_empty_job", std::to_string(kRanks), "-", "-",
+    report.add(name, "ranks", std::uint64_t(width));
+    report.add(name, "threads", std::uint64_t(kThreads));
+    report.add(name, "jobs", std::uint64_t(jobs));
+    report.add(name, "us_per_job_wall", us);
+    table.row({name, std::to_string(width), "-", "-",
                bench::fmt_d(us) + " us/job"});
-  }
+  };
+  empty_jobs("pool_empty_job", kRanks);
+  empty_jobs("pool_empty_job_4", 4);
   // ShmTransport per word, on synthetic payloads of LL-LU's typical
   // refetch size: serial sends into one arena, then a ring of 16
   // transfers issued as one batch on the pool above.

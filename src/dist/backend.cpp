@@ -1,5 +1,7 @@
 #include "dist/backend.hpp"
 
+#include <chrono>
+#include <thread>
 #include <utility>
 
 namespace wa::dist {
@@ -11,6 +13,20 @@ namespace {
 /// (serially) instead of enqueueing on the pool it is already running
 /// on, which would deadlock the check-in barrier.
 thread_local bool t_in_pool_worker = false;
+
+/// Calls @p ready until it holds or ThreadedBackend::kSpin has
+/// passed, yielding between calls.  The scheduler may have queued the
+/// very thread this one waits for on the same CPU (it places a woken
+/// thread next to its waker); a poll that only paused would then hold
+/// that thread off for the whole kSpin, on every job.
+template <class Ready>
+void poll(const Ready& ready) {
+  const auto until =
+      std::chrono::steady_clock::now() + ThreadedBackend::kSpin;
+  while (!ready() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+}
 
 /// Marks the calling thread as a rank runner for one claim loop.
 class ClaimScope {
@@ -27,6 +43,8 @@ ThreadedBackend::~ThreadedBackend() {
   {
     const MutexLock lock(mu_);
     stop_ = true;
+    // A new epoch also ends every worker's poll.
+    epoch_mirror_.store(++epoch_);
   }
   work_cv_.notify_all();
   for (std::thread& th : pool_) th.join();
@@ -60,6 +78,7 @@ void ThreadedBackend::worker_loop() {
   t_in_pool_worker = true;
   std::uint64_t seen = 0;
   for (;;) {
+    poll([this, &seen] { return epoch_mirror_.load() != seen; });
     Job job;
     {
       const MutexLock lock(mu_);
@@ -78,6 +97,7 @@ void ThreadedBackend::worker_loop() {
     {
       const MutexLock lock(mu_);
       last = --unfinished_ == 0;
+      unfinished_mirror_.store(unfinished_);
     }
     if (last) done_cv_.notify_one();
   }
@@ -99,13 +119,15 @@ void ThreadedBackend::run(const std::vector<std::size_t>& ranks,
     if (pool_.empty()) start_pool();
     job_ = job;
     unfinished_ = pool_.size();
-    ++epoch_;
+    unfinished_mirror_.store(unfinished_);
+    epoch_mirror_.store(++epoch_);
   }
   work_cv_.notify_all();
   {
     const ClaimScope claiming;
     claim(job);
   }
+  poll([this] { return unfinished_mirror_.load() == 0; });
   {
     const MutexLock lock(mu_);
     done_cv_.wait(mu_, [this] {

@@ -11,17 +11,17 @@
 //                     and their counters copied).
 //   ThreadedBackend   runs the per-rank local phases -- numerics and
 //                     charging -- on a persistent std::thread pool
-//                     (workers park on a condvar between jobs) plus
-//                     the calling thread.  Every thread claims the
-//                     next position of the job's rank list from one
-//                     shared counter until the list runs out, so a
-//                     slow rank never holds up the ranks behind it.
-//                     Each finished hierarchy lands in the slot of its
-//                     list position and the caller sinks the slots in
-//                     list order after the job's check-in barrier, so
-//                     channel counters are byte-identical to the
-//                     serial backend while the numerics get real
-//                     wall-clock parallelism.
+//                     (workers poll briefly, then park on a condvar
+//                     between jobs) plus the calling thread.  Every
+//                     thread claims the next position of the job's
+//                     rank list from one shared counter until the
+//                     list runs out, so a slow rank never holds up
+//                     the ranks behind it.  Each finished hierarchy
+//                     lands in the slot of its list position and the
+//                     caller sinks the slots in list order after the
+//                     job's check-in barrier, so channel counters are
+//                     byte-identical to the serial backend while the
+//                     numerics get real wall-clock parallelism.
 //
 // A local phase receives (rank, Hierarchy&): the hierarchy enforces
 // L1/L2 capacities exactly as before; the finished hierarchy is
@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -106,10 +107,13 @@ class SerialSimBackend final : public Backend {
 };
 
 /// Persistent-pool threaded backend (see file comment).  Worker
-/// threads are spawned once, on the first parallel run, and parked on
-/// a condition variable between jobs -- LU's many small per-step
-/// phases do not pay a thread spawn+join per phase.  A job runs on up
-/// to threads() + 1 threads: the pool workers and the calling thread
+/// threads are spawned once, on the first parallel run -- LU's many
+/// small per-step phases do not pay a thread spawn+join per phase.
+/// Between jobs a worker polls for the next one for kSpin, then parks
+/// on a condition variable; the caller likewise polls for the
+/// workers' check-ins for kSpin before it parks.  Back-to-back short
+/// jobs so skip a parked thread's wake-up.  A job runs on up to
+/// threads() + 1 threads: the pool workers and the calling thread
 /// claim list positions dynamically, one rank at a time, so each rank
 /// still runs alone on one thread in a fresh hierarchy.  The caller
 /// sinks the finished hierarchies in list order and stops at the first
@@ -133,6 +137,10 @@ class ThreadedBackend final : public Backend {
 
   const char* name() const override { return "threaded"; }
   std::size_t threads() const { return threads_; }
+
+  /// How long an idle worker polls for the next job, and the caller
+  /// for the workers' check-ins, before parking.
+  static constexpr std::chrono::microseconds kSpin{20};
 
   void run(const std::vector<std::size_t>& ranks,
            const std::vector<std::size_t>& capacities, const LocalFn& fn,
@@ -177,6 +185,11 @@ class ThreadedBackend final : public Backend {
   std::uint64_t epoch_ WA_GUARDED_BY(mu_) = 0;
   std::size_t unfinished_ WA_GUARDED_BY(mu_) = 0;
   bool stop_ WA_GUARDED_BY(mu_) = false;
+  // Mirrors of epoch_ and unfinished_ for the polls, stored under mu_
+  // next to the field they mirror.  A poll only decides when to take
+  // mu_: everything it waits for is then read under mu_ as before.
+  std::atomic<std::uint64_t> epoch_mirror_{0};
+  std::atomic<std::size_t> unfinished_mirror_{0};
   // Only the owning thread mutates pool_ (lazy start, destructor
   // join); workers never touch it.
   std::vector<std::thread> pool_;

@@ -19,6 +19,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/backend.hpp"
@@ -843,6 +844,93 @@ TEST(Backends, UnsortedRankListsMergeInListOrder) {
     EXPECT_EQ(threaded.proc(p).l2_read.words, serial.proc(p).l2_read.words)
         << p;
   }
+}
+
+// ---- Poll, then park ---------------------------------------------------
+// Between jobs an idle worker polls for the next one, and the caller
+// for the check-ins, for ThreadedBackend::kSpin before parking.
+
+/// Busy-waits @p gap, so that gaps shorter than kSpin are kept.
+void busy_wait(std::chrono::microseconds gap) {
+  const auto until = std::chrono::steady_clock::now() + gap;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(Backends, JobsAcrossGapsAroundTheSpinSinkInListOrder) {
+  // Gaps shorter than kSpin find the workers polling; longer ones
+  // find them parked.  Either way every job sinks every rank, in
+  // list order.
+  using std::chrono::microseconds;
+  static_assert(microseconds(10) < ThreadedBackend::kSpin &&
+                ThreadedBackend::kSpin < microseconds(1000));
+  ThreadedBackend be(3);
+  const std::vector<std::size_t> caps = {192, 4096, std::size_t(1) << 22};
+  const std::vector<std::size_t> ranks = {5, 0, 3, 1, 4, 2};
+  for (const microseconds gap : {microseconds(0), microseconds(10),
+                                 microseconds(1000), microseconds(10000)}) {
+    for (std::size_t job = 0; job < 8; ++job) {
+      busy_wait(gap);
+      std::vector<std::size_t> seen;
+      be.run(
+          ranks, caps,
+          [](std::size_t p, memsim::Hierarchy& h) { h.load(0, p + 1); },
+          [&](std::size_t p, const memsim::Hierarchy& h) {
+            seen.push_back(p);
+            EXPECT_EQ(h.loads_words(0), p + 1);
+          });
+      EXPECT_EQ(seen, ranks) << "gap " << gap.count() << " us, job " << job;
+    }
+  }
+}
+
+TEST(Backends, DestroyingAPoolRightAfterAJobReturnsPromptly) {
+  // The workers are still polling when the destructor runs; stopping
+  // must end the poll, not wait it out or miss it.
+  const std::vector<std::size_t> caps = {192, 4096, std::size_t(1) << 22};
+  for (std::size_t round = 0; round < 50; ++round) {
+    auto be = std::make_unique<ThreadedBackend>(3);
+    std::size_t sunk = 0;
+    be->run(
+        {0, 1, 2, 3}, caps, [](std::size_t, memsim::Hierarchy&) {},
+        [&](std::size_t, const memsim::Hierarchy&) { ++sunk; });
+    EXPECT_EQ(sunk, 4u);
+    const auto t0 = std::chrono::steady_clock::now();
+    be.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "round " << round;
+  }
+}
+
+TEST(Backends, NestedRunBetweenPolledJobsRunsOnTheOuterRanksThread) {
+  // Back-to-back jobs keep the workers polling; a run() called from
+  // inside a rank still executes inline, on that rank's thread, and
+  // sinks in list order.
+  ThreadedBackend be(3);
+  const std::vector<std::size_t> caps = {192, 4096, std::size_t(1) << 22};
+  const std::vector<std::size_t> outer = {0, 1, 2, 3, 4, 5};
+  const std::vector<std::size_t> inner = {2, 0, 1};
+  std::atomic<std::size_t> off_thread{0}, out_of_order{0};
+  for (std::size_t job = 0; job < 20; ++job) {
+    be.run(
+        outer, caps,
+        [&](std::size_t, memsim::Hierarchy&) {
+          const std::thread::id self = std::this_thread::get_id();
+          std::vector<std::size_t> seen;
+          be.run(
+              inner, caps,
+              [&](std::size_t, memsim::Hierarchy&) {
+                if (std::this_thread::get_id() != self) ++off_thread;
+              },
+              [&](std::size_t p, const memsim::Hierarchy&) {
+                seen.push_back(p);
+              });
+          if (seen != inner) ++out_of_order;
+        },
+        [](std::size_t, const memsim::Hierarchy&) {});
+  }
+  EXPECT_EQ(off_thread.load(), 0u);
+  EXPECT_EQ(out_of_order.load(), 0u);
 }
 
 // ---- Dynamic claiming --------------------------------------------------
