@@ -11,17 +11,17 @@
 //                     and their counters copied).
 //   ThreadedBackend   runs the per-rank local phases -- numerics and
 //                     charging -- on a persistent std::thread pool
-//                     (workers poll briefly, then park on a condvar
-//                     between jobs) plus the calling thread.  Every
-//                     thread claims the next position of the job's
-//                     rank list from one shared counter until the
-//                     list runs out, so a slow rank never holds up
-//                     the ranks behind it.  Each finished hierarchy
-//                     lands in the slot of its list position and the
-//                     caller sinks the slots in list order after the
-//                     job's check-in barrier, so channel counters are
-//                     byte-identical to the serial backend while the
-//                     numerics get real wall-clock parallelism.
+//                     (workers park on a condvar between jobs) plus
+//                     the calling thread.  Every thread claims the
+//                     next position of the job's rank list from one
+//                     shared counter until the list runs out, so a
+//                     slow rank never holds up the ranks behind it.
+//                     Each finished hierarchy lands in the slot of its
+//                     list position and the caller sinks the slots in
+//                     list order after the job's check-in barrier, so
+//                     channel counters are byte-identical to the
+//                     serial backend while the numerics get real
+//                     wall-clock parallelism.
 //
 // A local phase receives (rank, Hierarchy&): the hierarchy enforces
 // L1/L2 capacities exactly as before; the finished hierarchy is
@@ -111,8 +111,8 @@ class SerialSimBackend final : public Backend {
 /// small per-step phases do not pay a thread spawn+join per phase.
 /// Between jobs a worker polls for the next one for kSpin, then parks
 /// on a condition variable; the caller likewise polls for the
-/// workers' check-ins for kSpin before it parks.  Back-to-back short
-/// jobs so skip a parked thread's wake-up.  A job runs on up to
+/// workers' check-ins for kSpin before it parks, so back-to-back
+/// short jobs skip a parked thread's wake-up.  A job runs on up to
 /// threads() + 1 threads: the pool workers and the calling thread
 /// claim list positions dynamically, one rank at a time, so each rank
 /// still runs alone on one thread in a fresh hierarchy.  The caller
