@@ -2,6 +2,10 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "linalg/local_kernels.hpp"  // detail::lu_nopivot_*
+#include "linalg/lu_nopivot_impl.hpp"
 
 namespace wa::linalg {
 
@@ -126,16 +130,18 @@ void cholesky_unblocked(MatrixView<double> A) {
 }
 
 void lu_nopivot_unblocked(MatrixView<double> A) {
-  assert(A.rows() == A.cols());
-  const std::size_t n = A.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (A(k, k) == 0.0) throw std::domain_error("lu: zero pivot");
-    for (std::size_t i = k + 1; i < n; ++i) {
-      A(i, k) /= A(k, k);
-      const double lik = A(i, k);
-      for (std::size_t j = k + 1; j < n; ++j) A(i, j) -= lik * A(k, j);
-    }
+  if (A.rows() != A.cols()) {
+    throw std::invalid_argument("lu_nopivot_unblocked: A is " +
+                                std::to_string(A.rows()) + "x" +
+                                std::to_string(A.cols()) +
+                                ", not square");
   }
+  if (detail::lu_nopivot_avx512(A)) return;
+  detail::lu_nopivot_portable(A);
+}
+
+void detail::lu_nopivot_portable(MatrixView<double> A) {
+  lu_impl::lu_nopivot(A);
 }
 
 void matvec(ConstMatrixView<double> A, std::span<const double> x,

@@ -48,7 +48,10 @@ void syrk_lower_acc(MatrixView<double> A, ConstMatrixView<double> L1,
 void cholesky_unblocked(MatrixView<double> A);
 
 /// Unblocked LU without pivoting (L unit-lower and U overwrite A).
-/// Throws on zero pivot.
+/// Throws std::invalid_argument unless A is square, std::domain_error
+/// on a zero pivot.  On a CPU with AVX-512F it runs the 512-bit
+/// instance of the same loop (detail::lu_nopivot_avx512), bit for bit
+/// the portable one.
 void lu_nopivot_unblocked(MatrixView<double> A);
 
 /// y = A * x.  Spans carry the operand extents so the kernel can

@@ -17,15 +17,22 @@ namespace {
 // takes the same summation order.
 constexpr std::size_t kSmallGemm = 8192;
 
+std::string shape(std::size_t rows, std::size_t cols) {
+  return std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+// No leg below checks shapes in a Release build (the views' bounds
+// are asserts), so a mismatch is refused here, in every build.
 void gemm_dispatch(MatrixView<double> C, ConstMatrixView<double> A,
                    ConstMatrixView<double> B, double alpha,
                    bool b_transposed) {
-  if (b_transposed) {
-    assert(C.rows() == A.rows() && A.cols() == B.cols() &&
-           C.cols() == B.rows());
-  } else {
-    assert(C.rows() == A.rows() && A.cols() == B.rows() &&
-           C.cols() == B.cols());
+  const std::size_t b_inner = b_transposed ? B.cols() : B.rows();
+  const std::size_t b_outer = b_transposed ? B.rows() : B.cols();
+  if (C.rows() != A.rows() || A.cols() != b_inner || C.cols() != b_outer) {
+    throw std::invalid_argument(
+        std::string(b_transposed ? "gemm_acc_bt" : "gemm_acc") +
+        ": C is " + shape(C.rows(), C.cols()) + ", A " +
+        shape(A.rows(), A.cols()) + ", B " + shape(B.rows(), B.cols()));
   }
   if (C.rows() * C.cols() * A.cols() < kSmallGemm) {
     if (b_transposed) {
@@ -35,6 +42,7 @@ void gemm_dispatch(MatrixView<double> C, ConstMatrixView<double> A,
     }
     return;
   }
+  if (detail::gemm_blocked_avx512(C, A, B, alpha, b_transposed)) return;
   if (detail::gemm_blocked_simd(C, A, B, alpha, b_transposed)) return;
   lk_engine::gemm_blocked<4, 8>(C, A, B, alpha, b_transposed,
                                 &lk_engine::generic_micro<4, 8>);

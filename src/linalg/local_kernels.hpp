@@ -114,14 +114,38 @@ inline void gram_mirror(double* g, std::size_t m) {
   }
 }
 
+// The blocked gemm's ISA legs and the diagonal factor's instances.
+// The blocked table tries the AVX-512 leg, then the AVX2 leg, then the
+// portable engine; each leg returns false, touching nothing, when the
+// binary lacks it (its TU built as a stub) or the CPU lacks its
+// instructions.  Shapes are the caller's to check; the public entry
+// points (the blocked table's gemm, lu_nopivot_unblocked) do.
 namespace detail {
-/// SIMD leg of the blocked GEMM, defined in local_kernels_x86.cpp
-/// (compiled with AVX2+FMA codegen when the toolchain supports it).
-/// Returns false when the binary lacks the leg or the CPU lacks the
-/// instructions; the caller then runs the portable engine.
+/// AVX2 leg of the blocked GEMM, defined in local_kernels_x86.cpp
+/// (compiled with -mavx2 -mfma when the toolchain supports it): the
+/// shared engine with the 6x8 FMA micro-kernel.  Its rounding differs
+/// from the portable engine's, so known answers hold one value per leg.
 bool gemm_blocked_simd(MatrixView<double> C, ConstMatrixView<double> A,
                        ConstMatrixView<double> B, double alpha,
                        bool b_transposed);
+
+/// AVX-512 leg, defined in local_kernels_avx512.cpp (compiled with
+/// -mavx2 -mfma -mavx512f when the toolchain supports it; runs when the
+/// CPU reports avx512f and fma): the AVX2 leg's engine and 6x8 kernel,
+/// plus a pair kernel that takes two adjacent full 6x8 tiles per call
+/// with 512-bit FMAs.  Each element keeps the 6x8 kernel's FMA chain,
+/// so the result is bitwise the AVX2 leg's.
+bool gemm_blocked_avx512(MatrixView<double> C, ConstMatrixView<double> A,
+                         ConstMatrixView<double> B, double alpha,
+                         bool b_transposed);
+
+/// lu_nopivot_unblocked's loop (linalg/lu_nopivot_impl.hpp) built
+/// with AVX-512F codegen in local_kernels_avx512.cpp, under the same
+/// CPU check as the gemm leg, and with portable codegen in
+/// kernels.cpp, the reference.  Bit for bit equal; a zero pivot
+/// throws std::domain_error from either.
+bool lu_nopivot_avx512(MatrixView<double> A);
+void lu_nopivot_portable(MatrixView<double> A);
 }  // namespace detail
 
 }  // namespace wa::linalg

@@ -1,14 +1,16 @@
 #pragma once
 // The cache-blocked GEMM engine behind the kBlocked LocalKernels
-// table.  This header is compiled into TWO translation units --
+// table.  This header is compiled into THREE translation units --
 // local_kernels.cpp (portable baseline codegen, 4x8 generic
-// micro-kernel) and local_kernels_x86.cpp (AVX2+FMA codegen, which
-// supplies a 6x8 intrinsics micro-kernel) -- so the same engine runs
-// with a per-ISA register block.  Every function here is `static` on
+// micro-kernel), local_kernels_x86.cpp (AVX2+FMA codegen, which
+// supplies a 6x8 intrinsics micro-kernel) and local_kernels_avx512.cpp
+// (AVX-512F codegen: the same 6x8 kernel plus a pair kernel that takes
+// two adjacent full tiles per call) -- so the same engine runs with a
+// per-ISA register block.  Every function here is `static` on
 // purpose: the templates get internal linkage, each TU owns private
 // instantiations, and the linker can never merge the
 // differently-compiled copies (which would either strand the fast
-// path or leak AVX2 code into the portable one).
+// path or leak AVX2 or AVX-512 code into the portable one).
 //
 // Shape of the engine (the paper's Section 4 blocking story, applied
 // to the simulator's own host):
@@ -116,40 +118,61 @@ static void pack_b(ConstMatrixView<double> B, std::size_t pc, std::size_t jc,
 /// C(mc x nc block at ic, jc) += packed A block * packed B block.
 /// Full tiles accumulate straight into C; edge tiles go through a
 /// zeroed scratch tile whose padded lanes the write-back masks out.
+/// The optional pair kernel takes a full MR-row panel against two
+/// adjacent full NR-column panels in one call (packed B panel q + 1
+/// starts NR * kc doubles after panel q, so it is handed panel q);
+/// every other tile -- a pair's edge rows, each panel through its own
+/// scratch tile, an unpaired last full panel, a ragged last panel --
+/// runs micro.  A pair kernel must give each element micro's
+/// arithmetic, so pairing never moves a bit.
 template <std::size_t MR, std::size_t NR>
 static void macro_kernel(MatrixView<double> C, std::size_t ic, std::size_t jc,
                          std::size_t mc, std::size_t nc, std::size_t kc,
                          const double* apack, const double* bpack,
-                         MicroFn micro) {
+                         MicroFn micro, MicroFn pair) {
   const std::size_t ldc = C.stride();
   double* cbase = C.data() + ic * ldc + jc;
-  for (std::size_t jr = 0; jr < nc; jr += NR) {
+  const auto tile = [&](std::size_t ir, std::size_t jr) {
+    const std::size_t rows = std::min(MR, mc - ir);
     const std::size_t cols = std::min(NR, nc - jr);
+    const double* apanel = apack + (ir / MR) * MR * kc;
     const double* bpanel = bpack + (jr / NR) * NR * kc;
-    for (std::size_t ir = 0; ir < mc; ir += MR) {
-      const std::size_t rows = std::min(MR, mc - ir);
-      const double* apanel = apack + (ir / MR) * MR * kc;
-      if (rows == MR && cols == NR) {
-        micro(kc, apanel, bpanel, cbase + ir * ldc + jr, ldc);
-        continue;
-      }
-      double acc[MR * NR] = {};
-      micro(kc, apanel, bpanel, acc, NR);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          C(ic + ir + r, jc + jr + c) += acc[r * NR + c];
-        }
+    if (rows == MR && cols == NR) {
+      micro(kc, apanel, bpanel, cbase + ir * ldc + jr, ldc);
+      return;
+    }
+    double acc[MR * NR] = {};
+    micro(kc, apanel, bpanel, acc, NR);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        C(ic + ir + r, jc + jr + c) += acc[r * NR + c];
       }
     }
+  };
+  std::size_t jr = 0;
+  while (jr < nc) {
+    const bool two = pair != nullptr && jr + 2 * NR <= nc;
+    for (std::size_t ir = 0; ir < mc; ir += MR) {
+      if (two && ir + MR <= mc) {
+        pair(kc, apack + (ir / MR) * MR * kc, bpack + (jr / NR) * NR * kc,
+             cbase + ir * ldc + jr, ldc);
+        continue;
+      }
+      tile(ir, jr);
+      if (two) tile(ir, jr + NR);
+    }
+    jr += two ? 2 * NR : NR;
   }
 }
 
 /// C += alpha * A * B (or alpha * A * B^T): the packed, blocked
-/// driver.  Shapes are asserted by the dispatching caller.
+/// driver, with an optional pair kernel (see macro_kernel).  Shapes
+/// are checked by the dispatching caller.
 template <std::size_t MR, std::size_t NR>
 static void gemm_blocked(MatrixView<double> C, ConstMatrixView<double> A,
                          ConstMatrixView<double> B, double alpha,
-                         bool b_transposed, MicroFn micro) {
+                         bool b_transposed, MicroFn micro,
+                         MicroFn pair = nullptr) {
   static_assert(kMC % MR == 0, "A block must hold whole micro-panels");
   const std::size_t m = C.rows(), n = C.cols(), kdim = A.cols();
   // 64-byte-aligned pack buffers: every full B panel slice is then a
@@ -178,7 +201,8 @@ static void gemm_blocked(MatrixView<double> C, ConstMatrixView<double> A,
         const std::size_t mcr = (mc + MR - 1) / MR * MR;
         double* apack = aligned(astore, mcr * kc);
         pack_a<MR>(A, ic, pc, mc, kc, alpha, apack);
-        macro_kernel<MR, NR>(C, ic, jc, mc, nc, kc, apack, bpack, micro);
+        macro_kernel<MR, NR>(C, ic, jc, mc, nc, kc, apack, bpack, micro,
+                             pair);
       }
     }
   }

@@ -1,89 +1,23 @@
-// The SIMD leg of the blocked GEMM: this TU is compiled with
+// The AVX2 leg of the blocked GEMM: this TU is compiled with
 // -mavx2 -mfma when the toolchain supports it (see the top-level
 // CMakeLists) and drives the shared lk_engine with a hand-written
-// 6x8 FMA micro-kernel -- GCC's autovectorizer tops out around 2/3
-// of FMA peak on the generic micro-kernel and spills any register
-// block larger than 4x8, so the twelve-accumulator kernel has to be
-// spelled in intrinsics.  Entry is guarded by a runtime CPUID check,
-// so the binary stays safe on older x86 parts and the portable
-// engine in local_kernels.cpp takes over there (and on every non-x86
-// target, where this TU compiles to the stub below).
+// 6x8 FMA micro-kernel (local_kernels_avx2.hpp, shared with the
+// AVX-512 leg) -- GCC's autovectorizer tops out around 2/3 of FMA
+// peak on the generic micro-kernel and spills any register block
+// larger than 4x8, so the twelve-accumulator kernel has to be spelled
+// in intrinsics.  Entry is guarded by a runtime CPUID check, so the
+// binary stays safe on older x86 parts and the portable engine in
+// local_kernels.cpp takes over there (and on every non-x86 target,
+// where this TU compiles to the stub below).
 
 #include "linalg/local_kernels.hpp"
 
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
 
-#include <immintrin.h>
-
+#include "linalg/local_kernels_avx2.hpp"
 #include "linalg/local_kernels_impl.hpp"
 
 namespace wa::linalg::detail {
-namespace {
-
-// c(6 x 8, row stride ldc) += sum_k apanel[k-slice] (x)
-// bpanel[k-slice].  Twelve ymm accumulators (6 rows x 2 four-wide
-// column halves) hold the output tile across the whole k loop --
-// loaded from c up front, stored back once -- leaving four ymm
-// registers for the B loads and A broadcasts, so nothing spills.
-void micro_6x8_avx2(std::size_t kc, const double* apanel,
-                    const double* bpanel, double* c, std::size_t ldc) {
-  __m256d c00 = _mm256_loadu_pd(c + 0 * ldc);
-  __m256d c01 = _mm256_loadu_pd(c + 0 * ldc + 4);
-  __m256d c10 = _mm256_loadu_pd(c + 1 * ldc);
-  __m256d c11 = _mm256_loadu_pd(c + 1 * ldc + 4);
-  __m256d c20 = _mm256_loadu_pd(c + 2 * ldc);
-  __m256d c21 = _mm256_loadu_pd(c + 2 * ldc + 4);
-  __m256d c30 = _mm256_loadu_pd(c + 3 * ldc);
-  __m256d c31 = _mm256_loadu_pd(c + 3 * ldc + 4);
-  __m256d c40 = _mm256_loadu_pd(c + 4 * ldc);
-  __m256d c41 = _mm256_loadu_pd(c + 4 * ldc + 4);
-  __m256d c50 = _mm256_loadu_pd(c + 5 * ldc);
-  __m256d c51 = _mm256_loadu_pd(c + 5 * ldc + 4);
-  for (std::size_t k = 0; k < kc; ++k) {
-    const double* ak = apanel + k * 6;
-    const double* bk = bpanel + k * 8;
-    // Walk the next A micro-panel into L1 while this one computes:
-    // the k loop covers kc lines, the next panel is 6*kc doubles.
-    // NOLINT(wa-cast): _mm_prefetch takes const char*; the address is
-    // only prefetched, never dereferenced through the char type
-    _mm_prefetch(reinterpret_cast<const char*>(ak + 6 * kc),
-                 _MM_HINT_T0);
-    const __m256d b0 = _mm256_loadu_pd(bk);
-    const __m256d b1 = _mm256_loadu_pd(bk + 4);
-    __m256d a = _mm256_broadcast_sd(ak + 0);
-    c00 = _mm256_fmadd_pd(a, b0, c00);
-    c01 = _mm256_fmadd_pd(a, b1, c01);
-    a = _mm256_broadcast_sd(ak + 1);
-    c10 = _mm256_fmadd_pd(a, b0, c10);
-    c11 = _mm256_fmadd_pd(a, b1, c11);
-    a = _mm256_broadcast_sd(ak + 2);
-    c20 = _mm256_fmadd_pd(a, b0, c20);
-    c21 = _mm256_fmadd_pd(a, b1, c21);
-    a = _mm256_broadcast_sd(ak + 3);
-    c30 = _mm256_fmadd_pd(a, b0, c30);
-    c31 = _mm256_fmadd_pd(a, b1, c31);
-    a = _mm256_broadcast_sd(ak + 4);
-    c40 = _mm256_fmadd_pd(a, b0, c40);
-    c41 = _mm256_fmadd_pd(a, b1, c41);
-    a = _mm256_broadcast_sd(ak + 5);
-    c50 = _mm256_fmadd_pd(a, b0, c50);
-    c51 = _mm256_fmadd_pd(a, b1, c51);
-  }
-  _mm256_storeu_pd(c + 0 * ldc, c00);
-  _mm256_storeu_pd(c + 0 * ldc + 4, c01);
-  _mm256_storeu_pd(c + 1 * ldc, c10);
-  _mm256_storeu_pd(c + 1 * ldc + 4, c11);
-  _mm256_storeu_pd(c + 2 * ldc, c20);
-  _mm256_storeu_pd(c + 2 * ldc + 4, c21);
-  _mm256_storeu_pd(c + 3 * ldc, c30);
-  _mm256_storeu_pd(c + 3 * ldc + 4, c31);
-  _mm256_storeu_pd(c + 4 * ldc, c40);
-  _mm256_storeu_pd(c + 4 * ldc + 4, c41);
-  _mm256_storeu_pd(c + 5 * ldc, c50);
-  _mm256_storeu_pd(c + 5 * ldc + 4, c51);
-}
-
-}  // namespace
 
 bool gemm_blocked_simd(MatrixView<double> C, ConstMatrixView<double> A,
                        ConstMatrixView<double> B, double alpha,
@@ -92,7 +26,7 @@ bool gemm_blocked_simd(MatrixView<double> C, ConstMatrixView<double> A,
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!cpu_ok) return false;
   lk_engine::gemm_blocked<6, 8>(C, A, B, alpha, b_transposed,
-                                &micro_6x8_avx2);
+                                &lk_engine::micro_6x8_avx2);
   return true;
 }
 

@@ -135,6 +135,19 @@ TEST(Cholesky, ThrowsOnIndefinite) {
   EXPECT_THROW(cholesky_unblocked(a.view()), std::domain_error);
 }
 
+TEST(Lu, RefusesNonSquareAndZeroPivot) {
+  // The shape check holds in every build: an 8 x 4 view would be read
+  // past its columns otherwise.  Nothing is written before it throws.
+  Matrix<double> a(8, 4);
+  fill_random(a, 3);
+  const Matrix<double> a0 = a;
+  EXPECT_THROW(lu_nopivot_unblocked(a.view()), std::invalid_argument);
+  EXPECT_EQ(max_abs_diff(a, a0), 0.0);
+  Matrix<double> z(3, 3, 1.0);
+  z(0, 0) = 0.0;
+  EXPECT_THROW(lu_nopivot_unblocked(z.view()), std::domain_error);
+}
+
 TEST(Lu, ReconstructsMatrix) {
   const std::size_t n = 10;
   auto a = random_spd(n, 16);  // SPD => LU without pivoting is stable

@@ -1,5 +1,7 @@
 // The LocalKernels seam (linalg/local_kernels.hpp): naive/blocked
 // numeric parity on ragged shapes, strided sub-views, and alpha != 1;
+// shape checks that hold in every build; the AVX-512 gemm leg and
+// factor bitwise the AVX2 leg and the portable factor;
 // the bitwise Gram contract (blocked == naive, call-split invariant);
 // WA_KERNELS selection; and the seam's central invariant -- switching
 // kernel implementations changes not a single simulator counter on
@@ -15,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,6 +113,123 @@ TEST(LocalKernels, GemmParityOnStridedSubViews) {
       if (i >= off && i < off + m && j >= off && j < off + n) continue;
       ASSERT_EQ(c0(i, j), c1(i, j)) << i << "," << j;
     }
+  }
+}
+
+TEST(LocalKernels, GemmRefusesMismatchedShapes) {
+  // Checked in every build: the legs read past B or A otherwise.  One
+  // shape above the small-gemm volume (the blocked legs) and one below
+  // (the reference loops), plain and transposed; C stays untouched.
+  const auto& bk = linalg::blocked_kernels();
+  linalg::Matrix<double> c(16, 16), a(16, 64), b(32, 16), bt(16, 32);
+  linalg::fill_random(c, 1);
+  const linalg::Matrix<double> c0 = c;
+  EXPECT_THROW(bk.gemm_acc(c.view(), a.view(), b.view(), 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(bk.gemm_acc_bt(c.view(), a.view(), bt.view(), 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(bk.gemm_acc(c.block(0, 0, 2, 2), a.block(0, 0, 2, 3),
+                           b.block(0, 0, 2, 2), 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(bk.gemm_acc(c.block(0, 0, 3, 2), a.block(0, 0, 2, 4),
+                           b.block(0, 0, 4, 2), 1.0),
+               std::invalid_argument);
+  EXPECT_EQ(0, std::memcmp(c.data(), c0.data(), c.size() * sizeof(double)));
+}
+
+// ---- the AVX-512 leg: bitwise the AVX2 leg -------------------------------
+
+/// True when the binary has the AVX-512 leg and the CPU runs it (a 1 x 1
+/// product is harmless).
+bool avx512_leg_runs() {
+  linalg::Matrix<double> c(1, 1), a(1, 1), b(1, 1);
+  return linalg::detail::gemm_blocked_avx512(c.view(), a.view(), b.view(),
+                                             1.0, false);
+}
+
+/// Whether @p got equals @p orig bit for bit outside the m x n block at
+/// (i0, j0).
+bool frame_untouched(const linalg::Matrix<double>& got,
+                     const linalg::Matrix<double>& orig, std::size_t i0,
+                     std::size_t j0, std::size_t m, std::size_t n) {
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      const bool inside = i >= i0 && i < i0 + m && j >= j0 && j < j0 + n;
+      if (!inside && std::memcmp(&got(i, j), &orig(i, j), sizeof(double))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(LocalKernels, Avx512GemmLegIsBitwiseTheAvx2Leg) {
+  if (!avx512_leg_runs()) GTEST_SKIP() << "no AVX-512 leg in this build/CPU";
+  // Rows 1-13: one or two 6-row panels, full or with edge rows.
+  // Columns: 1 and 7 (one ragged panel), 8 (one unpaired full panel),
+  // 9, 15, 17 (a pair or lone panel, then a ragged one), 16, 24, 40
+  // (even and odd full panel counts) and 520 (nc across kNC = 512).
+  // Depths straddle kKC = 256.  Every view is strided, inside a frame.
+  constexpr std::size_t kOff = 3, kMaxM = 13, kMaxN = 520, kMaxK = 600;
+  linalg::Matrix<double> a(kMaxM + 2 * kOff, kMaxK + 2 * kOff);
+  linalg::Matrix<double> b(kMaxK + 2 * kOff, kMaxN + 2 * kOff);
+  linalg::Matrix<double> bt(kMaxN + 2 * kOff, kMaxK + 2 * kOff);
+  linalg::Matrix<double> c0(kMaxM + 2 * kOff, kMaxN + 2 * kOff);
+  linalg::fill_random(a, 31);
+  linalg::fill_random(b, 32);
+  linalg::fill_random(bt, 33);
+  linalg::fill_random(c0, 34);
+  const double alphas[] = {1.0, -1.0, 0.5};
+  std::size_t cases = 0;
+  for (std::size_t m = 1; m <= kMaxM; ++m) {
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 40u,
+                                520u}) {
+      for (const std::size_t k : {1u, 255u, 256u, 257u, 600u}) {
+        for (const bool trans : {false, true}) {
+          const double alpha = alphas[cases++ % 3];
+          const auto av = a.block(kOff, kOff, m, k);
+          const auto bv =
+              trans ? bt.block(kOff, kOff, n, k) : b.block(kOff, kOff, k, n);
+          linalg::Matrix<double> c512 = c0, c256 = c0;
+          ASSERT_TRUE(linalg::detail::gemm_blocked_avx512(
+              c512.block(kOff, kOff, m, n), av, bv, alpha, trans));
+          ASSERT_TRUE(linalg::detail::gemm_blocked_simd(
+              c256.block(kOff, kOff, m, n), av, bv, alpha, trans));
+          const std::string who = std::to_string(m) + "x" +
+                                  std::to_string(n) + "x" +
+                                  std::to_string(k) + " alpha=" +
+                                  std::to_string(alpha) +
+                                  (trans ? " B^T" : " B");
+          ASSERT_EQ(0, std::memcmp(c512.data(), c256.data(),
+                                   c512.size() * sizeof(double)))
+              << who;
+          ASSERT_TRUE(frame_untouched(c512, c0, kOff, kOff, m, n)) << who;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 13u * 10u * 5u * 2u);
+}
+
+TEST(LocalKernels, Avx512FactorIsBitwiseThePortableOne) {
+  linalg::Matrix<double> probe(1, 1, 1.0);
+  if (!linalg::detail::lu_nopivot_avx512(probe.view())) {
+    GTEST_SKIP() << "no AVX-512 factor in this build/CPU";
+  }
+  // Widths below, at and past one 8-wide vector and LU's panel widths
+  // (32, 128), on views of stride 1024 like the e2e matrix.
+  constexpr std::size_t kStride = 1024;
+  for (const std::size_t w : {1u, 5u, 32u, 37u, 128u, 130u}) {
+    linalg::Matrix<double> a0(w, kStride);
+    linalg::fill_random(a0, unsigned(w));
+    for (std::size_t i = 0; i < w; ++i) a0(i, i) += double(w);
+    linalg::Matrix<double> wide = a0, ref = a0;
+    ASSERT_TRUE(linalg::detail::lu_nopivot_avx512(wide.block(0, 0, w, w)));
+    linalg::detail::lu_nopivot_portable(ref.block(0, 0, w, w));
+    EXPECT_EQ(0, std::memcmp(wide.data(), ref.data(),
+                             wide.size() * sizeof(double)))
+        << "width " << w;
+    EXPECT_TRUE(frame_untouched(wide, a0, 0, 0, w, w)) << "width " << w;
   }
 }
 
