@@ -3,8 +3,10 @@
 //
 //   1. The LocalKernels seam: naive vs blocked GFLOP/s for the dense
 //      per-rank kernels (gemm, trsm, syrk) at n = 128/256/512, and for
-//      the two triangular solves LU runs at its panel widths, with a
-//      parity guard so a fast-but-wrong kernel cannot pass unnoticed.
+//      the two triangular solves, the gemm and the diagonal factor LU
+//      runs at its panel widths, with a parity guard so a
+//      fast-but-wrong kernel cannot pass unnoticed.  The heading names
+//      the blocked gemm leg that ran (avx512, avx2 or portable).
 //      This is the number the seam exists for -- per-rank numerics
 //      should measure the hardware, not the loop nest.
 //   2. The layers under a distributed step: the backend pool's round
@@ -308,6 +310,115 @@ void bench_lu_solves(bench::JsonReport& report, bench::Table& table) {
   }
 }
 
+// The gemm and the diagonal factor both LU schedules run, at their
+// shapes, on views of stride 1024 like the e2e LU's n = 1024 matrix:
+// the gemm at 128x128x128 (RL-LU's trailing tile) and 32x32x32 (LL-LU's
+// chain tile), naive against blocked, guarded by a tolerance; then
+// lu_nopivot_unblocked at RL-LU's and LL-LU's panel widths, its
+// portable instance in the naive column against the dispatched one
+// (the AVX-512 instance where the CPU has it), guarded by memcmp.
+// Each timed call restores its output from a copy first, on both
+// sides.
+void bench_lu_kernels(bench::JsonReport& report, bench::Table& table) {
+  constexpr std::size_t kStride = 1024;
+  for (const std::size_t n : {128u, 32u}) {
+    linalg::Matrix<double> a(n, kStride), b(n, kStride), base(n, kStride);
+    linalg::fill_random(a, 9);
+    linalg::fill_random(b, 10);
+    linalg::fill_random(base, 11);
+    const auto gemm = [&](const linalg::LocalKernels& k,
+                          linalg::Matrix<double>& c) {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy(&base(i, 0), &base(i, 0) + n, &c(i, 0));
+      }
+      k.gemm_acc(c.block(0, 0, n, n), a.block(0, 0, n, n),
+                 b.block(0, 0, n, n), -1.0);
+    };
+    const std::string cname = "gemm_lu_n" + std::to_string(n);
+    linalg::Matrix<double> out_naive = base, out_blocked = base;
+    gemm(linalg::naive_kernels(), out_naive);
+    gemm(linalg::blocked_kernels(), out_blocked);
+    const double diff = linalg::max_abs_diff(out_naive, out_blocked);
+    if (!(diff < 1e-8)) {
+      bench::die("bench_kernels_perf: naive/blocked parity broke on " +
+                 cname + " (max diff " + bench::fmt_d(diff, 3) + ")");
+    }
+    linalg::Matrix<double> out = base;
+    const double t_naive =
+        per_call_s([&] { gemm(linalg::naive_kernels(), out); });
+    const double t_blocked =
+        per_call_s([&] { gemm(linalg::blocked_kernels(), out); });
+    const std::uint64_t flops = 2ull * n * n * n;
+    report.add(cname, "flops", flops);
+    report.add(cname, "naive_us_wall", t_naive * 1e6);
+    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
+    report.add(cname, "naive_gflops_wall", double(flops) / t_naive / 1e9);
+    report.add(cname, "blocked_gflops_wall", double(flops) / t_blocked / 1e9);
+    report.add(cname, "speedup_wall", t_naive / t_blocked);
+    table.row({cname, std::to_string(n),
+               bench::fmt_d(double(flops) / t_naive / 1e9),
+               bench::fmt_d(double(flops) / t_blocked / 1e9),
+               bench::fmt_d(t_naive / t_blocked) + "x"});
+  }
+  for (const std::size_t w : {32u, 128u}) {
+    // Diagonally dominant, so no pivot is small.
+    linalg::Matrix<double> base(w, kStride);
+    linalg::fill_random(base, 12);
+    for (std::size_t i = 0; i < w; ++i) base(i, i) += double(w);
+    const auto factor = [&](void (*fn)(linalg::MatrixView<double>),
+                            linalg::Matrix<double>& a) {
+      for (std::size_t i = 0; i < w; ++i) {
+        std::copy(&base(i, 0), &base(i, 0) + w, &a(i, 0));
+      }
+      fn(a.block(0, 0, w, w));
+    };
+    const std::string cname = "lu_nopivot_w" + std::to_string(w);
+    linalg::Matrix<double> out_naive = base, out_blocked = base;
+    factor(&linalg::detail::lu_nopivot_portable, out_naive);
+    factor(&linalg::lu_nopivot_unblocked, out_blocked);
+    if (std::memcmp(out_naive.data(), out_blocked.data(),
+                    out_naive.size() * sizeof(double)) != 0) {
+      bench::die("bench_kernels_perf: " + cname +
+                 " is not bitwise the portable factor");
+    }
+    linalg::Matrix<double> out = base;
+    const double t_naive = per_call_s(
+        [&] { factor(&linalg::detail::lu_nopivot_portable, out); });
+    const double t_blocked =
+        per_call_s([&] { factor(&linalg::lu_nopivot_unblocked, out); });
+    // Per pivot k: w-1-k divisions, then a multiply and a subtract on
+    // each of the (w-1-k)^2 trailing entries.
+    const std::uint64_t flops =
+        std::uint64_t(w) * (w - 1) / 2 + std::uint64_t(w - 1) * w * (2 * w - 1) / 3;
+    report.add(cname, "flops", flops);
+    report.add(cname, "naive_us_wall", t_naive * 1e6);
+    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
+    report.add(cname, "naive_gflops_wall", double(flops) / t_naive / 1e9);
+    report.add(cname, "blocked_gflops_wall", double(flops) / t_blocked / 1e9);
+    report.add(cname, "speedup_wall", t_naive / t_blocked);
+    table.row({cname, std::to_string(w),
+               bench::fmt_d(double(flops) / t_naive / 1e9),
+               bench::fmt_d(double(flops) / t_blocked / 1e9),
+               bench::fmt_d(t_naive / t_blocked) + "x"});
+  }
+}
+
+/// The blocked gemm leg this binary runs on this CPU.  Printed in the
+/// heading only: it differs between runners, and every JSON key that
+/// is not a wall time is drift-checked at --tol 0.
+const char* gemm_leg() {
+  linalg::Matrix<double> c(1, 1), a(1, 1), b(1, 1);
+  if (linalg::detail::gemm_blocked_avx512(c.view(), a.view(), b.view(), 1.0,
+                                          false)) {
+    return "avx512";
+  }
+  if (linalg::detail::gemm_blocked_simd(c.view(), a.view(), b.view(), 1.0,
+                                        false)) {
+    return "avx2";
+  }
+  return "portable";
+}
+
 void bench_comm_layers(bench::JsonReport& report, bench::Table& table) {
   constexpr std::size_t kRanks = 16, kThreads = 3;
   dist::ThreadedBackend pool(kThreads);
@@ -457,11 +568,14 @@ void bench_substrates(bench::JsonReport& report, bench::Table& table) {
 int main(int argc, char** argv) {
   bench::JsonReport report(argc, argv);
   const linalg::KernelImpl active = bench::env_kernels();
-  std::printf("local kernels: naive vs blocked (WA_KERNELS=%s active)\n",
-              linalg::kernels(active).name);
+  std::printf(
+      "local kernels: naive vs blocked (WA_KERNELS=%s active, blocked gemm "
+      "leg %s)\n",
+      linalg::kernels(active).name, gemm_leg());
   bench::Table table({"case", "n", "naive GF/s", "blocked GF/s", "ratio"});
   bench_local_kernels(report, table);
   bench_lu_solves(report, table);
+  bench_lu_kernels(report, table);
   bench_comm_layers(report, table);
   bench_substrates(report, table);
   table.print();
