@@ -226,6 +226,25 @@ double per_call_s(Fn&& fn) {
   return best;
 }
 
+/// One per-call rung: its flop count, both sides' call times, the
+/// GF/s they imply and their ratio, as JSON keys and a table row.
+void add_per_call_rung(bench::JsonReport& report, bench::Table& table,
+                       const std::string& cname, std::size_t n,
+                       std::uint64_t flops, double t_naive,
+                       double t_blocked) {
+  const double gf_naive = double(flops) / t_naive / 1e9;
+  const double gf_blocked = double(flops) / t_blocked / 1e9;
+  report.add(cname, "flops", flops);
+  report.add(cname, "naive_us_wall", t_naive * 1e6);
+  report.add(cname, "blocked_us_wall", t_blocked * 1e6);
+  report.add(cname, "naive_gflops_wall", gf_naive);
+  report.add(cname, "blocked_gflops_wall", gf_blocked);
+  report.add(cname, "speedup_wall", t_naive / t_blocked);
+  table.row({cname, std::to_string(n), bench::fmt_d(gf_naive),
+             bench::fmt_d(gf_blocked),
+             bench::fmt_d(t_naive / t_blocked) + "x"});
+}
+
 // The triangular solves both LU schedules run, at their shapes: the
 // unit-lower U-panel solve and the right-upper L-panel solve, on views
 // of stride 1024 like the e2e LU's n = 1024 matrix.  Width 32 is
@@ -295,18 +314,9 @@ void bench_lu_solves(bench::JsonReport& report, bench::Table& table) {
         per_call_s([&] { solve(linalg::naive_kernels(), out); });
     const double t_blocked =
         per_call_s([&] { solve(linalg::blocked_kernels(), out); });
-    const std::uint64_t flops = std::uint64_t(c.w) * c.w * c.other;
-    const double gf_naive = double(flops) / t_naive / 1e9;
-    const double gf_blocked = double(flops) / t_blocked / 1e9;
-    report.add(cname, "flops", flops);
-    report.add(cname, "naive_us_wall", t_naive * 1e6);
-    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
-    report.add(cname, "naive_gflops_wall", gf_naive);
-    report.add(cname, "blocked_gflops_wall", gf_blocked);
-    report.add(cname, "speedup_wall", t_naive / t_blocked);
-    table.row({cname, std::to_string(c.w), bench::fmt_d(gf_naive),
-               bench::fmt_d(gf_blocked),
-               bench::fmt_d(t_naive / t_blocked) + "x"});
+    add_per_call_rung(report, table, cname, c.w,
+                      std::uint64_t(c.w) * c.w * c.other, t_naive,
+                      t_blocked);
   }
 }
 
@@ -348,17 +358,8 @@ void bench_lu_kernels(bench::JsonReport& report, bench::Table& table) {
         per_call_s([&] { gemm(linalg::naive_kernels(), out); });
     const double t_blocked =
         per_call_s([&] { gemm(linalg::blocked_kernels(), out); });
-    const std::uint64_t flops = 2ull * n * n * n;
-    report.add(cname, "flops", flops);
-    report.add(cname, "naive_us_wall", t_naive * 1e6);
-    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
-    report.add(cname, "naive_gflops_wall", double(flops) / t_naive / 1e9);
-    report.add(cname, "blocked_gflops_wall", double(flops) / t_blocked / 1e9);
-    report.add(cname, "speedup_wall", t_naive / t_blocked);
-    table.row({cname, std::to_string(n),
-               bench::fmt_d(double(flops) / t_naive / 1e9),
-               bench::fmt_d(double(flops) / t_blocked / 1e9),
-               bench::fmt_d(t_naive / t_blocked) + "x"});
+    add_per_call_rung(report, table, cname, n, 2ull * n * n * n, t_naive,
+                      t_blocked);
   }
   for (const std::size_t w : {32u, 128u}) {
     // Diagonally dominant, so no pivot is small.
@@ -388,18 +389,9 @@ void bench_lu_kernels(bench::JsonReport& report, bench::Table& table) {
         per_call_s([&] { factor(&linalg::lu_nopivot_unblocked, out); });
     // Per pivot k: w-1-k divisions, then a multiply and a subtract on
     // each of the (w-1-k)^2 trailing entries.
-    const std::uint64_t flops =
-        std::uint64_t(w) * (w - 1) / 2 + std::uint64_t(w - 1) * w * (2 * w - 1) / 3;
-    report.add(cname, "flops", flops);
-    report.add(cname, "naive_us_wall", t_naive * 1e6);
-    report.add(cname, "blocked_us_wall", t_blocked * 1e6);
-    report.add(cname, "naive_gflops_wall", double(flops) / t_naive / 1e9);
-    report.add(cname, "blocked_gflops_wall", double(flops) / t_blocked / 1e9);
-    report.add(cname, "speedup_wall", t_naive / t_blocked);
-    table.row({cname, std::to_string(w),
-               bench::fmt_d(double(flops) / t_naive / 1e9),
-               bench::fmt_d(double(flops) / t_blocked / 1e9),
-               bench::fmt_d(t_naive / t_blocked) + "x"});
+    const std::uint64_t flops = std::uint64_t(w) * (w - 1) / 2 +
+                                std::uint64_t(w - 1) * w * (2 * w - 1) / 3;
+    add_per_call_rung(report, table, cname, w, flops, t_naive, t_blocked);
   }
 }
 
